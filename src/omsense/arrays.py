@@ -108,8 +108,9 @@ class SensorArray:
         if abs(cnorm - 1.0) > 1e-8:
             raise ConfigError(
                 f"combining weights must satisfy sum |W_0k|^2 = 1, got {cnorm!r}")
-        if self.total_power < 0:
-            raise ConfigError("total power must be >= 0")
+        if not (math.isfinite(self.total_power) and self.total_power >= 0):
+            raise ConfigError(
+                f"total power must be finite and >= 0, got {self.total_power}")
 
     @property
     def n_sensors(self) -> int:
@@ -247,9 +248,16 @@ def validate_network(arr: SensorArray) -> NetworkDiagnostics:
 # ---------------------------------------------------------------------------
 
 class _Terms:
-    """Per-sensor coherent amplitudes on the active (W != 0) sensors."""
+    """Coherent amplitudes, one row per distinct (sensor, optical share).
 
-    __slots__ = ("active", "alpha", "beta", "ww", "wabs2", "thermal",
+    Active (W != 0) sensors that compare equal and receive the same share
+    |w_k0|^2 have the same alpha, beta, thermal and loss weights, so each row
+    is computed once and carries the group sums ww = sum W_0k w_k0 and
+    wabs2 = sum |W_0k|^2.  ``group[i]`` is the row of the i-th active sensor;
+    a fully heterogeneous array is M groups of one.
+    """
+
+    __slots__ = ("active", "group", "alpha", "beta", "ww", "wabs2", "thermal",
                  "loss_weight")
 
     def __init__(self, arr: SensorArray, omega):
@@ -264,35 +272,43 @@ class _Terms:
             raise ConfigError("sensor with zero optical share but nonzero "
                               "combining weight: shot noise diverges")
 
-        n = active.size
+        rows: dict[tuple[ArraySensor, float], int] = {}
+        group = np.array([rows.setdefault((arr.sensors[k], share), len(rows))
+                          for k, share in zip(active.tolist(), shares.tolist())])
+
+        n = len(rows)
         alpha = np.empty((n, w.size), dtype=complex)
         beta = np.empty((n, w.size), dtype=complex)
         thermal = np.zeros(n)
         loss_weight = np.zeros(n)
-        for i, k in enumerate(active):
-            s = arr.sensors[k]
+        for g, (s, share) in enumerate(rows):
             osc = s.oscillator
-            cav = arr.sensor_cavity_at_total_power(k)
+            cav = replace(s.cavity, input_power=arr.total_power)
             chi_k = mechanical_susceptibility(osc, w)
-            _, coop = cavity_phase_and_cooperativity(cav, osc, w, float(shares[i]))
+            _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
             cmag = np.abs(coop)
             if np.any(cmag == 0.0):
                 raise ConfigError("zero cooperativity on an actively combined sensor")
             half = _half_phase(cav, w)
             hmo = HBAR * osc.mass * osc.omega0
-            alpha[i] = half / (2.0 * chi_k) * np.sqrt(hmo / (2.0 * osc.gamma * cmag))
-            beta[i] = 2.0 * half * np.sqrt(2.0 * hmo * osc.gamma * cmag)
-            thermal[i] = 4.0 * osc.mass * osc.gamma * K_B * osc.temperature
+            alpha[g] = half / (2.0 * chi_k) * np.sqrt(hmo / (2.0 * osc.gamma * cmag))
+            beta[g] = 2.0 * half * np.sqrt(2.0 * hmo * osc.gamma * cmag)
+            thermal[g] = 4.0 * osc.mass * osc.gamma * K_B * osc.temperature
             eta_sq = cav.efficiency_sq
             if eta_sq == 0.0:
                 raise ConfigError("detection efficiency eta^2 = 0 on an active sensor")
-            loss_weight[i] = (1.0 - eta_sq) / eta_sq
+            loss_weight[g] = (1.0 - eta_sq) / eta_sq
 
+        ww = np.zeros(n, dtype=complex)
+        np.add.at(ww, group, cw[active] * dv[active])
+        wabs2 = np.zeros(n)
+        np.add.at(wabs2, group, np.abs(cw[active]) ** 2)
         self.active = active
+        self.group = group
         self.alpha = alpha
         self.beta = beta
-        self.ww = (cw[active] * dv[active])[:, None]
-        self.wabs2 = (np.abs(cw[active]) ** 2)[:, None]
+        self.ww = ww[:, None]
+        self.wabs2 = wabs2[:, None]
         self.thermal = thermal[:, None]
         self.loss_weight = loss_weight[:, None]
 
@@ -373,8 +389,9 @@ def residual_vacuum_forms(arr: SensorArray, omega):
     # (alpha*_j alpha_k + beta*_j beta_k) / 2.
     proj = np.eye(len(dv), dtype=complex) - np.outer(np.conj(dv), dv)
     wmat = np.outer(np.conj(cw), cw)
-    kernel = (np.einsum("jw,kw->jkw", np.conj(t.alpha), t.alpha)
-              + np.einsum("jw,kw->jkw", np.conj(t.beta), t.beta))
+    alpha, beta = t.alpha[t.group], t.beta[t.group]
+    kernel = (np.einsum("jw,kw->jkw", np.conj(alpha), alpha)
+              + np.einsum("jw,kw->jkw", np.conj(beta), beta))
     delta_sum = 0.5 * np.einsum("jk,jkw->w", proj * wmat, kernel)
     if np.max(np.abs(np.imag(delta_sum))) > 1e-6 * (np.max(np.abs(delta_sum)) + 1e-300):
         raise ConfigError("residual Delta-sum produced a non-real value")
@@ -390,12 +407,14 @@ def array_squeezed_noise(arr: SensorArray, r, theta, omega) -> SqueezedNoise:
     The squeezed/anti-squeezed coefficients are |A cos t - B sin t|^2 / 2 and
     |A sin t + B cos t|^2 / 2 built from the coherent sums A, B; the total
     must match array_noise_psd with input_quadrature_psds(r, theta).
+    ``theta=None`` uses the optimal angle (see optimal_squeezing_angle) from
+    the same coherent sums.
     """
     if r < 0:
         raise ConfigError(f"squeezing strength must be >= 0, got {r}")
     t = _Terms(arr, omega)
     a, b = t.coherent_sums()
-    th = np.asarray(theta, dtype=float)
+    th = _optimal_angle(a, b) if theta is None else np.asarray(theta, dtype=float)
     c, s = np.cos(th), np.sin(th)
     squeezed = 0.5 * np.abs(a * c - b * s) ** 2 * math.exp(-2.0 * r)
     anti = 0.5 * np.abs(a * s + b * c) ** 2 * math.exp(2.0 * r)
@@ -405,6 +424,14 @@ def array_squeezed_noise(arr: SensorArray, r, theta, omega) -> SqueezedNoise:
     total = squeezed + anti + thermal + residual + loss
     parts = _shape_like((squeezed, anti, thermal, residual, loss, total), omega)
     return SqueezedNoise(*parts)
+
+
+def _optimal_angle(a, b):
+    q = np.abs(b) ** 2 - np.abs(a) ** 2
+    rr = 2.0 * np.real(a * np.conj(b))
+    theta = 0.5 * np.arctan2(-rr, -q)
+    # +pi/2 and -pi/2 label the same squeezed state; use the negative branch.
+    return np.where(theta > math.pi / 2 - 1e-15, -math.pi / 2, theta)
 
 
 def optimal_squeezing_angle(arr: SensorArray, omega):
@@ -417,13 +444,7 @@ def optimal_squeezing_angle(arr: SensorArray, omega):
     resonance.  On resonance (A perpendicular to B, |B| > |A|) this returns
     -pi/2; far above resonance it tends to 0 through positive angles.
     """
-    t = _Terms(arr, omega)
-    a, b = t.coherent_sums()
-    q = np.abs(b) ** 2 - np.abs(a) ** 2
-    rr = 2.0 * np.real(a * np.conj(b))
-    theta = 0.5 * np.arctan2(-rr, -q)
-    # +pi/2 and -pi/2 label the same squeezed state; use the negative branch.
-    theta = np.where(theta > math.pi / 2 - 1e-15, -math.pi / 2, theta)
+    theta = _optimal_angle(*_Terms(arr, omega).coherent_sums())
     return float(theta[0]) if np.ndim(omega) == 0 else theta
 
 

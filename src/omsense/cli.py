@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,17 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"),
                        default=_env("FORMAT"),
                        help="output format (default: scenario output.format)")
-        p.add_argument("--tolerance", type=float,
-                       default=_float_env("TOLERANCE"),
+        p.add_argument("--tolerance", type=_tolerance,
+                       default=_env("TOLERANCE"),
                        help="override the grid relative tolerance")
         p.add_argument("--strict", dest="strict", action="store_true",
                        default=_bool_env("STRICT", True),
                        help="reject unknown scenario keys (default)")
         p.add_argument("--lenient", dest="strict", action="store_false",
                        help="warn on unknown scenario keys instead of failing")
-        p.add_argument("--threads", type=int,
-                       default=int(_env("THREADS", "1")),
-                       help="worker threads for scan points")
         p.add_argument("--gamma-convention", choices=("half", "full"),
                        default=_env("GAMMA_CONVENTION", "half"),
                        help="map quality factors to gamma = Omega/2Q (half) "
@@ -84,9 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _float_env(name):
-    raw = _env(name)
-    return None if raw is None else float(raw)
+def _tolerance(raw: str) -> float:
+    """--tolerance / OMSENSE_TOLERANCE: a finite relative tolerance > 0."""
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance (flag or {ENV_PREFIX}TOLERANCE) must be a finite "
+            f"number > 0, got {raw!r}")
+    return tol
 
 
 def _bool_env(name, default):
@@ -153,17 +159,16 @@ def _compute(command: str, scn: Scenario, args) -> tuple[list[str], list[dict]]:
     if effective == "noise":
         rows = scans.noise_budget_table(scn)
     elif effective == "array-scan":
-        rows = scans.array_scan_table(scn, threads=args.threads)
+        rows = scans.array_scan_table(scn)
     elif effective == "sensitivity":
         rows = scans.sensitivity_report(scn, tol=args.tolerance)
     elif effective == "dm-projection":
         overlays = _load_overlays(getattr(args, "overlay", []))
-        rows = scans.dm_projection_table(scn, overlays=overlays,
-                                         threads=args.threads)
+        rows = scans.dm_projection_table(scn, overlays=overlays)
     elif effective == "power-scan":
-        rows = scans.power_scan_table(scn, threads=args.threads)
+        rows = scans.power_scan_table(scn)
     elif effective == "loss-scan":
-        rows = scans.loss_scan_table(scn, threads=args.threads)
+        rows = scans.loss_scan_table(scn)
     else:
         raise ScenarioError(f"unhandled command {command!r}")
     columns = list(scans.COLUMNS[effective])
@@ -223,7 +228,6 @@ def _emit(args, command, columns, rows, scn: Scenario | None,
         "gamma_convention": args.gamma_convention,
         "strict": bool(args.strict),
         "tolerance_override": args.tolerance,
-        "threads": args.threads,
         "defaults_used": scn.defaults_used if scn is not None else {},
         "warnings": list(scn.warnings) if scn is not None else [],
         "grid": {"span_rad_s": list(scn.grid_span),
@@ -245,7 +249,7 @@ def _emit(args, command, columns, rows, scn: Scenario | None,
 
 def _run_oracle_check(args) -> int:
     rows = scans.oracle_check_table(n_configs=args.configs, n_freqs=args.freqs,
-                                    seed=args.seed, threads=args.threads)
+                                    seed=args.seed)
     columns = list(scans.COLUMNS["oracle-check"])
     worst = max(row["max_rel_residual"] for row in rows)
     outputs = _emit(args, "oracle-check", columns, rows, None,

@@ -9,7 +9,6 @@ than dropped.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,8 +17,7 @@ from .errors import OmsenseError, ScenarioError
 from .spectra import (QuadraturePsds, SqueezedInput, displacement_asd,
                       input_quadrature_psds)
 from .arrays import (SensorArray, array_noise_psd, array_signal_psd,
-                     array_sql_psd, array_squeezed_noise,
-                     optimal_squeezing_angle)
+                     array_sql_psd, array_squeezed_noise)
 from .oracle import oracle_noise_psd
 from .sensitivity import (FrequencyGrid, integrated_sensitivity,
                           min_detectable_coupling)
@@ -71,12 +69,7 @@ def _classical_noise_fn(arr: SensorArray):
 def _squeezed_noise_fn(arr: SensorArray, squeeze: SqueezedInput):
     if squeeze.r == 0.0:
         return _classical_noise_fn(arr)
-    if squeeze.angle_policy == "optimal":
-        def fn(w):
-            theta = optimal_squeezing_angle(arr, w)
-            return array_squeezed_noise(arr, squeeze.r, theta, w).total
-        return fn
-    theta = squeeze.angle
+    theta = None if squeeze.angle_policy == "optimal" else squeeze.angle
     return lambda w: array_squeezed_noise(arr, squeeze.r, theta, w).total
 
 
@@ -167,7 +160,7 @@ def sensitivity_report(scn: Scenario, tol: float | None = None) -> list[dict]:
     return rows
 
 
-def array_scan_table(scn: Scenario, threads: int = 1) -> list[dict]:
+def array_scan_table(scn: Scenario) -> list[dict]:
     """Integrated sensitivity vs sensor count: DQS, coherent, incoherent."""
     counts = scn.scan.get("sensor_counts", [1, 2, 4, 8, 16, 32, 64, 100])
     grid = scn.build_grid()
@@ -193,11 +186,11 @@ def array_scan_table(scn: Scenario, threads: int = 1) -> list[dict]:
             "incoherent_over_single": i_incoh / i_single,
         }
 
-    return _map_ordered(one, counts, threads)
+    return [one(m) for m in counts]
 
 
-def dm_projection_table(scn: Scenario, overlays: dict[str, np.ndarray] | None = None,
-                        threads: int = 1) -> list[dict]:
+def dm_projection_table(scn: Scenario,
+                        overlays: dict[str, np.ndarray] | None = None) -> list[dict]:
     """Minimum detectable coupling vs Compton frequency for the standard curves.
 
     The incoherent column combines identical sensors at the power level
@@ -220,32 +213,30 @@ def dm_projection_table(scn: Scenario, overlays: dict[str, np.ndarray] | None = 
     vac = QuadraturePsds.vacuum()
     squeeze = scn.squeeze
     em2r = math.exp(-2.0 * squeeze.r)
-    thermal1 = _weighted_thermal(arr1)
     thermal_m = _weighted_thermal(arr_m)
 
-    def one(w):
-        w = float(w)
-        n1 = float(array_noise_psd(arr1, vac, w).total)
-        nm = float(array_noise_psd(arr_m, vac, w).total)
-        theta = optimal_squeezing_angle(arr_m, w)
-        ndqs = float(array_squeezed_noise(arr_m, squeeze.r, theta, w).total)
-        sql_m = float(array_sql_psd(arr_m, w))
-        row = {
+    n1 = array_noise_psd(arr1, vac, omegas).total
+    nm = array_noise_psd(arr_m, vac, omegas).total
+    ndqs = array_squeezed_noise(arr_m, squeeze.r, None, omegas).total
+    sql_m = array_sql_psd(arr_m, omegas)
+    rows = []
+    for i, w in enumerate(omegas.tolist()):
+        n1_w, sql_w = float(n1[i]), float(sql_m[i])
+        rows.append({
             "compton_rad_s": w,
             "compton_hz": w / TWO_PI,
-            "gmin_single_classical": min_detectable_coupling(n1, dm, plan, w),
-            "gmin_coherent_array": min_detectable_coupling(nm / gain_m, dm, plan, w),
+            "gmin_single_classical": min_detectable_coupling(n1_w, dm, plan, w),
+            "gmin_coherent_array": min_detectable_coupling(
+                float(nm[i]) / gain_m, dm, plan, w),
             "gmin_incoherent_array": min_detectable_coupling(
-                n1 / math.sqrt(m_count), dm, plan, w),
-            "gmin_dqs_array": min_detectable_coupling(ndqs / gain_m, dm, plan, w),
+                n1_w / math.sqrt(m_count), dm, plan, w),
+            "gmin_dqs_array": min_detectable_coupling(
+                float(ndqs[i]) / gain_m, dm, plan, w),
             "gmin_sql_array": min_detectable_coupling(
-                (sql_m + thermal_m) / gain_m, dm, plan, w),
+                (sql_w + thermal_m) / gain_m, dm, plan, w),
             "gmin_dqs_limit": min_detectable_coupling(
-                (em2r * sql_m + thermal_m) / gain_m, dm, plan, w),
-        }
-        return row
-
-    rows = _map_ordered(one, omegas, threads)
+                (em2r * sql_w + thermal_m) / gain_m, dm, plan, w),
+        })
     if overlays:
         for label, data in sorted(overlays.items()):
             col = f"overlay_{label}"
@@ -260,7 +251,7 @@ def dm_projection_table(scn: Scenario, overlays: dict[str, np.ndarray] | None = 
     return rows
 
 
-def power_scan_table(scn: Scenario, threads: int = 1) -> list[dict]:
+def power_scan_table(scn: Scenario) -> list[dict]:
     powers = scn.scan.get("powers_w")
     if not powers:
         raise ScenarioError("power-scan needs scan.powers_w")
@@ -280,10 +271,10 @@ def power_scan_table(scn: Scenario, threads: int = 1) -> list[dict]:
         return {"power_w": float(p), "i_classical": i_cl,
                 "i_squeezed_optimal": i_opt, "i_squeezed_fixed": i_fix}
 
-    return _map_ordered(one, powers, threads)
+    return [one(p) for p in powers]
 
 
-def loss_scan_table(scn: Scenario, threads: int = 1) -> list[dict]:
+def loss_scan_table(scn: Scenario) -> list[dict]:
     losses = scn.scan.get("losses")
     if losses is None:
         raise ScenarioError("loss-scan needs scan.losses")
@@ -302,7 +293,7 @@ def loss_scan_table(scn: Scenario, threads: int = 1) -> list[dict]:
         return {"loss": float(loss), "efficiency_sq": eta_sq,
                 "i_classical": i_cl, "i_squeezed_optimal": i_sq}
 
-    return _map_ordered(one, losses, threads)
+    return [one(loss) for loss in losses]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +327,7 @@ def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
 
 
 def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
-                       seed: int = 20240817, threads: int = 1) -> list[dict]:
+                       seed: int = 20240817) -> list[dict]:
     """Closed-form array noise vs covariance-propagation oracle residuals."""
     rng = np.random.default_rng(seed)
     jobs = []
@@ -359,7 +350,7 @@ def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
         return {"config_index": idx, "n_sensors": m, "squeezing_db": db,
                 "max_rel_residual": resid}
 
-    return _map_ordered(one, jobs, threads)
+    return [one(job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +363,7 @@ _AXIS_ALIASES = {"m": "sensors", "sensors": "sensors", "p": "power",
                  "compton": "compton"}
 
 
-def scan_curves(scn: Scenario, axis: str, values, threads: int = 1) -> list[dict]:
+def scan_curves(scn: Scenario, axis: str, values) -> list[dict]:
     """Sweep one axis; per-value records carry the integrated sensitivities,
     the resonance noise breakdown and (when configured) the minimum coupling.
     A failing point is recorded with its error message, never dropped.
@@ -428,12 +419,4 @@ def scan_curves(scn: Scenario, axis: str, values, threads: int = 1) -> list[dict
                 row.setdefault(col, math.nan)
         return row
 
-    return _map_ordered(one, values, threads)
-
-
-def _map_ordered(fn, values, threads: int):
-    values = list(values)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
+    return [one(value) for value in values]

@@ -270,6 +270,8 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     if "power_w" not in arr:
         raise ScenarioError("array.power_w is required")
     power = float(arr["power_w"])
+    if not (math.isfinite(power) and power >= 0):
+        raise ScenarioError(f"array.power_w must be finite and >= 0, got {power!r}")
 
     light = raw.get("input_light", {})
     _check_keys(light, _LIGHT_KEYS, "input_light", strict, warns)
@@ -358,6 +360,8 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     if "min_hz" not in grid and "min_rad_s" not in grid:
         defaults["integration_span_rad_s"] = [lo, hi]
     tol = float(grid.get("tolerance_rel", 1e-3))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ScenarioError(f"grid.tolerance_rel must be finite and > 0, got {tol!r}")
     ppd = int(grid.get("points_per_decade", 16))
 
     scan = raw.get("scan", {})

@@ -274,12 +274,16 @@ class ObservationPlan:
     snr_threshold: float = 1.0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError("observation duration must be positive")
-        if self.integration_time is not None and self.integration_time <= 0:
-            raise ConfigError("integration time must be positive")
-        if self.snr_threshold <= 0:
-            raise ConfigError("SNR threshold must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ConfigError(
+                f"observation duration must be finite and positive, got {self.duration}")
+        if self.integration_time is not None and not (
+                math.isfinite(self.integration_time) and self.integration_time > 0):
+            raise ConfigError(
+                f"integration time must be finite and positive, got {self.integration_time}")
+        if not (math.isfinite(self.snr_threshold) and self.snr_threshold > 0):
+            raise ConfigError(
+                f"SNR threshold must be finite and positive, got {self.snr_threshold}")
 
     def check(self, linewidth: float) -> list[str]:
         """Plan warnings for a given drive linewidth (returned, and warned)."""

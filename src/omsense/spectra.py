@@ -86,14 +86,16 @@ class Oscillator:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ConfigError(f"oscillator mass must be positive, got {self.mass}")
-        if not self.omega0 > 0:
-            raise ConfigError(f"resonance must be positive, got {self.omega0}")
-        if not self.gamma > 0:
-            raise ConfigError(f"damping must be positive, got {self.gamma}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ConfigError(
+                f"oscillator mass must be finite and positive, got {self.mass}")
+        if not (math.isfinite(self.omega0) and self.omega0 > 0):
+            raise ConfigError(f"resonance must be finite and positive, got {self.omega0}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"damping must be finite and positive, got {self.gamma}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(
+                f"temperature must be finite and >= 0, got {self.temperature}")
 
     @property
     def quality(self) -> float:
@@ -143,17 +145,25 @@ class CavityOptics:
     length: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.kappa_readout <= self.kappa * (1 + 1e-12):
+        if not (math.isfinite(self.kappa)
+                and 0 < self.kappa_readout <= self.kappa * (1 + 1e-12)):
             raise ConfigError(
-                f"need 0 < kappa_readout <= kappa, got {self.kappa_readout} / {self.kappa}")
+                "need 0 < kappa_readout <= kappa, both finite, got "
+                f"{self.kappa_readout} / {self.kappa}")
         if not 0 <= self.efficiency_sq <= 1:
             raise ConfigError(f"efficiency^2 must lie in [0,1], got {self.efficiency_sq}")
-        if self.input_power < 0:
-            raise ConfigError(f"input power must be >= 0, got {self.input_power}")
-        if self.g0 < 0:
-            raise ConfigError(f"g0 must be >= 0, got {self.g0}")
-        if not self.laser_omega > 0:
-            raise ConfigError(f"laser frequency must be positive, got {self.laser_omega}")
+        if not (math.isfinite(self.input_power) and self.input_power >= 0):
+            raise ConfigError(
+                f"input power must be finite and >= 0, got {self.input_power}")
+        if not (math.isfinite(self.g0) and self.g0 >= 0):
+            raise ConfigError(f"g0 must be finite and >= 0, got {self.g0}")
+        if not (math.isfinite(self.laser_omega) and self.laser_omega > 0):
+            raise ConfigError(
+                f"laser frequency must be finite and positive, got {self.laser_omega}")
+        if self.length is not None and not (math.isfinite(self.length)
+                                            and self.length > 0):
+            raise ConfigError(
+                f"cavity length must be finite and positive, got {self.length}")
 
     @property
     def photon_flux(self) -> float:
@@ -201,8 +211,11 @@ class SqueezedInput:
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ConfigError(f"squeezing strength must be >= 0, got {self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ConfigError(
+                f"squeezing strength must be finite and >= 0, got {self.r}")
+        if not math.isfinite(self.angle):
+            raise ConfigError(f"squeezing angle must be finite, got {self.angle}")
         if self.angle_policy not in ("vacuum", "fixed", "optimal"):
             raise ConfigError(f"unknown angle policy {self.angle_policy!r}")
         if self.angle_policy == "vacuum" and self.r != 0.0:
@@ -226,8 +239,8 @@ class SqueezedInput:
 
     @classmethod
     def from_photon_number(cls, n_s, angle_policy="fixed", angle=0.0):
-        if n_s < 0:
-            raise ConfigError(f"photon number must be >= 0, got {n_s}")
+        if not (math.isfinite(n_s) and n_s >= 0):
+            raise ConfigError(f"photon number must be finite and >= 0, got {n_s}")
         return cls(r=math.asinh(math.sqrt(n_s)), angle_policy=angle_policy, angle=angle)
 
 

@@ -8,11 +8,11 @@ import pytest
 
 from omsense.constants import TWO_PI
 from omsense.errors import ConfigError
-from omsense.spectra import (Oscillator, QuadraturePsds,
+from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
                              single_sensor_noise_psd, sql_noise_psd,
                              squeezed_noise_closed_form)
-from omsense.arrays import (ArraySensor, SensorArray, array_noise_psd,
+from omsense.arrays import (ArraySensor, SensorArray, _Terms, array_noise_psd,
                             array_signal_psd, array_sql_psd,
                             array_squeezed_noise, dqs_vs_dcs_report,
                             identical_array, incoherent_baseline,
@@ -387,3 +387,90 @@ def test_snr_gain_m_and_sensitivity_gain_m_squared(membrane_sensor):
         snr_gain = (sig / noise) / (s_sig / s_noise)
         assert snr_gain == pytest.approx(m, rel=1e-12)
         assert snr_gain**2 == pytest.approx(m * m, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# grouped kernel: one row per distinct (sensor, optical share)
+# ---------------------------------------------------------------------------
+
+def _fresh_membrane(temperature=10e-3):
+    """A new ArraySensor equal in value to the ``membrane_sensor`` fixture."""
+    osc = Oscillator.from_quality(mass=6e-6, omega0=TWO_PI * 2000.0,
+                                  quality=1e9, temperature=temperature)
+    cav = CavityOptics.from_wavelength(kappa=0.94e9, kappa_readout=0.94e9,
+                                       g0=46.0, wavelength=1.06e-6,
+                                       input_power=2e-3, length=1e-3)
+    return ArraySensor(oscillator=osc, cavity=cav, response_factor=1.0)
+
+
+def _two_templates_three_copies(membrane_sensor):
+    osc = membrane_sensor.oscillator
+    other = ArraySensor(
+        Oscillator(osc.mass, 1.7 * osc.omega0, osc.gamma, osc.temperature),
+        replace(membrane_sensor.cavity, efficiency_sq=0.9), 1.3)
+    sensors = (membrane_sensor,) * 3 + (other,) * 3
+    # equal sensors split over shares: template A in shares (1, 1, 2),
+    # template B in shares (1, 3, 3) -> four (sensor, share) rows
+    dv = np.sqrt(np.array([1.0, 1.0, 2.0, 1.0, 3.0, 3.0]))
+    dv = dv / np.linalg.norm(dv)
+    cw = np.array([0.2, 0.5, 0.3, 0.6, 0.4, 0.3])
+    cw = cw / np.linalg.norm(cw)
+    return SensorArray(sensors, dv.astype(complex), cw.astype(complex), 12e-3)
+
+
+def test_grouped_kernel_partly_collapsed_matches_oracle(membrane_sensor):
+    arr = _two_templates_three_copies(membrane_sensor)
+    omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
+    assert _Terms(arr, omegas).alpha.shape[0] == 4
+
+    squeeze = SqueezedInput.from_db(8.0)
+    theta = -0.6
+    closed = array_noise_psd(arr, input_quadrature_psds(squeeze, theta), omegas)
+    sq = array_squeezed_noise(arr, squeeze.r, theta, omegas)
+    orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
+    np.testing.assert_allclose(closed.total, orc, rtol=1e-9)
+    np.testing.assert_allclose(sq.total, orc, rtol=1e-9)
+
+    expanded, delta = residual_vacuum_forms(arr, omegas)
+    np.testing.assert_allclose(expanded, delta, rtol=1e-9)
+    assert np.all(expanded > 0.0)
+
+
+def test_grouped_kernel_equal_sensors_collapse_by_value(membrane_sensor):
+    sensors = tuple(_fresh_membrane() for _ in range(16))
+    assert len({id(s) for s in sensors}) == 16
+    w = uniform_weights(16)
+    arr = SensorArray(sensors, w, matched_weights(w), 16 * 2e-3)
+    omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
+    assert _Terms(arr, omegas).alpha.shape[0] == 1
+
+    ref = identical_array(membrane_sensor, 16, power_per_sensor=2e-3)
+    inp = input_quadrature_psds(SqueezedInput.from_db(10.0), -0.42)
+    np.testing.assert_allclose(array_noise_psd(arr, inp, omegas).total,
+                               array_noise_psd(ref, inp, omegas).total,
+                               rtol=1e-14)
+    np.testing.assert_allclose(
+        array_squeezed_noise(arr, 1.0, None, omegas).total,
+        array_squeezed_noise(ref, 1.0, None, omegas).total, rtol=1e-14)
+
+    near = (_fresh_membrane(), _fresh_membrane(10e-3 * (1.0 + 1e-12)))
+    w2 = uniform_weights(2)
+    pair = SensorArray(near, w2, matched_weights(w2), 4e-3)
+    assert _Terms(pair, omegas).alpha.shape[0] == 2
+
+
+def test_squeezed_noise_optimal_angle_single_build_is_exact(membrane_sensor, rng):
+    arrays = [random_array(rng, 3)[0],
+              _two_templates_three_copies(membrane_sensor),
+              identical_array(membrane_sensor, 5, 2e-3)]
+    r = SqueezedInput.from_db(12.0).r
+    omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
+    for arr in arrays:
+        for omega in (omegas, float(omegas[17])):
+            theta = optimal_squeezing_angle(arr, omega)
+            one = array_squeezed_noise(arr, r, None, omega)
+            two = array_squeezed_noise(arr, r, theta, omega)
+            for field in ("squeezed", "anti_squeezed", "thermal",
+                          "residual_vacuum", "detection_loss", "total"):
+                np.testing.assert_array_equal(getattr(one, field),
+                                              getattr(two, field))

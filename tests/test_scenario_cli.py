@@ -272,3 +272,72 @@ def test_load_scenario_from_file_roundtrip(tmp_path):
     scn = load_scenario(path)
     assert scn.n_sensors == 1
     assert scn.scenario_hash() == scenario_from_dict(_fig4_dict()).scenario_hash()
+
+
+# ---------------------------------------------------------------------------
+# exit code 2 for non-finite and out-of-range inputs
+# ---------------------------------------------------------------------------
+
+def _run_noise(tmp_path, raw, *flags):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))  # NaN / Infinity literals, as json.load reads them
+    out = tmp_path / "out"
+    code = cli.main(["noise", "--scenario", str(path), "--out", str(out),
+                     *flags])
+    assert not (out / "noise.csv").exists()
+    return code
+
+
+def test_cli_bad_tolerance_env_is_validation_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("OMSENSE_TOLERANCE", "x")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig4", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "OMSENSE_TOLERANCE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("squeezing_db", math.nan),
+                                       ("squeezing_db", math.inf),
+                                       ("photon_number", math.nan),
+                                       ("photon_number", math.inf)])
+def test_cli_non_finite_squeezing_rejected(tmp_path, capsys, key, value):
+    raw = _fig4_dict(input_light={key: value, "angle_policy": "optimal"})
+    assert _run_noise(tmp_path, raw) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cli_non_finite_duration_rejected(tmp_path, capsys, value):
+    raw = _fig4_dict()
+    raw["observation"]["duration_s"] = value
+    assert _run_noise(tmp_path, raw) == 2
+    assert "duration must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ("sensor", "temperature_k", math.nan),
+    ("sensor", "temperature_k", math.inf),
+    ("array", "power_w", math.inf),
+    ("array", "power_w", math.nan)])
+def test_cli_non_finite_temperature_or_power_rejected(tmp_path, capsys, where,
+                                                      key, value):
+    raw = _fig4_dict()
+    block = raw["array"]["sensors"][0] if where == "sensor" else raw["array"]
+    block[key] = value
+    assert _run_noise(tmp_path, raw) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "noise PSD" not in err
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+def test_cli_bad_tolerance_rejected(tmp_path, capsys, value):
+    raw = _fig4_dict()
+    raw["grid"]["tolerance_rel"] = value
+    assert _run_noise(tmp_path, raw) == 2
+    assert "tolerance_rel must be finite and > 0" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        _run_noise(tmp_path, _fig4_dict(), "--tolerance", repr(value))
+    assert exc.value.code == 2
+    assert "tolerance" in capsys.readouterr().err
