@@ -41,14 +41,21 @@ def _env(name: str, default=None):
     return os.environ.get(ENV_PREFIX + name, default)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with a known ``command``, only its subparser.
+
+    argparse fills the namespace from the chosen subparser alone, so parsing
+    ``[command, ...]`` with the single-command parser gives the same result
+    as the full one.  An unknown or missing command builds the full tree, so
+    that usage errors and ``--help`` list every command.
+    """
     parser = argparse.ArgumentParser(
         prog="omsense",
         description="Quantum noise budgets and dark-matter reach for "
                     "optomechanical sensor arrays")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", default=_env("SCENARIO"),
                        help="scenario JSON path (presets embed their own)")
@@ -179,8 +186,8 @@ def _compute(command: str, scn: Scenario, args) -> tuple[list[str], list[dict]]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     command = args.command
     try:
         if command == "oracle-check":

@@ -67,7 +67,11 @@ class TransferAssembly:
 
 def complete_unitary(column: np.ndarray, seed_basis: np.ndarray | None = None
                      ) -> np.ndarray:
-    """Complete one unit column to a full unitary by modified Gram-Schmidt.
+    """Complete one unit column to a full unitary by Gram-Schmidt.
+
+    Each seed is projected out of the columns found so far twice (classical
+    Gram-Schmidt with reorthogonalization, orthogonal to rounding like the
+    modified algorithm), one matrix-vector product per pass.
 
     The idle columns are arbitrary; a fixed seed basis (default: the standard
     basis) keeps the completion reproducible.  Physical outputs must not
@@ -80,19 +84,22 @@ def complete_unitary(column: np.ndarray, seed_basis: np.ndarray | None = None
         raise ConfigError(f"dividing column must be normalized, |w| = {norm!r}")
     if seed_basis is None:
         seed_basis = np.eye(m, dtype=complex)
-    cols = [w / norm]
+    cols = np.zeros((m, m), dtype=complex)
+    cols[:, 0] = w / norm
+    found = 1
     for seed in np.asarray(seed_basis, dtype=complex).T:
-        v = seed.copy()
-        for u in cols:
-            v -= np.vdot(u, v) * u
+        if found == m:
+            break
+        basis = cols[:, :found]
+        v = seed - basis @ (basis.conj().T @ seed)
+        v -= basis @ (basis.conj().T @ v)
         vn = np.linalg.norm(v)
         if vn > 1e-8:
-            cols.append(v / vn)
-        if len(cols) == m:
-            break
-    if len(cols) != m:
+            cols[:, found] = v / vn
+            found += 1
+    if found != m:
         raise ConfigError("could not complete the unitary from the seed basis")
-    return np.stack(cols, axis=1)
+    return cols
 
 
 def _mode_cov_block(psds: QuadraturePsds) -> np.ndarray:
@@ -131,50 +138,54 @@ def assemble_transfer(arr: SensorArray, omega, squeeze: SqueezedInput | None = N
         power_shares = np.abs(arr.dividing_weights) ** 2
     power_shares = np.asarray(power_shares, dtype=float)
 
+    # Each sensor's response is evaluated once on (+omega, -omega) stacked;
+    # columns [:n_freq] are the +omega rows and [n_freq:] the -omega rows.
+    w = np.concatenate([w_in, -w_in])
     ncols = 4 * m
-    rows = np.zeros((2, ncols, n_freq), dtype=complex)
+    rows = np.zeros((ncols, 2 * n_freq), dtype=complex)
+    coef_x = np.zeros((m, 2 * n_freq), dtype=complex)  # W_0n-weighted X'
+    coef_y = np.zeros((m, 2 * n_freq), dtype=complex)  # W_0n-weighted Y'
     signal_row = np.zeros(m, dtype=complex)
 
-    for sign, row in ((1.0, rows[0]), (-1.0, rows[1])):
-        w = sign * w_in
-        for n in range(m):
-            w0n = arr.combining_weights[n]
-            if w0n == 0.0:
-                continue
-            s = arr.sensors[n]
-            osc = s.oscillator
-            cav = arr.sensor_cavity_at_total_power(n)
-            share = float(power_shares[n])
-            chi = mechanical_susceptibility(osc, w)
-            _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
-            cmag = np.abs(coop)
-            half = _half_phase(cav, w)
-            phase = half * half
-            if apply_force_conversion:
-                if np.any(cmag == 0.0):
-                    raise ConfigError(
-                        "zero cooperativity on an actively combined sensor: "
-                        "force conversion diverges")
-                h = np.conj(half) / chi * np.sqrt(
-                    HBAR * osc.mass * osc.omega0 / (8.0 * osc.gamma * cmag))
-            else:
-                h = np.ones_like(chi)
-            coef_yp = -h * phase
-            coef_xp = -8.0 * osc.gamma * cmag * phase * chi * h
-            coef_p = h * 4.0 * osc.gamma * chi * np.sqrt(2.0 * cmag) * half
-            eta_sq = cav.efficiency_sq
-            if eta_sq == 0.0:
-                raise ConfigError("detection efficiency eta^2 = 0 on an active sensor")
-            coef_l = h * np.sqrt((1.0 - eta_sq) / eta_sq)
+    for n in range(m):
+        w0n = arr.combining_weights[n]
+        if w0n == 0.0:
+            continue
+        s = arr.sensors[n]
+        osc = s.oscillator
+        cav = arr.sensor_cavity_at_total_power(n)
+        share = float(power_shares[n])
+        chi = mechanical_susceptibility(osc, w)
+        _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
+        cmag = np.abs(coop)
+        half = _half_phase(cav, w)
+        phase = half * half
+        if apply_force_conversion:
+            if np.any(cmag == 0.0):
+                raise ConfigError(
+                    "zero cooperativity on an actively combined sensor: "
+                    "force conversion diverges")
+            h = np.conj(half) / chi * np.sqrt(
+                HBAR * osc.mass * osc.omega0 / (8.0 * osc.gamma * cmag))
+        else:
+            h = np.ones_like(chi)
+        eta_sq = cav.efficiency_sq
+        if eta_sq == 0.0:
+            raise ConfigError("detection efficiency eta^2 = 0 on an active sensor")
+        coef_y[n] = w0n * (-h * phase)
+        coef_x[n] = w0n * (-8.0 * osc.gamma * cmag * phase * chi * h)
+        rows[2 * m + n] = w0n * h * 4.0 * osc.gamma * chi * np.sqrt(2.0 * cmag) * half
+        rows[3 * m + n] = w0n * h * np.sqrt((1.0 - eta_sq) / eta_sq)
+        signal_row[n] = w0n
 
-            for r in range(m):
-                u_re, u_im = np.real(unitary[n, r]), np.imag(unitary[n, r])
-                row[r] += w0n * (coef_xp * u_re + coef_yp * u_im)
-                row[m + r] += w0n * (-coef_xp * u_im + coef_yp * u_re)
-            row[2 * m + n] = w0n * coef_p
-            row[3 * m + n] = w0n * coef_l
-            if sign > 0:
-                signal_row[n] = w0n
+    # Optical input r reaches sensor n through unitary[n, r]:
+    #   X_r row = sum_n (Re U_nr X'_n + Im U_nr Y'_n),
+    #   Y_r row = sum_n (Re U_nr Y'_n - Im U_nr X'_n),
+    # two real matmuls on the (re, im) interleaved view of the coefficients.
+    u_re, u_im = np.real(unitary).T, np.imag(unitary).T
+    coefs = np.concatenate([coef_x, coef_y]).view(float)
+    rows[:m] = (np.hstack([u_re, u_im]) @ coefs).view(complex)
+    rows[m:2 * m] = (np.hstack([-u_im, u_re]) @ coefs).view(complex)
 
     # input covariance
     cov = np.zeros((ncols, ncols), dtype=complex)
@@ -200,8 +211,9 @@ def assemble_transfer(arr: SensorArray, omega, squeeze: SqueezedInput | None = N
         cov[2 * m + n, 2 * m + n] = K_B * osc.temperature / (HBAR * osc.omega0)
         cov[3 * m + n, 3 * m + n] = 0.5
 
-    return TransferAssembly(omega=w_in, row_pos=rows[0], row_neg=rows[1],
-                            input_cov=cov, signal_row=signal_row, n_sensors=m)
+    return TransferAssembly(omega=w_in, row_pos=rows[:, :n_freq],
+                            row_neg=rows[:, n_freq:], input_cov=cov,
+                            signal_row=signal_row, n_sensors=m)
 
 
 def _quadratic_form(row: np.ndarray, cov: np.ndarray) -> np.ndarray:

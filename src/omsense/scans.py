@@ -135,9 +135,11 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def sensitivity_report(scn: Scenario, tol: float | None = None) -> list[dict]:
-    """Integrated sensitivity with a self-convergence (half-tolerance) check."""
+    """Integrated sensitivity with two self-convergence checks: the change
+    under a halved tolerance, and under bisecting every seed panel."""
     arr = scn.build_array()
     grid = scn.build_grid(tol)
+    bisected = grid.bisected()
     gain = float(array_signal_psd(arr, 1.0))
     rows = []
     quantities = [("classical", _classical_noise_fn(arr))]
@@ -146,8 +148,8 @@ def sensitivity_report(scn: Scenario, tol: float | None = None) -> list[dict]:
     for name, fn in quantities:
         res = _integral(grid, fn, gain)
         res_half = integrated_sensitivity(_flat_signal(gain), fn, grid,
-                                          rel_tol=0.5 * grid.tol if tol is None
-                                          else 0.5 * tol)
+                                          rel_tol=0.5 * grid.tol)
+        res_bisected = _integral(bisected, fn, gain)
         rows.append({
             "quantity": name,
             "value": res.value,
@@ -156,6 +158,8 @@ def sensitivity_report(scn: Scenario, tol: float | None = None) -> list[dict]:
                                    / abs(res.value),
             "n_panels": res.n_panels,
             "n_evaluations": res.n_evaluations,
+            "rel_change_bisected": abs(res_bisected.value - res.value)
+                                   / abs(res.value),
         })
     return rows
 

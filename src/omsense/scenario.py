@@ -69,15 +69,33 @@ def _check_keys(block: dict, allowed: set, where: str, strict: bool,
         warnings_out.append(msg)
 
 
+def _number(raw, name: str) -> float:
+    """A scenario value as a float; anything that is not a number is a
+    ScenarioError (exit 2), never a traceback."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{name} must be a number, got {raw!r}") from None
+
+
+def _count(raw, name: str, minimum: int) -> int:
+    """A scenario value as an integer >= ``minimum``."""
+    value = _number(raw, name)
+    if not (math.isfinite(value) and value == int(value) and value >= minimum):
+        raise ScenarioError(
+            f"{name} must be an integer >= {minimum}, got {raw!r}")
+    return int(value)
+
+
 def _angular(block: dict, base: str, where: str, default=None):
     """Read ``<base>_rad_s`` or ``<base>_hz`` (converted by 2 pi)."""
     rad_key, hz_key = f"{base}_rad_s", f"{base}_hz"
     if rad_key in block and block[rad_key] is not None:
         if hz_key in block and block[hz_key] is not None:
             raise ScenarioError(f"{where}: give {rad_key} or {hz_key}, not both")
-        return float(block[rad_key])
+        return _number(block[rad_key], f"{where}.{rad_key}")
     if hz_key in block and block[hz_key] is not None:
-        return TWO_PI * float(block[hz_key])
+        return TWO_PI * _number(block[hz_key], f"{where}.{hz_key}")
     return default
 
 
@@ -126,8 +144,9 @@ def _build_sensor(raw: dict, idx: int, strict: bool, warnings_out: list,
         raise ScenarioError(f"{where}: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-    return ArraySensor(oscillator=osc, cavity=cav,
-                       response_factor=float(raw.get("response_factor", 1.0)))
+    response = _number(raw.get("response_factor", 1.0),
+                       f"{where}.response_factor")
+    return ArraySensor(oscillator=osc, cavity=cav, response_factor=response)
 
 
 @dataclass
@@ -237,9 +256,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
         raise ScenarioError("array.sensors must be a non-empty list")
     sensors = tuple(_build_sensor(s, i, strict, warns, gamma_convention)
                     for i, s in enumerate(sensor_list))
-    copies = int(arr.get("copies", 1))
-    if copies < 1:
-        raise ScenarioError("array.copies must be >= 1")
+    copies = _count(arr.get("copies", 1), "array.copies", 1)
     if copies > 1 and len(sensors) > 1:
         raise ScenarioError("array.copies > 1 requires a single sensor template")
     policy = arr.get("weights_policy", "matched")
@@ -269,14 +286,14 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     defaults["power_convention"] = power_convention
     if "power_w" not in arr:
         raise ScenarioError("array.power_w is required")
-    power = float(arr["power_w"])
+    power = _number(arr["power_w"], "array.power_w")
     if not (math.isfinite(power) and power >= 0):
         raise ScenarioError(f"array.power_w must be finite and >= 0, got {power!r}")
 
     light = raw.get("input_light", {})
     _check_keys(light, _LIGHT_KEYS, "input_light", strict, warns)
     angle_policy = light.get("angle_policy", "vacuum")
-    angle = float(light.get("angle_rad", 0.0))
+    angle = _number(light.get("angle_rad", 0.0), "input_light.angle_rad")
     try:
         if light.get("squeezing_db") is not None:
             if light.get("photon_number") is not None:
@@ -297,7 +314,8 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     obs = raw.get("observation", {})
     _check_keys(obs, _OBS_KEYS, "observation", strict, warns)
     t_int = obs.get("integration_time_s")
-    threshold = float(obs.get("snr_threshold", 1.0))
+    threshold = _number(obs.get("snr_threshold", 1.0),
+                        "observation.snr_threshold")
     defaults["snr_threshold"] = threshold
     try:
         plan = ObservationPlan(duration=float(obs.get("duration_s", YEAR_S)),
@@ -311,15 +329,18 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     if dm_block is not None:
         _check_keys(dm_block, _DM_KEYS, "dark_matter", strict, warns)
         if "density_kg_m3" in dm_block:
-            rho = float(dm_block["density_kg_m3"])
+            rho = _number(dm_block["density_kg_m3"],
+                          "dark_matter.density_kg_m3")
         elif "density_gev_cm3" in dm_block:
-            rho = float(dm_block["density_gev_cm3"]) * GEV_PER_CM3_TO_KG_M3
+            rho = GEV_PER_CM3_TO_KG_M3 * _number(
+                dm_block["density_gev_cm3"], "dark_matter.density_gev_cm3")
         else:
             rho = RHO_DM_DEFAULT
             defaults["rho_dm_kg_m3"] = rho
         compton = _angular(dm_block, "compton", "dark_matter",
                            default=sensors[0].oscillator.omega0)
-        fraction = float(dm_block.get("linewidth_fraction", 1e-6))
+        fraction = _number(dm_block.get("linewidth_fraction", 1e-6),
+                           "dark_matter.linewidth_fraction")
         defaults["coherence_linewidth_rule"] = f"Delta_a = {fraction:g} * Omega_DM"
         lw = dm_block.get("coherence_linewidth_rad_s")
         material = dm_block.get("material_factor")
@@ -331,8 +352,11 @@ def scenario_from_dict(raw: dict, strict: bool = True,
             _check_keys(cal, _CAL_KEYS, "dark_matter.calibration", strict, warns)
             try:
                 material = calibrate_material_factor(
-                    acceleration_asd=float(cal["acceleration_asd_ms2_rthz"]),
-                    coupling=float(cal["coupling"]),
+                    acceleration_asd=_number(
+                        cal["acceleration_asd_ms2_rthz"],
+                        "dark_matter.calibration.acceleration_asd_ms2_rthz"),
+                    coupling=_number(cal["coupling"],
+                                     "dark_matter.calibration.coupling"),
                     mass=sensors[0].oscillator.mass,
                     compton_omega=compton, plan=plan, rho_dm=rho,
                     linewidth_fraction=fraction)
@@ -359,10 +383,10 @@ def scenario_from_dict(raw: dict, strict: bool = True,
                   default=min(max(omegas) * 1e3, min(kappas) / 10.0))
     if "min_hz" not in grid and "min_rad_s" not in grid:
         defaults["integration_span_rad_s"] = [lo, hi]
-    tol = float(grid.get("tolerance_rel", 1e-3))
+    tol = _number(grid.get("tolerance_rel", 1e-3), "grid.tolerance_rel")
     if not (math.isfinite(tol) and tol > 0):
         raise ScenarioError(f"grid.tolerance_rel must be finite and > 0, got {tol!r}")
-    ppd = int(grid.get("points_per_decade", 16))
+    ppd = _count(grid.get("points_per_decade", 16), "grid.points_per_decade", 1)
 
     scan = raw.get("scan", {})
     _check_keys(scan, _SCAN_KEYS, "scan", strict, warns)

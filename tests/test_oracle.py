@@ -10,7 +10,8 @@ from omsense.errors import ConfigError
 from omsense.spectra import (SqueezedInput,
                              cavity_phase_and_cooperativity,
                              input_quadrature_psds, mechanical_susceptibility)
-from omsense.arrays import SensorArray, identical_array, single_sensor_array
+from omsense.arrays import (SensorArray, array_noise_psd, identical_array,
+                            single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             idle_contribution_shortcut, oracle_breakdown,
                             oracle_noise_psd, propagate_covariance,
@@ -66,7 +67,7 @@ def test_zero_coupling_reflects_input_without_conversion(membrane_osc,
 
 
 def test_gram_schmidt_completion_is_unitary(rng):
-    for m in (2, 3, 5):
+    for m in (2, 3, 5, 32):
         w = rng.uniform(0.1, 1.0, m) + 1j * rng.uniform(-0.2, 0.2, m)
         w = w / np.linalg.norm(w)
         u = complete_unitary(w)
@@ -97,6 +98,19 @@ def test_idle_shortcut_matches_full_assembly(rng):
         shortcut = idle_contribution_shortcut(arr, omega)
         scale = np.abs(idle) + np.abs(shortcut) + 1e-300
         assert np.max(np.abs(idle - shortcut) / scale) < 1e-10
+
+
+def test_large_heterogeneous_array_matches_closed_form(rng):
+    """M = 32 distinct sensors with squeezed input: every idle column and
+    per-sensor row of the assembly enters, well beyond the M <= 4 suite."""
+    arr, _ = random_array(rng, 32)
+    squeeze = SqueezedInput.from_db(12.0)
+    theta = 0.7
+    omega = np.exp(rng.uniform(np.log(1e2), np.log(1e6), 50))
+    closed = array_noise_psd(arr, input_quadrature_psds(squeeze, theta),
+                             omega).total
+    orc = oracle_noise_psd(arr, omega, squeeze, theta=theta)
+    np.testing.assert_allclose(orc, closed, rtol=1e-9)
 
 
 def test_eigendecomposition_path(rng):

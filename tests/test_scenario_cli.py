@@ -1,5 +1,6 @@
 """Scenario schema, CLI commands, manifests and output determinism."""
 
+import argparse
 import csv
 import json
 import math
@@ -230,6 +231,55 @@ def test_flag_beats_env(tmp_path, monkeypatch):
     assert not (tmp_path / "fromenv").exists()
 
 
+def _subcommands(parser) -> list[str]:
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def test_main_builds_only_the_requested_subparser(tmp_path, monkeypatch):
+    built = []
+    full_builder = cli.build_parser
+
+    def recording(*args):
+        parser = full_builder(*args)
+        built.append(_subcommands(parser))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert cli.main(["fig4", "--out", str(tmp_path / "a")]) == 0
+    assert built == [["fig4"]]
+    assert _subcommands(full_builder()) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--lenient", "--tolerance", "1e-4", "--format", "csv", "--out", "o"]])
+def test_single_subparser_matches_full_parser(monkeypatch, extra):
+    monkeypatch.setenv("OMSENSE_OUT", "env-out")
+    monkeypatch.setenv("OMSENSE_FORMAT", "json")
+    monkeypatch.setenv("OMSENSE_TOLERANCE", "3e-4")
+    monkeypatch.setenv("OMSENSE_STRICT", "0")
+    monkeypatch.setenv("OMSENSE_GAMMA_CONVENTION", "full")
+    monkeypatch.setenv("OMSENSE_SCENARIO", "env.json")
+    for command in cli._COMMANDS:
+        argv = [command, *extra]
+        if command == "oracle-check":
+            argv += ["--configs", "3", "--seed", "5"]
+        single = cli.build_parser(command).parse_args(argv)
+        full = cli.build_parser().parse_args(argv)
+        assert vars(single) == vars(full)
+    assert vars(single)["out"] == ("o" if extra else "env-out")
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["--scenario", "x.json", "noise"]])
+def test_unknown_command_exits_two_listing_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in cli._COMMANDS)
+
+
 def test_gamma_convention_flag_changes_thermal_floor(tmp_path):
     outs = {}
     for conv in ("half", "full"):
@@ -341,3 +391,22 @@ def test_cli_bad_tolerance_rejected(tmp_path, capsys, value):
         _run_noise(tmp_path, _fig4_dict(), "--tolerance", repr(value))
     assert exc.value.code == 2
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block,key,value,message", [
+    ("array", "power_w", "abc", "array.power_w must be a number"),
+    ("array", "copies", "abc", "array.copies must be a number"),
+    ("grid", "tolerance_rel", "x", "grid.tolerance_rel must be a number"),
+    ("grid", "points_per_decade", "abc",
+     "grid.points_per_decade must be a number"),
+    ("grid", "points_per_decade", 0, "grid.points_per_decade must be an integer"),
+    ("grid", "points_per_decade", -4,
+     "grid.points_per_decade must be an integer"),
+    ("grid", "points_per_decade", 2.5,
+     "grid.points_per_decade must be an integer")])
+def test_cli_malformed_number_is_validation_error(tmp_path, capsys, block, key,
+                                                  value, message):
+    raw = _fig4_dict()
+    raw[block][key] = value
+    assert _run_noise(tmp_path, raw) == 2
+    assert message in capsys.readouterr().err

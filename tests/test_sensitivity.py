@@ -1,4 +1,4 @@
-"""Grids, adaptive integration, SNR law and coupling projections."""
+"""Breakpoints, Gauss-Kronrod integration, SNR law and coupling projections."""
 
 import math
 
@@ -7,13 +7,16 @@ import pytest
 
 from omsense.constants import HBAR, TWO_PI, YEAR_S
 from omsense.errors import ConfigError, ConvergenceError
-from omsense.spectra import QuadraturePsds, sql_noise_psd
+from omsense import scans
+from omsense.spectra import Oscillator, QuadraturePsds, sql_noise_psd
 from omsense.arrays import array_noise_psd, array_signal_psd, identical_array
-from omsense.sensitivity import (DarkMatterModel, ObservationPlan,
+from omsense.sensitivity import (_G10_WEIGHTS, _K21_NODES, _K21_WEIGHTS,
+                                 DarkMatterModel, ObservationPlan,
                                  calibrate_material_factor,
                                  integrated_sensitivity,
                                  min_detectable_coupling,
                                  resonance_refined_grid, snr_observation)
+from omsense.scenario import preset_scenario, scenario_from_dict
 
 
 @pytest.fixture
@@ -27,11 +30,22 @@ def membrane_grid(membrane_osc):
 # grid construction
 # ---------------------------------------------------------------------------
 
-def test_grid_resolves_high_q_resonance(membrane_osc, membrane_grid):
-    count, finest = membrane_grid.coverage(membrane_osc.omega0,
-                                           membrane_osc.gamma)
-    assert count >= 64
-    assert finest <= membrane_osc.gamma / 8.0 * (1 + 1e-12)
+def test_breakpoints_bracket_resonance_by_decades(membrane_osc, membrane_grid):
+    omega0, gamma = membrane_osc.omega0, membrane_osc.gamma
+    lo, hi = membrane_grid.span
+    offsets = gamma * 10.0 ** np.arange(20)
+    wanted = np.concatenate([[omega0], omega0 - offsets, omega0 + offsets])
+    wanted = wanted[(wanted > lo) & (wanted < hi)]
+    assert wanted.size >= 20
+    nodes = membrane_grid.nodes
+    gap = np.min(np.abs(nodes[None, :] - wanted[:, None]), axis=1)
+    assert np.all(gap <= 1e-14 * wanted)
+    assert np.all(np.diff(nodes) > 0)
+
+
+def test_grid_rejects_unresolvable_linewidth():
+    with pytest.raises(ConfigError, match="double precision"):
+        resonance_refined_grid([(1e4, 1e-13)], (1.0, 1e6), tol=1e-3)
 
 
 def test_grid_without_resonances_is_log_spaced():
@@ -79,6 +93,56 @@ def test_sql_integral_matches_closed_form(membrane_osc, membrane_grid):
                                          * gamma_full) ** 2
     assert paper_const_half / res.value == pytest.approx(16.0, rel=1e-3)
     assert paper_const_full / res.value == pytest.approx(8.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("quality", [1e3, 1e6, 1e9, 3e9, 1e10])
+def test_sql_lorentzian_identity_across_quality(quality):
+    """I_SQL = 1/(4 gamma (hbar m Omega)^2) from Q = 1e3 to 1e10; the span
+    reaches 1e-6 Omega so that the truncated [0, lo] piece stays below 1e-9
+    at Q = 1e3."""
+    osc = Oscillator.from_quality(6e-6, TWO_PI * 2000.0, quality, 10e-3)
+    grid = resonance_refined_grid([(osc.omega0, osc.gamma)],
+                                  (osc.omega0 / 1e6, osc.omega0 * 1e3),
+                                  tol=1e-3)
+    res = integrated_sensitivity(lambda w: np.ones_like(w),
+                                 lambda w: sql_noise_psd(osc, w), grid)
+    analytic = 1.0 / (4.0 * osc.gamma * (HBAR * osc.mass * osc.omega0) ** 2)
+    assert res.value == pytest.approx(analytic, rel=1e-6)
+
+
+def test_kronrod_rule_exact_to_degree_31():
+    x, wk, wg = _K21_NODES, _K21_WEIGHTS, _G10_WEIGHTS
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(x[1::2], gauss_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(wg[1::2], gauss_w, rtol=0, atol=1e-15)
+    assert np.all(wg[0::2] == 0.0)
+    for degree in range(32):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert wk @ x**degree == pytest.approx(exact, abs=1e-15)
+    # degree 32 is beyond the rule, so the check above can fail
+    assert abs(wk @ x**32 - 2.0 / 33) > 1e-13
+
+
+def test_preset_integrals_within_evaluation_budget(monkeypatch):
+    """Deterministic cost guard: no integral of the fig2, fig5 and fig6
+    tables or of a preset's sensitivity report needs over 3000 integrand
+    evaluations (fig3 and fig4 tabulate no integrals)."""
+    evaluations = []
+    for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
+        rows = scans.sensitivity_report(scenario_from_dict(preset_scenario(name)))
+        evaluations += [row["n_evaluations"] for row in rows]
+
+    def recording(*args, **kwargs):
+        res = integrated_sensitivity(*args, **kwargs)
+        evaluations.append(res.n_evaluations)
+        return res
+
+    monkeypatch.setattr(scans, "integrated_sensitivity", recording)
+    scans.array_scan_table(scenario_from_dict(preset_scenario("fig2")))
+    scans.power_scan_table(scenario_from_dict(preset_scenario("fig5")))
+    scans.loss_scan_table(scenario_from_dict(preset_scenario("fig6")))
+    assert len(evaluations) == 10 + 1 + 2 * 11 + 3 * 25 + 2 * 11
+    assert max(evaluations) <= 3000
 
 
 def test_scaling_laws_coherent_and_incoherent(membrane_sensor, membrane_grid):
