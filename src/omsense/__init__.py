@@ -27,18 +27,14 @@ from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       simplified_model_noise_psd, single_sensor_noise_psd,
                       sql_noise_psd, squeezed_noise_closed_form,
                       thermal_momentum_psd)
-from .arrays import (ArraySensor, DqsDcsReport, NetworkDiagnostics,
-                     NoiseBreakdown, SensorArray, SqueezedNoise,
+from .arrays import (ArraySensor, NoiseBreakdown, SensorArray, SqueezedNoise,
                      array_noise_psd, array_signal_psd, array_sql_psd,
-                     array_squeezed_noise, dqs_vs_dcs_report, identical_array,
-                     incoherent_baseline, inverse_variance_weights,
-                     matched_weights, optimal_squeezing_angle,
-                     residual_vacuum_forms, residual_vacuum_psd,
-                     single_sensor_array, uniform_weights, validate_network)
+                     array_squeezed_noise, identical_array,
+                     inverse_variance_weights, matched_weights,
+                     optimal_squeezing_angle, single_sensor_array,
+                     uniform_weights)
 from .oracle import (TransferAssembly, assemble_transfer, complete_unitary,
-                     idle_contribution_shortcut, oracle_breakdown,
-                     oracle_noise_psd, propagate_covariance,
-                     propagate_covariance_eig)
+                     oracle_breakdown, oracle_noise_psd, propagate_covariance)
 from .sensitivity import (DarkMatterModel, FrequencyGrid, IntegrationResult,
                           ObservationPlan, calibrate_material_factor,
                           integrated_sensitivity, min_detectable_coupling,

@@ -31,19 +31,15 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
-from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
+from .spectra import (CavityOptics, Oscillator, QuadraturePsds,
                       cavity_phase_and_cooperativity, _half_phase,
-                      mechanical_susceptibility, single_sensor_noise_psd,
-                      squeezed_noise_closed_form)
+                      mechanical_susceptibility, single_sensor_noise_psd)
 
 __all__ = [
     "ArraySensor",
     "SensorArray",
     "NoiseBreakdown",
     "SqueezedNoise",
-    "NetworkDiagnostics",
-    "DqsDcsReport",
-    "validate_network",
     "uniform_weights",
     "matched_weights",
     "inverse_variance_weights",
@@ -51,13 +47,9 @@ __all__ = [
     "single_sensor_array",
     "array_signal_psd",
     "array_noise_psd",
-    "residual_vacuum_psd",
-    "residual_vacuum_forms",
     "array_squeezed_noise",
     "optimal_squeezing_angle",
     "array_sql_psd",
-    "incoherent_baseline",
-    "dqs_vs_dcs_report",
 ]
 
 _NORM_TOL = 1e-10
@@ -119,18 +111,6 @@ class SensorArray:
     def sensor_cavity_at_total_power(self, k: int) -> CavityOptics:
         return replace(self.sensors[k].cavity, input_power=self.total_power)
 
-    def identical_sensors(self) -> bool:
-        return all(s == self.sensors[0] for s in self.sensors[1:])
-
-
-@dataclass(frozen=True)
-class NetworkDiagnostics:
-    weight_norm: float
-    combining_norm: float
-    max_weight_phase: float
-    matched: bool
-    warnings: tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class NoiseBreakdown:
@@ -155,19 +135,6 @@ class SqueezedNoise:
     residual_vacuum: np.ndarray
     detection_loss: np.ndarray
     total: np.ndarray
-
-
-@dataclass(frozen=True)
-class DqsDcsReport:
-    """Distributed-squeezer vs independent-squeezer comparison."""
-
-    n_sensors: int
-    photon_number: float
-    photons_per_sensor_dqs: float
-    photons_per_sensor_dcs: float
-    max_rel_deviation: float
-    dqs_psd: np.ndarray
-    dcs_psd: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +188,6 @@ def single_sensor_array(osc: Oscillator, cav: CavityOptics,
     return SensorArray(sensors=(sensor,), dividing_weights=np.ones(1, complex),
                        combining_weights=np.ones(1, complex),
                        total_power=cav.input_power)
-
-
-def validate_network(arr: SensorArray) -> NetworkDiagnostics:
-    """Check weight normalization/phases and report the combining condition."""
-    w = arr.dividing_weights
-    cw = arr.combining_weights
-    warnings_: list[str] = []
-    max_phase = float(np.max(np.abs(np.angle(np.where(w == 0, 1.0, w)))))
-    if max_phase > 1e-12:
-        warnings_.append(
-            "dividing weights carry nonzero phases; per-sensor quadrature bases "
-            "are not aligned (arg w_k0 = 0 is assumed by the closed forms)")
-    matched = bool(np.allclose(cw, matched_weights(w), rtol=0.0, atol=1e-12))
-    return NetworkDiagnostics(
-        weight_norm=float(np.sum(np.abs(w) ** 2)),
-        combining_norm=float(np.sum(np.abs(cw) ** 2)),
-        max_weight_phase=max_phase,
-        matched=matched,
-        warnings=tuple(warnings_),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,42 +312,6 @@ def array_noise_psd(arr: SensorArray, inp: QuadraturePsds, omega) -> NoiseBreakd
     return NoiseBreakdown(*parts)
 
 
-def residual_vacuum_psd(arr: SensorArray, omega):
-    """Residual vacuum noise of the M-1 idle ports (expanded form)."""
-    t = _Terms(arr, omega)
-    res = t.residual_expanded()
-    return float(res[0]) if np.ndim(omega) == 0 else res
-
-
-def residual_vacuum_forms(arr: SensorArray, omega):
-    """Both residual forms: (expanded, Delta_jk double sum).
-
-    The two must agree; a disagreement signals an assembly bug, which is why
-    the second path sums Delta_jk = e^{i(phi_k-phi_j)/2} sqrt(hbar^2 m m' O O')
-    (delta_jk - w*_j0 w_k0) W*_0j W_0k explicitly instead of expanding it.
-    """
-    t = _Terms(arr, omega)
-    expanded = t.residual_expanded()
-
-    dv = arr.dividing_weights[t.active]
-    cw = arr.combining_weights[t.active]
-    # alpha/beta carry e^{i phi/2} sqrt(hbar m Omega) and the chi / coop factors,
-    # so Delta_jk * (shot + BA kernels) == (delta - w*_j w_k) W*_j W_k *
-    # (alpha*_j alpha_k + beta*_j beta_k) / 2.
-    proj = np.eye(len(dv), dtype=complex) - np.outer(np.conj(dv), dv)
-    wmat = np.outer(np.conj(cw), cw)
-    alpha, beta = t.alpha[t.group], t.beta[t.group]
-    kernel = (np.einsum("jw,kw->jkw", np.conj(alpha), alpha)
-              + np.einsum("jw,kw->jkw", np.conj(beta), beta))
-    delta_sum = 0.5 * np.einsum("jk,jkw->w", proj * wmat, kernel)
-    if np.max(np.abs(np.imag(delta_sum))) > 1e-6 * (np.max(np.abs(delta_sum)) + 1e-300):
-        raise ConfigError("residual Delta-sum produced a non-real value")
-    delta_sum = np.real(delta_sum)
-    if np.ndim(omega) == 0:
-        return float(expanded[0]), float(delta_sum[0])
-    return expanded, delta_sum
-
-
 def array_squeezed_noise(arr: SensorArray, r, theta, omega) -> SqueezedNoise:
     """Array noise for a squeezed mode-0 input, e^{-+2r} factorization.
 
@@ -459,50 +370,3 @@ def array_sql_psd(arr: SensorArray, omega):
         chi = mechanical_susceptibility(s.oscillator, w)
         out += wk * HBAR * s.oscillator.mass * s.oscillator.omega0 / np.abs(chi)
     return float(out[0]) if np.ndim(omega) == 0 else out
-
-
-def incoherent_baseline(per_sensor_snrs) -> float:
-    """Power-level combination of independent sensors: effective SNR^2 = sum SNR_k^2."""
-    snrs = np.asarray(per_sensor_snrs, dtype=float)
-    if np.any(snrs < 0):
-        raise ConfigError("SNRs must be >= 0")
-    return float(np.sum(snrs**2))
-
-
-def dqs_vs_dcs_report(arr: SensorArray, n_photons: float, omega,
-                      rel_tol: float = 1e-10) -> DqsDcsReport:
-    """Compare one distributed squeezer (N_s photons over M sensors) against
-    M independent squeezers (N_s photons each) at equal total laser power.
-
-    The two schemes must produce equal noise PSDs for identical sensors; the
-    report records the squeezed-photon cost per sensor of each scheme.
-    """
-    if not arr.identical_sensors():
-        raise ConfigError("the DQS/DCS equivalence is stated for identical sensors")
-    m = arr.n_sensors
-    squeeze = SqueezedInput.from_photon_number(n_photons)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    theta = optimal_squeezing_angle(arr, w)
-
-    dqs = array_squeezed_noise(arr, squeeze.r, theta, w).total
-
-    sensor = arr.sensors[0]
-    per_sensor_power = arr.total_power / m
-    cav = replace(sensor.cavity, input_power=per_sensor_power)
-    weights = np.abs(arr.combining_weights) ** 2
-    dcs = np.zeros(w.size)
-    for k in range(m):
-        if weights[k] == 0.0:
-            continue
-        dcs += weights[k] * np.asarray(
-            squeezed_noise_closed_form(sensor.oscillator, cav, squeeze.r, theta, w))
-
-    dev = float(np.max(np.abs(dqs - dcs) / np.abs(dcs)))
-    if dev > rel_tol:
-        raise ConfigError(
-            f"DQS and DCS noise disagree by {dev:.3e} (> {rel_tol:.1e}); "
-            "the configurations are not equivalent")
-    return DqsDcsReport(n_sensors=m, photon_number=n_photons,
-                        photons_per_sensor_dqs=n_photons / m,
-                        photons_per_sensor_dcs=n_photons,
-                        max_rel_deviation=dev, dqs_psd=dqs, dcs_psd=dcs)

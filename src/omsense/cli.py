@@ -82,24 +82,30 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                            help="two-column (frequency_hz, value) CSV merged "
                                 "as a pass-through column; repeatable")
         if name == "oracle-check":
-            p.add_argument("--configs", type=int, default=200)
-            p.add_argument("--freqs", type=int, default=50)
+            p.add_argument("--configs", type=_positive_int, default=200)
+            p.add_argument("--freqs", type=_positive_int, default=50)
             p.add_argument("--seed", type=int, default=20240817)
-            p.add_argument("--residual-tol", type=float, default=1e-9)
+            p.add_argument("--residual-tol", default=1e-9, type=_positive(
+                float, "must be a finite number > 0"))
     return parser
 
 
-def _tolerance(raw: str) -> float:
-    """--tolerance / OMSENSE_TOLERANCE: a finite relative tolerance > 0."""
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(
-            f"tolerance (flag or {ENV_PREFIX}TOLERANCE) must be a finite "
-            f"number > 0, got {raw!r}")
-    return tol
+def _positive(cast, rule: str):
+    """An argparse type: ``cast(raw)`` must be finite and > 0 (exit 2)."""
+    def parse(raw: str):
+        try:
+            value = cast(raw)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"{rule}, got {raw!r}")
+        return value
+    return parse
+
+
+_tolerance = _positive(float, f"tolerance (flag or {ENV_PREFIX}TOLERANCE) "
+                              "must be a finite number > 0")
+_positive_int = _positive(int, "must be an integer >= 1")
 
 
 def _bool_env(name, default):
@@ -259,18 +265,17 @@ def _run_oracle_check(args) -> int:
                                     seed=args.seed)
     columns = list(scans.COLUMNS["oracle-check"])
     worst = max(row["max_rel_residual"] for row in rows)
+    passed = bool(worst < args.residual_tol)
     outputs = _emit(args, "oracle-check", columns, rows, None,
                     extra_manifest={"oracle": {
                         "configs": args.configs, "freqs": args.freqs,
                         "seed": args.seed, "residual_tol": args.residual_tol,
-                        "max_rel_residual": worst,
-                        "passed": bool(worst < args.residual_tol)}})
+                        "max_rel_residual": worst, "passed": passed}})
     for path in outputs:
         print(path)
     print(f"max relative residual: {worst:.3e} "
-          f"({'PASS' if worst < args.residual_tol else 'FAIL'} "
-          f"at {args.residual_tol:g})")
-    return 0 if worst < args.residual_tol else 1
+          f"({'PASS' if passed else 'FAIL'} at {args.residual_tol:g})")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

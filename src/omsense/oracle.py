@@ -34,10 +34,8 @@ __all__ = [
     "complete_unitary",
     "assemble_transfer",
     "propagate_covariance",
-    "propagate_covariance_eig",
     "oracle_noise_psd",
     "oracle_breakdown",
-    "idle_contribution_shortcut",
 ]
 
 
@@ -110,16 +108,16 @@ def _mode_cov_block(psds: QuadraturePsds) -> np.ndarray:
 
 def assemble_transfer(arr: SensorArray, omega, squeeze: SqueezedInput | None = None,
                       *, theta: float = 0.0,
-                      mode0_psds: QuadraturePsds | None = None,
                       mode_covariances: list[QuadraturePsds] | None = None,
                       unitary: np.ndarray | None = None,
                       power_shares: np.ndarray | None = None,
                       apply_force_conversion: bool = True) -> TransferAssembly:
     """Build the full transfer rows at +-omega and the input covariance.
 
-    By default the bright mode 0 carries ``squeeze`` at angle ``theta`` (or
-    explicit ``mode0_psds``) and the idle modes are vacuum; the beam-splitter
-    unitary is the Gram-Schmidt completion of the array's dividing column.
+    By default the bright mode 0 carries ``squeeze`` at angle ``theta``
+    (vacuum when ``squeeze`` is None) and the idle modes are vacuum; the
+    beam-splitter unitary is the Gram-Schmidt completion of the array's
+    dividing column.
     ``mode_covariances`` overrides every optical mode (used to model
     independent squeezers), and ``power_shares`` overrides the per-sensor
     fraction of the total laser power when the unitary does not describe the
@@ -194,12 +192,9 @@ def assemble_transfer(arr: SensorArray, omega, squeeze: SqueezedInput | None = N
             raise ConfigError("need one covariance per optical mode")
         blocks = [_mode_cov_block(p) for p in mode_covariances]
     else:
-        if mode0_psds is None:
-            if squeeze is None:
-                mode0_psds = QuadraturePsds.vacuum()
-            else:
-                mode0_psds = input_quadrature_psds(squeeze, theta)
-        blocks = [_mode_cov_block(mode0_psds)]
+        mode0 = (QuadraturePsds.vacuum() if squeeze is None
+                 else input_quadrature_psds(squeeze, theta))
+        blocks = [_mode_cov_block(mode0)]
         blocks += [_mode_cov_block(QuadraturePsds.vacuum())] * (m - 1)
     for r, blk in enumerate(blocks):
         cov[r, r] = blk[0, 0]
@@ -231,23 +226,10 @@ def propagate_covariance(assembly: TransferAssembly):
     return float(out[0]) if out.size == 1 and np.ndim(assembly.omega) == 0 else out
 
 
-def propagate_covariance_eig(assembly: TransferAssembly):
-    """Redundant propagation path via eigendecomposition of the covariance."""
-    vals, vecs = np.linalg.eigh(assembly.input_cov)
-    vals = np.clip(vals, 0.0, None)
-    out = np.zeros(assembly.row_pos.shape[1])
-    for row in (assembly.row_pos, assembly.row_neg):
-        proj = vecs.conj().T @ row
-        out += 0.5 * np.einsum("c,cw->w", vals, np.abs(proj) ** 2)
-    return float(out[0]) if out.size == 1 and np.ndim(assembly.omega) == 0 else out
-
-
 def oracle_noise_psd(arr: SensorArray, omega, squeeze: SqueezedInput | None = None,
-                     *, theta: float = 0.0,
-                     mode0_psds: QuadraturePsds | None = None):
+                     *, theta: float = 0.0):
     """Convenience wrapper: assemble and propagate in one call."""
-    assembly = assemble_transfer(arr, omega, squeeze, theta=theta,
-                                 mode0_psds=mode0_psds)
+    assembly = assemble_transfer(arr, omega, squeeze, theta=theta)
     return propagate_covariance(assembly)
 
 
@@ -293,48 +275,3 @@ def oracle_breakdown(assembly: TransferAssembly) -> dict[str, np.ndarray]:
                                         "residual_vacuum", "thermal",
                                         "detection_loss"))
     return out
-
-
-def idle_contribution_shortcut(arr: SensorArray, omega):
-    """Idle-port noise without constructing idle columns, via completeness.
-
-    Uses sum_{r>=1} w*_nr w_mr = delta_nm - w*_n0 w_m0 to fold the M-1 vacuum
-    ports into rank-deficient projectors acting on the per-sensor (X', Y')
-    coefficients; must equal the idle block of the Gram-Schmidt assembly.
-    The commutator parts of the idle vacua cancel between the +-omega
-    evaluations and are omitted, matching the symmetrized block.
-    """
-    m = arr.n_sensors
-    w_in = np.atleast_1d(np.asarray(omega, dtype=float))
-    dv = arr.dividing_weights
-    total = np.zeros(w_in.size)
-    for sign in (1.0, -1.0):
-        w = sign * w_in
-        g_vec = np.zeros((m, w_in.size), dtype=complex)   # X' coefficients
-        a_vec = np.zeros((m, w_in.size), dtype=complex)   # Y' coefficients
-        for n in range(m):
-            w0n = arr.combining_weights[n]
-            if w0n == 0.0:
-                continue
-            s = arr.sensors[n]
-            osc, cav = s.oscillator, arr.sensor_cavity_at_total_power(n)
-            share = float(np.abs(dv[n]) ** 2)
-            chi = mechanical_susceptibility(osc, w)
-            _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
-            cmag = np.abs(coop)
-            if np.any(cmag == 0.0):
-                raise ConfigError("zero cooperativity on an actively combined sensor")
-            half = _half_phase(cav, w)
-            phase = half * half
-            h = np.conj(half) / chi * np.sqrt(
-                HBAR * osc.mass * osc.omega0 / (8.0 * osc.gamma * cmag))
-            a_vec[n] = w0n * (-h * phase)
-            g_vec[n] = w0n * (-8.0 * osc.gamma * cmag * phase * chi * h)
-        # (n_X + i n_Y)_r = sum_n (g+ia)_n conj(w_nr);  (n_X - i n_Y)_r uses w_nr
-        z = g_vec + 1j * a_vec
-        y = g_vec - 1j * a_vec
-        p1 = np.eye(m, dtype=complex) - np.outer(np.conj(dv), dv)
-        t1 = np.einsum("nw,nm,mw->w", z, p1, np.conj(z))
-        t2 = np.einsum("nw,nm,mw->w", y, np.conj(p1), np.conj(y))
-        total += 0.5 * 0.25 * np.real(t1 + t2)
-    return float(total[0]) if np.ndim(omega) == 0 else total

@@ -2,8 +2,8 @@
 
 Each function turns a validated Scenario into an ordered list of records
 (plain dicts) that the CLI serializes; everything is deterministic given the
-scenario, and per-point failures in scans are recorded in the row rather
-than dropped.
+scenario.  The array-, power- and loss-scans are one sweep (``_sweep``) over
+an axis, a list of inputs and a column projection.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import math
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import OmsenseError, ScenarioError
-from .spectra import (QuadraturePsds, SqueezedInput, displacement_asd,
-                      input_quadrature_psds)
-from .arrays import (SensorArray, array_noise_psd, array_signal_psd,
-                     array_sql_psd, array_squeezed_noise)
+from .errors import ScenarioError
+from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
+                      displacement_asd, input_quadrature_psds)
+from .arrays import (ArraySensor, SensorArray, array_noise_psd,
+                     array_signal_psd, array_sql_psd, array_squeezed_noise,
+                     matched_weights)
 from .oracle import oracle_noise_psd
 from .sensitivity import (FrequencyGrid, integrated_sensitivity,
                           min_detectable_coupling)
@@ -31,7 +32,6 @@ __all__ = [
     "power_scan_table",
     "loss_scan_table",
     "oracle_check_table",
-    "scan_curves",
     "COLUMNS",
 ]
 
@@ -55,36 +55,34 @@ COLUMNS = {
                   "i_squeezed_optimal"],
     "oracle-check": ["config_index", "n_sensors", "squeezing_db",
                      "max_rel_residual"],
-    "scan": ["axis", "value", "i_classical", "i_squeezed", "total_at_resonance",
-             "shot_at_resonance", "back_action_at_resonance",
-             "thermal_at_resonance", "residual_at_resonance", "g_min", "error"],
 }
 
-
-def _classical_noise_fn(arr: SensorArray):
-    vac = QuadraturePsds.vacuum()
-    return lambda w: array_noise_psd(arr, vac, w).total
+_VACUUM = SqueezedInput.vacuum()
 
 
-def _squeezed_noise_fn(arr: SensorArray, squeeze: SqueezedInput):
+def _noise_fn(arr: SensorArray, squeeze: SqueezedInput):
+    """Total array noise vs omega for one input; vacuum is r = 0."""
     if squeeze.r == 0.0:
-        return _classical_noise_fn(arr)
+        vac = QuadraturePsds.vacuum()
+        return lambda w: array_noise_psd(arr, vac, w).total
     theta = None if squeeze.angle_policy == "optimal" else squeeze.angle
     return lambda w: array_squeezed_noise(arr, squeeze.r, theta, w).total
-
-
-def _weighted_thermal(arr: SensorArray) -> float:
-    vac = QuadraturePsds.vacuum()
-    bd = array_noise_psd(arr, vac, arr.sensors[0].oscillator.omega0)
-    return float(bd.thermal)
 
 
 def _flat_signal(gain: float):
     return lambda w: np.full_like(np.asarray(w, dtype=float), gain)
 
 
-def _integral(grid: FrequencyGrid, noise_fn, gain: float = 1.0):
-    return integrated_sensitivity(_flat_signal(gain), noise_fn, grid)
+def _sweep(grid: FrequencyGrid, values, build, inputs) -> list[list[float]]:
+    """For each axis value, the integrated sensitivity of ``build(value)``
+    under each input of ``inputs``, all on one grid."""
+    out = []
+    for value in values:
+        arr = build(value)
+        signal = _flat_signal(float(array_signal_psd(arr, 1.0)))
+        out.append([integrated_sensitivity(signal, _noise_fn(arr, sq), grid).value
+                    for sq in inputs])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +96,10 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> list[dict]:
     omegas = np.geomspace(lo, hi, n_points)
     omegas = np.unique(np.concatenate(
         [omegas, [s.oscillator.omega0 for s in scn.sensors]]))
-    vac = QuadraturePsds.vacuum()
-    bd = array_noise_psd(arr, vac, omegas)
-    sq_total = _squeezed_noise_fn(arr, scn.squeeze)(omegas)
+    bd = array_noise_psd(arr, QuadraturePsds.vacuum(), omegas)
+    sq_total = _noise_fn(arr, scn.squeeze)(omegas)
     sql = array_sql_psd(arr, omegas)
-    thermal = _weighted_thermal(arr)
+    thermal = float(bd.thermal[0])  # frequency-independent
     em2r = math.exp(-2.0 * scn.squeeze.r)
     osc0 = arr.sensors[0].oscillator
     mass = osc0.mass
@@ -140,16 +137,17 @@ def sensitivity_report(scn: Scenario, tol: float | None = None) -> list[dict]:
     arr = scn.build_array()
     grid = scn.build_grid(tol)
     bisected = grid.bisected()
-    gain = float(array_signal_psd(arr, 1.0))
-    rows = []
-    quantities = [("classical", _classical_noise_fn(arr))]
+    signal = _flat_signal(float(array_signal_psd(arr, 1.0)))
+    quantities = [("classical", _VACUUM)]
     if scn.squeeze.r > 0:
-        quantities.append(("squeezed", _squeezed_noise_fn(arr, scn.squeeze)))
-    for name, fn in quantities:
-        res = _integral(grid, fn, gain)
-        res_half = integrated_sensitivity(_flat_signal(gain), fn, grid,
+        quantities.append(("squeezed", scn.squeeze))
+    rows = []
+    for name, squeeze in quantities:
+        fn = _noise_fn(arr, squeeze)
+        res = integrated_sensitivity(signal, fn, grid)
+        res_half = integrated_sensitivity(signal, fn, grid,
                                           rel_tol=0.5 * grid.tol)
-        res_bisected = _integral(bisected, fn, gain)
+        res_bisected = integrated_sensitivity(signal, fn, bisected)
         rows.append({
             "quantity": name,
             "value": res.value,
@@ -166,31 +164,21 @@ def sensitivity_report(scn: Scenario, tol: float | None = None) -> list[dict]:
 
 def array_scan_table(scn: Scenario) -> list[dict]:
     """Integrated sensitivity vs sensor count: DQS, coherent, incoherent."""
-    counts = scn.scan.get("sensor_counts", [1, 2, 4, 8, 16, 32, 64, 100])
+    counts = scn.scan["sensor_counts"]
     grid = scn.build_grid()
-    squeeze = scn.squeeze
+    [[i_single]] = _sweep(grid, [1], scn.build_array, [_VACUUM])
 
-    arr1 = scn.build_array(1)
-    i_single = _integral(grid, _classical_noise_fn(arr1),
-                         float(array_signal_psd(arr1, 1.0))).value
-
-    def one(m):
-        arr = scn.build_array(int(m))
-        gain = float(array_signal_psd(arr, 1.0))
-        i_coh = _integral(grid, _classical_noise_fn(arr), gain).value
-        i_dqs = _integral(grid, _squeezed_noise_fn(arr, squeeze), gain).value
+    def row(m, i_coh, i_dqs):
         i_incoh = m * i_single
-        return {
-            "n_sensors": int(m),
-            "i_dqs": i_dqs,
-            "i_classical_coherent": i_coh,
-            "i_classical_incoherent": i_incoh,
-            "dqs_over_coherent": i_dqs / i_coh,
-            "coherent_over_single": i_coh / i_single,
-            "incoherent_over_single": i_incoh / i_single,
-        }
+        return {"n_sensors": m, "i_dqs": i_dqs,
+                "i_classical_coherent": i_coh,
+                "i_classical_incoherent": i_incoh,
+                "dqs_over_coherent": i_dqs / i_coh,
+                "coherent_over_single": i_coh / i_single,
+                "incoherent_over_single": i_incoh / i_single}
 
-    return [one(m) for m in counts]
+    integrals = _sweep(grid, counts, scn.build_array, [_VACUUM, scn.squeeze])
+    return [row(m, *i) for m, i in zip(counts, integrals)]
 
 
 def dm_projection_table(scn: Scenario,
@@ -204,12 +192,11 @@ def dm_projection_table(scn: Scenario,
     """
     if scn.dark_matter is None:
         raise ScenarioError("dm-projection needs a dark_matter block")
-    dm, plan = scn.dark_matter, scn.plan
-    m_count = int(scn.scan.get("dqs_sensors", 10))
-    lo = TWO_PI * float(scn.scan.get("compton_hz_min", 20.0))
-    hi = TWO_PI * float(scn.scan.get("compton_hz_max", 20000.0))
-    n = int(scn.scan.get("compton_points", 61))
-    omegas = np.geomspace(lo, hi, n)
+    dm, plan, scan = scn.dark_matter, scn.plan, scn.scan
+    m_count = scan["dqs_sensors"]
+    omegas = np.geomspace(TWO_PI * scan["compton_hz_min"],
+                          TWO_PI * scan["compton_hz_max"],
+                          scan["compton_points"])
 
     arr1 = scn.build_array(1)
     arr_m = scn.build_array(m_count)
@@ -217,10 +204,11 @@ def dm_projection_table(scn: Scenario,
     vac = QuadraturePsds.vacuum()
     squeeze = scn.squeeze
     em2r = math.exp(-2.0 * squeeze.r)
-    thermal_m = _weighted_thermal(arr_m)
 
     n1 = array_noise_psd(arr1, vac, omegas).total
-    nm = array_noise_psd(arr_m, vac, omegas).total
+    bd_m = array_noise_psd(arr_m, vac, omegas)
+    nm = bd_m.total
+    thermal_m = float(bd_m.thermal[0])  # frequency-independent
     ndqs = array_squeezed_noise(arr_m, squeeze.r, None, omegas).total
     sql_m = array_sql_psd(arr_m, omegas)
     rows = []
@@ -256,48 +244,34 @@ def dm_projection_table(scn: Scenario,
 
 
 def power_scan_table(scn: Scenario) -> list[dict]:
+    """Integrated sensitivity vs laser power: classical, optimal and fixed
+    squeezing angle."""
     powers = scn.scan.get("powers_w")
     if not powers:
         raise ScenarioError("power-scan needs scan.powers_w")
-    fixed_angle = float(scn.scan.get("fixed_angle_rad", math.pi / 4))
-    grid = scn.build_grid()
-    squeeze = scn.squeeze
-
-    def one(p):
-        arr = scn.build_array(power=float(p))
-        gain = float(array_signal_psd(arr, 1.0))
-        i_cl = _integral(grid, _classical_noise_fn(arr), gain).value
-        i_opt = _integral(grid, _squeezed_noise_fn(
-            arr, SqueezedInput(r=squeeze.r, angle_policy="optimal")), gain).value
-        i_fix = _integral(grid, _squeezed_noise_fn(
-            arr, SqueezedInput(r=squeeze.r, angle_policy="fixed",
-                               angle=fixed_angle)), gain).value
-        return {"power_w": float(p), "i_classical": i_cl,
-                "i_squeezed_optimal": i_opt, "i_squeezed_fixed": i_fix}
-
-    return [one(p) for p in powers]
+    r = scn.squeeze.r
+    inputs = [_VACUUM, SqueezedInput(r=r, angle_policy="optimal"),
+              SqueezedInput(r=r, angle_policy="fixed",
+                            angle=scn.scan["fixed_angle_rad"])]
+    integrals = _sweep(scn.build_grid(), powers,
+                       lambda p: scn.build_array(power=p), inputs)
+    return [{"power_w": p, "i_classical": i_cl, "i_squeezed_optimal": i_opt,
+             "i_squeezed_fixed": i_fix}
+            for p, (i_cl, i_opt, i_fix) in zip(powers, integrals)]
 
 
 def loss_scan_table(scn: Scenario) -> list[dict]:
+    """Integrated sensitivity vs detection loss 1 - eta^2."""
     losses = scn.scan.get("losses")
     if losses is None:
         raise ScenarioError("loss-scan needs scan.losses")
-    grid = scn.build_grid()
-    squeeze = scn.squeeze
-
-    def one(loss):
-        eta_sq = 1.0 - float(loss)
-        if not 0 < eta_sq <= 1:
-            raise ScenarioError(f"loss must lie in [0, 1), got {loss}")
-        arr = scn.build_array(efficiency_sq=eta_sq)
-        gain = float(array_signal_psd(arr, 1.0))
-        i_cl = _integral(grid, _classical_noise_fn(arr), gain).value
-        i_sq = _integral(grid, _squeezed_noise_fn(
-            arr, SqueezedInput(r=squeeze.r, angle_policy="optimal")), gain).value
-        return {"loss": float(loss), "efficiency_sq": eta_sq,
-                "i_classical": i_cl, "i_squeezed_optimal": i_sq}
-
-    return [one(loss) for loss in losses]
+    inputs = [_VACUUM, SqueezedInput(r=scn.squeeze.r, angle_policy="optimal")]
+    integrals = _sweep(scn.build_grid(), losses,
+                       lambda loss: scn.build_array(efficiency_sq=1.0 - loss),
+                       inputs)
+    return [{"loss": loss, "efficiency_sq": 1.0 - loss, "i_classical": i_cl,
+             "i_squeezed_optimal": i_sq}
+            for loss, (i_cl, i_sq) in zip(losses, integrals)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +280,6 @@ def loss_scan_table(scn: Scenario) -> list[dict]:
 
 def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
     """Heterogeneous array within a decade of the membrane reference values."""
-    from .spectra import CavityOptics, Oscillator
-    from .arrays import ArraySensor, matched_weights
-
     sensors = []
     for _ in range(m):
         osc = Oscillator.from_quality(
@@ -334,93 +305,19 @@ def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
                        seed: int = 20240817) -> list[dict]:
     """Closed-form array noise vs covariance-propagation oracle residuals."""
     rng = np.random.default_rng(seed)
-    jobs = []
+    rows = []
     for idx in range(n_configs):
         m = int(rng.integers(1, 5))
         arr, db = random_array(rng, m)
         theta = rng.uniform(-math.pi / 2, math.pi / 2)
-        omegas = np.exp(rng.uniform(np.log(arr.sensors[0].oscillator.omega0 / 100),
-                                    np.log(arr.sensors[0].oscillator.omega0 * 100),
-                                    n_freqs))
-        jobs.append((idx, m, arr, db, theta, omegas))
-
-    def one(job):
-        idx, m, arr, db, theta, omegas = job
+        omega0 = arr.sensors[0].oscillator.omega0
+        omegas = np.exp(rng.uniform(np.log(omega0 / 100),
+                                    np.log(omega0 * 100), n_freqs))
         squeeze = SqueezedInput.from_db(db)
-        inp = input_quadrature_psds(squeeze, theta)
-        closed = array_noise_psd(arr, inp, omegas).total
+        closed = array_noise_psd(arr, input_quadrature_psds(squeeze, theta),
+                                 omegas).total
         orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
-        resid = float(np.max(np.abs(orc - closed) / np.abs(closed)))
-        return {"config_index": idx, "n_sensors": m, "squeezing_db": db,
-                "max_rel_residual": resid}
-
-    return [one(job) for job in jobs]
-
-
-# ---------------------------------------------------------------------------
-# generic axis scan
-# ---------------------------------------------------------------------------
-
-_AXIS_ALIASES = {"m": "sensors", "sensors": "sensors", "p": "power",
-                 "power": "power", "eta": "efficiency",
-                 "efficiency": "efficiency", "omega_dm": "compton",
-                 "compton": "compton"}
-
-
-def scan_curves(scn: Scenario, axis: str, values) -> list[dict]:
-    """Sweep one axis; per-value records carry the integrated sensitivities,
-    the resonance noise breakdown and (when configured) the minimum coupling.
-    A failing point is recorded with its error message, never dropped.
-    """
-    key = _AXIS_ALIASES.get(axis.lower())
-    if key is None:
-        raise ScenarioError(f"unknown scan axis {axis!r}")
-    grid = scn.build_grid()
-    squeeze = scn.squeeze
-
-    def one(value):
-        row = {"axis": key, "value": float(value), "error": ""}
-        try:
-            omega_dm = None
-            if key == "sensors":
-                arr = scn.build_array(int(value))
-            elif key == "power":
-                arr = scn.build_array(power=float(value))
-            elif key == "efficiency":
-                arr = scn.build_array(efficiency_sq=float(value))
-            else:
-                arr = scn.build_array()
-                omega_dm = float(value)
-            gain = float(array_signal_psd(arr, 1.0))
-            row["i_classical"] = _integral(grid, _classical_noise_fn(arr),
-                                           gain).value
-            if squeeze.r > 0:
-                row["i_squeezed"] = _integral(
-                    grid, _squeezed_noise_fn(arr, squeeze), gain).value
-            else:
-                row["i_squeezed"] = row["i_classical"]
-            w0 = arr.sensors[0].oscillator.omega0
-            bd = array_noise_psd(arr, QuadraturePsds.vacuum(), w0)
-            row.update({
-                "total_at_resonance": float(bd.total),
-                "shot_at_resonance": float(bd.shot),
-                "back_action_at_resonance": float(bd.back_action),
-                "thermal_at_resonance": float(bd.thermal),
-                "residual_at_resonance": float(bd.residual_vacuum),
-            })
-            if scn.dark_matter is not None:
-                noise = float(array_noise_psd(
-                    arr, QuadraturePsds.vacuum(),
-                    omega_dm if omega_dm is not None
-                    else scn.dark_matter.compton_omega).total)
-                row["g_min"] = min_detectable_coupling(
-                    noise / gain, scn.dark_matter, scn.plan, omega_dm)
-            else:
-                row["g_min"] = math.nan
-        except OmsenseError as exc:
-            row["error"] = str(exc)
-            for col in COLUMNS["scan"]:
-                row.setdefault(col, math.nan)
-        return row
-
-    return [one(value) for value in values]
+        rows.append({"config_index": idx, "n_sensors": m, "squeezing_db": db,
+                     "max_rel_residual": float(np.max(np.abs(orc - closed)
+                                                      / np.abs(closed)))})
+    return rows

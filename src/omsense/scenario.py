@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,9 +51,6 @@ _CAL_KEYS = {"acceleration_asd_ms2_rthz", "coupling"}
 _OBS_KEYS = {"duration_s", "integration_time_s", "snr_threshold"}
 _GRID_KEYS = {"min_hz", "max_hz", "min_rad_s", "max_rad_s", "tolerance_rel",
               "points_per_decade"}
-_SCAN_KEYS = {"sensor_counts", "powers_w", "losses", "compton_hz_min",
-              "compton_hz_max", "compton_points", "dqs_sensors",
-              "fixed_angle_rad"}
 _OUTPUT_KEYS = {"format"}
 _TOP_KEYS = {"schema_version", "array", "input_light", "dark_matter",
              "observation", "grid", "scan", "output", "description"}
@@ -61,6 +58,8 @@ _TOP_KEYS = {"schema_version", "array", "input_light", "dark_matter",
 
 def _check_keys(block: dict, allowed: set, where: str, strict: bool,
                 warnings_out: list):
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where} must be an object, got {block!r}")
     unknown = sorted(set(block) - allowed)
     if unknown:
         msg = f"unknown key(s) {unknown} in {where}"
@@ -78,13 +77,81 @@ def _number(raw, name: str) -> float:
         raise ScenarioError(f"{name} must be a number, got {raw!r}") from None
 
 
-def _count(raw, name: str, minimum: int) -> int:
-    """A scenario value as an integer >= ``minimum``."""
+def _bounded(raw, name: str, ok, rule: str) -> float:
+    """A scenario number for which ``ok(value)`` holds, else exit 2."""
     value = _number(raw, name)
-    if not (math.isfinite(value) and value == int(value) and value >= minimum):
-        raise ScenarioError(
-            f"{name} must be an integer >= {minimum}, got {raw!r}")
-    return int(value)
+    if not ok(value):
+        raise ScenarioError(f"{name} must be {rule}, got {raw!r}")
+    return value
+
+
+def _count(raw, name: str, minimum: int = 1) -> int:
+    """A scenario value as an integer >= ``minimum``."""
+    return int(_bounded(raw, name, lambda v: math.isfinite(v) and v == int(v)
+                        and v >= minimum, f"an integer >= {minimum}"))
+
+
+def _positive(raw, name: str) -> float:
+    return _bounded(raw, name, lambda v: math.isfinite(v) and v > 0,
+                    "finite and > 0")
+
+
+def _non_negative(raw, name: str) -> float:
+    return _bounded(raw, name, lambda v: math.isfinite(v) and v >= 0,
+                    "finite and >= 0")
+
+
+def _finite(raw, name: str) -> float:
+    return _bounded(raw, name, math.isfinite, "finite")
+
+
+def _loss(raw, name: str) -> float:
+    return _bounded(raw, name, lambda v: 0 <= v < 1, "in [0, 1)")
+
+
+def _real_weight(raw, name: str) -> float:
+    """An explicit weight: a number or an [re, im] pair with im = 0.  The
+    closed forms assume arg w_k0 = 0, so a complex weight is rejected."""
+    if isinstance(raw, list):
+        if len(raw) != 2 or _number(raw[1], name) != 0.0:
+            raise ScenarioError(
+                f"{name} must be real (a number or [re, 0]), got {raw!r}")
+        raw = raw[0]
+    return _finite(raw, name)
+
+
+def _number_list(raw, name: str, parse) -> list:
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{name} must be a list, got {raw!r}")
+    return [parse(v, f"{name}[{i}]") for i, v in enumerate(raw)]
+
+
+# scan key: (default, parse, is_list); powers_w and losses have no default,
+# power-scan and loss-scan require them.
+_SCAN_FIELDS = {
+    "sensor_counts": ([1, 2, 4, 8, 16, 32, 64, 100], _count, True),
+    "dqs_sensors": (10, _count, False),
+    "compton_hz_min": (20.0, _positive, False),
+    "compton_hz_max": (20000.0, _positive, False),
+    "compton_points": (61, _count, False),
+    "powers_w": (None, _non_negative, True),
+    "fixed_angle_rad": (math.pi / 4, _finite, False),
+    "losses": (None, _loss, True),
+}
+
+
+def _scan_block(block: dict) -> dict:
+    """Every ``scan`` field parsed and range-checked, defaults filled in."""
+    scan = {}
+    for key, (default, parse, is_list) in _SCAN_FIELDS.items():
+        raw = default if block.get(key) is None else block[key]
+        if raw is None:
+            scan[key] = None
+        elif is_list:
+            scan[key] = _number_list(raw, f"scan.{key}", parse)
+        else:
+            scan[key] = parse(raw, f"scan.{key}")
+    return scan
 
 
 def _angular(block: dict, base: str, where: str, default=None):
@@ -116,8 +183,9 @@ def _build_sensor(raw: dict, idx: int, strict: bool, warnings_out: list,
             osc = Oscillator(mass=mass, omega0=omega0, gamma=damping,
                              temperature=temperature)
         elif "quality_factor" in raw:
-            osc = Oscillator.from_quality(mass, omega0, float(raw["quality_factor"]),
-                                          temperature, gamma_convention)
+            quality = _positive(raw["quality_factor"], f"{where}.quality_factor")
+            osc = Oscillator.from_quality(mass, omega0, quality, temperature,
+                                          gamma_convention)
         else:
             raise ScenarioError(f"{where}: quality_factor or damping required")
 
@@ -125,7 +193,7 @@ def _build_sensor(raw: dict, idx: int, strict: bool, warnings_out: list,
         if kappa is None:
             raise ScenarioError(f"{where}: kappa_rad_s or kappa_hz required")
         kappa_r = _angular(raw, "readout_kappa", where, default=kappa)
-        wavelength = float(raw["wavelength_m"])
+        wavelength = _positive(raw["wavelength_m"], f"{where}.wavelength_m")
         length = raw.get("cavity_length_m")
         length = None if length is None else float(length)
         g0 = _angular(raw, "g0", where)
@@ -138,14 +206,13 @@ def _build_sensor(raw: dict, idx: int, strict: bool, warnings_out: list,
         if g0 is None:
             if length is None:
                 raise ScenarioError(f"{where}: g0 or cavity_length_m required")
-            cav = CavityOptics(kappa, kappa_r, cav.g0_from_geometry(osc),
-                               cav.laser_omega, 0.0, cav.efficiency_sq, length)
+            cav = replace(cav, g0=cav.g0_from_geometry(osc))
     except KeyError as exc:
         raise ScenarioError(f"{where}: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-    response = _number(raw.get("response_factor", 1.0),
-                       f"{where}.response_factor")
+    response = _positive(raw.get("response_factor", 1.0),
+                         f"{where}.response_factor")
     return ArraySensor(oscillator=osc, cavity=cav, response_factor=response)
 
 
@@ -187,28 +254,20 @@ class Scenario:
         """Instantiate the sensor network, optionally overriding the sensor
         count (identical arrays only), detection efficiency, or power."""
         m = self.n_sensors if n_sensors is None else int(n_sensors)
-        if len(self.sensors) == 1:
-            base = self.sensors[0]
-            if efficiency_sq is not None:
-                cav = CavityOptics(base.cavity.kappa, base.cavity.kappa_readout,
-                                   base.cavity.g0, base.cavity.laser_omega,
-                                   base.cavity.input_power, efficiency_sq,
-                                   base.cavity.length)
-                base = ArraySensor(base.oscillator, cav, base.response_factor)
-            sensors = (base,) * m
-        else:
-            if m != len(self.sensors):
-                raise ScenarioError(
-                    "sensor-count override requires a single-sensor template")
-            sensors = self.sensors
+        sensors = self.sensors
+        if efficiency_sq is not None:
+            sensors = tuple(replace(s, cavity=replace(
+                s.cavity, efficiency_sq=efficiency_sq)) for s in sensors)
+        if len(sensors) == 1:
+            sensors *= m
+        elif m != len(sensors):
+            raise ScenarioError(
+                "sensor-count override requires a single-sensor template")
         p = self.power if power is None else float(power)
         total = m * p if self.power_convention == "per_sensor" else p
 
         if self.weights_policy == "explicit":
-            dv = self.explicit_dividing
-            cw = self.explicit_combining
-            if dv is None or cw is None:
-                raise ScenarioError("explicit weights policy needs both weight lists")
+            dv, cw = self.explicit_dividing, self.explicit_combining
         else:
             dv = uniform_weights(m)
             if self.weights_policy == "matched":
@@ -256,7 +315,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
         raise ScenarioError("array.sensors must be a non-empty list")
     sensors = tuple(_build_sensor(s, i, strict, warns, gamma_convention)
                     for i, s in enumerate(sensor_list))
-    copies = _count(arr.get("copies", 1), "array.copies", 1)
+    copies = _count(arr.get("copies", 1), "array.copies")
     if copies > 1 and len(sensors) > 1:
         raise ScenarioError("array.copies > 1 requires a single sensor template")
     policy = arr.get("weights_policy", "matched")
@@ -268,10 +327,10 @@ def scenario_from_dict(raw: dict, strict: bool = True,
         if dv is None or cw is None:
             raise ScenarioError("explicit weights policy needs dividing_weights "
                                 "and combining_weights")
-        explicit_dv = np.asarray([complex(*v) if isinstance(v, list) else complex(v)
-                                  for v in dv])
-        explicit_cw = np.asarray([complex(*v) if isinstance(v, list) else complex(v)
-                                  for v in cw])
+        explicit_dv = np.asarray(_number_list(
+            dv, "array.dividing_weights", _real_weight), dtype=complex)
+        explicit_cw = np.asarray(_number_list(
+            cw, "array.combining_weights", _real_weight), dtype=complex)
         m = copies if len(sensors) == 1 else len(sensors)
         norm = float(np.sum(np.abs(explicit_dv) ** 2))
         if explicit_dv.size != m or abs(norm - 1.0) > 1e-10:
@@ -286,9 +345,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     defaults["power_convention"] = power_convention
     if "power_w" not in arr:
         raise ScenarioError("array.power_w is required")
-    power = _number(arr["power_w"], "array.power_w")
-    if not (math.isfinite(power) and power >= 0):
-        raise ScenarioError(f"array.power_w must be finite and >= 0, got {power!r}")
+    power = _non_negative(arr["power_w"], "array.power_w")
 
     light = raw.get("input_light", {})
     _check_keys(light, _LIGHT_KEYS, "input_light", strict, warns)
@@ -329,18 +386,20 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     if dm_block is not None:
         _check_keys(dm_block, _DM_KEYS, "dark_matter", strict, warns)
         if "density_kg_m3" in dm_block:
-            rho = _number(dm_block["density_kg_m3"],
-                          "dark_matter.density_kg_m3")
+            rho = _positive(dm_block["density_kg_m3"],
+                            "dark_matter.density_kg_m3")
         elif "density_gev_cm3" in dm_block:
-            rho = GEV_PER_CM3_TO_KG_M3 * _number(
+            rho = GEV_PER_CM3_TO_KG_M3 * _positive(
                 dm_block["density_gev_cm3"], "dark_matter.density_gev_cm3")
         else:
             rho = RHO_DM_DEFAULT
             defaults["rho_dm_kg_m3"] = rho
-        compton = _angular(dm_block, "compton", "dark_matter",
-                           default=sensors[0].oscillator.omega0)
-        fraction = _number(dm_block.get("linewidth_fraction", 1e-6),
-                           "dark_matter.linewidth_fraction")
+        compton = _positive(
+            _angular(dm_block, "compton", "dark_matter",
+                     default=sensors[0].oscillator.omega0),
+            "dark_matter.compton (in rad/s)")
+        fraction = _positive(dm_block.get("linewidth_fraction", 1e-6),
+                             "dark_matter.linewidth_fraction")
         defaults["coherence_linewidth_rule"] = f"Delta_a = {fraction:g} * Omega_DM"
         lw = dm_block.get("coherence_linewidth_rad_s")
         material = dm_block.get("material_factor")
@@ -383,13 +442,12 @@ def scenario_from_dict(raw: dict, strict: bool = True,
                   default=min(max(omegas) * 1e3, min(kappas) / 10.0))
     if "min_hz" not in grid and "min_rad_s" not in grid:
         defaults["integration_span_rad_s"] = [lo, hi]
-    tol = _number(grid.get("tolerance_rel", 1e-3), "grid.tolerance_rel")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ScenarioError(f"grid.tolerance_rel must be finite and > 0, got {tol!r}")
-    ppd = _count(grid.get("points_per_decade", 16), "grid.points_per_decade", 1)
+    tol = _positive(grid.get("tolerance_rel", 1e-3), "grid.tolerance_rel")
+    ppd = _count(grid.get("points_per_decade", 16), "grid.points_per_decade")
 
     scan = raw.get("scan", {})
-    _check_keys(scan, _SCAN_KEYS, "scan", strict, warns)
+    _check_keys(scan, set(_SCAN_FIELDS), "scan", strict, warns)
+    scan = _scan_block(scan)
 
     output = raw.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "output", strict, warns)
@@ -406,7 +464,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
                     grid_span=(lo, hi), grid_tol=tol,
                     grid_points_per_decade=ppd,
                     gamma_convention=gamma_convention, output_format=fmt,
-                    scan=dict(scan), warnings=warns, defaults_used=defaults)
+                    scan=scan, warnings=warns, defaults_used=defaults)
 
 
 def load_scenario(path, strict: bool = True,

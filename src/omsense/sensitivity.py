@@ -166,9 +166,6 @@ class IntegrationResult:
     n_evaluations: int
     rounds: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _panel_values(f, a, b):
     """K21 value and |K21 - G10| error estimate on each [a_i, b_i], from one

@@ -175,11 +175,6 @@ class CavityOptics:
         """Intra-cavity field squared, E^2 = (4 kappa_r / kappa^2) E0^2."""
         return 4.0 * self.kappa_readout / self.kappa**2 * self.photon_flux
 
-    @property
-    def loss_rate(self) -> float:
-        """Internal loss kappa_l = kappa - kappa_r."""
-        return self.kappa - self.kappa_readout
-
     @classmethod
     def from_wavelength(cls, kappa, kappa_readout, g0, wavelength, input_power,
                         efficiency_sq=1.0, length=None):

@@ -13,10 +13,10 @@ from omsense.spectra import (SqueezedInput,
 from omsense.arrays import (SensorArray, array_noise_psd, identical_array,
                             single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
-                            idle_contribution_shortcut, oracle_breakdown,
-                            oracle_noise_psd, propagate_covariance,
-                            propagate_covariance_eig)
+                            oracle_breakdown, oracle_noise_psd,
+                            propagate_covariance)
 from omsense.scans import random_array
+from reference_paths import idle_contribution_shortcut, propagate_covariance_eig
 
 
 def test_single_sensor_reproduces_budget_term_by_term(membrane_osc, membrane_cav):

@@ -98,3 +98,16 @@ def test_sensitivity_report_quantities():
     assert all(r["rel_error_estimate"] <= scn.grid_tol for r in rows)
     sq = {r["quantity"]: r["value"] for r in rows}
     assert sq["squeezed"] > sq["classical"]
+
+
+def test_loss_scan_applies_loss_to_every_template():
+    raw = preset_scenario("fig6")
+    template = raw["array"]["sensors"][0]
+    raw["array"]["sensors"] = [template, dict(template, resonance_hz=1300.0)]
+    scn = scenario_from_dict(raw)
+    scn.scan["losses"] = [0.0, 0.5]
+    arr = scn.build_array(efficiency_sq=0.5)
+    assert [s.cavity.efficiency_sq for s in arr.sensors] == [0.5, 0.5]
+    rows = loss_scan_table(scn)
+    for key in ("i_classical", "i_squeezed_optimal"):
+        assert rows[1][key] < 0.9 * rows[0][key]

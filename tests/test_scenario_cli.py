@@ -12,7 +12,7 @@ from omsense.constants import TWO_PI
 from omsense.errors import ConvergenceError, ScenarioError
 from omsense.scenario import (PRESET_NAMES, load_scenario, preset_scenario,
                               scenario_from_dict)
-from omsense.scans import scan_curves
+from omsense import scans
 
 
 def _fig4_dict(**overrides):
@@ -105,33 +105,6 @@ def test_g0_derived_from_geometry_when_absent():
     del raw["array"]["sensors"][0]["g0_rad_s"]
     scn = scenario_from_dict(raw)
     assert scn.sensors[0].cavity.g0 == pytest.approx(46.99, rel=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# generic scan operation
-# ---------------------------------------------------------------------------
-
-def test_scan_curves_over_sensors():
-    scn = scenario_from_dict(preset_scenario("fig2"))
-    rows = scan_curves(scn, "M", [1, 4])
-    assert [r["value"] for r in rows] == [1.0, 4.0]
-    assert rows[1]["i_classical"] / rows[0]["i_classical"] == pytest.approx(
-        16.0, rel=1e-6)
-    assert all(r["error"] == "" for r in rows)
-
-
-def test_scan_curves_records_failures():
-    scn = scenario_from_dict(preset_scenario("fig2"))
-    rows = scan_curves(scn, "P", [2e-3, 0.0])  # zero power cannot be read out
-    assert rows[0]["error"] == ""
-    assert rows[1]["error"] != ""
-    assert math.isnan(rows[1]["total_at_resonance"])
-
-
-def test_scan_curves_unknown_axis():
-    scn = scenario_from_dict(preset_scenario("fig2"))
-    with pytest.raises(ScenarioError):
-        scan_curves(scn, "voltage", [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +383,122 @@ def test_cli_malformed_number_is_validation_error(tmp_path, capsys, block, key,
     raw[block][key] = value
     assert _run_noise(tmp_path, raw) == 2
     assert message in capsys.readouterr().err
+
+
+def _run(tmp_path, command, raw):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = cli.main([command, "--scenario", str(path), "--out", str(out)])
+    if code != 0:
+        assert not out.exists() or not any(out.iterdir())
+    return code, out
+
+
+@pytest.mark.parametrize("preset,key,value,message", [
+    ("fig2", "sensor_counts", [2.5], "scan.sensor_counts[0] must be an integer"),
+    ("fig2", "sensor_counts", ["x"], "scan.sensor_counts[0] must be a number"),
+    ("fig2", "sensor_counts", [4, 0], "scan.sensor_counts[1] must be an integer"),
+    ("fig2", "sensor_counts", 8, "scan.sensor_counts must be a list"),
+    ("fig3", "dqs_sensors", 0, "scan.dqs_sensors must be an integer"),
+    ("fig3", "compton_points", "x", "scan.compton_points must be a number"),
+    ("fig3", "compton_hz_min", 0, "scan.compton_hz_min must be finite and > 0"),
+    ("fig3", "compton_hz_max", math.inf,
+     "scan.compton_hz_max must be finite and > 0"),
+    ("fig5", "powers_w", ["x"], "scan.powers_w[0] must be a number"),
+    ("fig5", "powers_w", [1e-3, -1e-3], "scan.powers_w[1] must be finite and >= 0"),
+    ("fig5", "fixed_angle_rad", "x", "scan.fixed_angle_rad must be a number"),
+    ("fig5", "fixed_angle_rad", math.nan, "scan.fixed_angle_rad must be finite"),
+    ("fig6", "losses", ["x"], "scan.losses[0] must be a number"),
+    ("fig6", "losses", [0.0, 1.0], "scan.losses[1] must be in [0, 1)"),
+    ("fig6", "losses", [-0.1], "scan.losses[0] must be in [0, 1)"),
+    ("fig6", None, [0.1], "scan must be an object")])
+def test_cli_malformed_scan_field_is_validation_error(tmp_path, capsys, preset,
+                                                      key, value, message):
+    raw = preset_scenario(preset)
+    if key is None:
+        raw["scan"] = value
+    else:
+        raw["scan"][key] = value
+    code, _ = _run(tmp_path, cli._PRESET_COMMAND[preset], raw)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scan_defaults_come_from_the_loader():
+    scan = scenario_from_dict(_fig4_dict()).scan
+    assert scan == {"sensor_counts": [1, 2, 4, 8, 16, 32, 64, 100],
+                    "dqs_sensors": 10, "compton_hz_min": 20.0,
+                    "compton_hz_max": 20000.0, "compton_points": 61,
+                    "powers_w": None, "fixed_angle_rad": math.pi / 4,
+                    "losses": None}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("block,key", [
+    ("sensor", "quality_factor"), ("sensor", "wavelength_m"),
+    ("sensor", "response_factor"), ("dark_matter", "density_gev_cm3"),
+    ("dark_matter", "compton_hz"), ("dark_matter", "linewidth_fraction")])
+def test_cli_non_positive_physical_value_rejected(tmp_path, capsys, block, key,
+                                                  value):
+    raw = preset_scenario("fig3")
+    target = raw["array"]["sensors"][0] if block == "sensor" else raw[block]
+    target[key] = value
+    code, _ = _run(tmp_path, "dm-projection", raw)
+    assert code == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
+
+
+def _explicit_pair(dividing, combining):
+    raw = _fig4_dict()
+    detuned = dict(raw["array"]["sensors"][0], resonance_hz=2600.0,
+                   detection_efficiency_sq=0.9)
+    raw["array"].update(sensors=[raw["array"]["sensors"][0], detuned],
+                        weights_policy="explicit", dividing_weights=dividing,
+                        combining_weights=combining)
+    return raw
+
+
+@pytest.mark.parametrize("phased", ["dividing_weights", "combining_weights"])
+def test_cli_complex_explicit_weights_rejected(tmp_path, capsys, phased):
+    raw = _explicit_pair([0.6, 0.8], [0.8, 0.6])
+    raw["array"][phased] = [[0.6, 0.0], [0.0, 0.8]]
+    code, _ = _run(tmp_path, "noise", raw)
+    assert code == 2
+    assert f"array.{phased}[1]" in capsys.readouterr().err
+
+
+def test_cli_signed_real_explicit_weights_match_oracle(tmp_path):
+    from omsense.arrays import optimal_squeezing_angle
+    from omsense.oracle import oracle_noise_psd
+
+    raw = _explicit_pair([0.6, [-0.8, 0.0]], [0.8, -0.6])
+    code, out = _run(tmp_path, "noise", raw)
+    assert code == 0
+    rows = list(csv.DictReader(open(out / "noise.csv")))[::40]
+    scn = load_scenario(tmp_path / "scn.json")
+    arr = scn.build_array()
+    assert arr.dividing_weights[1] == -0.8
+    for row in rows:
+        omega = float(row["omega_rad_s"])
+        theta = optimal_squeezing_angle(arr, omega)
+        classical = oracle_noise_psd(arr, omega)
+        squeezed = oracle_noise_psd(arr, omega, scn.squeeze, theta=theta)
+        assert float(row["total_classical"]) == pytest.approx(classical,
+                                                              rel=1e-9)
+        assert float(row["total_squeezed"]) == pytest.approx(squeezed, rel=1e-9)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--configs", "0"), ("--configs", "-3"), ("--freqs", "0"),
+    ("--residual-tol", "nan"), ("--residual-tol", "0")])
+def test_oracle_check_bad_flag_exits_two(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-check", flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_table_columns_cover_exactly_the_table_commands():
+    assert set(scans.COLUMNS) == set(cli._COMMANDS) - set(PRESET_NAMES)
