@@ -4,14 +4,15 @@ The package is organized around the frequency-domain noise model of a
 cavity-optomechanical force sensor and its coherent, optionally entangled,
 extension to M sensors:
 
-``spectra``      single-sensor susceptibility, cooperativity, quadrature
-                 inputs and force-noise budgets (cavity and simplified model)
+``spectra``      single-sensor susceptibility, cooperativity, the
+                 per-sensor response kernel, quadrature inputs and
+                 force-noise budgets
 ``arrays``       M-sensor network algebra: weights, combined noise with its
                  residual-vacuum term, array squeezing, array SQL
 ``oracle``       independent covariance-propagation verifier for every
                  closed-form noise formula
 ``sensitivity``  resonance-refined adaptive quadrature, integrated
-                 sensitivity, observation-run SNR and coupling projections
+                 sensitivity, observation plans and coupling projections
 ``scenario``     JSON scenarios with explicit units, plus figure presets
 ``scans``        figure-level tables (noise budgets, parameter scans)
 ``cli``          deterministic command-line front end
@@ -21,11 +22,10 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, OmsenseError, ScenarioError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
-                      acceleration_asd, bad_cavity_map,
-                      cavity_phase_and_cooperativity, displacement_asd,
-                      input_quadrature_psds, mechanical_susceptibility,
-                      simplified_model_noise_psd, single_sensor_noise_psd,
-                      sql_noise_psd, squeezed_noise_closed_form,
+                      acceleration_asd, cavity_phase_and_cooperativity,
+                      displacement_asd, input_quadrature_psds,
+                      mechanical_susceptibility, sensor_response,
+                      single_sensor_noise_psd, sql_noise_psd,
                       thermal_momentum_psd)
 from .arrays import (ArraySensor, NoiseBreakdown, SensorArray, SqueezedNoise,
                      array_noise_psd, array_signal_psd, array_sql_psd,
@@ -38,6 +38,6 @@ from .oracle import (TransferAssembly, assemble_transfer, complete_unitary,
 from .sensitivity import (DarkMatterModel, FrequencyGrid, IntegrationResult,
                           ObservationPlan, calibrate_material_factor,
                           integrated_sensitivity, min_detectable_coupling,
-                          resonance_refined_grid, snr_observation)
+                          resonance_refined_grid)
 from .scenario import (Scenario, load_scenario, preset_scenario,
                        scenario_from_dict)

@@ -31,9 +31,9 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
-from .spectra import (CavityOptics, Oscillator, QuadraturePsds,
-                      cavity_phase_and_cooperativity, _half_phase,
-                      mechanical_susceptibility, single_sensor_noise_psd)
+from .spectra import (CavityOptics, Oscillator, QuadraturePsds, _scalarize,
+                      mechanical_susceptibility, sensor_response,
+                      single_sensor_noise_psd)
 
 __all__ = [
     "ArraySensor",
@@ -215,9 +215,6 @@ class _Terms:
         if active.size == 0:
             raise ConfigError("all combining weights vanish")
         shares = np.abs(dv[active]) ** 2
-        if np.any(shares == 0.0):
-            raise ConfigError("sensor with zero optical share but nonzero "
-                              "combining weight: shot noise diverges")
 
         rows: dict[tuple[ArraySensor, float], int] = {}
         group = np.array([rows.setdefault((arr.sensors[k], share), len(rows))
@@ -231,19 +228,12 @@ class _Terms:
         for g, (s, share) in enumerate(rows):
             osc = s.oscillator
             cav = replace(s.cavity, input_power=arr.total_power)
-            chi_k = mechanical_susceptibility(osc, w)
-            _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
-            cmag = np.abs(coop)
-            if np.any(cmag == 0.0):
-                raise ConfigError("zero cooperativity on an actively combined sensor")
-            half = _half_phase(cav, w)
+            chi_k, cmag, half = sensor_response(osc, cav, w, share)
             hmo = HBAR * osc.mass * osc.omega0
             alpha[g] = half / (2.0 * chi_k) * np.sqrt(hmo / (2.0 * osc.gamma * cmag))
             beta[g] = 2.0 * half * np.sqrt(2.0 * hmo * osc.gamma * cmag)
             thermal[g] = 4.0 * osc.mass * osc.gamma * K_B * osc.temperature
             eta_sq = cav.efficiency_sq
-            if eta_sq == 0.0:
-                raise ConfigError("detection efficiency eta^2 = 0 on an active sensor")
             loss_weight[g] = (1.0 - eta_sq) / eta_sq
 
         ww = np.zeros(n, dtype=complex)
@@ -279,12 +269,6 @@ class _Terms:
                       axis=0)
 
 
-def _shape_like(arrs, omega):
-    if np.ndim(omega) == 0:
-        return tuple(float(np.real(a[0])) for a in arrs)
-    return tuple(np.real(a) for a in arrs)
-
-
 # ---------------------------------------------------------------------------
 # signal and noise
 # ---------------------------------------------------------------------------
@@ -307,9 +291,8 @@ def array_noise_psd(arr: SensorArray, inp: QuadraturePsds, omega) -> NoiseBreakd
     residual = t.residual_expanded()
     loss = t.detection_loss_psd()
     total = shot + back_action + correlation + thermal + residual + loss
-    parts = _shape_like((shot, back_action, correlation, thermal, residual,
-                         loss, total), omega)
-    return NoiseBreakdown(*parts)
+    return NoiseBreakdown(*(_scalarize(p, omega) for p in (
+        shot, back_action, correlation, thermal, residual, loss, total)))
 
 
 def array_squeezed_noise(arr: SensorArray, r, theta, omega) -> SqueezedNoise:
@@ -333,8 +316,8 @@ def array_squeezed_noise(arr: SensorArray, r, theta, omega) -> SqueezedNoise:
     residual = t.residual_expanded()
     loss = t.detection_loss_psd()
     total = squeezed + anti + thermal + residual + loss
-    parts = _shape_like((squeezed, anti, thermal, residual, loss, total), omega)
-    return SqueezedNoise(*parts)
+    return SqueezedNoise(*(_scalarize(p, omega) for p in (
+        squeezed, anti, thermal, residual, loss, total)))
 
 
 def _optimal_angle(a, b):
@@ -355,8 +338,7 @@ def optimal_squeezing_angle(arr: SensorArray, omega):
     resonance.  On resonance (A perpendicular to B, |B| > |A|) this returns
     -pi/2; far above resonance it tends to 0 through positive angles.
     """
-    theta = _optimal_angle(*_Terms(arr, omega).coherent_sums())
-    return float(theta[0]) if np.ndim(omega) == 0 else theta
+    return _scalarize(_optimal_angle(*_Terms(arr, omega).coherent_sums()), omega)
 
 
 def array_sql_psd(arr: SensorArray, omega):
@@ -369,4 +351,4 @@ def array_sql_psd(arr: SensorArray, omega):
             continue
         chi = mechanical_susceptibility(s.oscillator, w)
         out += wk * HBAR * s.oscillator.mass * s.oscillator.omega0 / np.abs(chi)
-    return float(out[0]) if np.ndim(omega) == 0 else out
+    return _scalarize(out, omega)

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -84,28 +85,30 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if name == "oracle-check":
             p.add_argument("--configs", type=_positive_int, default=200)
             p.add_argument("--freqs", type=_positive_int, default=50)
-            p.add_argument("--seed", type=int, default=20240817)
-            p.add_argument("--residual-tol", default=1e-9, type=_positive(
+            p.add_argument("--seed", type=_seed, default=20240817)
+            p.add_argument("--residual-tol", default=1e-9, type=_checked(
                 float, "must be a finite number > 0"))
     return parser
 
 
-def _positive(cast, rule: str):
-    """An argparse type: ``cast(raw)`` must be finite and > 0 (exit 2)."""
+def _checked(cast, rule: str, valid=lambda value: value > 0):
+    """An argparse type: ``cast(raw)`` must be finite and ``valid`` (exit 2)."""
     def parse(raw: str):
         try:
             value = cast(raw)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value > 0):
+            ok = math.isfinite(value) and valid(value)
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
             raise argparse.ArgumentTypeError(f"{rule}, got {raw!r}")
         return value
     return parse
 
 
-_tolerance = _positive(float, f"tolerance (flag or {ENV_PREFIX}TOLERANCE) "
-                              "must be a finite number > 0")
-_positive_int = _positive(int, "must be an integer >= 1")
+_tolerance = _checked(float, f"tolerance (flag or {ENV_PREFIX}TOLERANCE) "
+                             "must be a finite number > 0")
+_positive_int = _checked(int, "must be an integer >= 1")
+_seed = _checked(int, "must be an integer >= 0", lambda value: value >= 0)
 
 
 def _bool_env(name, default):
@@ -210,7 +213,12 @@ def main(argv=None) -> int:
                                 gamma_convention=args.gamma_convention)
         if args.tolerance is not None:
             scn.grid_tol = args.tolerance
-        columns, rows = _compute(command, scn, args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            columns, rows = _compute(command, scn, args)
+        for message in (str(w.message) for w in caught):
+            if message not in scn.warnings:
+                scn.warnings.append(message)
         outputs = _emit(args, command, columns, rows, scn)
         for path in outputs:
             print(path)

@@ -24,9 +24,8 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
-from .spectra import (QuadraturePsds, SqueezedInput, _half_phase,
-                      cavity_phase_and_cooperativity, input_quadrature_psds,
-                      mechanical_susceptibility)
+from .spectra import (QuadraturePsds, SqueezedInput, _scalarize,
+                      input_quadrature_psds, sensor_response)
 from .arrays import SensorArray
 
 __all__ = [
@@ -110,8 +109,7 @@ def assemble_transfer(arr: SensorArray, omega, squeeze: SqueezedInput | None = N
                       *, theta: float = 0.0,
                       mode_covariances: list[QuadraturePsds] | None = None,
                       unitary: np.ndarray | None = None,
-                      power_shares: np.ndarray | None = None,
-                      apply_force_conversion: bool = True) -> TransferAssembly:
+                      power_shares: np.ndarray | None = None) -> TransferAssembly:
     """Build the full transfer rows at +-omega and the input covariance.
 
     By default the bright mode 0 carries ``squeeze`` at angle ``theta``
@@ -152,24 +150,11 @@ def assemble_transfer(arr: SensorArray, omega, squeeze: SqueezedInput | None = N
         s = arr.sensors[n]
         osc = s.oscillator
         cav = arr.sensor_cavity_at_total_power(n)
-        share = float(power_shares[n])
-        chi = mechanical_susceptibility(osc, w)
-        _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
-        cmag = np.abs(coop)
-        half = _half_phase(cav, w)
+        chi, cmag, half = sensor_response(osc, cav, w, float(power_shares[n]))
         phase = half * half
-        if apply_force_conversion:
-            if np.any(cmag == 0.0):
-                raise ConfigError(
-                    "zero cooperativity on an actively combined sensor: "
-                    "force conversion diverges")
-            h = np.conj(half) / chi * np.sqrt(
-                HBAR * osc.mass * osc.omega0 / (8.0 * osc.gamma * cmag))
-        else:
-            h = np.ones_like(chi)
+        h = np.conj(half) / chi * np.sqrt(
+            HBAR * osc.mass * osc.omega0 / (8.0 * osc.gamma * cmag))
         eta_sq = cav.efficiency_sq
-        if eta_sq == 0.0:
-            raise ConfigError("detection efficiency eta^2 = 0 on an active sensor")
         coef_y[n] = w0n * (-h * phase)
         coef_x[n] = w0n * (-8.0 * osc.gamma * cmag * phase * chi * h)
         rows[2 * m + n] = w0n * h * 4.0 * osc.gamma * chi * np.sqrt(2.0 * cmag) * half
@@ -222,15 +207,14 @@ def propagate_covariance(assembly: TransferAssembly):
     out = 0.5 * (s_pos + s_neg)
     if np.max(np.abs(np.imag(out))) > 1e-10 * (np.max(np.abs(out)) + 1e-300):
         raise ConfigError("oracle quadratic form produced a non-real PSD")
-    out = np.real(out)
-    return float(out[0]) if out.size == 1 and np.ndim(assembly.omega) == 0 else out
+    return np.real(out)
 
 
 def oracle_noise_psd(arr: SensorArray, omega, squeeze: SqueezedInput | None = None,
                      *, theta: float = 0.0):
     """Convenience wrapper: assemble and propagate in one call."""
     assembly = assemble_transfer(arr, omega, squeeze, theta=theta)
-    return propagate_covariance(assembly)
+    return _scalarize(propagate_covariance(assembly), omega)
 
 
 def oracle_breakdown(assembly: TransferAssembly) -> dict[str, np.ndarray]:

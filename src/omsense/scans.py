@@ -73,6 +73,13 @@ def _flat_signal(gain: float):
     return lambda w: np.full_like(np.asarray(w, dtype=float), gain)
 
 
+def _single_reference(scn: Scenario) -> SensorArray:
+    """The M = 1 reference: template 0 alone with unit weights, at the power
+    ``build_array(1)`` gives a one-template scenario under either power
+    convention, whatever the scenario's template count and weight policy."""
+    return SensorArray(scn.sensors[:1], np.ones(1), np.ones(1), scn.power)
+
+
 def _sweep(grid: FrequencyGrid, values, build, inputs) -> list[list[float]]:
     """For each axis value, the integrated sensitivity of ``build(value)``
     under each input of ``inputs``, all on one grid."""
@@ -166,7 +173,7 @@ def array_scan_table(scn: Scenario) -> list[dict]:
     """Integrated sensitivity vs sensor count: DQS, coherent, incoherent."""
     counts = scn.scan["sensor_counts"]
     grid = scn.build_grid()
-    [[i_single]] = _sweep(grid, [1], scn.build_array, [_VACUUM])
+    [[i_single]] = _sweep(grid, [scn], _single_reference, [_VACUUM])
 
     def row(m, i_coh, i_dqs):
         i_incoh = m * i_single
@@ -198,7 +205,7 @@ def dm_projection_table(scn: Scenario,
                           TWO_PI * scan["compton_hz_max"],
                           scan["compton_points"])
 
-    arr1 = scn.build_array(1)
+    arr1 = _single_reference(scn)
     arr_m = scn.build_array(m_count)
     gain_m = float(array_signal_psd(arr_m, 1.0))
     vac = QuadraturePsds.vacuum()
@@ -213,6 +220,7 @@ def dm_projection_table(scn: Scenario,
     sql_m = array_sql_psd(arr_m, omegas)
     rows = []
     for i, w in enumerate(omegas.tolist()):
+        plan.check(dm.linewidth(w))
         n1_w, sql_w = float(n1[i]), float(sql_m[i])
         rows.append({
             "compton_rad_s": w,

@@ -46,7 +46,6 @@ __all__ = [
     "integrated_sensitivity",
     "DarkMatterModel",
     "ObservationPlan",
-    "snr_observation",
     "min_detectable_coupling",
     "calibrate_material_factor",
 ]
@@ -320,15 +319,6 @@ class ObservationPlan:
         for n in notes:
             warnings.warn(n, stacklevel=3)
         return notes
-
-
-def snr_observation(drive_psd: float, noise_psd: float, linewidth: float,
-                    plan: ObservationPlan) -> float:
-    """SNR over an observing run: (S_drive/S_noise) sqrt(Delta_a T_O)."""
-    if noise_psd <= 0:
-        raise ConfigError("noise PSD must be positive")
-    plan.check(linewidth)
-    return drive_psd / noise_psd * math.sqrt(linewidth * plan.duration)
 
 
 def min_detectable_coupling(noise_psd, dm: DarkMatterModel, plan: ObservationPlan,

@@ -34,7 +34,6 @@ hbar m Omega / |chi_w|, reached at |C_w| = 1/(8 gamma |chi_w|).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +48,10 @@ __all__ = [
     "QuadraturePsds",
     "mechanical_susceptibility",
     "cavity_phase_and_cooperativity",
+    "sensor_response",
     "input_quadrature_psds",
     "single_sensor_noise_psd",
-    "squeezed_noise_closed_form",
     "sql_noise_psd",
-    "simplified_model_noise_psd",
-    "bad_cavity_map",
     "thermal_momentum_psd",
     "acceleration_asd",
     "displacement_asd",
@@ -326,11 +323,25 @@ def thermal_momentum_psd(osc: Oscillator) -> float:
 # noise budgets
 # ---------------------------------------------------------------------------
 
-def _check_coop(coop_mag):
-    if np.any(coop_mag == 0.0):
+def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
+    """Per-sensor response (chi_w, |C_w|, e^{i phi_w/2}) at a laser share.
+
+    ``share`` is the sensor's fraction of ``cav.input_power`` (|w_k0|^2 in an
+    array, 1.0 standalone).  Every force-noise formula divides by |C_w| and
+    by eta^2, so a sensor without optical readout is rejected here, once for
+    every caller.
+    """
+    w = np.asarray(omega, dtype=float)
+    chi = mechanical_susceptibility(osc, w)
+    _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
+    cmag = np.abs(coop)
+    if np.any(cmag == 0.0):
         raise ConfigError(
             "zero optomechanical cooperativity: no optical readout "
             "(shot noise diverges); check laser power / g0 / weights")
+    if cav.efficiency_sq == 0.0:
+        raise ConfigError("detection efficiency eta^2 = 0: nothing reaches the detector")
+    return chi, cmag, _half_phase(cav, w)
 
 
 def single_sensor_noise_psd(osc: Oscillator, cav: CavityOptics,
@@ -342,13 +353,7 @@ def single_sensor_noise_psd(osc: Oscillator, cav: CavityOptics,
     plus the detection-loss term; see the module docstring for the formulas.
     ``mech_psd`` overrides the flat thermal default K_B T/(hbar Omega).
     """
-    w = np.asarray(omega, dtype=float)
-    chi = mechanical_susceptibility(osc, w)
-    _, coop = cavity_phase_and_cooperativity(cav, osc, w, power_scale)
-    cmag = np.abs(coop)
-    _check_coop(cmag)
-    if cav.efficiency_sq == 0.0:
-        raise ConfigError("detection efficiency eta^2 = 0: nothing reaches the detector")
+    chi, cmag, _ = sensor_response(osc, cav, omega, power_scale)
     if mech_psd is None:
         mech_psd = thermal_momentum_psd(osc)
 
@@ -363,35 +368,6 @@ def single_sensor_noise_psd(osc: Oscillator, cav: CavityOptics,
     return _scalarize(shot + back_action + corr + mech + loss, omega)
 
 
-def squeezed_noise_closed_form(osc: Oscillator, cav: CavityOptics,
-                               r, theta, omega, *, power_scale=1.0):
-    """Squeezed-input force noise in the e^{-+2r} factorization (N^2/Hz).
-
-    hbar m Omega / (16 gamma |C||chi|^2) * (|cos t - 8 gamma |C| chi sin t|^2 e^{-2r}
-    + |sin t + 8 gamma |C| chi cos t|^2 e^{2r}) + 4 m gamma K_B T, plus the
-    same detection-loss term as the generic budget.  Must agree with
-    single_sensor_noise_psd(input_quadrature_psds(r, theta)) to rounding.
-    """
-    w = np.asarray(omega, dtype=float)
-    chi = mechanical_susceptibility(osc, w)
-    _, coop = cavity_phase_and_cooperativity(cav, osc, w, power_scale)
-    cmag = np.abs(coop)
-    _check_coop(cmag)
-    if cav.efficiency_sq == 0.0:
-        raise ConfigError("detection efficiency eta^2 = 0: nothing reaches the detector")
-
-    m, om, gam = osc.mass, osc.omega0, osc.gamma
-    chi_sq = np.abs(chi) ** 2
-    k = 8.0 * gam * cmag * chi
-    c, s = np.cos(theta), np.sin(theta)
-    scale = HBAR * m * om / (16.0 * gam * cmag * chi_sq)
-    optical = scale * (np.abs(c - k * s) ** 2 * math.exp(-2.0 * r)
-                       + np.abs(s + k * c) ** 2 * math.exp(2.0 * r))
-    thermal = 4.0 * m * gam * K_B * osc.temperature
-    loss = (1.0 - cav.efficiency_sq) / cav.efficiency_sq * scale
-    return _scalarize(optical + thermal + loss, omega, theta)
-
-
 def sql_noise_psd(osc: Oscillator, omega):
     """Optical noise floor at the standard quantum limit, hbar m Omega/|chi_w|.
 
@@ -399,60 +375,6 @@ def sql_noise_psd(osc: Oscillator, omega):
     """
     chi = mechanical_susceptibility(osc, np.asarray(omega, dtype=float))
     return _scalarize(HBAR * osc.mass * osc.omega0 / np.abs(chi), omega)
-
-
-# ---------------------------------------------------------------------------
-# simplified (free-space mirror) model
-# ---------------------------------------------------------------------------
-
-def simplified_model_noise_psd(zeta, e0, eta, osc: Oscillator,
-                               inp: QuadraturePsds, omega):
-    """Force-noise PSD of the single-mirror phase-shift model (N^2/Hz).
-
-    The mirror imprints a phase 2 k q on the reflected beam (zeta = 2 Omega_L/c)
-    and each reflected photon kicks the mirror by kappa_p = hbar * zeta.  With
-    B(w) = m Omega / (sqrt(2) E0 zeta chi_w) the budget reads
-
-        4 m gamma K_B T + |B|^2 (Syy + (1-eta^2)/(2 eta^2))
-        + 2 kappa_p^2 E0^2 Sxx + 2 Re[B'(-w)] Sxy,   B'(w) = sqrt(2) kappa_p E0 B(w).
-    """
-    if e0 == 0:
-        raise ConfigError("zero input field amplitude: shot noise diverges")
-    if eta == 0:
-        raise ConfigError("detection efficiency eta = 0: nothing reaches the detector")
-    w = np.asarray(omega, dtype=float)
-    chi = mechanical_susceptibility(osc, w)
-    m, om, gam = osc.mass, osc.omega0, osc.gamma
-    kappa_p = HBAR * zeta
-
-    b_sq = (m * om) ** 2 / (2.0 * e0**2 * zeta**2 * np.abs(chi) ** 2)
-    eta_sq = eta * eta
-    shot = b_sq * (inp.syy + (1.0 - eta_sq) / (2.0 * eta_sq))
-    back_action = 2.0 * kappa_p**2 * e0**2 * inp.sxx
-    # B'(-w) = kappa_p m Omega / (zeta chi*), so Re[B'(-w)] uses Re[chi]/|chi|^2
-    corr = 2.0 * kappa_p * m * om / zeta * np.real(chi) / np.abs(chi) ** 2 * inp.sxy
-    thermal = 4.0 * m * gam * K_B * osc.temperature
-    return _scalarize(thermal + shot + back_action + corr, omega)
-
-
-def bad_cavity_map(cav: CavityOptics, osc: Oscillator | None = None):
-    """Map cavity parameters onto the simplified model's (zeta, E0).
-
-    hbar zeta = (4 g0 / kappa) sqrt(2 hbar m Omega), which equals
-    4 Omega_L / (L kappa) for a Fabry-Perot cavity.  Valid for kappa much
-    larger than the band of interest; a warning is issued otherwise.
-    """
-    if osc is not None and cav.kappa < 100.0 * osc.omega0:
-        warnings.warn("bad-cavity map requested with kappa < 100*Omega; "
-                      "the simplified model may be inaccurate", stacklevel=2)
-    if osc is not None and cav.g0 > 0:
-        zeta = 4.0 * cav.g0 / cav.kappa * math.sqrt(
-            2.0 * osc.mass * osc.omega0 / HBAR)
-    elif cav.length is not None:
-        zeta = 4.0 * cav.laser_omega / (cav.length * cav.kappa)
-    else:
-        raise ConfigError("bad_cavity_map needs a cavity length or an oscillator")
-    return zeta, math.sqrt(cav.photon_flux)
 
 
 # ---------------------------------------------------------------------------

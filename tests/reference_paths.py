@@ -4,20 +4,27 @@ Each helper computes a quantity the library also computes, by a second,
 independent route: the residual vacuum as the explicit Delta_jk double sum,
 the idle-port noise via the completeness relation instead of Gram-Schmidt
 idle columns, the oracle propagation via an eigendecomposition of the input
-covariance, and the distributed squeezer against M independent squeezers.
-They are verification code, not part of the ``omsense`` API.
+covariance, the distributed squeezer against M independent squeezers, the
+squeezed budget in its e^{-+2r} factorization, and the observation-run SNR
+law.  The free-mirror model, mapped onto the cavity by the bad-cavity
+correspondence, is a separate derivation of the single-sensor budget; it
+shares no response primitive with the library beyond the mechanical
+susceptibility.  They are verification code, not part of the ``omsense``
+API.
 """
 
+import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from omsense.constants import HBAR
+from omsense.constants import HBAR, K_B
 from omsense.errors import ConfigError
-from omsense.spectra import (SqueezedInput, _half_phase,
-                             cavity_phase_and_cooperativity,
-                             mechanical_susceptibility,
-                             squeezed_noise_closed_form)
+from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
+                             SqueezedInput, _scalarize,
+                             mechanical_susceptibility, sensor_response)
+from omsense.sensitivity import ObservationPlan
 from omsense.arrays import (SensorArray, _Terms, array_squeezed_noise,
                             optimal_squeezing_angle)
 from omsense.oracle import TransferAssembly
@@ -112,7 +119,7 @@ def propagate_covariance_eig(assembly: TransferAssembly):
     for row in (assembly.row_pos, assembly.row_neg):
         proj = vecs.conj().T @ row
         out += 0.5 * np.einsum("c,cw->w", vals, np.abs(proj) ** 2)
-    return float(out[0]) if out.size == 1 and np.ndim(assembly.omega) == 0 else out
+    return out
 
 
 def idle_contribution_shortcut(arr: SensorArray, omega):
@@ -138,13 +145,8 @@ def idle_contribution_shortcut(arr: SensorArray, omega):
                 continue
             s = arr.sensors[n]
             osc, cav = s.oscillator, arr.sensor_cavity_at_total_power(n)
-            share = float(np.abs(dv[n]) ** 2)
-            chi = mechanical_susceptibility(osc, w)
-            _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
-            cmag = np.abs(coop)
-            if np.any(cmag == 0.0):
-                raise ConfigError("zero cooperativity on an actively combined sensor")
-            half = _half_phase(cav, w)
+            chi, cmag, half = sensor_response(osc, cav, w,
+                                              float(np.abs(dv[n]) ** 2))
             phase = half * half
             h = np.conj(half) / chi * np.sqrt(
                 HBAR * osc.mass * osc.omega0 / (8.0 * osc.gamma * cmag))
@@ -158,3 +160,89 @@ def idle_contribution_shortcut(arr: SensorArray, omega):
         t2 = np.einsum("nw,nm,mw->w", y, np.conj(p1), np.conj(y))
         total += 0.5 * 0.25 * np.real(t1 + t2)
     return float(total[0]) if np.ndim(omega) == 0 else total
+
+
+def squeezed_noise_closed_form(osc: Oscillator, cav: CavityOptics,
+                               r, theta, omega, *, power_scale=1.0):
+    """Squeezed-input force noise in the e^{-+2r} factorization (N^2/Hz).
+
+    hbar m Omega / (16 gamma |C||chi|^2) * (|cos t - 8 gamma |C| chi sin t|^2 e^{-2r}
+    + |sin t + 8 gamma |C| chi cos t|^2 e^{2r}) + 4 m gamma K_B T, plus the
+    same detection-loss term as the generic budget.  Must agree with
+    single_sensor_noise_psd(input_quadrature_psds(r, theta)) to rounding.
+    """
+    chi, cmag, _ = sensor_response(osc, cav, omega, power_scale)
+
+    m, om, gam = osc.mass, osc.omega0, osc.gamma
+    chi_sq = np.abs(chi) ** 2
+    k = 8.0 * gam * cmag * chi
+    c, s = np.cos(theta), np.sin(theta)
+    scale = HBAR * m * om / (16.0 * gam * cmag * chi_sq)
+    optical = scale * (np.abs(c - k * s) ** 2 * math.exp(-2.0 * r)
+                       + np.abs(s + k * c) ** 2 * math.exp(2.0 * r))
+    thermal = 4.0 * m * gam * K_B * osc.temperature
+    loss = (1.0 - cav.efficiency_sq) / cav.efficiency_sq * scale
+    return _scalarize(optical + thermal + loss, omega, theta)
+
+
+# ---------------------------------------------------------------------------
+# simplified (free-space mirror) model
+# ---------------------------------------------------------------------------
+
+def simplified_model_noise_psd(zeta, e0, eta, osc: Oscillator,
+                               inp: QuadraturePsds, omega):
+    """Force-noise PSD of the single-mirror phase-shift model (N^2/Hz).
+
+    The mirror imprints a phase 2 k q on the reflected beam (zeta = 2 Omega_L/c)
+    and each reflected photon kicks the mirror by kappa_p = hbar * zeta.  With
+    B(w) = m Omega / (sqrt(2) E0 zeta chi_w) the budget reads
+
+        4 m gamma K_B T + |B|^2 (Syy + (1-eta^2)/(2 eta^2))
+        + 2 kappa_p^2 E0^2 Sxx + 2 Re[B'(-w)] Sxy,   B'(w) = sqrt(2) kappa_p E0 B(w).
+    """
+    if e0 == 0:
+        raise ConfigError("zero input field amplitude: shot noise diverges")
+    if eta == 0:
+        raise ConfigError("detection efficiency eta = 0: nothing reaches the detector")
+    w = np.asarray(omega, dtype=float)
+    chi = mechanical_susceptibility(osc, w)
+    m, om, gam = osc.mass, osc.omega0, osc.gamma
+    kappa_p = HBAR * zeta
+
+    b_sq = (m * om) ** 2 / (2.0 * e0**2 * zeta**2 * np.abs(chi) ** 2)
+    eta_sq = eta * eta
+    shot = b_sq * (inp.syy + (1.0 - eta_sq) / (2.0 * eta_sq))
+    back_action = 2.0 * kappa_p**2 * e0**2 * inp.sxx
+    # B'(-w) = kappa_p m Omega / (zeta chi*), so Re[B'(-w)] uses Re[chi]/|chi|^2
+    corr = 2.0 * kappa_p * m * om / zeta * np.real(chi) / np.abs(chi) ** 2 * inp.sxy
+    thermal = 4.0 * m * gam * K_B * osc.temperature
+    return _scalarize(thermal + shot + back_action + corr, omega)
+
+
+def bad_cavity_map(cav: CavityOptics, osc: Oscillator | None = None):
+    """Map cavity parameters onto the simplified model's (zeta, E0).
+
+    hbar zeta = (4 g0 / kappa) sqrt(2 hbar m Omega), which equals
+    4 Omega_L / (L kappa) for a Fabry-Perot cavity.  Valid for kappa much
+    larger than the band of interest; a warning is issued otherwise.
+    """
+    if osc is not None and cav.kappa < 100.0 * osc.omega0:
+        warnings.warn("bad-cavity map requested with kappa < 100*Omega; "
+                      "the simplified model may be inaccurate", stacklevel=2)
+    if osc is not None and cav.g0 > 0:
+        zeta = 4.0 * cav.g0 / cav.kappa * math.sqrt(
+            2.0 * osc.mass * osc.omega0 / HBAR)
+    elif cav.length is not None:
+        zeta = 4.0 * cav.laser_omega / (cav.length * cav.kappa)
+    else:
+        raise ConfigError("bad_cavity_map needs a cavity length or an oscillator")
+    return zeta, math.sqrt(cav.photon_flux)
+
+
+def snr_observation(drive_psd: float, noise_psd: float, linewidth: float,
+                    plan: ObservationPlan) -> float:
+    """SNR over an observing run: (S_drive/S_noise) sqrt(Delta_a T_O)."""
+    if noise_psd <= 0:
+        raise ConfigError("noise PSD must be positive")
+    plan.check(linewidth)
+    return drive_psd / noise_psd * math.sqrt(linewidth * plan.duration)

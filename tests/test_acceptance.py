@@ -15,13 +15,14 @@ from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, cavity_phase_and_cooperativity,
                              input_quadrature_psds, mechanical_susceptibility,
-                             single_sensor_noise_psd, squeezed_noise_closed_form)
+                             single_sensor_noise_psd)
 from omsense.arrays import (array_noise_psd, array_signal_psd,
                             array_squeezed_noise, identical_array,
                             optimal_squeezing_angle)
 from omsense.oracle import assemble_transfer, propagate_covariance
 from omsense.sensitivity import integrated_sensitivity, min_detectable_coupling
 from omsense.scenario import preset_scenario, scenario_from_dict
+from reference_paths import squeezed_noise_closed_form
 from omsense.scans import (dm_projection_table, oracle_check_table,
                            random_array, sensitivity_report)
 

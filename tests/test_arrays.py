@@ -10,8 +10,7 @@ from omsense.constants import TWO_PI
 from omsense.errors import ConfigError
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
-                             single_sensor_noise_psd, sql_noise_psd,
-                             squeezed_noise_closed_form)
+                             single_sensor_noise_psd, sql_noise_psd)
 from omsense.arrays import (ArraySensor, SensorArray, _Terms, array_noise_psd,
                             array_signal_psd, array_sql_psd,
                             array_squeezed_noise, identical_array,
@@ -20,7 +19,8 @@ from omsense.arrays import (ArraySensor, SensorArray, _Terms, array_noise_psd,
                             uniform_weights)
 from omsense.oracle import oracle_noise_psd
 from omsense.scans import random_array
-from reference_paths import dqs_vs_dcs_report, residual_vacuum_forms
+from reference_paths import (dqs_vs_dcs_report, residual_vacuum_forms,
+                             squeezed_noise_closed_form)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Covariance-propagation verifier: assembly, propagation, invariances."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.errors import ConfigError
-from omsense.spectra import (SqueezedInput,
+from omsense.spectra import (QuadraturePsds, SqueezedInput,
                              cavity_phase_and_cooperativity,
                              input_quadrature_psds, mechanical_susceptibility)
-from omsense.arrays import (SensorArray, array_noise_psd, identical_array,
+from omsense.arrays import (SensorArray, array_noise_psd, array_sql_psd,
+                            identical_array, optimal_squeezing_angle,
                             single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             oracle_breakdown, oracle_noise_psd,
@@ -53,17 +55,26 @@ def test_zero_coupling_raises_under_force_conversion(membrane_osc, membrane_cav)
         assemble_transfer(dark, np.array([1e3]))
 
 
-def test_zero_coupling_reflects_input_without_conversion(membrane_osc,
-                                                         membrane_cav):
-    arr = single_sensor_array(membrane_osc, membrane_cav)
-    dark = SensorArray(arr.sensors, arr.dividing_weights, arr.combining_weights,
-                       total_power=0.0)
-    omega = np.array([TWO_PI * 321.0])
-    asm = assemble_transfer(dark, omega, apply_force_conversion=False)
-    # only the reflected phase quadrature survives, with unit modulus
-    y_col = asm.row_pos[asm.block("y")][0]
-    assert abs(y_col[0]) == pytest.approx(1.0, rel=1e-12)
-    assert propagate_covariance(asm) == pytest.approx(0.5, rel=1e-12)
+def test_zero_efficiency_raises(membrane_osc, membrane_cav):
+    blind = replace(membrane_cav, efficiency_sq=0.0)
+    with pytest.raises(ConfigError, match="eta\\^2 = 0"):
+        assemble_transfer(single_sensor_array(membrane_osc, blind),
+                          np.array([1e3]))
+
+
+@pytest.mark.parametrize("quantity", [
+    lambda arr, w: oracle_noise_psd(arr, w),
+    lambda arr, w: array_noise_psd(arr, QuadraturePsds.vacuum(), w).total,
+    lambda arr, w: array_sql_psd(arr, w),
+    lambda arr, w: optimal_squeezing_angle(arr, w)],
+    ids=["oracle_noise_psd", "array_noise_psd", "array_sql_psd",
+         "optimal_squeezing_angle"])
+def test_scalar_omega_returns_float(membrane_sensor, quantity):
+    arr = identical_array(membrane_sensor, 3, power_per_sensor=2e-3)
+    omega = TWO_PI * 1500.0
+    value = quantity(arr, omega)
+    assert type(value) is float
+    assert value == quantity(arr, np.array([omega]))[0]
 
 
 def test_gram_schmidt_completion_is_unitary(rng):

@@ -174,6 +174,7 @@ def test_manifest_records_design_decision_defaults(tmp_path):
     assert defaults["weights_policy"] == "matched"
     assert defaults["power_convention"] == "per_sensor"
     assert "material_factor_calibrated" in defaults
+    assert manifest["warnings"] == []
 
 
 def test_overlay_passthrough(tmp_path):
@@ -491,13 +492,79 @@ def test_cli_signed_real_explicit_weights_match_oracle(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--configs", "0"), ("--configs", "-3"), ("--freqs", "0"),
-    ("--residual-tol", "nan"), ("--residual-tol", "0")])
+    ("--residual-tol", "nan"), ("--residual-tol", "0"), ("--seed", "-1"),
+    ("--seed", "x"),
+    pytest.param("--configs", "1" + "0" * 400, id="--configs-10**400")])
 def test_oracle_check_bad_flag_exits_two(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle-check", flag, value, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["noise", "array-scan"])
+@pytest.mark.parametrize("where,key,message", [
+    ("sensor", "detection_efficiency_sq",
+     "detection efficiency eta^2 = 0: nothing reaches the detector"),
+    ("array", "power_w", "zero optomechanical cooperativity: no optical readout")],
+    ids=["efficiency-zero", "power-zero"])
+def test_cli_sensor_without_readout_exits_two(tmp_path, capsys, command, where,
+                                              key, message):
+    raw = _fig4_dict()
+    block = raw["array"]["sensors"][0] if where == "sensor" else raw["array"]
+    block[key] = 0
+    code, _ = _run(tmp_path, command, raw)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def _two_sensor_fig2(kind):
+    raw = preset_scenario("fig2")
+    raw["scan"]["sensor_counts"] = [2]
+    if kind == "two-templates":
+        template = raw["array"]["sensors"][0]
+        raw["array"]["sensors"] = [template, dict(template, resonance_hz=2600.0)]
+    else:
+        raw["array"].update(copies=2, weights_policy="explicit",
+                            dividing_weights=[0.6, 0.8],
+                            combining_weights=[0.6, 0.8])
+    return raw
+
+
+@pytest.mark.parametrize("kind", ["two-templates", "explicit-weights"])
+def test_array_scan_single_reference_is_template_zero(tmp_path, kind):
+    # M = 1 is template 0 alone, so the template count and the weight policy
+    # do not have to admit a one-sensor array.
+    code, out = _run(tmp_path, "array-scan", _two_sensor_fig2(kind))
+    assert code == 0
+    [row] = list(csv.DictReader(open(out / "array-scan.csv")))
+    sens = tmp_path / "sens"
+    assert cli.main(["sensitivity", "--scenario", str(tmp_path / "scn.json"),
+                     "--out", str(sens)]) == 0
+    classical = next(r for r in csv.DictReader(open(sens / "sensitivity.csv"))
+                     if r["quantity"] == "classical")
+    assert float(row["i_classical_coherent"]) == float(classical["value"])
+
+
+def test_dm_projection_two_templates(tmp_path):
+    raw = preset_scenario("fig3")
+    template = raw["array"]["sensors"][0]
+    raw["array"]["sensors"] = [template, dict(template, resonance_hz=2600.0)]
+    raw["scan"].update(dqs_sensors=2, compton_points=3)
+    code, _ = _run(tmp_path, "dm-projection", raw)
+    assert code == 0
+
+
+def test_dm_projection_records_plan_warnings(tmp_path):
+    raw = preset_scenario("fig3")
+    raw["observation"]["duration_s"] = 1.0   # Delta_a * T_O < 1 on every row
+    raw["scan"]["compton_points"] = 5
+    code, out = _run(tmp_path, "dm-projection", raw)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["warnings"]) == 1
+    assert manifest["warnings"][0].startswith("Delta_a * T_O < 1")
 
 
 def test_table_columns_cover_exactly_the_table_commands():

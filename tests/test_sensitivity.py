@@ -15,8 +15,9 @@ from omsense.sensitivity import (_G10_WEIGHTS, _K21_NODES, _K21_WEIGHTS,
                                  calibrate_material_factor,
                                  integrated_sensitivity,
                                  min_detectable_coupling,
-                                 resonance_refined_grid, snr_observation)
+                                 resonance_refined_grid)
 from omsense.scenario import preset_scenario, scenario_from_dict
+from reference_paths import snr_observation
 
 
 @pytest.fixture

@@ -1,22 +1,26 @@
 """Single-sensor physics: response functions, quadrature inputs, noise budgets."""
 
+import ast
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import omsense
 from omsense.constants import HBAR, K_B, TWO_PI, C_LIGHT
 from omsense.errors import ConfigError
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
-                             SqueezedInput, acceleration_asd, bad_cavity_map,
+                             SqueezedInput, acceleration_asd,
                              cavity_phase_and_cooperativity, displacement_asd,
                              input_quadrature_psds, mechanical_susceptibility,
-                             simplified_model_noise_psd,
                              single_sensor_noise_psd, sql_noise_psd,
-                             squeezed_noise_closed_form, thermal_momentum_psd)
+                             thermal_momentum_psd)
 from conftest import power_for_cooperativity
+from reference_paths import (bad_cavity_map, simplified_model_noise_psd,
+                             squeezed_noise_closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +192,33 @@ def test_zero_cooperativity_rejected(membrane_osc, membrane_cav):
     with pytest.raises(ConfigError):
         single_sensor_noise_psd(membrane_osc, dark, QuadraturePsds.vacuum(),
                                 TWO_PI * 100.0)
+
+
+def test_sensor_response_is_the_only_response_kernel():
+    # A second caller of these primitives would be a second copy of the
+    # per-sensor response, free to skip or reword its readout checks.
+    primitives = {"cavity_phase_and_cooperativity", "_half_phase"}
+    sources = sorted(Path(omsense.__file__).parent.glob("*.py"))
+    calls = []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in primitives:
+                scope = parent[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parent[scope]
+                calls.append((path.name, getattr(scope, "name", None), name))
+    assert sorted(calls) == [
+        ("spectra.py", "sensor_response", "_half_phase"),
+        ("spectra.py", "sensor_response", "cavity_phase_and_cooperativity")]
+    text = "".join(path.read_text() for path in sources)
+    assert text.count("zero optomechanical cooperativity") == 1
+    assert text.count("eta^2 = 0") == 1
 
 
 def test_loss_monotonicity(membrane_osc, membrane_cav):
