@@ -252,8 +252,7 @@ def _emit(args, command, columns, rows, scn: Scenario | None,
         "defaults_used": scn.defaults_used if scn is not None else {},
         "warnings": list(scn.warnings) if scn is not None else [],
         "grid": {"span_rad_s": list(scn.grid_span),
-                 "tolerance_rel": scn.grid_tol,
-                 "points_per_decade": scn.grid_points_per_decade}
+                 "tolerance_rel": scn.grid_tol}
                 if scn is not None else None,
         "columns": columns,
         "outputs": [os.path.basename(table_path)],

@@ -233,7 +233,6 @@ class Scenario:
     plan: ObservationPlan
     grid_span: tuple[float, float]
     grid_tol: float
-    grid_points_per_decade: int
     gamma_convention: str
     output_format: str
     scan: dict
@@ -290,8 +289,7 @@ class Scenario:
                              for s in self.sensors})
         return resonance_refined_grid(
             resonances, self.grid_span,
-            tol=self.grid_tol if tol is None else tol,
-            points_per_decade=self.grid_points_per_decade)
+            tol=self.grid_tol if tol is None else tol)
 
 
 def scenario_from_dict(raw: dict, strict: bool = True,
@@ -443,7 +441,9 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     if "min_hz" not in grid and "min_rad_s" not in grid:
         defaults["integration_span_rad_s"] = [lo, hi]
     tol = _positive(grid.get("tolerance_rel", 1e-3), "grid.tolerance_rel")
-    ppd = _count(grid.get("points_per_decade", 16), "grid.points_per_decade")
+    if "points_per_decade" in grid:
+        warns.append("grid.points_per_decade has no effect: seed panels come "
+                     "from the resonances alone")
 
     scan = raw.get("scan", {})
     _check_keys(scan, set(_SCAN_FIELDS), "scan", strict, warns)
@@ -462,7 +462,6 @@ def scenario_from_dict(raw: dict, strict: bool = True,
                     power_convention=power_convention, power=power,
                     squeeze=squeeze, dark_matter=dark_matter, plan=plan,
                     grid_span=(lo, hi), grid_tol=tol,
-                    grid_points_per_decade=ppd,
                     gamma_convention=gamma_convention, output_format=fmt,
                     scan=scan, warnings=warns, defaults_used=defaults)
 
@@ -511,7 +510,7 @@ def _base_scenario(**overrides) -> dict:
         },
         "input_light": {"squeezing_db": 10.0, "angle_policy": "optimal"},
         "observation": {"duration_s": YEAR_S, "snr_threshold": 1.0},
-        "grid": {"tolerance_rel": 1e-3, "points_per_decade": 16},
+        "grid": {"tolerance_rel": 1e-3},
         "output": {"format": "csv"},
     }
     raw.update(overrides)

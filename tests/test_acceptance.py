@@ -20,8 +20,9 @@ from omsense.arrays import (array_noise_psd, array_signal_psd,
                             array_squeezed_noise, identical_array,
                             optimal_squeezing_angle)
 from omsense.oracle import assemble_transfer, propagate_covariance
-from omsense.sensitivity import integrated_sensitivity, min_detectable_coupling
-from omsense.scenario import preset_scenario, scenario_from_dict
+from omsense.sensitivity import (FrequencyGrid, integrated_sensitivity,
+                                 min_detectable_coupling)
+from omsense.scenario import Scenario, preset_scenario, scenario_from_dict
 from reference_paths import squeezed_noise_closed_form
 from omsense.scans import (dm_projection_table, oracle_check_table,
                            random_array, sensitivity_report)
@@ -257,22 +258,46 @@ def test_criterion_8_projection_anchor_and_ordering():
             f"Compton frequencies: {below}")
 
 
+def _self_converged(row) -> bool:
+    """Criterion 9 on one sensitivity row: recomputing at half the tolerance
+    on the bisected grid moves the integral by a nonzero amount, below 1e-3
+    and within the quadrature's own error estimate."""
+    change = row["rel_change_half_tol"]
+    return 0.0 < change <= row["rel_error_estimate"] and change < 1e-3
+
+
 def test_criterion_9_quadrature_self_convergence():
-    worst = 0.0
-    bisected = []
-    names = []
-    for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
-        scn = scenario_from_dict(preset_scenario(name))
-        for row in sensitivity_report(scn):
-            worst = max(worst, row["rel_change_half_tol"])
-            bisected.append(row["rel_change_bisected"])
-        names.append(name)
-    _report(9, worst < 1e-3 and 0.0 < min(bisected) and max(bisected) < 1e-3,
-            f"halving the grid tolerance changes the broadband integrals of "
-            f"all shipped scenarios {names} by at most {worst:.2e} (< 1e-3), "
-            f"and bisecting every seed panel by {min(bisected):.2e} to "
-            f"{max(bisected):.2e} (nonzero, < 1e-3), despite Q = 1e9 "
+    names = ("fig2", "fig3", "fig4", "fig5", "fig6")
+    rows = [row for name in names
+            for row in sensitivity_report(scenario_from_dict(preset_scenario(name)))]
+    changes = [row["rel_change_half_tol"] for row in rows]
+    share = max(row["rel_change_half_tol"] / row["rel_error_estimate"]
+                for row in rows)
+    _report(9, all(map(_self_converged, rows)),
+            f"recomputing at half the tolerance on the bisected grid changes "
+            f"the broadband integrals of all shipped scenarios {list(names)} "
+            f"by {min(changes):.2e} to {max(changes):.2e} (nonzero, < 1e-3), "
+            f"at most {share:.2e} of the error estimate, despite Q = 1e9 "
             f"resonances")
+
+
+def test_criterion_9_fails_on_a_sparse_ladder(monkeypatch):
+    """The gate can fail: seed panels at omega0 +- gamma 10^(3k) alone
+    under-resolve fig6's line, and its error estimate no longer bounds the
+    change."""
+    def sparse_grid(self, tol=None):
+        [(omega0, gamma)] = {(s.oscillator.omega0, s.oscillator.gamma)
+                             for s in self.sensors}
+        lo, hi = self.grid_span
+        offsets = gamma * 10.0 ** np.arange(0, 22, 3)
+        nodes = np.concatenate([[lo, omega0, hi], omega0 - offsets,
+                                omega0 + offsets])
+        return FrequencyGrid(nodes=np.unique(nodes[(nodes >= lo) & (nodes <= hi)]),
+                             tol=self.grid_tol if tol is None else tol)
+
+    monkeypatch.setattr(Scenario, "build_grid", sparse_grid)
+    rows = sensitivity_report(scenario_from_dict(preset_scenario("fig6")))
+    assert not all(map(_self_converged, rows))
 
 
 def test_criterion_10_determinism(tmp_path):

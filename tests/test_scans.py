@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from omsense import scans
 from omsense.scenario import preset_scenario, scenario_from_dict
+from omsense.sensitivity import integrated_sensitivity
 from omsense.scans import (array_scan_table, dm_projection_table,
                            loss_scan_table, noise_budget_table,
                            power_scan_table, sensitivity_report)
@@ -98,6 +100,27 @@ def test_sensitivity_report_quantities():
     assert all(r["rel_error_estimate"] <= scn.grid_tol for r in rows)
     sq = {r["quantity"]: r["value"] for r in rows}
     assert sq["squeezed"] > sq["classical"]
+
+
+def test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance(monkeypatch):
+    """rel_change_half_tol compares two different node sets, so it is not
+    a number compared with itself."""
+    scn = scenario_from_dict(preset_scenario("fig4"))
+    grid = scn.build_grid()
+    calls = []
+
+    def recording(signal, noise, grid, rel_tol=None):
+        calls.append((grid.nodes, rel_tol))
+        return integrated_sensitivity(signal, noise, grid, rel_tol)
+
+    monkeypatch.setattr(scans, "integrated_sensitivity", recording)
+    rows = scans.sensitivity_report(scn)
+    assert len(calls) == 2 * len(rows)
+    for (nodes, tol), (half_nodes, half_tol) in zip(calls[0::2], calls[1::2]):
+        assert tol is None and half_tol == 0.5 * grid.tol
+        np.testing.assert_array_equal(nodes, grid.nodes)
+        np.testing.assert_array_equal(half_nodes, grid.bisected().nodes)
+    assert all(r["rel_change_half_tol"] > 0.0 for r in rows)
 
 
 def test_loss_scan_applies_loss_to_every_template():

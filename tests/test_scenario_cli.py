@@ -370,20 +370,32 @@ def test_cli_bad_tolerance_rejected(tmp_path, capsys, value):
 @pytest.mark.parametrize("block,key,value,message", [
     ("array", "power_w", "abc", "array.power_w must be a number"),
     ("array", "copies", "abc", "array.copies must be a number"),
-    ("grid", "tolerance_rel", "x", "grid.tolerance_rel must be a number"),
-    ("grid", "points_per_decade", "abc",
-     "grid.points_per_decade must be a number"),
-    ("grid", "points_per_decade", 0, "grid.points_per_decade must be an integer"),
-    ("grid", "points_per_decade", -4,
-     "grid.points_per_decade must be an integer"),
-    ("grid", "points_per_decade", 2.5,
-     "grid.points_per_decade must be an integer")])
+    ("grid", "tolerance_rel", "x", "grid.tolerance_rel must be a number")])
 def test_cli_malformed_number_is_validation_error(tmp_path, capsys, block, key,
                                                   value, message):
     raw = _fig4_dict()
     raw[block][key] = value
     assert _run_noise(tmp_path, raw) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_points_per_decade_accepted_and_ignored(tmp_path):
+    """Older scenario files set grid.points_per_decade: strict mode still
+    loads them, the table is unchanged and the manifest notes the key."""
+    outputs = {}
+    for label, grid in (("with", {"tolerance_rel": 1e-3, "points_per_decade": 16}),
+                        ("without", {"tolerance_rel": 1e-3})):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(_fig4_dict(grid=grid)))
+        out = tmp_path / label
+        assert cli.main(["sensitivity", "--scenario", str(path), "--strict",
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs[label] = ((out / "sensitivity.csv").read_bytes(),
+                          manifest["warnings"])
+    assert outputs["with"][0] == outputs["without"][0]
+    assert outputs["without"][1] == []
+    assert any("points_per_decade has no effect" in w for w in outputs["with"][1])
 
 
 def _run(tmp_path, command, raw):
