@@ -34,6 +34,8 @@ ENV_PREFIX = "OMSENSE_"
 _COMMANDS = ("noise", "array-scan", "sensitivity", "dm-projection",
              "power-scan", "loss-scan", "oracle-check") + PRESET_NAMES
 
+_OUT_OF_RANGE = "inputs outside the model's numeric range"
+
 _PRESET_COMMAND = {"fig2": "array-scan", "fig3": "dm-projection",
                    "fig4": "noise", "fig5": "power-scan", "fig6": "loss-scan"}
 
@@ -177,7 +179,7 @@ def _compute(command: str, scn: Scenario, args) -> tuple[list[str], list[dict]]:
     elif effective == "array-scan":
         rows = scans.array_scan_table(scn)
     elif effective == "sensitivity":
-        rows = scans.sensitivity_report(scn, tol=args.tolerance)
+        rows = scans.sensitivity_report(scn)
     elif effective == "dm-projection":
         overlays = _load_overlays(getattr(args, "overlay", []))
         rows = scans.dm_projection_table(scn, overlays=overlays)
@@ -188,6 +190,10 @@ def _compute(command: str, scn: Scenario, args) -> tuple[list[str], list[dict]]:
     else:
         raise ScenarioError(f"unhandled command {command!r}")
     columns = list(scans.COLUMNS[effective])
+    for col in columns:
+        if any(not isinstance(row[col], str) and not math.isfinite(row[col])
+               for row in rows):
+            raise ConfigError(f"{_OUT_OF_RANGE}: column {col!r} is not finite")
     if rows:
         extras = [k for k in rows[0] if k not in columns]
         columns += sorted(extras)
@@ -225,6 +231,9 @@ def main(argv=None) -> int:
         return 0
     except (ScenarioError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: {_OUT_OF_RANGE} ({exc})", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)

@@ -138,12 +138,12 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> list[dict]:
 # integrated sensitivity and scans
 # ---------------------------------------------------------------------------
 
-def sensitivity_report(scn: Scenario, tol: float | None = None) -> list[dict]:
+def sensitivity_report(scn: Scenario) -> list[dict]:
     """Integrated sensitivity with a self-convergence check: the relative
     change when the integral is recomputed at half the tolerance on the
     bisected grid, a different node set."""
     arr = scn.build_array()
-    grid = scn.build_grid(tol)
+    grid = scn.build_grid()
     signal = _flat_signal(float(array_signal_psd(arr, 1.0)))
     quantities = [("classical", _VACUUM)]
     if scn.squeeze.r > 0:

@@ -14,6 +14,7 @@ as the half-linewidth entering the susceptibility.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -68,41 +69,54 @@ def _check_keys(block: dict, allowed: set, where: str, strict: bool,
         warnings_out.append(msg)
 
 
+_REQUIRED = object()
+_MAX_COUNT = 10_000  # copies, sensor counts and scan points
+
+
+def _field(block: dict, key: str, where: str, parse, default=_REQUIRED):
+    """``parse(block[key], "<where>.<key>")``; an absent or null key gives
+    ``default``, and is an error when no default is given."""
+    raw = block.get(key)
+    if raw is None:
+        if default is _REQUIRED:
+            raise ScenarioError(f"{where}: missing field {key!r}")
+        return default
+    return parse(raw, f"{where}.{key}")
+
+
 def _number(raw, name: str) -> float:
     """A scenario value as a float; anything that is not a number is a
     ScenarioError (exit 2), never a traceback."""
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{name} must be a number, got {raw!r}") from None
 
 
 def _bounded(raw, name: str, ok, rule: str) -> float:
-    """A scenario number for which ``ok(value)`` holds, else exit 2."""
+    """A finite scenario number for which ``ok(value)`` holds, else exit 2."""
     value = _number(raw, name)
-    if not ok(value):
+    if not (math.isfinite(value) and ok(value)):
         raise ScenarioError(f"{name} must be {rule}, got {raw!r}")
     return value
 
 
-def _count(raw, name: str, minimum: int = 1) -> int:
-    """A scenario value as an integer >= ``minimum``."""
-    return int(_bounded(raw, name, lambda v: math.isfinite(v) and v == int(v)
-                        and v >= minimum, f"an integer >= {minimum}"))
+def _count(raw, name: str) -> int:
+    """A scenario value as an integer in [1, _MAX_COUNT]."""
+    return int(_bounded(raw, name, lambda v: v == int(v) and 1 <= v <= _MAX_COUNT,
+                        f"an integer in [1, {_MAX_COUNT}]"))
 
 
 def _positive(raw, name: str) -> float:
-    return _bounded(raw, name, lambda v: math.isfinite(v) and v > 0,
-                    "finite and > 0")
+    return _bounded(raw, name, lambda v: v > 0, "finite and > 0")
 
 
 def _non_negative(raw, name: str) -> float:
-    return _bounded(raw, name, lambda v: math.isfinite(v) and v >= 0,
-                    "finite and >= 0")
+    return _bounded(raw, name, lambda v: v >= 0, "finite and >= 0")
 
 
 def _finite(raw, name: str) -> float:
-    return _bounded(raw, name, math.isfinite, "finite")
+    return _bounded(raw, name, lambda v: True, "finite")
 
 
 def _loss(raw, name: str) -> float:
@@ -120,99 +134,87 @@ def _real_weight(raw, name: str) -> float:
     return _finite(raw, name)
 
 
-def _number_list(raw, name: str, parse) -> list:
-    if not isinstance(raw, list):
-        raise ScenarioError(f"{name} must be a list, got {raw!r}")
-    return [parse(v, f"{name}[{i}]") for i, v in enumerate(raw)]
+def _list_of(parse):
+    """A parse for a list whose every entry passes ``parse``."""
+    def parse_list(raw, name: str) -> list:
+        if not isinstance(raw, list):
+            raise ScenarioError(f"{name} must be a list, got {raw!r}")
+        return [parse(v, f"{name}[{i}]") for i, v in enumerate(raw)]
+    return parse_list
 
 
-# scan key: (default, parse, is_list); powers_w and losses have no default,
+def _choice(*options):
+    """A parse that accepts only one of ``options``."""
+    def parse_choice(raw, name: str):
+        if raw not in options:
+            raise ScenarioError(f"{name} must be one of {list(options)}, got {raw!r}")
+        return raw
+    return parse_choice
+
+
+# scan key: (default, parse); powers_w and losses have no default,
 # power-scan and loss-scan require them.
 _SCAN_FIELDS = {
-    "sensor_counts": ([1, 2, 4, 8, 16, 32, 64, 100], _count, True),
-    "dqs_sensors": (10, _count, False),
-    "compton_hz_min": (20.0, _positive, False),
-    "compton_hz_max": (20000.0, _positive, False),
-    "compton_points": (61, _count, False),
-    "powers_w": (None, _non_negative, True),
-    "fixed_angle_rad": (math.pi / 4, _finite, False),
-    "losses": (None, _loss, True),
+    "sensor_counts": ([1, 2, 4, 8, 16, 32, 64, 100], _list_of(_count)),
+    "dqs_sensors": (10, _count),
+    "compton_hz_min": (20.0, _positive),
+    "compton_hz_max": (20000.0, _positive),
+    "compton_points": (61, _count),
+    "powers_w": (None, _list_of(_non_negative)),
+    "fixed_angle_rad": (math.pi / 4, _finite),
+    "losses": (None, _list_of(_loss)),
 }
 
 
-def _scan_block(block: dict) -> dict:
-    """Every ``scan`` field parsed and range-checked, defaults filled in."""
-    scan = {}
-    for key, (default, parse, is_list) in _SCAN_FIELDS.items():
-        raw = default if block.get(key) is None else block[key]
-        if raw is None:
-            scan[key] = None
-        elif is_list:
-            scan[key] = _number_list(raw, f"scan.{key}", parse)
-        else:
-            scan[key] = parse(raw, f"scan.{key}")
-    return scan
-
-
-def _angular(block: dict, base: str, where: str, default=None):
-    """Read ``<base>_rad_s`` or ``<base>_hz`` (converted by 2 pi)."""
+def _angular(block: dict, base: str, where: str, default=_REQUIRED,
+             parse=_positive):
+    """Read ``<base>_rad_s`` or ``<base>_hz`` (converted by 2 pi), as
+    ``_field`` reads one key."""
     rad_key, hz_key = f"{base}_rad_s", f"{base}_hz"
-    if rad_key in block and block[rad_key] is not None:
-        if hz_key in block and block[hz_key] is not None:
+    hz = _field(block, hz_key, where, parse, None)
+    if hz is not None:
+        if block.get(rad_key) is not None:
             raise ScenarioError(f"{where}: give {rad_key} or {hz_key}, not both")
-        return _number(block[rad_key], f"{where}.{rad_key}")
-    if hz_key in block and block[hz_key] is not None:
-        return TWO_PI * _number(block[hz_key], f"{where}.{hz_key}")
-    return default
+        return parse(TWO_PI * hz, f"{where}.{hz_key} (in rad/s)")
+    if default is _REQUIRED and block.get(rad_key) is None:
+        raise ScenarioError(f"{where}: {rad_key} or {hz_key} required")
+    return _field(block, rad_key, where, parse, default)
 
 
 def _build_sensor(raw: dict, idx: int, strict: bool, warnings_out: list,
                   gamma_convention: str) -> ArraySensor:
     where = f"array.sensors[{idx}]"
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be an object")
     _check_keys(raw, _SENSOR_KEYS, where, strict, warnings_out)
-    try:
-        mass = float(raw["mass_kg"])
-        omega0 = _angular(raw, "resonance", where)
-        if omega0 is None:
-            raise ScenarioError(f"{where}: resonance_hz or resonance_rad_s required")
-        temperature = float(raw.get("temperature_k", 0.0))
-        damping = _angular(raw, "damping", where)
-        if damping is not None:
-            osc = Oscillator(mass=mass, omega0=omega0, gamma=damping,
-                             temperature=temperature)
-        elif "quality_factor" in raw:
-            quality = _positive(raw["quality_factor"], f"{where}.quality_factor")
-            osc = Oscillator.from_quality(mass, omega0, quality, temperature,
-                                          gamma_convention)
-        else:
-            raise ScenarioError(f"{where}: quality_factor or damping required")
+    mass = _field(raw, "mass_kg", where, _positive)
+    omega0 = _angular(raw, "resonance", where)
+    temperature = _field(raw, "temperature_k", where, _non_negative, 0.0)
+    damping = _angular(raw, "damping", where, default=None)
+    quality = _field(raw, "quality_factor", where, _positive, None)
+    if damping is not None:
+        osc = Oscillator(mass=mass, omega0=omega0, gamma=damping,
+                         temperature=temperature)
+    elif quality is not None:
+        osc = Oscillator.from_quality(mass, omega0, quality, temperature,
+                                      gamma_convention)
+    else:
+        raise ScenarioError(f"{where}: quality_factor or damping required")
 
-        kappa = _angular(raw, "kappa", where)
-        if kappa is None:
-            raise ScenarioError(f"{where}: kappa_rad_s or kappa_hz required")
-        kappa_r = _angular(raw, "readout_kappa", where, default=kappa)
-        wavelength = _positive(raw["wavelength_m"], f"{where}.wavelength_m")
-        length = raw.get("cavity_length_m")
-        length = None if length is None else float(length)
-        g0 = _angular(raw, "g0", where)
-        cav = CavityOptics.from_wavelength(
-            kappa=kappa, kappa_readout=kappa_r,
-            g0=0.0 if g0 is None else g0, wavelength=wavelength,
-            input_power=0.0,
-            efficiency_sq=float(raw.get("detection_efficiency_sq", 1.0)),
-            length=length)
-        if g0 is None:
-            if length is None:
-                raise ScenarioError(f"{where}: g0 or cavity_length_m required")
-            cav = replace(cav, g0=cav.g0_from_geometry(osc))
-    except KeyError as exc:
-        raise ScenarioError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-    response = _positive(raw.get("response_factor", 1.0),
-                         f"{where}.response_factor")
+    kappa = _angular(raw, "kappa", where)
+    length = _field(raw, "cavity_length_m", where, _positive, None)
+    g0 = _angular(raw, "g0", where, default=None, parse=_non_negative)
+    if g0 is None and length is None:
+        raise ScenarioError(f"{where}: g0 or cavity_length_m required")
+    cav = CavityOptics.from_wavelength(
+        kappa=kappa,
+        kappa_readout=_angular(raw, "readout_kappa", where, default=kappa),
+        g0=0.0 if g0 is None else g0,
+        wavelength=_field(raw, "wavelength_m", where, _positive),
+        input_power=0.0,
+        efficiency_sq=_field(raw, "detection_efficiency_sq", where, _finite, 1.0),
+        length=length)
+    if g0 is None:
+        cav = replace(cav, g0=cav.g0_from_geometry(osc))
+    response = _field(raw, "response_factor", where, _positive, 1.0)
     return ArraySensor(oscillator=osc, cavity=cav, response_factor=response)
 
 
@@ -233,7 +235,6 @@ class Scenario:
     plan: ObservationPlan
     grid_span: tuple[float, float]
     grid_tol: float
-    gamma_convention: str
     output_format: str
     scan: dict
     warnings: list[str] = field(default_factory=list)
@@ -273,27 +274,26 @@ class Scenario:
                 cw = matched_weights(dv)
             elif self.weights_policy == "uniform":
                 cw = uniform_weights(m)
-            elif self.weights_policy == "inverse_variance":
+            else:
                 omega_ref = sensors[0].oscillator.omega0
                 cw = inverse_variance_weights(sensors, dv, total, omega_ref)
-            else:
-                raise ScenarioError(f"unknown weights policy {self.weights_policy!r}")
-        try:
-            return SensorArray(sensors=sensors, dividing_weights=dv,
-                               combining_weights=cw, total_power=total)
-        except Exception as exc:
-            raise ScenarioError(str(exc)) from exc
+        return SensorArray(sensors=sensors, dividing_weights=dv,
+                           combining_weights=cw, total_power=total)
 
-    def build_grid(self, tol: float | None = None) -> FrequencyGrid:
+    def build_grid(self) -> FrequencyGrid:
         resonances = sorted({(s.oscillator.omega0, s.oscillator.gamma)
                              for s in self.sensors})
-        return resonance_refined_grid(
-            resonances, self.grid_span,
-            tol=self.grid_tol if tol is None else tol)
+        return resonance_refined_grid(resonances, self.grid_span,
+                                      tol=self.grid_tol)
 
 
 def scenario_from_dict(raw: dict, strict: bool = True,
                        gamma_convention: str = "half") -> Scenario:
+    """Validate a scenario and build its physics objects.
+
+    A malformed, non-finite or out-of-range value raises ScenarioError; a
+    combination the physics classes reject raises their ConfigError.
+    """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
     warns: list[str] = []
@@ -313,123 +313,95 @@ def scenario_from_dict(raw: dict, strict: bool = True,
         raise ScenarioError("array.sensors must be a non-empty list")
     sensors = tuple(_build_sensor(s, i, strict, warns, gamma_convention)
                     for i, s in enumerate(sensor_list))
-    copies = _count(arr.get("copies", 1), "array.copies")
+    copies = _field(arr, "copies", "array", _count, 1)
     if copies > 1 and len(sensors) > 1:
         raise ScenarioError("array.copies > 1 requires a single sensor template")
-    policy = arr.get("weights_policy", "matched")
+    policy = _field(arr, "weights_policy", "array", _choice(
+        "matched", "uniform", "inverse_variance", "explicit"), "matched")
     defaults.setdefault("weights_policy", policy)
     explicit_dv = explicit_cw = None
     if policy == "explicit":
-        dv = arr.get("dividing_weights")
-        cw = arr.get("combining_weights")
-        if dv is None or cw is None:
-            raise ScenarioError("explicit weights policy needs dividing_weights "
-                                "and combining_weights")
-        explicit_dv = np.asarray(_number_list(
-            dv, "array.dividing_weights", _real_weight), dtype=complex)
-        explicit_cw = np.asarray(_number_list(
-            cw, "array.combining_weights", _real_weight), dtype=complex)
+        weights = _list_of(_real_weight)
+        explicit_dv = np.asarray(_field(arr, "dividing_weights", "array",
+                                        weights), dtype=complex)
+        explicit_cw = np.asarray(_field(arr, "combining_weights", "array",
+                                        weights), dtype=complex)
         m = copies if len(sensors) == 1 else len(sensors)
-        norm = float(np.sum(np.abs(explicit_dv) ** 2))
+        norm = math.fsum(abs(w) ** 2 for w in explicit_dv)
         if explicit_dv.size != m or abs(norm - 1.0) > 1e-10:
             raise ScenarioError(
                 f"dividing weights must have {m} entries with sum |w|^2 = 1 "
                 f"(got norm {norm!r})")
-    elif policy not in ("matched", "uniform", "inverse_variance"):
-        raise ScenarioError(f"unknown weights policy {policy!r}")
-    power_convention = arr.get("power_convention", "per_sensor")
-    if power_convention not in ("per_sensor", "total"):
-        raise ScenarioError(f"unknown power convention {power_convention!r}")
+    power_convention = _field(arr, "power_convention", "array",
+                              _choice("per_sensor", "total"), "per_sensor")
     defaults["power_convention"] = power_convention
-    if "power_w" not in arr:
-        raise ScenarioError("array.power_w is required")
-    power = _non_negative(arr["power_w"], "array.power_w")
+    power = _field(arr, "power_w", "array", _non_negative)
 
     light = raw.get("input_light", {})
     _check_keys(light, _LIGHT_KEYS, "input_light", strict, warns)
-    angle_policy = light.get("angle_policy", "vacuum")
-    angle = _number(light.get("angle_rad", 0.0), "input_light.angle_rad")
-    try:
-        if light.get("squeezing_db") is not None:
-            if light.get("photon_number") is not None:
-                raise ScenarioError(
-                    "input_light: give squeezing_db or photon_number, not both")
-            squeeze = SqueezedInput.from_db(float(light["squeezing_db"]),
-                                            angle_policy, angle)
-        elif light.get("photon_number") is not None:
-            squeeze = SqueezedInput.from_photon_number(
-                float(light["photon_number"]), angle_policy, angle)
-        else:
-            squeeze = SqueezedInput.vacuum()
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"input_light: {exc}") from exc
+    angle_policy = _field(light, "angle_policy", "input_light",
+                          _choice("vacuum", "fixed", "optimal"), "vacuum")
+    angle = _field(light, "angle_rad", "input_light", _finite, 0.0)
+    db = _field(light, "squeezing_db", "input_light", _finite, None)
+    n_s = _field(light, "photon_number", "input_light", _non_negative, None)
+    if db is not None and n_s is not None:
+        raise ScenarioError(
+            "input_light: give squeezing_db or photon_number, not both")
+    if db is not None:
+        squeeze = SqueezedInput.from_db(db, angle_policy, angle)
+    elif n_s is not None:
+        squeeze = SqueezedInput.from_photon_number(n_s, angle_policy, angle)
+    else:
+        squeeze = SqueezedInput.vacuum()
 
     obs = raw.get("observation", {})
     _check_keys(obs, _OBS_KEYS, "observation", strict, warns)
-    t_int = obs.get("integration_time_s")
-    threshold = _number(obs.get("snr_threshold", 1.0),
-                        "observation.snr_threshold")
+    threshold = _field(obs, "snr_threshold", "observation", _number, 1.0)
     defaults["snr_threshold"] = threshold
-    try:
-        plan = ObservationPlan(duration=float(obs.get("duration_s", YEAR_S)),
-                               integration_time=None if t_int is None else float(t_int),
-                               snr_threshold=threshold)
-    except Exception as exc:
-        raise ScenarioError(f"observation: {exc}") from exc
+    plan = ObservationPlan(
+        duration=_field(obs, "duration_s", "observation", _number, YEAR_S),
+        integration_time=_field(obs, "integration_time_s", "observation",
+                                _number, None),
+        snr_threshold=threshold)
 
     dm_block = raw.get("dark_matter")
     dark_matter = None
     if dm_block is not None:
-        _check_keys(dm_block, _DM_KEYS, "dark_matter", strict, warns)
-        if "density_kg_m3" in dm_block:
-            rho = _positive(dm_block["density_kg_m3"],
-                            "dark_matter.density_kg_m3")
-        elif "density_gev_cm3" in dm_block:
-            rho = GEV_PER_CM3_TO_KG_M3 * _positive(
-                dm_block["density_gev_cm3"], "dark_matter.density_gev_cm3")
-        else:
+        where = "dark_matter"
+        _check_keys(dm_block, _DM_KEYS, where, strict, warns)
+        rho = _field(dm_block, "density_kg_m3", where, _positive, None)
+        gev = _field(dm_block, "density_gev_cm3", where, _positive, None)
+        if rho is None and gev is not None:
+            rho = GEV_PER_CM3_TO_KG_M3 * gev
+        elif rho is None:
             rho = RHO_DM_DEFAULT
             defaults["rho_dm_kg_m3"] = rho
-        compton = _positive(
-            _angular(dm_block, "compton", "dark_matter",
-                     default=sensors[0].oscillator.omega0),
-            "dark_matter.compton (in rad/s)")
-        fraction = _positive(dm_block.get("linewidth_fraction", 1e-6),
-                             "dark_matter.linewidth_fraction")
+        compton = _angular(dm_block, "compton", where,
+                           default=sensors[0].oscillator.omega0)
+        fraction = _field(dm_block, "linewidth_fraction", where, _positive, 1e-6)
         defaults["coherence_linewidth_rule"] = f"Delta_a = {fraction:g} * Omega_DM"
-        lw = dm_block.get("coherence_linewidth_rad_s")
-        material = dm_block.get("material_factor")
+        material = _field(dm_block, "material_factor", where, _non_negative, None)
         if material is None:
             cal = dm_block.get("calibration")
             if cal is None:
                 raise ScenarioError(
                     "dark_matter needs material_factor or a calibration block")
-            _check_keys(cal, _CAL_KEYS, "dark_matter.calibration", strict, warns)
-            try:
-                material = calibrate_material_factor(
-                    acceleration_asd=_number(
-                        cal["acceleration_asd_ms2_rthz"],
-                        "dark_matter.calibration.acceleration_asd_ms2_rthz"),
-                    coupling=_number(cal["coupling"],
-                                     "dark_matter.calibration.coupling"),
-                    mass=sensors[0].oscillator.mass,
-                    compton_omega=compton, plan=plan, rho_dm=rho,
-                    linewidth_fraction=fraction)
-            except KeyError as exc:
-                raise ScenarioError(
-                    f"dark_matter.calibration missing {exc.args[0]!r}") from exc
-            defaults["material_factor_calibrated"] = material
-        try:
-            dark_matter = DarkMatterModel(
-                coupling=float(dm_block.get("coupling", 1.0)),
-                material_factor=float(material), compton_omega=compton,
-                rho_dm=rho,
-                coherence_linewidth=None if lw is None else float(lw),
+            cal_where = "dark_matter.calibration"
+            _check_keys(cal, _CAL_KEYS, cal_where, strict, warns)
+            material = calibrate_material_factor(
+                acceleration_asd=_field(cal, "acceleration_asd_ms2_rthz",
+                                        cal_where, _positive),
+                coupling=_field(cal, "coupling", cal_where, _positive),
+                mass=sensors[0].oscillator.mass,
+                compton_omega=compton, plan=plan, rho_dm=rho,
                 linewidth_fraction=fraction)
-        except Exception as exc:
-            raise ScenarioError(f"dark_matter: {exc}") from exc
+            defaults["material_factor_calibrated"] = material
+        dark_matter = DarkMatterModel(
+            coupling=_field(dm_block, "coupling", where, _finite, 1.0),
+            material_factor=material, compton_omega=compton, rho_dm=rho,
+            coherence_linewidth=_field(dm_block, "coherence_linewidth_rad_s",
+                                       where, _positive, None),
+            linewidth_fraction=fraction)
 
     grid = raw.get("grid", {})
     _check_keys(grid, _GRID_KEYS, "grid", strict, warns)
@@ -438,22 +410,25 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     lo = _angular(grid, "min", "grid", default=min(omegas) / 1e3)
     hi = _angular(grid, "max", "grid",
                   default=min(max(omegas) * 1e3, min(kappas) / 10.0))
-    if "min_hz" not in grid and "min_rad_s" not in grid:
+    if not lo < hi:
+        raise ScenarioError(
+            f"grid: the span minimum {lo!r} rad/s must lie below its maximum "
+            f"{hi!r} rad/s")
+    if grid.get("min_hz") is None and grid.get("min_rad_s") is None:
         defaults["integration_span_rad_s"] = [lo, hi]
-    tol = _positive(grid.get("tolerance_rel", 1e-3), "grid.tolerance_rel")
+    tol = _field(grid, "tolerance_rel", "grid", _positive, 1e-3)
     if "points_per_decade" in grid:
         warns.append("grid.points_per_decade has no effect: seed panels come "
                      "from the resonances alone")
 
-    scan = raw.get("scan", {})
-    _check_keys(scan, set(_SCAN_FIELDS), "scan", strict, warns)
-    scan = _scan_block(scan)
+    scan_block = raw.get("scan", {})
+    _check_keys(scan_block, set(_SCAN_FIELDS), "scan", strict, warns)
+    scan = {key: _field(scan_block, key, "scan", parse, copy.copy(default))
+            for key, (default, parse) in _SCAN_FIELDS.items()}
 
     output = raw.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "output", strict, warns)
-    fmt = output.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ScenarioError(f"unknown output format {fmt!r}")
+    fmt = _field(output, "format", "output", _choice("csv", "json"), "csv")
 
     defaults["mechanical_bath_psd"] = "K_B*T/(hbar*Omega)"
     return Scenario(raw=raw, sensors=sensors, copies=copies,
@@ -461,8 +436,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
                     explicit_combining=explicit_cw,
                     power_convention=power_convention, power=power,
                     squeeze=squeeze, dark_matter=dark_matter, plan=plan,
-                    grid_span=(lo, hi), grid_tol=tol,
-                    gamma_convention=gamma_convention, output_format=fmt,
+                    grid_span=(lo, hi), grid_tol=tol, output_format=fmt,
                     scan=scan, warnings=warns, defaults_used=defaults)
 
 

@@ -190,6 +190,9 @@ def _adaptive_panels(f, nodes, rel_tol, max_evaluations=6_000_000):
         total = float(np.sum(val))
         scale = abs(total) + 1e-300
         err_total = float(np.sum(err))
+        if not math.isfinite(total + err_total):
+            raise ConfigError(f"the integral is not finite (value {total!r}, "
+                              f"error {err_total!r})")
         if err_total <= rel_tol * scale:
             return IntegrationResult(value=total, rel_error=err_total / scale,
                                      n_panels=a.size, n_evaluations=evals,
@@ -219,8 +222,9 @@ def integrated_sensitivity(signal_psd, noise_psd, grid: FrequencyGrid,
     """integral (signal/noise)^2 dw/pi over the grid span, adaptively refined.
 
     ``signal_psd`` and ``noise_psd`` are vectorized callables of omega; the
-    noise must be finite and positive wherever the quadrature evaluates it.
-    Raises ConvergenceError instead of returning an unconverged value.
+    noise must be finite and positive wherever the quadrature evaluates it,
+    and the integral finite (ConfigError otherwise).  Raises ConvergenceError
+    instead of returning an unconverged value.
     """
     if rel_tol is None:
         rel_tol = grid.tol

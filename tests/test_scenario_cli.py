@@ -4,9 +4,14 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omsense
 from omsense import cli
 from omsense.constants import TWO_PI
 from omsense.errors import ConvergenceError, ScenarioError
@@ -581,3 +586,77 @@ def test_dm_projection_records_plan_warnings(tmp_path):
 
 def test_table_columns_cover_exactly_the_table_commands():
     assert set(scans.COLUMNS) == set(cli._COMMANDS) - set(PRESET_NAMES)
+
+
+# ---------------------------------------------------------------------------
+# every value finite and in range, or exit 2 with nothing written
+# ---------------------------------------------------------------------------
+
+def _set(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("preset,path,value", [
+    ("fig3", ("dark_matter", "material_factor"), math.nan),
+    ("fig3", ("dark_matter", "calibration", "acceleration_asd_ms2_rthz"),
+     math.nan),
+    ("fig3", ("dark_matter", "calibration", "coupling"), math.nan),
+    ("fig3", ("dark_matter", "coherence_linewidth_rad_s"), math.nan),
+    ("fig3", ("dark_matter", "coupling"), math.inf),
+    ("fig4", ("grid", "min_hz"), math.nan),
+    ("fig4", ("grid", "min_hz"), -1.0),
+    ("fig4", ("grid",), {"min_hz": 1e4, "max_hz": 1e2}),
+    ("fig4", ("array", "sensors", 0, "g0_rad_s"), 1e300),      # OverflowError
+    ("fig4", ("array", "sensors", 0, "wavelength_m"), 1e300),  # ZeroDivisionError
+    ("fig4", ("array", "power_w"), 1e300),                     # NaN back-action
+    ("fig4", ("array", "sensors", 0, "resonance_hz"), 1e-300)],
+    ids=["material-nan", "cal-acceleration-nan", "cal-coupling-nan",
+         "linewidth-nan", "coupling-inf", "grid-min-nan", "grid-min-negative",
+         "grid-min-above-max", "g0-overflow", "wavelength-zero-division",
+         "power-nan-column", "resonance-nan-column"])
+def test_cli_out_of_range_value_exits_two(tmp_path, capsys, preset, path,
+                                          value):
+    raw = preset_scenario(preset)
+    _set(raw, path, value)
+    code, _ = _run(tmp_path, cli._PRESET_COMMAND[preset], raw)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("path,value,largest", [
+    (("array", "copies"), 10_001, 10_000),
+    (("array", "copies"), 1e9, 10_000),
+    (("scan", "sensor_counts"), [1, 10_001], [1, 10_000]),
+    (("scan", "dqs_sensors"), 10_001, 10_000),
+    (("scan", "compton_points"), 10_001, 10_000)])
+def test_counts_above_the_cap_rejected_at_load(path, value, largest):
+    raw = preset_scenario("fig3")
+    _set(raw, path, value)
+    with pytest.raises(ScenarioError, match=r"must be an integer in \[1, 10000\]"):
+        scenario_from_dict(raw)
+    _set(raw, path, largest)
+    scenario_from_dict(raw)
+
+
+def test_cli_non_finite_integral_exits_two_without_hanging(tmp_path):
+    """A signal gain of 1e600 overflows, so every quadrature estimate is
+    non-finite; the command must stop with exit 2, not refine forever."""
+    raw = _fig4_dict()
+    raw["array"]["sensors"][0]["response_factor"] = 1e300
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    src = str(Path(omsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "omsense.cli", "sensitivity", "--scenario",
+         str(path), "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert "integral is not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
