@@ -28,8 +28,8 @@ from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       single_sensor_noise_psd, sql_noise_psd,
                       thermal_momentum_psd)
 from .arrays import (ArraySensor, NoiseBreakdown, SensorArray, SqueezedNoise,
-                     array_noise_psd, array_signal_psd, array_sql_psd,
-                     array_squeezed_noise, identical_array,
+                     array_noise_psd, array_noise_totals, array_signal_psd,
+                     array_sql_psd, array_squeezed_noise, identical_array,
                      inverse_variance_weights, matched_weights,
                      optimal_squeezing_angle, single_sensor_array,
                      uniform_weights)

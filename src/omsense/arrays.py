@@ -48,6 +48,7 @@ __all__ = [
     "array_signal_psd",
     "array_noise_psd",
     "array_squeezed_noise",
+    "array_noise_totals",
     "optimal_squeezing_angle",
     "array_sql_psd",
 ]
@@ -205,7 +206,7 @@ class _Terms:
     """
 
     __slots__ = ("active", "group", "alpha", "beta", "ww", "wabs2", "thermal",
-                 "loss_weight")
+                 "loss_weight", "a", "b")
 
     def __init__(self, arr: SensorArray, omega):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -248,11 +249,9 @@ class _Terms:
         self.wabs2 = wabs2[:, None]
         self.thermal = thermal[:, None]
         self.loss_weight = loss_weight[:, None]
-
-    def coherent_sums(self):
-        a = np.sum(self.alpha * self.ww, axis=0)
-        b = np.sum(self.beta * self.ww, axis=0)
-        return a, b
+        # coherent sums A = sum alpha W w and B = sum beta W w
+        self.a = np.sum(alpha * self.ww, axis=0)
+        self.b = np.sum(beta * self.ww, axis=0)
 
     def thermal_psd(self):
         flat = np.sum(self.wabs2 * self.thermal, axis=0)
@@ -261,17 +260,43 @@ class _Terms:
     def residual_expanded(self):
         diag = np.sum(self.wabs2 * (np.abs(self.alpha) ** 2
                                     + np.abs(self.beta) ** 2), axis=0)
-        a, b = self.coherent_sums()
-        return 0.5 * (diag - np.abs(a) ** 2 - np.abs(b) ** 2)
+        return 0.5 * (diag - np.abs(self.a) ** 2 - np.abs(self.b) ** 2)
 
     def detection_loss_psd(self):
         return np.sum(self.wabs2 * self.loss_weight * 0.5 * np.abs(self.alpha) ** 2,
                       axis=0)
 
+    def floor(self):
+        """The input-independent parts: thermal, residual vacuum, detection loss."""
+        return self.thermal_psd(), self.residual_expanded(), self.detection_loss_psd()
+
 
 # ---------------------------------------------------------------------------
 # signal and noise
 # ---------------------------------------------------------------------------
+
+_VACUUM_PSDS = QuadraturePsds.vacuum()
+
+
+def _quadrature_parts(t: _Terms, inp: QuadraturePsds):
+    """Shot, back-action and correlation PSDs for mode-0 quadrature PSDs."""
+    return (np.abs(t.a) ** 2 * inp.syy, np.abs(t.b) ** 2 * inp.sxx,
+            2.0 * np.real(np.conj(t.a) * t.b) * inp.sxy)
+
+
+def _squeezed_parts(t: _Terms, r: float, theta):
+    """Squeezed and anti-squeezed PSDs; ``theta=None`` is the optimal angle."""
+    a, b = t.a, t.b
+    th = _optimal_angle(a, b) if theta is None else np.asarray(theta, dtype=float)
+    c, s = np.cos(th), np.sin(th)
+    return (0.5 * np.abs(a * c - b * s) ** 2 * math.exp(-2.0 * r),
+            0.5 * np.abs(a * s + b * c) ** 2 * math.exp(2.0 * r))
+
+
+def _total(parts):
+    """The parts summed left to right, so every caller rounds alike."""
+    return sum(parts[1:], parts[0])
+
 
 def array_signal_psd(arr: SensorArray, drive_amplitude):
     """Signal PSD of the combined estimator, |sum_n W_0n M_n|^2 f^2 (N^2/Hz)."""
@@ -283,16 +308,8 @@ def array_signal_psd(arr: SensorArray, drive_amplitude):
 def array_noise_psd(arr: SensorArray, inp: QuadraturePsds, omega) -> NoiseBreakdown:
     """Combined force-noise PSD for arbitrary mode-0 quadrature statistics."""
     t = _Terms(arr, omega)
-    a, b = t.coherent_sums()
-    shot = np.abs(a) ** 2 * inp.syy
-    back_action = np.abs(b) ** 2 * inp.sxx
-    correlation = 2.0 * np.real(np.conj(a) * b) * inp.sxy
-    thermal = t.thermal_psd()
-    residual = t.residual_expanded()
-    loss = t.detection_loss_psd()
-    total = shot + back_action + correlation + thermal + residual + loss
-    return NoiseBreakdown(*(_scalarize(p, omega) for p in (
-        shot, back_action, correlation, thermal, residual, loss, total)))
+    parts = _quadrature_parts(t, inp) + t.floor()
+    return NoiseBreakdown(*(_scalarize(p, omega) for p in (*parts, _total(parts))))
 
 
 def array_squeezed_noise(arr: SensorArray, r, theta, omega) -> SqueezedNoise:
@@ -307,17 +324,29 @@ def array_squeezed_noise(arr: SensorArray, r, theta, omega) -> SqueezedNoise:
     if r < 0:
         raise ConfigError(f"squeezing strength must be >= 0, got {r}")
     t = _Terms(arr, omega)
-    a, b = t.coherent_sums()
-    th = _optimal_angle(a, b) if theta is None else np.asarray(theta, dtype=float)
-    c, s = np.cos(th), np.sin(th)
-    squeezed = 0.5 * np.abs(a * c - b * s) ** 2 * math.exp(-2.0 * r)
-    anti = 0.5 * np.abs(a * s + b * c) ** 2 * math.exp(2.0 * r)
-    thermal = t.thermal_psd()
-    residual = t.residual_expanded()
-    loss = t.detection_loss_psd()
-    total = squeezed + anti + thermal + residual + loss
-    return SqueezedNoise(*(_scalarize(p, omega) for p in (
-        squeezed, anti, thermal, residual, loss, total)))
+    parts = _squeezed_parts(t, r, theta) + t.floor()
+    return SqueezedNoise(*(_scalarize(p, omega) for p in (*parts, _total(parts))))
+
+
+def array_noise_totals(arr: SensorArray, inputs, omega) -> np.ndarray:
+    """Total array noise under each SqueezedInput of ``inputs``, (k, n).
+
+    One kernel build serves every input.  Row j equals the ``total`` of
+    array_noise_psd with vacuum PSDs when r = 0, else of
+    array_squeezed_noise at the optimal angle ("optimal") or at the input's
+    angle.
+    """
+    t = _Terms(arr, omega)
+    floor = t.floor()
+    totals = []
+    for sq in inputs:
+        if sq.r == 0.0:
+            parts = _quadrature_parts(t, _VACUUM_PSDS)
+        else:
+            theta = None if sq.angle_policy == "optimal" else sq.angle
+            parts = _squeezed_parts(t, sq.r, theta)
+        totals.append(_total(parts + floor))
+    return np.stack(totals)
 
 
 def _optimal_angle(a, b):
@@ -338,7 +367,8 @@ def optimal_squeezing_angle(arr: SensorArray, omega):
     resonance.  On resonance (A perpendicular to B, |B| > |A|) this returns
     -pi/2; far above resonance it tends to 0 through positive angles.
     """
-    return _scalarize(_optimal_angle(*_Terms(arr, omega).coherent_sums()), omega)
+    t = _Terms(arr, omega)
+    return _scalarize(_optimal_angle(t.a, t.b), omega)
 
 
 def array_sql_psd(arr: SensorArray, omega):

@@ -14,6 +14,7 @@ override (flag wins over environment).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,6 +39,11 @@ _OUT_OF_RANGE = "inputs outside the model's numeric range"
 
 _PRESET_COMMAND = {"fig2": "array-scan", "fig3": "dm-projection",
                    "fig4": "noise", "fig5": "power-scan", "fig6": "loss-scan"}
+
+
+# The OMSENSE_* variables that build_parser reads as flag defaults.
+_PARSER_ENV = ("SCENARIO", "OUT", "FORMAT", "TOLERANCE", "STRICT",
+               "GAMMA_CONVENTION")
 
 
 def _env(name: str, default=None):
@@ -93,6 +99,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=32)
+def _cached_parser(command, env) -> argparse.ArgumentParser:
+    """``env`` holds the _PARSER_ENV values: it only keys the cache."""
+    return build_parser(command)
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """build_parser(command), reused while the command and the environment
+    defaults it reads stay the same (parsing leaves a parser unchanged)."""
+    return _cached_parser(command if command in _COMMANDS else None,
+                          tuple(_env(name) for name in _PARSER_ENV))
+
+
 def _checked(cast, rule: str, valid=lambda value: value > 0):
     """An argparse type: ``cast(raw)`` must be finite and ``valid`` (exit 2)."""
     def parse(raw: str):
@@ -140,8 +159,8 @@ def _write_json(path, columns, rows):
     payload = {"columns": list(columns),
                "rows": [{c: row.get(c) for c in columns} for row in rows]}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=1, sort_keys=True, default=float)
+                 + "\n")
 
 
 def _load_overlays(specs) -> dict[str, np.ndarray]:
@@ -202,7 +221,7 @@ def _compute(command: str, scn: Scenario, args) -> tuple[list[str], list[dict]]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     command = args.command
     try:
         if command == "oracle-check":
@@ -271,8 +290,7 @@ def _emit(args, command, columns, rows, scn: Scenario | None,
         manifest.update(extra_manifest)
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return [table_path, manifest_path]
 
 

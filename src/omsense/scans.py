@@ -17,8 +17,8 @@ from .errors import ScenarioError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       displacement_asd, input_quadrature_psds)
 from .arrays import (ArraySensor, SensorArray, array_noise_psd,
-                     array_signal_psd, array_sql_psd, array_squeezed_noise,
-                     matched_weights)
+                     array_noise_totals, array_signal_psd, array_sql_psd,
+                     array_squeezed_noise, matched_weights)
 from .oracle import oracle_noise_psd
 from .sensitivity import (FrequencyGrid, integrated_sensitivity,
                           min_detectable_coupling)
@@ -60,15 +60,6 @@ COLUMNS = {
 _VACUUM = SqueezedInput.vacuum()
 
 
-def _noise_fn(arr: SensorArray, squeeze: SqueezedInput):
-    """Total array noise vs omega for one input; vacuum is r = 0."""
-    if squeeze.r == 0.0:
-        vac = QuadraturePsds.vacuum()
-        return lambda w: array_noise_psd(arr, vac, w).total
-    theta = None if squeeze.angle_policy == "optimal" else squeeze.angle
-    return lambda w: array_squeezed_noise(arr, squeeze.r, theta, w).total
-
-
 def _flat_signal(gain: float):
     return lambda w: np.full_like(np.asarray(w, dtype=float), gain)
 
@@ -82,13 +73,15 @@ def _single_reference(scn: Scenario) -> SensorArray:
 
 def _sweep(grid: FrequencyGrid, values, build, inputs) -> list[list[float]]:
     """For each axis value, the integrated sensitivity of ``build(value)``
-    under each input of ``inputs``, all on one grid."""
+    under each input of ``inputs``: one integral per value, whose components
+    are the inputs, all on one grid."""
     out = []
     for value in values:
         arr = build(value)
         signal = _flat_signal(float(array_signal_psd(arr, 1.0)))
-        out.append([integrated_sensitivity(signal, _noise_fn(arr, sq), grid).value
-                    for sq in inputs])
+        res = integrated_sensitivity(
+            signal, lambda w: array_noise_totals(arr, inputs, w), grid)
+        out.append(res.value.tolist())
     return out
 
 
@@ -104,7 +97,7 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> list[dict]:
     omegas = np.unique(np.concatenate(
         [omegas, [s.oscillator.omega0 for s in scn.sensors]]))
     bd = array_noise_psd(arr, QuadraturePsds.vacuum(), omegas)
-    sq_total = _noise_fn(arr, scn.squeeze)(omegas)
+    [sq_total] = array_noise_totals(arr, [scn.squeeze], omegas)
     sql = array_sql_psd(arr, omegas)
     thermal = float(bd.thermal[0])  # frequency-independent
     em2r = math.exp(-2.0 * scn.squeeze.r)
@@ -150,9 +143,11 @@ def sensitivity_report(scn: Scenario) -> list[dict]:
         quantities.append(("squeezed", scn.squeeze))
     rows = []
     for name, squeeze in quantities:
-        fn = _noise_fn(arr, squeeze)
-        res = integrated_sensitivity(signal, fn, grid)
-        res_half = integrated_sensitivity(signal, fn, grid.bisected(),
+        def noise(w):
+            return array_noise_totals(arr, [squeeze], w)[0]
+
+        res = integrated_sensitivity(signal, noise, grid)
+        res_half = integrated_sensitivity(signal, noise, grid.bisected(),
                                           rel_tol=0.5 * grid.tol)
         rows.append({
             "quantity": name,

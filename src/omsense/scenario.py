@@ -73,6 +73,12 @@ _REQUIRED = object()
 _MAX_COUNT = 10_000  # copies, sensor counts and scan points
 
 
+def _block(raw: dict, key: str) -> dict:
+    """An optional top-level block; null means absent, as a missing key."""
+    block = raw.get(key)
+    return {} if block is None else block
+
+
 def _field(block: dict, key: str, where: str, parse, default=_REQUIRED):
     """``parse(block[key], "<where>.<key>")``; an absent or null key gives
     ``default``, and is an error when no default is given."""
@@ -85,12 +91,14 @@ def _field(block: dict, key: str, where: str, parse, default=_REQUIRED):
 
 
 def _number(raw, name: str) -> float:
-    """A scenario value as a float; anything that is not a number is a
-    ScenarioError (exit 2), never a traceback."""
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{name} must be a number, got {raw!r}") from None
+    """A JSON number as a float.  Anything else, a boolean or a numeric
+    string included, is a ScenarioError (exit 2), never a traceback."""
+    if not isinstance(raw, (bool, str)):
+        try:
+            return float(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ScenarioError(f"{name} must be a number, got {raw!r}")
 
 
 def _bounded(raw, name: str, ok, rule: str) -> float:
@@ -300,7 +308,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     defaults: dict = {"gamma_convention": gamma_convention}
     _check_keys(raw, _TOP_KEYS, "scenario", strict, warns)
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version!r} "
                             f"(expected {SCHEMA_VERSION})")
 
@@ -337,7 +345,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     defaults["power_convention"] = power_convention
     power = _field(arr, "power_w", "array", _non_negative)
 
-    light = raw.get("input_light", {})
+    light = _block(raw, "input_light")
     _check_keys(light, _LIGHT_KEYS, "input_light", strict, warns)
     angle_policy = _field(light, "angle_policy", "input_light",
                           _choice("vacuum", "fixed", "optimal"), "vacuum")
@@ -354,7 +362,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     else:
         squeeze = SqueezedInput.vacuum()
 
-    obs = raw.get("observation", {})
+    obs = _block(raw, "observation")
     _check_keys(obs, _OBS_KEYS, "observation", strict, warns)
     threshold = _field(obs, "snr_threshold", "observation", _number, 1.0)
     defaults["snr_threshold"] = threshold
@@ -403,7 +411,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
                                        where, _positive, None),
             linewidth_fraction=fraction)
 
-    grid = raw.get("grid", {})
+    grid = _block(raw, "grid")
     _check_keys(grid, _GRID_KEYS, "grid", strict, warns)
     omegas = [s.oscillator.omega0 for s in sensors]
     kappas = [s.cavity.kappa for s in sensors]
@@ -421,12 +429,12 @@ def scenario_from_dict(raw: dict, strict: bool = True,
         warns.append("grid.points_per_decade has no effect: seed panels come "
                      "from the resonances alone")
 
-    scan_block = raw.get("scan", {})
+    scan_block = _block(raw, "scan")
     _check_keys(scan_block, set(_SCAN_FIELDS), "scan", strict, warns)
     scan = {key: _field(scan_block, key, "scan", parse, copy.copy(default))
             for key, (default, parse) in _SCAN_FIELDS.items()}
 
-    output = raw.get("output", {})
+    output = _block(raw, "output")
     _check_keys(output, _OUTPUT_KEYS, "output", strict, warns)
     fmt = _field(output, "format", "output", _choice("csv", "json"), "csv")
 

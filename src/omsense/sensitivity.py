@@ -15,7 +15,9 @@ omega0 +- gamma 10^k split the span into seed panels, and each panel is
 integrated with the 21-point Gauss-Kronrod rule, whose embedded 10-point
 Gauss rule gives the error estimate |K21 - G10| from the same integrand
 values.  Panels are bisected until the summed estimate meets the relative
-tolerance.
+tolerance.  The integrand may be vector-valued (as in SciPy's quad_vec):
+its components share the panels, a panel is bisected when any component
+misses its share of the tolerance, and every component must meet it.
 
 Dark-matter projections convert a detector noise PSD into a minimum
 detectable coupling via the observation-run SNR
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,8 +157,11 @@ _RULES = np.stack([_K21_WEIGHTS, _G10_WEIGHTS], axis=1)
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    value: float
-    rel_error: float
+    """``value`` and ``rel_error`` are floats for a scalar integrand and
+    (k,) arrays, one entry per component, for a (k, n) integrand."""
+
+    value: float | np.ndarray
+    rel_error: float | np.ndarray
     n_panels: int
     n_evaluations: int
     rounds: int
@@ -164,16 +169,25 @@ class IntegrationResult:
 
 def _panel_values(f, a, b):
     """K21 value and |K21 - G10| error estimate on each [a_i, b_i], from one
-    call of ``f`` on all 21 shared nodes of every panel."""
+    call of ``f`` on all 21 shared nodes of every panel; both are
+    (k, panels), one row per component of ``f``."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _K21_NODES[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    kronrod, gauss = (half[:, None] * (y @ _RULES)).T
-    return kronrod, np.abs(kronrod - gauss)
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape)
+    sums = half[:, None] * (y @ _RULES)
+    kronrod = sums[..., 0]
+    return kronrod, np.abs(kronrod - sums[..., 1])
 
 
 def _adaptive_panels(f, nodes, rel_tol, max_evaluations=6_000_000):
+    """Integrate every component of ``f`` over ``nodes``' panels.
+
+    Panels are shared by the components: a panel is bisected when any
+    component's error exceeds its share rel_tol |I_j| / n_panels, and the
+    integral converges when every component meets rel_tol.  Values and
+    errors are (k,) arrays.
+    """
     a = np.asarray(nodes[:-1], dtype=float)
     b = np.asarray(nodes[1:], dtype=float)
     evals = 0
@@ -187,33 +201,38 @@ def _adaptive_panels(f, nodes, rel_tol, max_evaluations=6_000_000):
     rounds = 0
     while True:
         rounds += 1
-        total = float(np.sum(val))
-        scale = abs(total) + 1e-300
-        err_total = float(np.sum(err))
-        if not math.isfinite(total + err_total):
-            raise ConfigError(f"the integral is not finite (value {total!r}, "
-                              f"error {err_total!r})")
-        if err_total <= rel_tol * scale:
-            return IntegrationResult(value=total, rel_error=err_total / scale,
+        total = np.sum(val, axis=1)
+        scale = np.abs(total) + 1e-300
+        err_total = np.sum(err, axis=1)
+        rel_error = err_total / scale
+        finite = np.isfinite(total + err_total)
+        if not np.all(finite):
+            j = np.flatnonzero(~finite)[0]
+            raise ConfigError(f"the integral is not finite (value "
+                              f"{float(total[j])!r}, error {float(err_total[j])!r})")
+        if np.all(err_total <= rel_tol * scale):
+            return IntegrationResult(value=total, rel_error=rel_error,
                                      n_panels=a.size, n_evaluations=evals,
                                      rounds=rounds)
         if evals > max_evaluations:
             raise ConvergenceError(
                 f"quadrature did not reach rel_tol={rel_tol:g} within "
-                f"{max_evaluations} evaluations (estimate {err_total / scale:g})")
-        bad = err > (rel_tol * scale) / max(a.size, 1)
+                f"{max_evaluations} evaluations (estimate {np.max(rel_error):g})")
+        share = (rel_tol * scale / max(a.size, 1))[:, None]
+        bad = np.any(err > share, axis=0)
         if not np.any(bad):
-            bad = err == np.max(err)
+            worst = np.max(err / scale[:, None], axis=0)
+            bad = worst == np.max(worst)
         mid = 0.5 * (a[bad] + b[bad])
         new_a = np.concatenate([a[~bad], a[bad], mid])
         new_b = np.concatenate([b[~bad], mid, b[bad]])
-        keep_val, keep_err = val[~bad], err[~bad]
+        keep_val, keep_err = val[:, ~bad], err[:, ~bad]
         ref_val, ref_err = refresh(np.concatenate([a[bad], mid]),
                                    np.concatenate([mid, b[bad]]))
         order = np.argsort(new_a, kind="stable")
         a, b = new_a[order], new_b[order]
-        val = np.concatenate([keep_val, ref_val])[order]
-        err = np.concatenate([keep_err, ref_err])[order]
+        val = np.concatenate([keep_val, ref_val], axis=1)[:, order]
+        err = np.concatenate([keep_err, ref_err], axis=1)[:, order]
 
 
 def integrated_sensitivity(signal_psd, noise_psd, grid: FrequencyGrid,
@@ -223,19 +242,28 @@ def integrated_sensitivity(signal_psd, noise_psd, grid: FrequencyGrid,
 
     ``signal_psd`` and ``noise_psd`` are vectorized callables of omega; the
     noise must be finite and positive wherever the quadrature evaluates it,
-    and the integral finite (ConfigError otherwise).  Raises ConvergenceError
-    instead of returning an unconverged value.
+    and the integral finite (ConfigError otherwise).  A noise callable that
+    returns (k, n) for n frequencies gives k integrals on shared panels, with
+    (k,) ``value`` and ``rel_error``; one that returns (n,) gives floats.
+    Raises ConvergenceError instead of returning an unconverged value.
     """
     if rel_tol is None:
         rel_tol = grid.tol
+    vector = False
 
     def integrand(w):
+        nonlocal vector
         noise = np.asarray(noise_psd(w), dtype=float)
         if not np.all((noise > 0.0) & np.isfinite(noise)):
             raise ConfigError("noise PSD must be finite and positive on the span")
+        vector = noise.ndim > 1
         return (np.asarray(signal_psd(w), dtype=float) / noise) ** 2 / math.pi
 
-    return _adaptive_panels(integrand, grid.nodes, rel_tol, max_evaluations)
+    res = _adaptive_panels(integrand, grid.nodes, rel_tol, max_evaluations)
+    if vector:
+        return res
+    return replace(res, value=float(res.value[0]),
+                   rel_error=float(res.rel_error[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
                              single_sensor_noise_psd, sql_noise_psd)
 from omsense.arrays import (ArraySensor, SensorArray, _Terms, array_noise_psd,
-                            array_signal_psd, array_sql_psd,
+                            array_noise_totals, array_signal_psd, array_sql_psd,
                             array_squeezed_noise, identical_array,
                             inverse_variance_weights, matched_weights,
                             optimal_squeezing_angle, single_sensor_array,
@@ -450,3 +450,23 @@ def test_squeezed_noise_optimal_angle_single_build_is_exact(membrane_sensor, rng
                           "residual_vacuum", "detection_loss", "total"):
                 np.testing.assert_array_equal(getattr(one, field),
                                               getattr(two, field))
+
+
+def test_noise_totals_match_each_input_bitwise(membrane_sensor, rng):
+    """One kernel build for several inputs gives exactly the totals of the
+    per-input calls: vacuum (also r = 0 under any policy), optimal, fixed."""
+    r = SqueezedInput.from_db(9.0).r
+    inputs = [SqueezedInput.vacuum(), SqueezedInput(r, "optimal"),
+              SqueezedInput(r, "fixed", angle=0.7),
+              SqueezedInput(0.0, "optimal")]
+    omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
+    vac = QuadraturePsds.vacuum()
+    for arr in (random_array(rng, 3)[0],
+                _two_templates_three_copies(membrane_sensor)):
+        totals = array_noise_totals(arr, inputs, omegas)
+        assert totals.shape == (4, omegas.size)
+        want = [array_noise_psd(arr, vac, omegas).total,
+                array_squeezed_noise(arr, r, None, omegas).total,
+                array_squeezed_noise(arr, r, 0.7, omegas).total,
+                array_noise_psd(arr, vac, omegas).total]
+        np.testing.assert_array_equal(totals, np.stack(want))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from omsense import scans
+from omsense import arrays, scans
 from omsense.scenario import preset_scenario, scenario_from_dict
 from omsense.sensitivity import integrated_sensitivity
 from omsense.scans import (array_scan_table, dm_projection_table,
@@ -134,3 +134,19 @@ def test_loss_scan_applies_loss_to_every_template():
     rows = loss_scan_table(scn)
     for key in ("i_classical", "i_squeezed_optimal"):
         assert rows[1][key] < 0.9 * rows[0][key]
+
+
+def test_array_scan_builds_one_kernel_per_array(monkeypatch):
+    """Deterministic cost guard: fig2's array-scan builds the per-sensor
+    kernel once per array and quadrature pass (the M = 1 reference and 11
+    counts, each converging in one pass), not once per input."""
+    builds = []
+
+    class Counting(arrays._Terms):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(arrays, "_Terms", Counting)
+    array_scan_table(scenario_from_dict(preset_scenario("fig2")))
+    assert len(builds) <= 12

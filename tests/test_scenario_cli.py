@@ -88,6 +88,37 @@ def test_schema_version_required():
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("block,key,value", [
+    ("array", "copies", True), ("array", "power_w", "2e-3"),
+    ("grid", "tolerance_rel", "1e-3"), ("observation", "duration_s", False),
+    (None, "schema_version", True), (None, "schema_version", 1.0)])
+def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, block, key,
+                                              value):
+    """JSON true/false and numeric strings are rejected, not cast."""
+    raw = _fig4_dict()
+    (raw if block is None else raw[block])[key] = value
+    code, _ = _run(tmp_path, "noise", raw)
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,block", [
+    ("dm-projection", "input_light"), ("dm-projection", "observation"),
+    ("dm-projection", "scan"), ("dm-projection", "output"),
+    ("noise", "grid"), ("noise", "dark_matter")])
+def test_null_block_means_absent(tmp_path, command, block):
+    tables = []
+    for label, null in (("null", True), ("absent", False)):
+        raw = preset_scenario("fig3")
+        del raw[block]
+        if null:
+            raw[block] = None
+        code, out = _run(tmp_path / label, command, raw)
+        assert code == 0
+        tables.append((out / f"{command}.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_explicit_weights_must_normalize():
     raw = _fig4_dict()
     raw["array"]["copies"] = 2
@@ -202,6 +233,27 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert (out / "fig4.json").exists()
 
 
+def test_env_change_between_calls_takes_effect(tmp_path, monkeypatch):
+    """The reused parser is keyed by the environment defaults it reads."""
+    out = tmp_path / "o"
+    monkeypatch.setenv("OMSENSE_FORMAT", "csv")
+    assert cli.main(["fig4", "--out", str(out)]) == 0
+    monkeypatch.setenv("OMSENSE_FORMAT", "json")
+    assert cli.main(["fig4", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+        "fig4.json"]
+
+
+def test_reused_parser_does_not_carry_overlays(tmp_path):
+    overlay = tmp_path / "line.csv"
+    overlay.write_text("10.0,1e-24\n100000.0,1e-24\n")
+    assert cli.main(["fig3", "--out", str(tmp_path / "a"),
+                     "--overlay", f"line={overlay}"]) == 0
+    assert cli.main(["fig3", "--out", str(tmp_path / "b")]) == 0
+    header = (tmp_path / "b" / "fig3.csv").read_text().splitlines()[0]
+    assert "overlay_line" not in header
+
+
 def test_flag_beats_env(tmp_path, monkeypatch):
     monkeypatch.setenv("OMSENSE_OUT", str(tmp_path / "fromenv"))
     out = tmp_path / "fromflag"
@@ -226,8 +278,11 @@ def test_main_builds_only_the_requested_subparser(tmp_path, monkeypatch):
         return parser
 
     monkeypatch.setattr(cli, "build_parser", recording)
+    cli._cached_parser.cache_clear()
     assert cli.main(["fig4", "--out", str(tmp_path / "a")]) == 0
     assert built == [["fig4"]]
+    assert cli.main(["fig4", "--out", str(tmp_path / "b")]) == 0
+    assert built == [["fig4"]]  # the second call reuses the parser
     assert _subcommands(full_builder()) == list(cli._COMMANDS)
 
 
@@ -404,6 +459,7 @@ def test_cli_points_per_decade_accepted_and_ignored(tmp_path):
 
 
 def _run(tmp_path, command, raw):
+    tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"

@@ -10,8 +10,10 @@ from omsense.errors import ConfigError, ConvergenceError
 from omsense import scans
 from omsense.spectra import Oscillator, QuadraturePsds, sql_noise_psd
 from omsense.arrays import array_noise_psd, array_signal_psd, identical_array
+from omsense import sensitivity
 from omsense.sensitivity import (_G10_WEIGHTS, _K21_NODES, _K21_WEIGHTS,
-                                 DarkMatterModel, ObservationPlan,
+                                 DarkMatterModel, FrequencyGrid,
+                                 ObservationPlan,
                                  calibrate_material_factor,
                                  integrated_sensitivity,
                                  min_detectable_coupling,
@@ -150,7 +152,8 @@ def test_preset_integrals_within_evaluation_budget(monkeypatch):
     scans.array_scan_table(scenario_from_dict(preset_scenario("fig2")))
     scans.power_scan_table(scenario_from_dict(preset_scenario("fig5")))
     scans.loss_scan_table(scenario_from_dict(preset_scenario("fig6")))
-    assert len(evaluations) == 10 + 1 + 2 * 11 + 3 * 25 + 2 * 11
+    # one integral per axis value: its components are the table's inputs
+    assert len(evaluations) == 10 + 1 + 11 + 25 + 11
     assert max(evaluations) <= 800
 
 
@@ -194,6 +197,75 @@ def test_noise_must_be_positive(membrane_grid):
     with pytest.raises(ConfigError):
         integrated_sensitivity(lambda w: np.ones_like(w),
                                lambda w: np.zeros_like(w), membrane_grid)
+
+
+# ---------------------------------------------------------------------------
+# vector-valued quadrature
+# ---------------------------------------------------------------------------
+
+# A Q = 1e6 line at 1.5 rad/s on the span [1, 2] rad/s.
+_W0, _GAMMA = 1.5, 1.5 / 2e6
+_LO, _HI = 1.0, 2.0
+
+
+def _unit(w):
+    return np.ones_like(w)
+
+
+def _lorentzian_noise(w):
+    """Noise whose integrand (1/noise)^2/pi is a unit-height Lorentzian."""
+    return np.sqrt((w - _W0) ** 2 + _GAMMA ** 2)
+
+
+def _lorentzian_integral():
+    return (math.atan((_HI - _W0) / _GAMMA)
+            - math.atan((_LO - _W0) / _GAMMA)) / (math.pi * _GAMMA)
+
+
+def test_vector_components_meet_their_closed_forms():
+    tol = 1e-6
+    grid = resonance_refined_grid([(_W0, _GAMMA)], (_LO, _HI), tol=tol)
+    res = integrated_sensitivity(
+        _unit, lambda w: np.stack([np.full_like(w, 2.0), _lorentzian_noise(w)]),
+        grid)
+    assert res.value.shape == res.rel_error.shape == (2,)
+    want = [(_HI - _LO) / (4.0 * math.pi), _lorentzian_integral()]
+    for value, rel_error, exact in zip(res.value, res.rel_error, want):
+        assert rel_error <= tol
+        assert value == pytest.approx(exact, rel=tol)
+
+    scalar = integrated_sensitivity(_unit, _lorentzian_noise, grid)
+    assert type(scalar.value) is float and type(scalar.rel_error) is float
+
+
+def test_unrefined_component_sums_over_the_shared_panels(monkeypatch):
+    """Only the Lorentzian needs bisection of the one seed panel; the smooth
+    1/w^2 component comes out as its scalar integral over the panels that
+    the Lorentzian's refinement left."""
+    seed = FrequencyGrid(nodes=np.array([_LO, _HI]), tol=1e-6)
+    assert integrated_sensitivity(_unit, lambda w: w, seed).rounds == 1
+
+    ends = []
+    panel_values = sensitivity._panel_values
+
+    def recording(f, a, b):
+        ends.extend([a, b])
+        return panel_values(f, a, b)
+
+    line = integrated_sensitivity(_unit, _lorentzian_noise, seed)
+    monkeypatch.setattr(sensitivity, "_panel_values", recording)
+    res = integrated_sensitivity(
+        _unit, lambda w: np.stack([w, _lorentzian_noise(w)]), seed)
+    assert res.rounds > 1 and res.n_panels > 1
+    # the line drives every bisection, as it does when integrated alone
+    assert (res.n_panels, res.rounds) == (line.n_panels, line.rounds)
+    assert res.value[1] == pytest.approx(_lorentzian_integral(), rel=1e-6)
+
+    refined = FrequencyGrid(nodes=np.unique(np.concatenate(ends)), tol=1.0)
+    assert refined.nodes.size == res.n_panels + 1
+    smooth = integrated_sensitivity(_unit, lambda w: w, refined)
+    assert smooth.rounds == 1
+    assert res.value[0] == pytest.approx(smooth.value, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
