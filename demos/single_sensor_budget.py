@@ -8,8 +8,7 @@ squeezed-input noise at the frequency-tracking optimal angle.
 
 from omsense import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                      acceleration_asd, sql_noise_psd)
-from omsense.arrays import (array_noise_psd, array_squeezed_noise,
-                            optimal_squeezing_angle, single_sensor_array)
+from omsense.arrays import ArrayNoise, single_sensor_array
 from omsense.constants import TWO_PI
 
 osc = Oscillator.from_quality(mass=6e-6, omega0=TWO_PI * 2000.0, quality=1e9,
@@ -18,7 +17,7 @@ cav = CavityOptics.from_wavelength(kappa=0.94e9, kappa_readout=0.94e9,
                                    g0=46.0, wavelength=1.06e-6,
                                    input_power=2e-3, length=1e-3)
 arr = single_sensor_array(osc, cav)
-squeeze = SqueezedInput.from_db(10.0)
+squeeze = SqueezedInput.from_db(10.0, angle_policy="optimal")
 vac = QuadraturePsds.vacuum()
 
 print(f"membrane sensor: Q = {osc.quality:.2e}, gamma = {osc.gamma:.3e} rad/s")
@@ -28,9 +27,9 @@ print(f"{'f [Hz]':>10} {'shot':>10} {'back-act':>10} {'thermal':>10} "
       f"{'total':>10} {'SQL':>10} {'squeezed':>10}  (m s^-2/rtHz)")
 for f_hz in (20.0, 200.0, 1900.0, 2000.0, 2100.0, 20000.0):
     w = TWO_PI * f_hz
-    bd = array_noise_psd(arr, vac, w)
-    theta = optimal_squeezing_angle(arr, w)
-    squeezed = array_squeezed_noise(arr, squeeze.r, theta, w).total
+    noise = ArrayNoise(arr, w)
+    bd = noise.breakdown(vac)
+    [[squeezed]] = noise.totals([squeeze])
     print(f"{f_hz:>10.0f} "
           f"{acceleration_asd(osc, bd.shot):>10.2e} "
           f"{acceleration_asd(osc, bd.back_action):>10.2e} "

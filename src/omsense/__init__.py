@@ -7,8 +7,10 @@ extension to M sensors:
 ``spectra``      single-sensor susceptibility, cooperativity, the
                  per-sensor response kernel, quadrature inputs and
                  force-noise budgets
-``arrays``       M-sensor network algebra: weights, combined noise with its
-                 residual-vacuum term, array squeezing, array SQL
+``arrays``       M-sensor network algebra: weights, and the ``ArrayNoise``
+                 kernel (one build per array and frequency set) giving the
+                 combined noise with its residual-vacuum term, squeezed
+                 totals and the optimal squeezing angle; array SQL
 ``oracle``       independent covariance-propagation verifier for every
                  closed-form noise formula
 ``sensitivity``  resonance-refined adaptive quadrature, integrated
@@ -27,12 +29,11 @@ from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       mechanical_susceptibility, sensor_response,
                       single_sensor_noise_psd, sql_noise_psd,
                       thermal_momentum_psd)
-from .arrays import (ArraySensor, NoiseBreakdown, SensorArray, SqueezedNoise,
-                     array_noise_psd, array_noise_totals, array_signal_psd,
-                     array_sql_psd, array_squeezed_noise, identical_array,
-                     inverse_variance_weights, matched_weights,
-                     optimal_squeezing_angle, single_sensor_array,
-                     uniform_weights)
+from .arrays import (ArrayNoise, ArraySensor, NoiseBreakdown, SensorArray,
+                     array_noise_psd, array_signal_psd, array_sql_psd,
+                     identical_array, inverse_variance_weights,
+                     matched_weights, optimal_squeezing_angle,
+                     single_sensor_array, uniform_weights)
 from .oracle import (TransferAssembly, assemble_transfer, complete_unitary,
                      oracle_breakdown, oracle_noise_psd, propagate_covariance)
 from .sensitivity import (DarkMatterModel, FrequencyGrid, IntegrationResult,

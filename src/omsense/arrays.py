@@ -39,7 +39,7 @@ __all__ = [
     "ArraySensor",
     "SensorArray",
     "NoiseBreakdown",
-    "SqueezedNoise",
+    "ArrayNoise",
     "uniform_weights",
     "matched_weights",
     "inverse_variance_weights",
@@ -47,8 +47,6 @@ __all__ = [
     "single_sensor_array",
     "array_signal_psd",
     "array_noise_psd",
-    "array_squeezed_noise",
-    "array_noise_totals",
     "optimal_squeezing_angle",
     "array_sql_psd",
 ]
@@ -126,18 +124,6 @@ class NoiseBreakdown:
     total: np.ndarray
 
 
-@dataclass(frozen=True)
-class SqueezedNoise:
-    """Squeezed-input array noise in the e^{-2r}/e^{+2r} factorization."""
-
-    squeezed: np.ndarray
-    anti_squeezed: np.ndarray
-    thermal: np.ndarray
-    residual_vacuum: np.ndarray
-    detection_loss: np.ndarray
-    total: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -192,11 +178,19 @@ def single_sensor_array(osc: Oscillator, cav: CavityOptics,
 
 
 # ---------------------------------------------------------------------------
-# per-sensor coherent amplitudes
+# the array noise kernel
 # ---------------------------------------------------------------------------
 
-class _Terms:
-    """Coherent amplitudes, one row per distinct (sensor, optical share).
+_VACUUM_PSDS = QuadraturePsds.vacuum()
+
+
+class ArrayNoise:
+    """The array's noise on one frequency set, from one kernel build.
+
+    Holds the coherent amplitudes, one row per distinct (sensor, optical
+    share), and the coherent sums A = sum alpha W w and B = sum beta W w;
+    ``breakdown``, ``totals`` and ``optimal_angle`` all read them, so a table
+    that needs several noise quantities of one array builds it once.
 
     Active (W != 0) sensors that compare equal and receive the same share
     |w_k0|^2 have the same alpha, beta, thermal and loss weights, so each row
@@ -205,8 +199,8 @@ class _Terms:
     a fully heterogeneous array is M groups of one.
     """
 
-    __slots__ = ("active", "group", "alpha", "beta", "ww", "wabs2", "thermal",
-                 "loss_weight", "a", "b")
+    __slots__ = ("omega", "active", "group", "alpha", "beta", "ww", "wabs2",
+                 "thermal", "loss_weight", "a", "b")
 
     def __init__(self, arr: SensorArray, omega):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -241,6 +235,7 @@ class _Terms:
         np.add.at(ww, group, cw[active] * dv[active])
         wabs2 = np.zeros(n)
         np.add.at(wabs2, group, np.abs(cw[active]) ** 2)
+        self.omega = omega
         self.active = active
         self.group = group
         self.alpha = alpha
@@ -249,7 +244,6 @@ class _Terms:
         self.wabs2 = wabs2[:, None]
         self.thermal = thermal[:, None]
         self.loss_weight = loss_weight[:, None]
-        # coherent sums A = sum alpha W w and B = sum beta W w
         self.a = np.sum(alpha * self.ww, axis=0)
         self.b = np.sum(beta * self.ww, axis=0)
 
@@ -270,83 +264,57 @@ class _Terms:
         """The input-independent parts: thermal, residual vacuum, detection loss."""
         return self.thermal_psd(), self.residual_expanded(), self.detection_loss_psd()
 
+    def _quadrature_parts(self, inp: QuadraturePsds):
+        """Shot, back-action and correlation PSDs for mode-0 quadrature PSDs."""
+        return (np.abs(self.a) ** 2 * inp.syy, np.abs(self.b) ** 2 * inp.sxx,
+                2.0 * np.real(np.conj(self.a) * self.b) * inp.sxy)
 
-# ---------------------------------------------------------------------------
-# signal and noise
-# ---------------------------------------------------------------------------
+    def breakdown(self, inp: QuadraturePsds) -> NoiseBreakdown:
+        """Combined force-noise PSD for arbitrary mode-0 quadrature statistics."""
+        parts = self._quadrature_parts(inp) + self.floor()
+        return NoiseBreakdown(*(_scalarize(p, self.omega)
+                                for p in (*parts, _total(parts))))
 
-_VACUUM_PSDS = QuadraturePsds.vacuum()
+    def totals(self, inputs) -> np.ndarray:
+        """Total noise under each SqueezedInput of ``inputs``, (k, n).
 
+        r = 0 gives the vacuum total, equal to ``breakdown(vacuum).total``.
+        A squeezed input at angle t (its own, or the optimal angle for the
+        "optimal" policy) adds |A cos t - B sin t|^2 e^{-2r} / 2 and
+        |A sin t + B cos t|^2 e^{+2r} / 2 to the floor, which equals the
+        breakdown under input_quadrature_psds(r, t).
+        """
+        floor = self.floor()
+        a, b = self.a, self.b
+        totals = []
+        for sq in inputs:
+            if sq.r == 0.0:
+                parts = self._quadrature_parts(_VACUUM_PSDS)
+            else:
+                th = (_optimal_angle(a, b) if sq.angle_policy == "optimal"
+                      else sq.angle)
+                c, s = np.cos(th), np.sin(th)
+                parts = (0.5 * np.abs(a * c - b * s) ** 2 * math.exp(-2.0 * sq.r),
+                         0.5 * np.abs(a * s + b * c) ** 2 * math.exp(2.0 * sq.r))
+            totals.append(_total(parts + floor))
+        return np.stack(totals)
 
-def _quadrature_parts(t: _Terms, inp: QuadraturePsds):
-    """Shot, back-action and correlation PSDs for mode-0 quadrature PSDs."""
-    return (np.abs(t.a) ** 2 * inp.syy, np.abs(t.b) ** 2 * inp.sxx,
-            2.0 * np.real(np.conj(t.a) * t.b) * inp.sxy)
+    def optimal_angle(self):
+        """Squeezing angle minimizing the anti-squeezed (e^{+2r}) coefficient.
 
-
-def _squeezed_parts(t: _Terms, r: float, theta):
-    """Squeezed and anti-squeezed PSDs; ``theta=None`` is the optimal angle."""
-    a, b = t.a, t.b
-    th = _optimal_angle(a, b) if theta is None else np.asarray(theta, dtype=float)
-    c, s = np.cos(th), np.sin(th)
-    return (0.5 * np.abs(a * c - b * s) ** 2 * math.exp(-2.0 * r),
-            0.5 * np.abs(a * s + b * c) ** 2 * math.exp(2.0 * r))
+        The minimized quantity is |A sin t + B cos t|^2; the exact minimizer
+        is t* = atan2(-2 Re[A conj(B)], |A|^2 - |B|^2) / 2 in (-pi/2, pi/2],
+        which reduces to tan t* = -8 gamma |C| chi for a single high-Q sensor
+        below resonance.  On resonance (A perpendicular to B, |B| > |A|) this
+        returns -pi/2; far above resonance it tends to 0 through positive
+        angles.
+        """
+        return _scalarize(_optimal_angle(self.a, self.b), self.omega)
 
 
 def _total(parts):
     """The parts summed left to right, so every caller rounds alike."""
     return sum(parts[1:], parts[0])
-
-
-def array_signal_psd(arr: SensorArray, drive_amplitude):
-    """Signal PSD of the combined estimator, |sum_n W_0n M_n|^2 f^2 (N^2/Hz)."""
-    resp = np.array([s.response_factor for s in arr.sensors])
-    gain = np.abs(np.sum(arr.combining_weights * resp)) ** 2
-    return gain * np.asarray(drive_amplitude) ** 2
-
-
-def array_noise_psd(arr: SensorArray, inp: QuadraturePsds, omega) -> NoiseBreakdown:
-    """Combined force-noise PSD for arbitrary mode-0 quadrature statistics."""
-    t = _Terms(arr, omega)
-    parts = _quadrature_parts(t, inp) + t.floor()
-    return NoiseBreakdown(*(_scalarize(p, omega) for p in (*parts, _total(parts))))
-
-
-def array_squeezed_noise(arr: SensorArray, r, theta, omega) -> SqueezedNoise:
-    """Array noise for a squeezed mode-0 input, e^{-+2r} factorization.
-
-    The squeezed/anti-squeezed coefficients are |A cos t - B sin t|^2 / 2 and
-    |A sin t + B cos t|^2 / 2 built from the coherent sums A, B; the total
-    must match array_noise_psd with input_quadrature_psds(r, theta).
-    ``theta=None`` uses the optimal angle (see optimal_squeezing_angle) from
-    the same coherent sums.
-    """
-    if r < 0:
-        raise ConfigError(f"squeezing strength must be >= 0, got {r}")
-    t = _Terms(arr, omega)
-    parts = _squeezed_parts(t, r, theta) + t.floor()
-    return SqueezedNoise(*(_scalarize(p, omega) for p in (*parts, _total(parts))))
-
-
-def array_noise_totals(arr: SensorArray, inputs, omega) -> np.ndarray:
-    """Total array noise under each SqueezedInput of ``inputs``, (k, n).
-
-    One kernel build serves every input.  Row j equals the ``total`` of
-    array_noise_psd with vacuum PSDs when r = 0, else of
-    array_squeezed_noise at the optimal angle ("optimal") or at the input's
-    angle.
-    """
-    t = _Terms(arr, omega)
-    floor = t.floor()
-    totals = []
-    for sq in inputs:
-        if sq.r == 0.0:
-            parts = _quadrature_parts(t, _VACUUM_PSDS)
-        else:
-            theta = None if sq.angle_policy == "optimal" else sq.angle
-            parts = _squeezed_parts(t, sq.r, theta)
-        totals.append(_total(parts + floor))
-    return np.stack(totals)
 
 
 def _optimal_angle(a, b):
@@ -357,18 +325,25 @@ def _optimal_angle(a, b):
     return np.where(theta > math.pi / 2 - 1e-15, -math.pi / 2, theta)
 
 
-def optimal_squeezing_angle(arr: SensorArray, omega):
-    """Squeezing angle minimizing the anti-squeezed (e^{+2r}) coefficient.
+# ---------------------------------------------------------------------------
+# signal and noise
+# ---------------------------------------------------------------------------
 
-    The minimized quantity is |A sin t + B cos t|^2 with A, B the coherent
-    shot/back-action sums; the exact minimizer is
-    t* = atan2(-2 Re[A conj(B)], |A|^2 - |B|^2) / 2 in (-pi/2, pi/2], which
-    reduces to tan t* = -8 gamma |C| chi for a single high-Q sensor below
-    resonance.  On resonance (A perpendicular to B, |B| > |A|) this returns
-    -pi/2; far above resonance it tends to 0 through positive angles.
-    """
-    t = _Terms(arr, omega)
-    return _scalarize(_optimal_angle(t.a, t.b), omega)
+def array_signal_psd(arr: SensorArray, drive_amplitude):
+    """Signal PSD of the combined estimator, |sum_n W_0n M_n|^2 f^2 (N^2/Hz)."""
+    resp = np.array([s.response_factor for s in arr.sensors])
+    gain = np.abs(np.sum(arr.combining_weights * resp)) ** 2
+    return gain * np.asarray(drive_amplitude) ** 2
+
+
+def array_noise_psd(arr: SensorArray, inp: QuadraturePsds, omega) -> NoiseBreakdown:
+    """``ArrayNoise(arr, omega).breakdown(inp)``."""
+    return ArrayNoise(arr, omega).breakdown(inp)
+
+
+def optimal_squeezing_angle(arr: SensorArray, omega):
+    """``ArrayNoise(arr, omega).optimal_angle()``."""
+    return ArrayNoise(arr, omega).optimal_angle()
 
 
 def array_sql_psd(arr: SensorArray, omega):

@@ -181,6 +181,13 @@ def _load_overlays(specs) -> dict[str, np.ndarray]:
                         freq_hz, val = float(parts[0]), float(parts[1])
                     except (ValueError, IndexError):
                         continue  # header or malformed line
+                    if not all(math.isfinite(x) and x > 0
+                               for x in (freq_hz, val)):
+                        # one such row spoils the log-log interpolation of
+                        # the whole column
+                        raise ScenarioError(
+                            f"overlay {path}: frequency and value must be "
+                            f"finite and > 0, got {line!r}")
                     points.append((TWO_PI * freq_hz, val))
         except OSError as exc:
             raise ScenarioError(f"cannot read overlay {path}: {exc}") from exc

@@ -16,9 +16,8 @@ from .constants import TWO_PI
 from .errors import ScenarioError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       displacement_asd, input_quadrature_psds)
-from .arrays import (ArraySensor, SensorArray, array_noise_psd,
-                     array_noise_totals, array_signal_psd, array_sql_psd,
-                     array_squeezed_noise, matched_weights)
+from .arrays import (ArrayNoise, ArraySensor, SensorArray, array_noise_psd,
+                     array_signal_psd, array_sql_psd, matched_weights)
 from .oracle import oracle_noise_psd
 from .sensitivity import (FrequencyGrid, integrated_sensitivity,
                           min_detectable_coupling)
@@ -80,7 +79,7 @@ def _sweep(grid: FrequencyGrid, values, build, inputs) -> list[list[float]]:
         arr = build(value)
         signal = _flat_signal(float(array_signal_psd(arr, 1.0)))
         res = integrated_sensitivity(
-            signal, lambda w: array_noise_totals(arr, inputs, w), grid)
+            signal, lambda w: ArrayNoise(arr, w).totals(inputs), grid)
         out.append(res.value.tolist())
     return out
 
@@ -96,8 +95,9 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> list[dict]:
     omegas = np.geomspace(lo, hi, n_points)
     omegas = np.unique(np.concatenate(
         [omegas, [s.oscillator.omega0 for s in scn.sensors]]))
-    bd = array_noise_psd(arr, QuadraturePsds.vacuum(), omegas)
-    [sq_total] = array_noise_totals(arr, [scn.squeeze], omegas)
+    noise = ArrayNoise(arr, omegas)
+    bd = noise.breakdown(QuadraturePsds.vacuum())
+    [sq_total] = noise.totals([scn.squeeze])
     sql = array_sql_psd(arr, omegas)
     thermal = float(bd.thermal[0])  # frequency-independent
     em2r = math.exp(-2.0 * scn.squeeze.r)
@@ -144,7 +144,7 @@ def sensitivity_report(scn: Scenario) -> list[dict]:
     rows = []
     for name, squeeze in quantities:
         def noise(w):
-            return array_noise_totals(arr, [squeeze], w)[0]
+            return ArrayNoise(arr, w).totals([squeeze])[0]
 
         res = integrated_sensitivity(signal, noise, grid)
         res_half = integrated_sensitivity(signal, noise, grid.bisected(),
@@ -200,15 +200,15 @@ def dm_projection_table(scn: Scenario,
     arr1 = _single_reference(scn)
     arr_m = scn.build_array(m_count)
     gain_m = float(array_signal_psd(arr_m, 1.0))
-    vac = QuadraturePsds.vacuum()
-    squeeze = scn.squeeze
-    em2r = math.exp(-2.0 * squeeze.r)
+    r = scn.squeeze.r
+    em2r = math.exp(-2.0 * r)
 
-    n1 = array_noise_psd(arr1, vac, omegas).total
-    bd_m = array_noise_psd(arr_m, vac, omegas)
-    nm = bd_m.total
-    thermal_m = float(bd_m.thermal[0])  # frequency-independent
-    ndqs = array_squeezed_noise(arr_m, squeeze.r, None, omegas).total
+    [n1] = ArrayNoise(arr1, omegas).totals([_VACUUM])
+    noise_m = ArrayNoise(arr_m, omegas)
+    # the DQS column squeezes at the optimal angle whatever the scenario's
+    # angle policy; at r = 0 it is the coherent column
+    nm, ndqs = noise_m.totals([_VACUUM, SqueezedInput(r, "optimal")])
+    thermal_m = float(noise_m.thermal_psd()[0])  # frequency-independent
     sql_m = array_sql_psd(arr_m, omegas)
     rows = []
     for i, w in enumerate(omegas.tolist()):

@@ -25,8 +25,7 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, _scalarize,
                              mechanical_susceptibility, sensor_response)
 from omsense.sensitivity import ObservationPlan
-from omsense.arrays import (SensorArray, _Terms, array_squeezed_noise,
-                            optimal_squeezing_angle)
+from omsense.arrays import ArrayNoise, SensorArray
 from omsense.oracle import TransferAssembly
 
 
@@ -37,7 +36,7 @@ def residual_vacuum_forms(arr: SensorArray, omega):
     the second path sums Delta_jk = e^{i(phi_k-phi_j)/2} sqrt(hbar^2 m m' O O')
     (delta_jk - w*_j0 w_k0) W*_0j W_0k explicitly instead of expanding it.
     """
-    t = _Terms(arr, omega)
+    t = ArrayNoise(arr, omega)
     expanded = t.residual_expanded()
 
     dv = arr.dividing_weights[t.active]
@@ -85,9 +84,9 @@ def dqs_vs_dcs_report(arr: SensorArray, n_photons: float, omega,
     m = arr.n_sensors
     squeeze = SqueezedInput.from_photon_number(n_photons)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    theta = optimal_squeezing_angle(arr, w)
-
-    dqs = array_squeezed_noise(arr, squeeze.r, theta, w).total
+    noise = ArrayNoise(arr, w)
+    theta = noise.optimal_angle()
+    [dqs] = noise.totals([SqueezedInput(squeeze.r, "optimal")])
 
     sensor = arr.sensors[0]
     per_sensor_power = arr.total_power / m

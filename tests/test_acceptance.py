@@ -16,9 +16,8 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, cavity_phase_and_cooperativity,
                              input_quadrature_psds, mechanical_susceptibility,
                              single_sensor_noise_psd)
-from omsense.arrays import (array_noise_psd, array_signal_psd,
-                            array_squeezed_noise, identical_array,
-                            optimal_squeezing_angle)
+from omsense.arrays import (ArrayNoise, array_noise_psd, array_signal_psd,
+                            identical_array)
 from omsense.oracle import assemble_transfer, propagate_covariance
 from omsense.sensitivity import (FrequencyGrid, integrated_sensitivity,
                                  min_detectable_coupling)
@@ -76,7 +75,7 @@ def test_criterion_3_scaling_laws(membrane_sensor):
     scn = scenario_from_dict(preset_scenario("fig2"))
     grid = scn.build_grid()
     vac = QuadraturePsds.vacuum()
-    squeeze = SqueezedInput.from_db(10.0)
+    squeeze = SqueezedInput.from_db(10.0, angle_policy="optimal")
 
     def flat(gain):
         return lambda w: np.full_like(np.asarray(w, float), gain)
@@ -88,8 +87,7 @@ def test_criterion_3_scaling_laws(membrane_sensor):
             flat(gain), lambda w: array_noise_psd(arr, vac, w).total, grid).value
 
         def sq_noise(w):
-            theta = optimal_squeezing_angle(arr, w)
-            return array_squeezed_noise(arr, squeeze.r, theta, w).total
+            return ArrayNoise(arr, w).totals([squeeze])[0]
 
         i_dqs = integrated_sensitivity(flat(gain), sq_noise, grid).value
         return i_coh, i_dqs
@@ -153,7 +151,8 @@ def test_criterion_5_squeezing_factorization(rng):
         else:
             arr, _ = random_array(rng, int(rng.integers(1, 5)))
             omega = float(np.exp(rng.uniform(np.log(1e2), np.log(1e6))))
-            closed = array_squeezed_noise(arr, r, theta, omega).total
+            [[closed]] = ArrayNoise(arr, omega).totals(
+                [SqueezedInput(r, "fixed", angle=theta)])
             generic = array_noise_psd(arr, inp, omega).total
         worst = max(worst, abs(closed - generic) / generic)
     _report(5, worst < 1e-12,

@@ -11,12 +11,11 @@ from omsense.errors import ConfigError
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
                              single_sensor_noise_psd, sql_noise_psd)
-from omsense.arrays import (ArraySensor, SensorArray, _Terms, array_noise_psd,
-                            array_noise_totals, array_signal_psd, array_sql_psd,
-                            array_squeezed_noise, identical_array,
-                            inverse_variance_weights, matched_weights,
-                            optimal_squeezing_angle, single_sensor_array,
-                            uniform_weights)
+from omsense.arrays import (ArrayNoise, ArraySensor, SensorArray,
+                            array_noise_psd, array_signal_psd, array_sql_psd,
+                            identical_array, inverse_variance_weights,
+                            matched_weights, optimal_squeezing_angle,
+                            single_sensor_array, uniform_weights)
 from omsense.oracle import oracle_noise_psd
 from omsense.scans import random_array
 from reference_paths import (dqs_vs_dcs_report, residual_vacuum_forms,
@@ -159,12 +158,21 @@ def test_residual_forms_agree(rng):
 # array squeezing
 # ---------------------------------------------------------------------------
 
+def _squeezed_total(arr, r, theta, omega):
+    """ArrayNoise total under squeezing r at the fixed angle ``theta``."""
+    [total] = ArrayNoise(arr, omega).totals(
+        [SqueezedInput(r, "fixed", angle=theta)])
+    return total if np.ndim(omega) else float(total[0])
+
+
 def test_array_squeezed_reduces_to_vacuum_at_r_zero(membrane_sensor, rng):
     arr, _ = random_array(rng, 3)
     omegas = np.geomspace(1e3, 1e5, 15)
-    sq = array_squeezed_noise(arr, 0.0, 0.7, omegas)
+    # r = 0 itself takes the vacuum path; at r = 1e-300 the e^{-+2r} factors
+    # round to 1 and the squeezed formula must give the vacuum total
+    sq = _squeezed_total(arr, 1e-300, 0.7, omegas)
     vac = array_noise_psd(arr, QuadraturePsds.vacuum(), omegas)
-    np.testing.assert_allclose(sq.total, vac.total, rtol=1e-12)
+    np.testing.assert_allclose(sq, vac.total, rtol=1e-12)
 
 
 def test_array_squeezed_equals_single_sensor_squeezed(membrane_sensor):
@@ -172,10 +180,10 @@ def test_array_squeezed_equals_single_sensor_squeezed(membrane_sensor):
     r = SqueezedInput.from_db(10.0).r
     omegas = np.geomspace(1e2, 1e6, 25)
     theta = -0.3
-    sq = array_squeezed_noise(arr, r, theta, omegas)
+    sq = _squeezed_total(arr, r, theta, omegas)
     single = squeezed_noise_closed_form(membrane_sensor.oscillator,
                                         membrane_sensor.cavity, r, theta, omegas)
-    np.testing.assert_allclose(sq.total, single, rtol=1e-12)
+    np.testing.assert_allclose(sq, single, rtol=1e-12)
 
 
 def test_array_squeezed_factorization(rng):
@@ -184,10 +192,10 @@ def test_array_squeezed_factorization(rng):
         r = SqueezedInput.from_db(db).r
         theta = rng.uniform(-math.pi / 2, math.pi / 2)
         omega = float(np.exp(rng.uniform(np.log(1e2), np.log(1e6))))
-        sq = array_squeezed_noise(arr, r, theta, omega)
+        sq = _squeezed_total(arr, r, theta, omega)
         generic = array_noise_psd(
             arr, input_quadrature_psds(SqueezedInput(r=r), theta), omega)
-        assert sq.total == pytest.approx(generic.total, rel=1e-12)
+        assert sq == pytest.approx(generic.total, rel=1e-12)
 
 
 def test_squeezed_matches_oracle(rng):
@@ -195,9 +203,9 @@ def test_squeezed_matches_oracle(rng):
     squeeze = SqueezedInput.from_db(db)
     theta = -0.9
     omegas = np.exp(rng.uniform(np.log(1e3), np.log(1e5), 12))
-    sq = array_squeezed_noise(arr, squeeze.r, theta, omegas)
+    sq = _squeezed_total(arr, squeeze.r, theta, omegas)
     orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
-    np.testing.assert_allclose(orc, sq.total, rtol=1e-9)
+    np.testing.assert_allclose(orc, sq, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +236,25 @@ def test_optimal_angle_beats_dense_scan(membrane_sensor, rng):
     arr = single_sensor_array(membrane_sensor.oscillator, membrane_sensor.cavity)
     r = SqueezedInput.from_db(10.0).r
     for omega in (TWO_PI * 433.0, TWO_PI * 2551.0, TWO_PI * 11000.0):
-        theta_star = optimal_squeezing_angle(arr, omega)
+        noise = ArrayNoise(arr, omega)
+        theta_star = noise.optimal_angle()
+        assert theta_star == optimal_squeezing_angle(arr, omega)
+        # the e^{+2r} coefficient |A sin t + B cos t|^2 e^{2r} / 2 from the
+        # coherent sums A, B
+        a, b = noise.a[0], noise.b[0]
+
+        def anti(theta):
+            return (0.5 * np.abs(a * np.sin(theta) + b * np.cos(theta)) ** 2
+                    * math.exp(2.0 * r))
+
         scan = np.linspace(-math.pi / 2 + 1e-9, math.pi / 2, 40001)
-        anti = array_squeezed_noise(arr, r, scan, np.full_like(scan, omega)
-                                    ).anti_squeezed
-        at_star = array_squeezed_noise(arr, r, theta_star, omega).anti_squeezed
-        assert at_star <= np.min(anti) * (1.0 + 1e-6)
+        assert anti(theta_star) <= np.min(anti(scan)) * (1.0 + 1e-6)
+        # the two coefficients sum to (|A|^2 + |B|^2) / 2 at every angle, so
+        # the same angle minimizes the squeezed total
+        fixed = [SqueezedInput(r, "fixed", angle=float(t))
+                 for t in scan[::100]]
+        totals = noise.totals([SqueezedInput(r, "optimal")] + fixed)[:, 0]
+        assert totals[0] <= np.min(totals[1:]) * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +418,15 @@ def _two_templates_three_copies(membrane_sensor):
 def test_grouped_kernel_partly_collapsed_matches_oracle(membrane_sensor):
     arr = _two_templates_three_copies(membrane_sensor)
     omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
-    assert _Terms(arr, omegas).alpha.shape[0] == 4
+    assert ArrayNoise(arr, omegas).alpha.shape[0] == 4
 
     squeeze = SqueezedInput.from_db(8.0)
     theta = -0.6
     closed = array_noise_psd(arr, input_quadrature_psds(squeeze, theta), omegas)
-    sq = array_squeezed_noise(arr, squeeze.r, theta, omegas)
+    sq = _squeezed_total(arr, squeeze.r, theta, omegas)
     orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
     np.testing.assert_allclose(closed.total, orc, rtol=1e-9)
-    np.testing.assert_allclose(sq.total, orc, rtol=1e-9)
+    np.testing.assert_allclose(sq, orc, rtol=1e-9)
 
     expanded, delta = residual_vacuum_forms(arr, omegas)
     np.testing.assert_allclose(expanded, delta, rtol=1e-9)
@@ -418,43 +439,50 @@ def test_grouped_kernel_equal_sensors_collapse_by_value(membrane_sensor):
     w = uniform_weights(16)
     arr = SensorArray(sensors, w, matched_weights(w), 16 * 2e-3)
     omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
-    assert _Terms(arr, omegas).alpha.shape[0] == 1
+    assert ArrayNoise(arr, omegas).alpha.shape[0] == 1
 
     ref = identical_array(membrane_sensor, 16, power_per_sensor=2e-3)
     inp = input_quadrature_psds(SqueezedInput.from_db(10.0), -0.42)
     np.testing.assert_allclose(array_noise_psd(arr, inp, omegas).total,
                                array_noise_psd(ref, inp, omegas).total,
                                rtol=1e-14)
-    np.testing.assert_allclose(
-        array_squeezed_noise(arr, 1.0, None, omegas).total,
-        array_squeezed_noise(ref, 1.0, None, omegas).total, rtol=1e-14)
+    optimal = [SqueezedInput(1.0, "optimal")]
+    np.testing.assert_allclose(ArrayNoise(arr, omegas).totals(optimal),
+                               ArrayNoise(ref, omegas).totals(optimal),
+                               rtol=1e-14)
 
     near = (_fresh_membrane(), _fresh_membrane(10e-3 * (1.0 + 1e-12)))
     w2 = uniform_weights(2)
     pair = SensorArray(near, w2, matched_weights(w2), 4e-3)
-    assert _Terms(pair, omegas).alpha.shape[0] == 2
+    assert ArrayNoise(pair, omegas).alpha.shape[0] == 2
 
 
 def test_squeezed_noise_optimal_angle_single_build_is_exact(membrane_sensor, rng):
+    """The "optimal" policy squeezes at exactly optimal_squeezing_angle."""
     arrays = [random_array(rng, 3)[0],
               _two_templates_three_copies(membrane_sensor),
               identical_array(membrane_sensor, 5, 2e-3)]
     r = SqueezedInput.from_db(12.0).r
     omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
+    optimal = [SqueezedInput(r, "optimal")]
     for arr in arrays:
-        for omega in (omegas, float(omegas[17])):
+        for omega in omegas.tolist()[::7]:
+            [[total]] = ArrayNoise(arr, omega).totals(optimal)
             theta = optimal_squeezing_angle(arr, omega)
-            one = array_squeezed_noise(arr, r, None, omega)
-            two = array_squeezed_noise(arr, r, theta, omega)
-            for field in ("squeezed", "anti_squeezed", "thermal",
-                          "residual_vacuum", "detection_loss", "total"):
-                np.testing.assert_array_equal(getattr(one, field),
-                                              getattr(two, field))
+            assert _squeezed_total(arr, r, theta, omega) == total
+        # one frequency at a time rounds the kernel's sums differently
+        fixed = [_squeezed_total(arr, r, theta, omega) for omega, theta in
+                 zip(omegas.tolist(),
+                     optimal_squeezing_angle(arr, omegas).tolist())]
+        np.testing.assert_allclose(ArrayNoise(arr, omegas).totals(optimal)[0],
+                                   fixed, rtol=1e-13)
 
 
 def test_noise_totals_match_each_input_bitwise(membrane_sensor, rng):
-    """One kernel build for several inputs gives exactly the totals of the
-    per-input calls: vacuum (also r = 0 under any policy), optimal, fixed."""
+    """One totals call for several inputs gives exactly the totals of one
+    call per input; the vacuum rows (also r = 0 under any policy) are the
+    breakdown's total, and the squeezed rows the breakdown under the
+    matching quadrature PSDs."""
     r = SqueezedInput.from_db(9.0).r
     inputs = [SqueezedInput.vacuum(), SqueezedInput(r, "optimal"),
               SqueezedInput(r, "fixed", angle=0.7),
@@ -463,10 +491,18 @@ def test_noise_totals_match_each_input_bitwise(membrane_sensor, rng):
     vac = QuadraturePsds.vacuum()
     for arr in (random_array(rng, 3)[0],
                 _two_templates_three_copies(membrane_sensor)):
-        totals = array_noise_totals(arr, inputs, omegas)
+        noise = ArrayNoise(arr, omegas)
+        totals = noise.totals(inputs)
         assert totals.shape == (4, omegas.size)
-        want = [array_noise_psd(arr, vac, omegas).total,
-                array_squeezed_noise(arr, r, None, omegas).total,
-                array_squeezed_noise(arr, r, 0.7, omegas).total,
-                array_noise_psd(arr, vac, omegas).total]
-        np.testing.assert_array_equal(totals, np.stack(want))
+        for row, inp in zip(totals, inputs):
+            np.testing.assert_array_equal(
+                row, ArrayNoise(arr, omegas).totals([inp])[0])
+        vac_total = array_noise_psd(arr, vac, omegas).total
+        np.testing.assert_array_equal(totals[0], vac_total)
+        np.testing.assert_array_equal(totals[3], vac_total)
+        for row, thetas in ((totals[1], noise.optimal_angle()),
+                            (totals[2], np.full(omegas.size, 0.7))):
+            want = [array_noise_psd(arr, input_quadrature_psds(
+                        SqueezedInput(r), theta), omega).total
+                    for omega, theta in zip(omegas.tolist(), thetas.tolist())]
+            np.testing.assert_allclose(row, want, rtol=1e-12)

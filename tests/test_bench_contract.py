@@ -1,0 +1,34 @@
+"""The benchmark's use of the program: the names ``bench/spans.py`` wraps
+and the checks of ``bench/checker.py`` hold on op 0 of each gated workload.
+
+The benchmark files are imported as they are, never changed, so a rename in
+the program that would break the benchmark fails here first.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import checker  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+GATED = [w["name"] for w in
+         json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_gated_workload_op_passes_its_checks(name, tmp_path):
+    op = workloads.make_op(workloads.WORKLOADS[name], 1, 0, str(tmp_path))
+    out_dir = str(tmp_path / "out")
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        rc, _, text = checker.run_cli([*op.argv, "--out", out_dir])
+    assert rc == 0, text
+    assert {span[1] for span in tracer.spans} >= {"scans", "arrays"}
+    assert checker.check_op(op, rc, out_dir, str(tmp_path / "check")) == []

@@ -92,6 +92,15 @@ def test_dm_projection_curve_ordering():
             row["gmin_single_classical"] / math.sqrt(m), rel=1e-9)
 
 
+def test_dm_projection_without_squeezing_dqs_is_coherent():
+    raw = preset_scenario("fig3")
+    raw["input_light"] = None
+    rows = dm_projection_table(scenario_from_dict(raw))
+    assert len(rows) == 61
+    assert ([row["gmin_dqs_array"] for row in rows]
+            == [row["gmin_coherent_array"] for row in rows])
+
+
 def test_sensitivity_report_quantities():
     scn = scenario_from_dict(preset_scenario("fig4"))
     rows = sensitivity_report(scn)
@@ -136,17 +145,29 @@ def test_loss_scan_applies_loss_to_every_template():
         assert rows[1][key] < 0.9 * rows[0][key]
 
 
-def test_array_scan_builds_one_kernel_per_array(monkeypatch):
-    """Deterministic cost guard: fig2's array-scan builds the per-sensor
-    kernel once per array and quadrature pass (the M = 1 reference and 11
-    counts, each converging in one pass), not once per input."""
+@pytest.mark.parametrize("preset,table,max_builds", [
+    pytest.param("fig2", array_scan_table, 12, id="fig2"),
+    pytest.param("fig3", dm_projection_table, 2, id="fig3"),
+    pytest.param("fig4", noise_budget_table, 1, id="fig4"),
+    pytest.param("fig5", power_scan_table, 71, id="fig5"),
+    pytest.param("fig6", loss_scan_table, 11, id="fig6")])
+def test_array_scan_builds_one_kernel_per_array(monkeypatch, preset, table,
+                                                max_builds):
+    """Deterministic cost guard: a table builds each array's noise kernel
+    once per frequency set (fig3: the M = 1 reference and the M-array; fig4:
+    the one array), and a sweep once per array and quadrature pass (fig2:
+    the M = 1 reference and 11 counts, each converging in one pass), not
+    once per input or per noise quantity."""
     builds = []
 
-    class Counting(arrays._Terms):
+    class Counting(arrays.ArrayNoise):
+        __slots__ = ()
+
         def __init__(self, *args):
             builds.append(1)
             super().__init__(*args)
 
-    monkeypatch.setattr(arrays, "_Terms", Counting)
-    array_scan_table(scenario_from_dict(preset_scenario("fig2")))
-    assert len(builds) <= 12
+    for module in (arrays, scans):
+        monkeypatch.setattr(module, "ArrayNoise", Counting)
+    table(scenario_from_dict(preset_scenario(preset)))
+    assert len(builds) <= max_builds

@@ -254,6 +254,24 @@ def test_reused_parser_does_not_carry_overlays(tmp_path):
     assert "overlay_line" not in header
 
 
+@pytest.mark.parametrize("row", [
+    pytest.param("1000.0,0.0", id="zero-value"),
+    pytest.param("1000.0,-1e-24", id="negative-value"),
+    pytest.param("nan,1e-24", id="nan-frequency"),
+    pytest.param("0.0,1e-24", id="zero-frequency"),
+    pytest.param("1000.0,inf", id="inf-value")])
+def test_overlay_bad_row_exits_two(tmp_path, capsys, row):
+    """One bad row would spoil the whole interpolated column (all NaN, or
+    the right-end value everywhere), so the overlay is rejected."""
+    overlay = tmp_path / "curve.csv"
+    overlay.write_text(f"frequency_hz,g\n10.0,1e-24\n{row}\n100000.0,2e-24\n")
+    out = tmp_path / "o"
+    assert cli.main(["fig3", "--out", str(out),
+                     "--overlay", f"curve={overlay}"]) == 2
+    assert str(overlay) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flag_beats_env(tmp_path, monkeypatch):
     monkeypatch.setenv("OMSENSE_OUT", str(tmp_path / "fromenv"))
     out = tmp_path / "fromflag"

@@ -277,15 +277,20 @@ def test_squeezed_factorization_random(membrane_osc, rng):
 def test_optimal_angle_minimizes_anti_squeezed_coefficient(membrane_osc,
                                                            membrane_cav):
     # golden-section scan over theta confirms the e^{+2r} coefficient minimum
-    from omsense.arrays import optimal_squeezing_angle, single_sensor_array
+    from omsense.arrays import (ArrayNoise, optimal_squeezing_angle,
+                                single_sensor_array)
     arr = single_sensor_array(membrane_osc, membrane_cav)
     r = SqueezedInput.from_db(10.0).r
     for omega in (TWO_PI * 300.0, TWO_PI * 1402.0, TWO_PI * 3500.0):
-        theta_star = optimal_squeezing_angle(arr, omega)
+        noise = ArrayNoise(arr, omega)
+        theta_star = noise.optimal_angle()
+        assert theta_star == optimal_squeezing_angle(arr, omega)
+        # |A sin t + B cos t|^2 e^{2r} / 2 from the coherent sums A, B
+        a, b = noise.a[0], noise.b[0]
 
         def anti(theta):
-            from omsense.arrays import array_squeezed_noise
-            return array_squeezed_noise(arr, r, theta, omega).anti_squeezed
+            return (0.5 * abs(a * math.sin(theta) + b * math.cos(theta)) ** 2
+                    * math.exp(2.0 * r))
 
         lo, hi = theta_star - 0.5, theta_star + 0.5
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -305,17 +310,15 @@ def test_optimal_angle_minimizes_anti_squeezed_coefficient(membrane_osc,
 
 def test_squeezed_below_classical_where_optical_dominates(membrane_osc,
                                                           membrane_cav):
-    from omsense.arrays import (array_noise_psd, array_squeezed_noise,
-                                optimal_squeezing_angle, single_sensor_array)
+    from omsense.arrays import ArrayNoise, single_sensor_array
     arr = single_sensor_array(membrane_osc, membrane_cav)
     omegas = np.geomspace(membrane_osc.omega0 / 1e3, membrane_osc.omega0 * 1e3, 301)
-    vac = array_noise_psd(arr, QuadraturePsds.vacuum(), omegas)
-    r = SqueezedInput.from_db(10.0).r
-    theta = optimal_squeezing_angle(arr, omegas)
-    sq = array_squeezed_noise(arr, r, theta, omegas)
+    noise = ArrayNoise(arr, omegas)
+    vac = noise.breakdown(QuadraturePsds.vacuum())
+    [sq] = noise.totals([SqueezedInput.from_db(10.0, angle_policy="optimal")])
     optical = vac.shot + vac.back_action + vac.correlation
     dominated = optical > vac.thermal
-    assert np.all(sq.total[dominated] <= vac.total[dominated])
+    assert np.all(sq[dominated] <= vac.total[dominated])
 
 
 # ---------------------------------------------------------------------------
