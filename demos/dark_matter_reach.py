@@ -32,14 +32,13 @@ print(f"back-action-limited point: g_min = "
       f"(quoted 7e-24)\n")
 
 scn.scan["compton_points"] = 13
-rows = dm_projection_table(scn)
+table = dm_projection_table(scn)
 print(f"{'f_DM [Hz]':>10} {'single':>10} {'incoh x10':>10} {'coh x10':>10} "
       f"{'DQS x10':>10} {'SQL x10':>10}")
-for row in rows:
-    print(f"{row['compton_hz']:>10.0f} {row['gmin_single_classical']:>10.2e} "
-          f"{row['gmin_incoherent_array']:>10.2e} "
-          f"{row['gmin_coherent_array']:>10.2e} "
-          f"{row['gmin_dqs_array']:>10.2e} {row['gmin_sql_array']:>10.2e}")
+for f_hz, *gmins in zip(*(table[c] for c in (
+        "compton_hz", "gmin_single_classical", "gmin_incoherent_array",
+        "gmin_coherent_array", "gmin_dqs_array", "gmin_sql_array"))):
+    print(f"{f_hz:>10.0f}" + "".join(f" {g:>10.2e}" for g in gmins))
 
 print("\nTen coherently combined sensors gain sqrt(10) in coupling over one;")
 print("the entangled readout pushes every frequency further down, and the")

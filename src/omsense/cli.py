@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -139,36 +140,31 @@ def _bool_env(name, default):
     return raw.strip().lower() not in ("0", "false", "no", "")
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row.get(c, "")) for c in columns))
+def _write_csv(path, columns, table: scans.Table):
+    # tolist() gives Python floats, whose str is the shortest round-trip repr
+    cells = [map(str, np.asarray(table[c]).tolist()) for c in columns]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_json(path, columns, rows):
+def _write_json(path, columns, table: scans.Table):
+    rows = zip(*(np.asarray(table[c]).tolist() for c in columns), strict=True)
     payload = {"columns": list(columns),
-               "rows": [{c: row.get(c) for c in columns} for row in rows]}
+               "rows": [dict(zip(columns, row)) for row in rows]}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=1, sort_keys=True, default=float)
-                 + "\n")
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _load_overlays(specs) -> dict[str, np.ndarray]:
     overlays = {}
     for spec in specs or []:
-        if "=" not in spec:
-            raise ScenarioError(f"--overlay expects LABEL=PATH, got {spec!r}")
-        label, path = spec.split("=", 1)
+        label, eq, path = spec.partition("=")
+        if not (eq and re.fullmatch(r"[A-Za-z0-9_.-]+", label)):
+            raise ScenarioError(f"--overlay expects LABEL=PATH with LABEL made "
+                                f"of [A-Za-z0-9_.-], got {spec!r}")
+        if label in overlays:
+            raise ScenarioError(f"--overlay label {label!r} is given twice")
         points = []
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -189,41 +185,38 @@ def _load_overlays(specs) -> dict[str, np.ndarray]:
                             f"overlay {path}: frequency and value must be "
                             f"finite and > 0, got {line!r}")
                     points.append((TWO_PI * freq_hz, val))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read overlay {path}: {exc}") from exc
         if not points:
             raise ScenarioError(f"overlay {path} contains no numeric rows")
-        data = np.asarray(sorted(points))
-        overlays[label] = data
+        overlays[label] = np.asarray(sorted(points))
     return overlays
 
 
-def _compute(command: str, scn: Scenario, args) -> tuple[list[str], list[dict]]:
+def _compute(command: str, scn: Scenario, args) -> tuple[list[str], scans.Table]:
     effective = _PRESET_COMMAND.get(command, command)
     if effective == "noise":
-        rows = scans.noise_budget_table(scn)
+        table = scans.noise_budget_table(scn)
     elif effective == "array-scan":
-        rows = scans.array_scan_table(scn)
+        table = scans.array_scan_table(scn)
     elif effective == "sensitivity":
-        rows = scans.sensitivity_report(scn)
+        table = scans.sensitivity_report(scn)
     elif effective == "dm-projection":
         overlays = _load_overlays(getattr(args, "overlay", []))
-        rows = scans.dm_projection_table(scn, overlays=overlays)
+        table = scans.dm_projection_table(scn, overlays=overlays)
     elif effective == "power-scan":
-        rows = scans.power_scan_table(scn)
+        table = scans.power_scan_table(scn)
     elif effective == "loss-scan":
-        rows = scans.loss_scan_table(scn)
+        table = scans.loss_scan_table(scn)
     else:
         raise ScenarioError(f"unhandled command {command!r}")
-    columns = list(scans.COLUMNS[effective])
-    for col in columns:
-        if any(not isinstance(row[col], str) and not math.isfinite(row[col])
-               for row in rows):
+    # the frozen columns must be finite; overlays are NaN out of their range
+    frozen = scans.COLUMNS[effective]
+    for col in frozen:
+        values = np.asarray(table[col])
+        if values.dtype.kind != "U" and not np.isfinite(values).all():
             raise ConfigError(f"{_OUT_OF_RANGE}: column {col!r} is not finite")
-    if rows:
-        extras = [k for k in rows[0] if k not in columns]
-        columns += sorted(extras)
-    return columns, rows
+    return frozen + sorted(set(table.columns) - set(frozen)), table
 
 
 def main(argv=None) -> int:
@@ -247,11 +240,11 @@ def main(argv=None) -> int:
             scn.grid_tol = args.tolerance
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            columns, rows = _compute(command, scn, args)
+            columns, table = _compute(command, scn, args)
         for message in (str(w.message) for w in caught):
             if message not in scn.warnings:
                 scn.warnings.append(message)
-        outputs = _emit(args, command, columns, rows, scn)
+        outputs = _emit(args, command, columns, table, scn)
         for path in outputs:
             print(path)
         return 0
@@ -266,16 +259,11 @@ def main(argv=None) -> int:
         return 3
 
 
-def _emit(args, command, columns, rows, scn: Scenario | None,
+def _emit(args, command, columns, table: scans.Table, scn: Scenario | None,
           extra_manifest: dict | None = None) -> list[str]:
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     fmt = args.format or (scn.output_format if scn is not None else "csv")
     table_path = os.path.join(out_dir, f"{command}.{fmt}")
-    if fmt == "csv":
-        _write_csv(table_path, columns, rows)
-    else:
-        _write_json(table_path, columns, rows)
     manifest = {
         "command": command,
         "package": {"name": "omsense", "version": __version__,
@@ -291,23 +279,28 @@ def _emit(args, command, columns, rows, scn: Scenario | None,
                 if scn is not None else None,
         "columns": columns,
         "outputs": [os.path.basename(table_path)],
-        "n_rows": len(rows),
+        "n_rows": len(table),
     }
     if extra_manifest:
         manifest.update(extra_manifest)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        (_write_csv if fmt == "csv" else _write_json)(table_path, columns, table)
+        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {out_dir}: {exc}") from exc
     return [table_path, manifest_path]
 
 
 def _run_oracle_check(args) -> int:
-    rows = scans.oracle_check_table(n_configs=args.configs, n_freqs=args.freqs,
-                                    seed=args.seed)
-    columns = list(scans.COLUMNS["oracle-check"])
-    worst = max(row["max_rel_residual"] for row in rows)
+    table = scans.oracle_check_table(n_configs=args.configs,
+                                     n_freqs=args.freqs, seed=args.seed)
+    worst = max(table["max_rel_residual"])
     passed = bool(worst < args.residual_tol)
-    outputs = _emit(args, "oracle-check", columns, rows, None,
+    outputs = _emit(args, "oracle-check", scans.COLUMNS["oracle-check"], table,
+                    None,
                     extra_manifest={"oracle": {
                         "configs": args.configs, "freqs": args.freqs,
                         "seed": args.seed, "residual_tol": args.residual_tol,

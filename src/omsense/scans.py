@@ -1,14 +1,15 @@
 """Figure-level computations: noise budgets, parameter scans and projections.
 
-Each function turns a validated Scenario into an ordered list of records
-(plain dicts) that the CLI serializes; everything is deterministic given the
-scenario.  The array-, power- and loss-scans are one sweep (``_sweep``) over
-an axis, a list of inputs and a column projection.
+Each function turns a validated Scenario into a ``Table`` of named columns
+that the CLI serializes; everything is deterministic given the scenario.
+The array-, power- and loss-scans are one sweep (``_sweep``) over an axis
+and a list of inputs, whose integrals are the table's columns.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .sensitivity import (FrequencyGrid, integrated_sensitivity,
 from .scenario import Scenario
 
 __all__ = [
+    "Table",
     "noise_budget_table",
     "sensitivity_report",
     "array_scan_table",
@@ -59,6 +61,23 @@ COLUMNS = {
 _VACUUM = SqueezedInput.vacuum()
 
 
+@dataclass(frozen=True)
+class Table:
+    """Named columns of equal length (arrays or lists), one per quantity.
+
+    ``len(table)`` is the row count and ``table[name]`` a column; which
+    columns are written, and in what order, is ``COLUMNS``' business.
+    """
+
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, name: str):
+        return self.columns[name]
+
+
 def _flat_signal(gain: float):
     return lambda w: np.full_like(np.asarray(w, dtype=float), gain)
 
@@ -70,17 +89,16 @@ def _single_reference(scn: Scenario) -> SensorArray:
     return SensorArray(scn.sensors[:1], np.ones(1), np.ones(1), scn.power)
 
 
-def _sweep(grid: FrequencyGrid, values, build, inputs) -> list[list[float]]:
-    """For each axis value, the integrated sensitivity of ``build(value)``
-    under each input of ``inputs``: one integral per value, whose components
-    are the inputs, all on one grid."""
-    out = []
-    for value in values:
+def _sweep(grid: FrequencyGrid, values, build, inputs) -> np.ndarray:
+    """(inputs, values): for each axis value, the integrated sensitivity of
+    ``build(value)`` under each input of ``inputs``; one integral per value,
+    whose components are the inputs, all on one grid."""
+    out = np.empty((len(inputs), len(values)))
+    for j, value in enumerate(values):
         arr = build(value)
         signal = _flat_signal(float(array_signal_psd(arr, 1.0)))
-        res = integrated_sensitivity(
-            signal, lambda w: ArrayNoise(arr, w).totals(inputs), grid)
-        out.append(res.value.tolist())
+        out[:, j] = integrated_sensitivity(
+            signal, lambda w: ArrayNoise(arr, w).totals(inputs), grid).value
     return out
 
 
@@ -88,7 +106,7 @@ def _sweep(grid: FrequencyGrid, values, build, inputs) -> list[list[float]]:
 # noise budget
 # ---------------------------------------------------------------------------
 
-def noise_budget_table(scn: Scenario, n_points: int = 481) -> list[dict]:
+def noise_budget_table(scn: Scenario, n_points: int = 481) -> Table:
     """Classical breakdown, squeezed total and per-frequency limits."""
     arr = scn.build_array()
     lo, hi = scn.grid_span
@@ -103,35 +121,31 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> list[dict]:
     em2r = math.exp(-2.0 * scn.squeeze.r)
     osc0 = arr.sensors[0].oscillator
     mass = osc0.mass
-    disp = displacement_asd(osc0, omegas, bd.total)
-    rows = []
-    for i, w in enumerate(omegas):
-        rows.append({
-            "omega_rad_s": w,
-            "frequency_hz": w / TWO_PI,
-            "shot": bd.shot[i],
-            "back_action": bd.back_action[i],
-            "correlation": bd.correlation[i],
-            "thermal": bd.thermal[i],
-            "residual_vacuum": bd.residual_vacuum[i],
-            "detection_loss": bd.detection_loss[i],
-            "total_classical": bd.total[i],
-            "total_squeezed": sq_total[i],
-            "sql": sql[i],
-            "classical_limit_total": sql[i] + thermal,
-            "squeezed_limit_total": em2r * sql[i] + thermal,
-            "acc_asd_classical": math.sqrt(bd.total[i]) / mass,
-            "acc_asd_squeezed": math.sqrt(sq_total[i]) / mass,
-            "disp_asd_classical": disp[i],
-        })
-    return rows
+    return Table({
+        "omega_rad_s": omegas,
+        "frequency_hz": omegas / TWO_PI,
+        "shot": bd.shot,
+        "back_action": bd.back_action,
+        "correlation": bd.correlation,
+        "thermal": bd.thermal,
+        "residual_vacuum": bd.residual_vacuum,
+        "detection_loss": bd.detection_loss,
+        "total_classical": bd.total,
+        "total_squeezed": sq_total,
+        "sql": sql,
+        "classical_limit_total": sql + thermal,
+        "squeezed_limit_total": em2r * sql + thermal,
+        "acc_asd_classical": np.sqrt(bd.total) / mass,
+        "acc_asd_squeezed": np.sqrt(sq_total) / mass,
+        "disp_asd_classical": displacement_asd(osc0, omegas, bd.total),
+    })
 
 
 # ---------------------------------------------------------------------------
 # integrated sensitivity and scans
 # ---------------------------------------------------------------------------
 
-def sensitivity_report(scn: Scenario) -> list[dict]:
+def sensitivity_report(scn: Scenario) -> Table:
     """Integrated sensitivity with a self-convergence check: the relative
     change when the integral is recomputed at half the tolerance on the
     bisected grid, a different node set."""
@@ -141,47 +155,44 @@ def sensitivity_report(scn: Scenario) -> list[dict]:
     quantities = [("classical", _VACUUM)]
     if scn.squeeze.r > 0:
         quantities.append(("squeezed", scn.squeeze))
-    rows = []
+    results, halves = [], []
     for name, squeeze in quantities:
         def noise(w):
             return ArrayNoise(arr, w).totals([squeeze])[0]
 
-        res = integrated_sensitivity(signal, noise, grid)
-        res_half = integrated_sensitivity(signal, noise, grid.bisected(),
-                                          rel_tol=0.5 * grid.tol)
-        rows.append({
-            "quantity": name,
-            "value": res.value,
-            "rel_error_estimate": res.rel_error,
-            "rel_change_half_tol": abs(res_half.value - res.value)
-                                   / abs(res.value),
-            "n_panels": res.n_panels,
-            "n_evaluations": res.n_evaluations,
-        })
-    return rows
+        results.append(integrated_sensitivity(signal, noise, grid))
+        halves.append(integrated_sensitivity(signal, noise, grid.bisected(),
+                                             rel_tol=0.5 * grid.tol))
+    value = np.array([res.value for res in results])
+    return Table({
+        "quantity": [name for name, _ in quantities],
+        "value": value,
+        "rel_error_estimate": [res.rel_error for res in results],
+        "rel_change_half_tol": np.abs(np.array([res.value for res in halves])
+                                      - value) / np.abs(value),
+        "n_panels": [res.n_panels for res in results],
+        "n_evaluations": [res.n_evaluations for res in results],
+    })
 
 
-def array_scan_table(scn: Scenario) -> list[dict]:
+def array_scan_table(scn: Scenario) -> Table:
     """Integrated sensitivity vs sensor count: DQS, coherent, incoherent."""
-    counts = scn.scan["sensor_counts"]
+    counts = np.array(scn.scan["sensor_counts"], dtype=int)
     grid = scn.build_grid()
     [[i_single]] = _sweep(grid, [scn], _single_reference, [_VACUUM])
-
-    def row(m, i_coh, i_dqs):
-        i_incoh = m * i_single
-        return {"n_sensors": m, "i_dqs": i_dqs,
-                "i_classical_coherent": i_coh,
-                "i_classical_incoherent": i_incoh,
-                "dqs_over_coherent": i_dqs / i_coh,
-                "coherent_over_single": i_coh / i_single,
-                "incoherent_over_single": i_incoh / i_single}
-
-    integrals = _sweep(grid, counts, scn.build_array, [_VACUUM, scn.squeeze])
-    return [row(m, *i) for m, i in zip(counts, integrals)]
+    i_coh, i_dqs = _sweep(grid, counts.tolist(), scn.build_array,
+                          [_VACUUM, scn.squeeze])
+    i_incoh = counts * i_single
+    return Table({"n_sensors": counts, "i_dqs": i_dqs,
+                  "i_classical_coherent": i_coh,
+                  "i_classical_incoherent": i_incoh,
+                  "dqs_over_coherent": i_dqs / i_coh,
+                  "coherent_over_single": i_coh / i_single,
+                  "incoherent_over_single": i_incoh / i_single})
 
 
 def dm_projection_table(scn: Scenario,
-                        overlays: dict[str, np.ndarray] | None = None) -> list[dict]:
+                        overlays: dict[str, np.ndarray] | None = None) -> Table:
     """Minimum detectable coupling vs Compton frequency for the standard curves.
 
     The incoherent column combines identical sensors at the power level
@@ -210,40 +221,31 @@ def dm_projection_table(scn: Scenario,
     nm, ndqs = noise_m.totals([_VACUUM, SqueezedInput(r, "optimal")])
     thermal_m = float(noise_m.thermal_psd()[0])  # frequency-independent
     sql_m = array_sql_psd(arr_m, omegas)
-    rows = []
-    for i, w in enumerate(omegas.tolist()):
-        plan.check(dm.linewidth(w))
-        n1_w, sql_w = float(n1[i]), float(sql_m[i])
-        rows.append({
-            "compton_rad_s": w,
-            "compton_hz": w / TWO_PI,
-            "gmin_single_classical": min_detectable_coupling(n1_w, dm, plan, w),
-            "gmin_coherent_array": min_detectable_coupling(
-                float(nm[i]) / gain_m, dm, plan, w),
-            "gmin_incoherent_array": min_detectable_coupling(
-                n1_w / math.sqrt(m_count), dm, plan, w),
-            "gmin_dqs_array": min_detectable_coupling(
-                float(ndqs[i]) / gain_m, dm, plan, w),
-            "gmin_sql_array": min_detectable_coupling(
-                (sql_w + thermal_m) / gain_m, dm, plan, w),
-            "gmin_dqs_limit": min_detectable_coupling(
-                (em2r * sql_w + thermal_m) / gain_m, dm, plan, w),
-        })
-    if overlays:
-        for label, data in sorted(overlays.items()):
-            col = f"overlay_{label}"
-            x, y = np.asarray(data[:, 0]), np.asarray(data[:, 1])
-            for row in rows:
-                w = row["compton_rad_s"]
-                if x.min() <= w <= x.max():
-                    row[col] = float(np.exp(np.interp(
-                        np.log(w), np.log(x), np.log(y))))
-                else:
-                    row[col] = math.nan
-    return rows
+    plan.check(dm.linewidth(omegas))
+
+    def gmin(noise):
+        return min_detectable_coupling(noise, dm, plan, omegas)
+
+    columns = {
+        "compton_rad_s": omegas,
+        "compton_hz": omegas / TWO_PI,
+        "gmin_single_classical": gmin(n1),
+        "gmin_coherent_array": gmin(nm / gain_m),
+        "gmin_incoherent_array": gmin(n1 / math.sqrt(m_count)),
+        "gmin_dqs_array": gmin(ndqs / gain_m),
+        "gmin_sql_array": gmin((sql_m + thermal_m) / gain_m),
+        "gmin_dqs_limit": gmin((em2r * sql_m + thermal_m) / gain_m),
+    }
+    # pass-through curves, interpolated log-log and NaN outside their range
+    for label, data in (overlays or {}).items():
+        x, y = data[:, 0], data[:, 1]
+        col = np.exp(np.interp(np.log(omegas), np.log(x), np.log(y)))
+        col[(omegas < x.min()) | (omegas > x.max())] = math.nan
+        columns[f"overlay_{label}"] = col
+    return Table(columns)
 
 
-def power_scan_table(scn: Scenario) -> list[dict]:
+def power_scan_table(scn: Scenario) -> Table:
     """Integrated sensitivity vs laser power: classical, optimal and fixed
     squeezing angle."""
     powers = scn.scan.get("powers_w")
@@ -253,25 +255,23 @@ def power_scan_table(scn: Scenario) -> list[dict]:
     inputs = [_VACUUM, SqueezedInput(r=r, angle_policy="optimal"),
               SqueezedInput(r=r, angle_policy="fixed",
                             angle=scn.scan["fixed_angle_rad"])]
-    integrals = _sweep(scn.build_grid(), powers,
-                       lambda p: scn.build_array(power=p), inputs)
-    return [{"power_w": p, "i_classical": i_cl, "i_squeezed_optimal": i_opt,
-             "i_squeezed_fixed": i_fix}
-            for p, (i_cl, i_opt, i_fix) in zip(powers, integrals)]
+    i_cl, i_opt, i_fix = _sweep(scn.build_grid(), powers,
+                                lambda p: scn.build_array(power=p), inputs)
+    return Table({"power_w": powers, "i_classical": i_cl,
+                  "i_squeezed_optimal": i_opt, "i_squeezed_fixed": i_fix})
 
 
-def loss_scan_table(scn: Scenario) -> list[dict]:
+def loss_scan_table(scn: Scenario) -> Table:
     """Integrated sensitivity vs detection loss 1 - eta^2."""
     losses = scn.scan.get("losses")
     if losses is None:
         raise ScenarioError("loss-scan needs scan.losses")
     inputs = [_VACUUM, SqueezedInput(r=scn.squeeze.r, angle_policy="optimal")]
-    integrals = _sweep(scn.build_grid(), losses,
-                       lambda loss: scn.build_array(efficiency_sq=1.0 - loss),
-                       inputs)
-    return [{"loss": loss, "efficiency_sq": 1.0 - loss, "i_classical": i_cl,
-             "i_squeezed_optimal": i_sq}
-            for loss, (i_cl, i_sq) in zip(losses, integrals)]
+    i_cl, i_sq = _sweep(scn.build_grid(), losses,
+                        lambda loss: scn.build_array(efficiency_sq=1.0 - loss),
+                        inputs)
+    return Table({"loss": losses, "efficiency_sq": 1.0 - np.array(losses),
+                  "i_classical": i_cl, "i_squeezed_optimal": i_sq})
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +302,11 @@ def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
 
 
 def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
-                       seed: int = 20240817) -> list[dict]:
+                       seed: int = 20240817) -> Table:
     """Closed-form array noise vs covariance-propagation oracle residuals."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for idx in range(n_configs):
+    sizes, dbs, residuals = [], [], []
+    for _ in range(n_configs):
         m = int(rng.integers(1, 5))
         arr, db = random_array(rng, m)
         theta = rng.uniform(-math.pi / 2, math.pi / 2)
@@ -317,7 +317,8 @@ def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
         closed = array_noise_psd(arr, input_quadrature_psds(squeeze, theta),
                                  omegas).total
         orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
-        rows.append({"config_index": idx, "n_sensors": m, "squeezing_db": db,
-                     "max_rel_residual": float(np.max(np.abs(orc - closed)
-                                                      / np.abs(closed)))})
-    return rows
+        sizes.append(m)
+        dbs.append(db)
+        residuals.append(float(np.max(np.abs(orc - closed) / np.abs(closed))))
+    return Table({"config_index": list(range(n_configs)), "n_sensors": sizes,
+                  "squeezing_db": dbs, "max_rel_residual": residuals})

@@ -453,7 +453,7 @@ def load_scenario(path, strict: bool = True,
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc

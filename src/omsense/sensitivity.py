@@ -293,7 +293,7 @@ class DarkMatterModel:
         if self.compton_omega <= 0:
             raise ConfigError("Compton frequency must be positive")
 
-    def linewidth(self, omega_dm: float | None = None) -> float:
+    def linewidth(self, omega_dm=None):
         if self.coherence_linewidth is not None:
             return self.coherence_linewidth
         omega = self.compton_omega if omega_dm is None else omega_dm
@@ -303,11 +303,10 @@ class DarkMatterModel:
         g = self.coupling if coupling is None else coupling
         return g * math.sqrt(self.rho_dm) * self.material_factor
 
-    def drive_psd(self, coupling: float | None = None,
-                  omega_dm: float | None = None) -> float:
+    def drive_psd(self, coupling: float | None = None, omega_dm=None):
         """S_drive = F_DM^2 / Delta_a, flat over the drive linewidth."""
         da = self.linewidth(omega_dm)
-        if da <= 0:
+        if np.any(da <= 0):
             raise ConfigError("coherence linewidth must be positive")
         return self.drive_force(coupling) ** 2 / da
 
@@ -332,15 +331,16 @@ class ObservationPlan:
             raise ConfigError(
                 f"SNR threshold must be finite and positive, got {self.snr_threshold}")
 
-    def check(self, linewidth: float) -> list[str]:
-        """Plan warnings for a given drive linewidth (returned, and warned)."""
+    def check(self, linewidth) -> list[str]:
+        """Plan warnings for a drive linewidth or any of an array of them
+        (returned, and warned)."""
         notes = []
-        if linewidth * self.duration < 1.0:
+        if np.any(linewidth * self.duration < 1.0):
             notes.append(
                 "Delta_a * T_O < 1: the sqrt(Delta_a T_O) averaging law does "
                 "not apply over this observation")
         t_int = self.integration_time
-        if t_int is not None and t_int * linewidth > 1.0 + 1e-12:
+        if t_int is not None and np.any(t_int * linewidth > 1.0 + 1e-12):
             notes.append(
                 "integration time exceeds the drive coherence time 1/Delta_a; "
                 "repetitions are wasted (best strategy is T_int ~ 1/Delta_a)")
@@ -350,26 +350,28 @@ class ObservationPlan:
 
 
 def min_detectable_coupling(noise_psd, dm: DarkMatterModel, plan: ObservationPlan,
-                            omega_dm: float | None = None) -> float:
+                            omega_dm=None):
     """Coupling at which the observation-run SNR reaches the plan threshold.
 
     The SNR is exactly quadratic in g, so the threshold crossing is closed
     form: g_min = g_ref sqrt(threshold * S_noise / (S_drive(g_ref) *
     sqrt(Delta_a T_O))).  ``noise_psd`` may be a value or a callable of
-    omega evaluated at the Compton frequency.
+    omega evaluated at the Compton frequency; arrays of noise values and
+    Compton frequencies give the array of the scalar calls' values.
     """
     omega = dm.compton_omega if omega_dm is None else omega_dm
     noise = noise_psd(omega) if callable(noise_psd) else noise_psd
-    noise = float(noise)
-    if noise <= 0:
+    noise = np.asarray(noise, dtype=float)
+    if np.any(noise <= 0):
         raise ConfigError("noise PSD must be positive")
     da = dm.linewidth(omega)
     g_ref = dm.coupling if dm.coupling > 0 else 1.0
     drive = dm.drive_psd(coupling=g_ref, omega_dm=omega)
-    if drive <= 0:
+    if np.any(drive <= 0):
         raise ConfigError("drive PSD vanished; check coupling and material factor")
-    return g_ref * math.sqrt(
-        plan.snr_threshold * noise / (drive * math.sqrt(da * plan.duration)))
+    g_min = g_ref * np.sqrt(
+        plan.snr_threshold * noise / (drive * np.sqrt(da * plan.duration)))
+    return float(g_min) if g_min.ndim == 0 else g_min
 
 
 def calibrate_material_factor(acceleration_asd: float, coupling: float,

@@ -42,9 +42,9 @@ def _membrane(gamma_convention="half"):
 
 def test_criterion_1_oracle_equivalence():
     t0 = time.perf_counter()
-    rows = oracle_check_table(n_configs=200, n_freqs=50, seed=20240817)
+    table = oracle_check_table(n_configs=200, n_freqs=50, seed=20240817)
     elapsed = time.perf_counter() - t0
-    worst = max(r["max_rel_residual"] for r in rows)
+    worst = max(table["max_rel_residual"])
     _report(1, worst < 1e-9 and elapsed < 60.0,
             f"200 random arrays (M<=4, <=15 dB), 50 frequencies each: max "
             f"relative residual {worst:.3e} (< 1e-9), runtime {elapsed:.1f} s "
@@ -248,31 +248,32 @@ def test_criterion_8_projection_anchor_and_ordering():
     g_ba = min_detectable_coupling(ba_noise, dm, plan, osc.omega0)
     ba_ok = 1.0 / 3.0 < g_ba / 7e-24 < 3.0
 
-    rows = dm_projection_table(scn)
-    below = all(r["gmin_dqs_array"] < r["gmin_coherent_array"] for r in rows)
+    table = dm_projection_table(scn)
+    below = bool(np.all(table["gmin_dqs_array"] < table["gmin_coherent_array"]))
     _report(8, anchor_exact and ba_ok and below,
             f"thermal anchor g={g_anchor:.3e} (= 4e-25), back-action point "
             f"g={g_ba:.2e} (within factor 3 of 7e-24: x{g_ba / 7e-24:.2f}), "
-            f"DQS below classical-coherent at all {len(rows)} plotted "
+            f"DQS below classical-coherent at all {len(table)} plotted "
             f"Compton frequencies: {below}")
 
 
-def _self_converged(row) -> bool:
-    """Criterion 9 on one sensitivity row: recomputing at half the tolerance
-    on the bisected grid moves the integral by a nonzero amount, below 1e-3
-    and within the quadrature's own error estimate."""
-    change = row["rel_change_half_tol"]
-    return 0.0 < change <= row["rel_error_estimate"] and change < 1e-3
+def _self_converged(table) -> bool:
+    """Criterion 9 on a sensitivity report: recomputing at half the
+    tolerance on the bisected grid moves every integral by a nonzero amount,
+    below 1e-3 and within the quadrature's own error estimate."""
+    change = table["rel_change_half_tol"]
+    return bool(np.all((0.0 < change) & (change < 1e-3)
+                       & (change <= table["rel_error_estimate"])))
 
 
 def test_criterion_9_quadrature_self_convergence():
     names = ("fig2", "fig3", "fig4", "fig5", "fig6")
-    rows = [row for name in names
-            for row in sensitivity_report(scenario_from_dict(preset_scenario(name)))]
-    changes = [row["rel_change_half_tol"] for row in rows]
-    share = max(row["rel_change_half_tol"] / row["rel_error_estimate"]
-                for row in rows)
-    _report(9, all(map(_self_converged, rows)),
+    tables = [sensitivity_report(scenario_from_dict(preset_scenario(name)))
+              for name in names]
+    changes = np.concatenate([t["rel_change_half_tol"] for t in tables])
+    share = max(np.max(t["rel_change_half_tol"] / t["rel_error_estimate"])
+                for t in tables)
+    _report(9, all(map(_self_converged, tables)),
             f"recomputing at half the tolerance on the bisected grid changes "
             f"the broadband integrals of all shipped scenarios {list(names)} "
             f"by {min(changes):.2e} to {max(changes):.2e} (nonzero, < 1e-3), "
@@ -295,8 +296,8 @@ def test_criterion_9_fails_on_a_sparse_ladder(monkeypatch):
                              tol=self.grid_tol if tol is None else tol)
 
     monkeypatch.setattr(Scenario, "build_grid", sparse_grid)
-    rows = sensitivity_report(scenario_from_dict(preset_scenario("fig6")))
-    assert not all(map(_self_converged, rows))
+    table = sensitivity_report(scenario_from_dict(preset_scenario("fig6")))
+    assert not _self_converged(table)
 
 
 def test_criterion_10_determinism(tmp_path):

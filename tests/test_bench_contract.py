@@ -1,5 +1,6 @@
 """The benchmark's use of the program: the names ``bench/spans.py`` wraps
-and the checks of ``bench/checker.py`` hold on op 0 of each gated workload.
+and the checks of ``bench/checker.py`` hold on op 0 of each gated workload
+and on one op of every table command of ``single-sensor-sweep``.
 
 The benchmark files are imported as they are, never changed, so a rename in
 the program that would break the benchmark fails here first.
@@ -22,9 +23,7 @@ GATED = [w["name"] for w in
          json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("name", GATED)
-def test_gated_workload_op_passes_its_checks(name, tmp_path):
-    op = workloads.make_op(workloads.WORKLOADS[name], 1, 0, str(tmp_path))
+def _run_checked(op, tmp_path):
     out_dir = str(tmp_path / "out")
     tracer = spans.Tracer()
     with spans.installed(tracer):
@@ -32,3 +31,21 @@ def test_gated_workload_op_passes_its_checks(name, tmp_path):
     assert rc == 0, text
     assert {span[1] for span in tracer.spans} >= {"scans", "arrays"}
     assert checker.check_op(op, rc, out_dir, str(tmp_path / "check")) == []
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_gated_workload_op_passes_its_checks(name, tmp_path):
+    _run_checked(workloads.make_op(workloads.WORKLOADS[name], 1, 0,
+                                   str(tmp_path)), tmp_path)
+
+
+@pytest.mark.parametrize("index,command",
+                         list(enumerate(workloads.SWEEP_COMMANDS)),
+                         ids=workloads.SWEEP_COMMANDS)
+def test_sweep_op_passes_its_checks(index, command, tmp_path):
+    """Ops 0-4 of single-sensor-sweep run one table command each: frozen
+    columns, row counts, finiteness and the tighter recompute."""
+    op = workloads.make_op(workloads.WORKLOADS["single-sensor-sweep"], 1,
+                           index, str(tmp_path))
+    assert op.command == command
+    _run_checked(op, tmp_path)

@@ -14,101 +14,96 @@ from omsense.scans import (array_scan_table, dm_projection_table,
 
 
 @pytest.fixture(scope="module")
-def fig2_rows():
+def fig2():
     scn = scenario_from_dict(preset_scenario("fig2"))
     scn.scan["sensor_counts"] = [1, 2, 4, 8, 16]
     return array_scan_table(scn)
 
 
-def test_fig2_columns_monotone(fig2_rows):
+def test_fig2_columns_monotone(fig2):
     for key in ("i_dqs", "i_classical_coherent", "i_classical_incoherent"):
-        vals = [r[key] for r in fig2_rows]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert np.all(np.diff(fig2[key]) > 0)
 
 
-def test_fig2_ratio_laws(fig2_rows):
+def test_fig2_ratio_laws(fig2):
     # coherent/incoherent grows like M, DQS/coherent stays flat
-    for row in fig2_rows:
-        m = row["n_sensors"]
-        assert row["coherent_over_single"] == pytest.approx(m * m, rel=1e-6)
-        assert row["incoherent_over_single"] == pytest.approx(m, rel=1e-9)
-        assert row["dqs_over_coherent"] == pytest.approx(
-            fig2_rows[0]["dqs_over_coherent"], rel=1e-9)
-    assert fig2_rows[0]["dqs_over_coherent"] > 1.0
+    m = fig2["n_sensors"]
+    np.testing.assert_allclose(fig2["coherent_over_single"], m * m, rtol=1e-6)
+    np.testing.assert_allclose(fig2["incoherent_over_single"], m, rtol=1e-9)
+    ratio = fig2["dqs_over_coherent"]
+    np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
+    assert ratio[0] > 1.0
 
 
 def test_fig5_interior_maximum_for_fixed_angle():
     scn = scenario_from_dict(preset_scenario("fig5"))
-    rows = power_scan_table(scn)
-    fixed = [r["i_squeezed_fixed"] for r in rows]
-    k = int(np.argmax(fixed))
-    assert 0 < k < len(fixed) - 1
+    table = power_scan_table(scn)
+    k = int(np.argmax(table["i_squeezed_fixed"]))
+    assert 0 < k < len(table) - 1
     # the frequency-tracking angle is never worse than the classical readout
-    assert all(r["i_squeezed_optimal"] >= r["i_classical"] for r in rows)
+    assert np.all(table["i_squeezed_optimal"] >= table["i_classical"])
 
 
 def test_fig6_squeezing_survives_loss():
     scn = scenario_from_dict(preset_scenario("fig6"))
-    rows = loss_scan_table(scn)
-    assert all(r["i_squeezed_optimal"] > r["i_classical"] for r in rows)
+    table = loss_scan_table(scn)
+    assert np.all(table["i_squeezed_optimal"] > table["i_classical"])
     for key in ("i_classical", "i_squeezed_optimal"):
-        vals = [r[key] for r in rows]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        assert np.all(np.diff(table[key]) < 0)
 
 
 def test_noise_budget_parts_sum(membrane_osc):
     scn = scenario_from_dict(preset_scenario("fig4"))
-    rows = noise_budget_table(scn, n_points=101)
-    for row in rows[:: 20]:
-        parts = (row["shot"] + row["back_action"] + row["correlation"]
-                 + row["thermal"] + row["residual_vacuum"]
-                 + row["detection_loss"])
-        assert row["total_classical"] == pytest.approx(parts, rel=1e-12)
-        assert row["acc_asd_classical"] == pytest.approx(
-            math.sqrt(row["total_classical"]) / membrane_osc.mass, rel=1e-12)
-    freqs = [r["frequency_hz"] for r in rows]
-    assert any(abs(f - 2000.0) < 1e-9 for f in freqs)  # resonance included
+    table = noise_budget_table(scn, n_points=101)
+    parts = sum(table[key] for key in ("shot", "back_action", "correlation",
+                                       "thermal", "residual_vacuum",
+                                       "detection_loss"))
+    np.testing.assert_allclose(table["total_classical"], parts, rtol=1e-12)
+    np.testing.assert_allclose(
+        table["acc_asd_classical"],
+        np.sqrt(table["total_classical"]) / membrane_osc.mass, rtol=1e-12)
+    # the resonance is included
+    assert np.any(np.abs(table["frequency_hz"] - 2000.0) < 1e-9)
 
 
 def test_noise_budget_squeezed_tracks_below_classical():
     scn = scenario_from_dict(preset_scenario("fig4"))
-    rows = noise_budget_table(scn, n_points=201)
-    assert all(r["total_squeezed"] <= r["total_classical"] for r in rows)
+    table = noise_budget_table(scn, n_points=201)
+    assert np.all(table["total_squeezed"] <= table["total_classical"])
 
 
 def test_dm_projection_curve_ordering():
     scn = scenario_from_dict(preset_scenario("fig3"))
     scn.scan["compton_points"] = 21
-    rows = dm_projection_table(scn)
+    table = dm_projection_table(scn)
     m = scn.scan.get("dqs_sensors", 10)
-    for row in rows:
-        # coherent < incoherent < single; DQS best of the fixed-power curves
-        assert row["gmin_coherent_array"] < row["gmin_incoherent_array"]
-        assert row["gmin_incoherent_array"] < row["gmin_single_classical"]
-        assert row["gmin_dqs_array"] < row["gmin_coherent_array"]
-        assert row["gmin_incoherent_array"] == pytest.approx(
-            row["gmin_single_classical"] / m**0.25, rel=1e-9)
-        assert row["gmin_coherent_array"] == pytest.approx(
-            row["gmin_single_classical"] / math.sqrt(m), rel=1e-9)
+    single = table["gmin_single_classical"]
+    coherent = table["gmin_coherent_array"]
+    incoherent = table["gmin_incoherent_array"]
+    # coherent < incoherent < single; DQS best of the fixed-power curves
+    assert np.all(coherent < incoherent)
+    assert np.all(incoherent < single)
+    assert np.all(table["gmin_dqs_array"] < coherent)
+    np.testing.assert_allclose(incoherent, single / m**0.25, rtol=1e-9)
+    np.testing.assert_allclose(coherent, single / math.sqrt(m), rtol=1e-9)
 
 
 def test_dm_projection_without_squeezing_dqs_is_coherent():
     raw = preset_scenario("fig3")
     raw["input_light"] = None
-    rows = dm_projection_table(scenario_from_dict(raw))
-    assert len(rows) == 61
-    assert ([row["gmin_dqs_array"] for row in rows]
-            == [row["gmin_coherent_array"] for row in rows])
+    table = dm_projection_table(scenario_from_dict(raw))
+    assert len(table) == 61
+    np.testing.assert_array_equal(table["gmin_dqs_array"],
+                                  table["gmin_coherent_array"])
 
 
 def test_sensitivity_report_quantities():
     scn = scenario_from_dict(preset_scenario("fig4"))
-    rows = sensitivity_report(scn)
-    names = [r["quantity"] for r in rows]
-    assert names == ["classical", "squeezed"]
-    assert all(r["rel_error_estimate"] <= scn.grid_tol for r in rows)
-    sq = {r["quantity"]: r["value"] for r in rows}
-    assert sq["squeezed"] > sq["classical"]
+    table = sensitivity_report(scn)
+    assert table["quantity"] == ["classical", "squeezed"]
+    assert all(err <= scn.grid_tol for err in table["rel_error_estimate"])
+    classical, squeezed = table["value"]
+    assert squeezed > classical
 
 
 def test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance(monkeypatch):
@@ -123,13 +118,13 @@ def test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance(monkeypatch
         return integrated_sensitivity(signal, noise, grid, rel_tol)
 
     monkeypatch.setattr(scans, "integrated_sensitivity", recording)
-    rows = scans.sensitivity_report(scn)
-    assert len(calls) == 2 * len(rows)
+    table = scans.sensitivity_report(scn)
+    assert len(calls) == 2 * len(table)
     for (nodes, tol), (half_nodes, half_tol) in zip(calls[0::2], calls[1::2]):
         assert tol is None and half_tol == 0.5 * grid.tol
         np.testing.assert_array_equal(nodes, grid.nodes)
         np.testing.assert_array_equal(half_nodes, grid.bisected().nodes)
-    assert all(r["rel_change_half_tol"] > 0.0 for r in rows)
+    assert np.all(table["rel_change_half_tol"] > 0.0)
 
 
 def test_loss_scan_applies_loss_to_every_template():
@@ -140,9 +135,10 @@ def test_loss_scan_applies_loss_to_every_template():
     scn.scan["losses"] = [0.0, 0.5]
     arr = scn.build_array(efficiency_sq=0.5)
     assert [s.cavity.efficiency_sq for s in arr.sensors] == [0.5, 0.5]
-    rows = loss_scan_table(scn)
+    table = loss_scan_table(scn)
     for key in ("i_classical", "i_squeezed_optimal"):
-        assert rows[1][key] < 0.9 * rows[0][key]
+        lossless, lossy = table[key]
+        assert lossy < 0.9 * lossless
 
 
 @pytest.mark.parametrize("preset,table,max_builds", [

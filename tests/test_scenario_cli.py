@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import omsense
@@ -270,6 +271,97 @@ def test_overlay_bad_row_exits_two(tmp_path, capsys, row):
                      "--overlay", f"curve={overlay}"]) == 2
     assert str(overlay) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("labels", [
+    pytest.param(["a,b"], id="comma-splits-the-header"),
+    pytest.param([""], id="empty"),
+    pytest.param(["curve", "curve"], id="repeated")])
+def test_overlay_bad_label_exits_two(tmp_path, capsys, labels):
+    """A label is a CSV header cell and a column name: a comma would shift
+    the header against the rows, an empty one names no curve, and a repeat
+    would drop the earlier file."""
+    overlay = tmp_path / "curve.csv"
+    overlay.write_text("10.0,1e-24\n100000.0,2e-24\n")
+    out = tmp_path / "o"
+    argv = ["fig3", "--out", str(out)]
+    for label in labels:
+        argv += ["--overlay", f"{label}={overlay}"]
+    assert cli.main(argv) == 2
+    assert "--overlay" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe not UTF-8 \xc3\x28")
+    return path
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "scenario-not-utf8",
+                                  "overlay-not-utf8"])
+def test_io_failure_exits_two_naming_the_path(tmp_path, capsys, case):
+    scenario = tmp_path / "fig3.json"
+    scenario.write_text(json.dumps(preset_scenario("fig3")))
+    out = tmp_path / "out"
+    argv = ["dm-projection", "--scenario", str(scenario), "--out", str(out)]
+    if case == "out-is-a-file":
+        out.write_text("taken")
+        path = out
+    elif case == "scenario-not-utf8":
+        path = _not_utf8(scenario)
+    else:
+        path = _not_utf8(tmp_path / "curve.csv")
+        argv += ["--overlay", f"curve={path}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def _table_cases():
+    cases = [pytest.param([name], scans.COLUMNS[cli._PRESET_COMMAND[name]],
+                          name, id=name) for name in PRESET_NAMES]
+    cases += [pytest.param(["sensitivity", "--scenario", "{scenario}"],
+                           scans.COLUMNS["sensitivity"], name,
+                           id=f"sensitivity-{name}") for name in PRESET_NAMES]
+    cases.append(pytest.param(
+        ["fig3", "--overlay", "b.2={curve}", "--overlay", "a-1={curve}"],
+        scans.COLUMNS["dm-projection"] + ["overlay_a-1", "overlay_b.2"],
+        "fig3", id="fig3-overlays"))
+    cases.append(pytest.param(["oracle-check", "--configs", "5"],
+                              scans.COLUMNS["oracle-check"], None,
+                              id="oracle-check"))
+    return cases
+
+
+@pytest.mark.parametrize("argv,header,preset", _table_cases())
+def test_tables_as_written(tmp_path, argv, header, preset):
+    """The CSV header is the frozen order plus the sorted overlays, and the
+    JSON rows hold the CSV cells' values."""
+    curve, scenario = tmp_path / "curve.csv", tmp_path / "scenario.json"
+    curve.write_text("50.0,1e-24\n5000.0,2e-24\n")
+    if preset is not None:
+        scenario.write_text(json.dumps(preset_scenario(preset)))
+    argv = [arg.format(curve=curve, scenario=scenario) for arg in argv]
+    outputs = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        outputs[fmt] = (out / f"{argv[0]}.{fmt}").read_text()
+        assert json.loads((out / "manifest.json").read_text())["columns"] == header
+    first, *lines = outputs["csv"].splitlines()
+    assert first.split(",") == header
+    cells = [line.split(",") for line in lines]
+    payload = json.loads(outputs["json"])
+    assert payload["columns"] == header
+    assert len(payload["rows"]) == len(cells) > 0
+    for j, col in enumerate(header):
+        values = [row[col] for row in payload["rows"]]
+        column = [line[j] for line in cells]
+        if col == "quantity":
+            assert values == column
+        else:
+            np.testing.assert_array_equal(np.array(values, dtype=float),
+                                          np.array(column, dtype=float))
 
 
 def test_flag_beats_env(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Breakpoints, Gauss-Kronrod integration, SNR law and coupling projections."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,8 +141,8 @@ def test_preset_integrals_within_evaluation_budget(monkeypatch):
     evaluations (fig3 and fig4 tabulate no integrals)."""
     evaluations = []
     for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
-        rows = scans.sensitivity_report(scenario_from_dict(preset_scenario(name)))
-        evaluations += [row["n_evaluations"] for row in rows]
+        table = scans.sensitivity_report(scenario_from_dict(preset_scenario(name)))
+        evaluations += table["n_evaluations"]
 
     def recording(*args, **kwargs):
         res = integrated_sensitivity(*args, **kwargs)
@@ -369,3 +370,43 @@ def test_drive_psd_scales_as_coupling_squared():
     dm = _dm()
     assert dm.drive_psd(2e-24) == pytest.approx(4.0 * dm.drive_psd(1e-24),
                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("linewidth", [None, 0.42], ids=["halo-rule", "fixed"])
+def test_gmin_over_arrays_equals_scalar_calls_bitwise(linewidth):
+    dm = DarkMatterModel(coupling=1e-24, material_factor=2.5e15,
+                         compton_omega=TWO_PI * 2000.0,
+                         coherence_linewidth=linewidth)
+    plan = ObservationPlan(duration=YEAR_S, snr_threshold=2.0)
+    omegas = TWO_PI * np.geomspace(20.0, 2e4, 61)
+    noise = 10.0 ** np.random.default_rng(5).uniform(-40.0, -30.0, omegas.size)
+    scalar = [min_detectable_coupling(n, dm, plan, w)
+              for n, w in zip(noise.tolist(), omegas.tolist())]
+    assert all(type(g) is float for g in scalar)
+    np.testing.assert_array_equal(
+        min_detectable_coupling(noise, dm, plan, omegas), scalar)
+
+
+def test_gmin_over_arrays_rejects_any_non_positive_noise():
+    with pytest.raises(ConfigError, match="noise PSD must be positive"):
+        min_detectable_coupling(np.array([1e-35, 0.0]), _dm(),
+                                ObservationPlan(duration=YEAR_S),
+                                TWO_PI * np.array([1e3, 2e3]))
+
+
+@pytest.mark.parametrize("linewidths", [
+    pytest.param([0.5, 0.6], id="none"),
+    pytest.param([0.5, 1e-8], id="averaging-law"),
+    pytest.param([0.5, 0.9], id="coherence-time"),
+    pytest.param([0.9, 0.5, 1e-8], id="both")])
+def test_plan_check_over_an_array_warns_iff_an_element_would(linewidths):
+    # Delta_a T_O < 1 below 1e-7 rad/s; T_int Delta_a > 1 above 1/1.5 rad/s
+    plan = ObservationPlan(duration=1e7, integration_time=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = {note for lw in linewidths for note in plan.check(lw)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        notes = plan.check(np.array(linewidths))
+    assert set(notes) == expected
+    assert [str(w.message) for w in caught] == notes
