@@ -31,8 +31,8 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
-from .spectra import (CavityOptics, Oscillator, QuadraturePsds, _scalarize,
-                      mechanical_susceptibility, sensor_response,
+from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SensorColumns,
+                      _scalarize, mechanical_susceptibility, sensor_response,
                       single_sensor_noise_psd)
 
 __all__ = [
@@ -106,9 +106,6 @@ class SensorArray:
     @property
     def n_sensors(self) -> int:
         return len(self.sensors)
-
-    def sensor_cavity_at_total_power(self, k: int) -> CavityOptics:
-        return replace(self.sensors[k].cavity, input_power=self.total_power)
 
 
 @dataclass(frozen=True)
@@ -216,20 +213,13 @@ class ArrayNoise:
                           for k, share in zip(active.tolist(), shares.tolist())])
 
         n = len(rows)
-        alpha = np.empty((n, w.size), dtype=complex)
-        beta = np.empty((n, w.size), dtype=complex)
-        thermal = np.zeros(n)
-        loss_weight = np.zeros(n)
-        for g, (s, share) in enumerate(rows):
-            osc = s.oscillator
-            cav = replace(s.cavity, input_power=arr.total_power)
-            chi_k, cmag, half = sensor_response(osc, cav, w, share)
-            hmo = HBAR * osc.mass * osc.omega0
-            alpha[g] = half / (2.0 * chi_k) * np.sqrt(hmo / (2.0 * osc.gamma * cmag))
-            beta[g] = 2.0 * half * np.sqrt(2.0 * hmo * osc.gamma * cmag)
-            thermal[g] = 4.0 * osc.mass * osc.gamma * K_B * osc.temperature
-            eta_sq = cav.efficiency_sq
-            loss_weight[g] = (1.0 - eta_sq) / eta_sq
+        cols = SensorColumns.of((s.oscillator, s.cavity, arr.total_power)
+                                for s, _ in rows)
+        chi, cmag, half = sensor_response(
+            cols, cols, w, np.array([share for _, share in rows])[:, None])
+        hmo = HBAR * cols.mass * cols.omega0
+        alpha = half / (2.0 * chi) * np.sqrt(hmo / (2.0 * cols.gamma * cmag))
+        beta = 2.0 * half * np.sqrt(2.0 * hmo * cols.gamma * cmag)
 
         ww = np.zeros(n, dtype=complex)
         np.add.at(ww, group, cw[active] * dv[active])
@@ -242,8 +232,8 @@ class ArrayNoise:
         self.beta = beta
         self.ww = ww[:, None]
         self.wabs2 = wabs2[:, None]
-        self.thermal = thermal[:, None]
-        self.loss_weight = loss_weight[:, None]
+        self.thermal = 4.0 * cols.mass * cols.gamma * K_B * cols.temperature
+        self.loss_weight = (1.0 - cols.efficiency_sq) / cols.efficiency_sq
         self.a = np.sum(alpha * self.ww, axis=0)
         self.b = np.sum(beta * self.ww, axis=0)
 
@@ -349,11 +339,11 @@ def optimal_squeezing_angle(arr: SensorArray, omega):
 def array_sql_psd(arr: SensorArray, omega):
     """Weighted-average standard quantum limit, sum_k |W_0k|^2 hbar m_k O_k/|chi_k|."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.zeros(w.size)
-    for k, s in enumerate(arr.sensors):
-        wk = float(np.abs(arr.combining_weights[k]) ** 2)
-        if wk == 0.0:
-            continue
-        chi = mechanical_susceptibility(s.oscillator, w)
-        out += wk * HBAR * s.oscillator.mass * s.oscillator.omega0 / np.abs(chi)
-    return _scalarize(out, omega)
+    wk = np.abs(arr.combining_weights) ** 2
+    active = np.flatnonzero(wk)
+    cols = SensorColumns.of((arr.sensors[k].oscillator, arr.sensors[k].cavity,
+                             arr.total_power) for k in active.tolist())
+    chi = mechanical_susceptibility(cols, w)
+    terms = wk[active, None] * HBAR * cols.mass * cols.omega0 / np.abs(chi)
+    # row by row: np.sum pairs the rows up when there is a single frequency
+    return _scalarize(_total(terms), omega)

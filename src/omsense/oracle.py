@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
-from .spectra import (QuadraturePsds, SqueezedInput, _scalarize,
+from .spectra import (QuadraturePsds, SensorColumns, SqueezedInput, _scalarize,
                       input_quadrature_psds, sensor_response)
 from .arrays import SensorArray
 
@@ -46,7 +46,8 @@ class TransferAssembly:
     [X_0..X_{M-1}, Y_0..Y_{M-1}, P_0..P_{M-1}, L_0..L_{M-1}] to the combined
     estimator at +omega and -omega; shapes are (4M, n_freq).  ``input_cov``
     is the Hermitian spectral covariance of that vector.  ``signal_row``
-    maps per-sensor drive amplitudes to the estimator.
+    maps per-sensor drive amplitudes to the estimator.  An assembly of a
+    batch of C arrays carries a leading axis of length C on every field.
     """
 
     omega: np.ndarray
@@ -99,14 +100,27 @@ def complete_unitary(column: np.ndarray, seed_basis: np.ndarray | None = None
     return cols
 
 
-def _mode_cov_block(psds: QuadraturePsds) -> np.ndarray:
-    """Hermitian 2x2 spectral covariance of one optical mode in (X, Y) order."""
-    return np.array([[psds.sxx, psds.sxy + 0.5j],
-                     [psds.sxy - 0.5j, psds.syy]], dtype=complex)
+def _batch(arr, omega, squeeze, theta):
+    """(arrays, omega (C, n), squeezes, thetas (C,)) of one array or a batch."""
+    if isinstance(arr, SensorArray):
+        return ([arr], np.atleast_1d(np.asarray(omega, dtype=float))[None],
+                [squeeze], np.array([theta], dtype=float))
+    arrays = list(arr)
+    c = len(arrays)
+    w = np.asarray(omega, dtype=float)
+    if c == 0 or w.ndim != 2 or w.shape[0] != c:
+        raise ConfigError("a batch of C arrays needs omega of shape (C, n)")
+    if len({a.n_sensors for a in arrays}) != 1:
+        raise ConfigError("a batch needs arrays of one sensor count")
+    squeezes = list(squeeze) if isinstance(squeeze, (list, tuple)) else [squeeze] * c
+    thetas = np.broadcast_to(np.asarray(theta, dtype=float), (c,))
+    if len(squeezes) != c:
+        raise ConfigError("a batch needs one squeeze per array")
+    return arrays, w, squeezes, thetas
 
 
-def assemble_transfer(arr: SensorArray, omega, squeeze: SqueezedInput | None = None,
-                      *, theta: float = 0.0,
+def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
+                      *, theta=0.0,
                       mode_covariances: list[QuadraturePsds] | None = None,
                       unitary: np.ndarray | None = None,
                       power_shares: np.ndarray | None = None) -> TransferAssembly:
@@ -120,84 +134,96 @@ def assemble_transfer(arr: SensorArray, omega, squeeze: SqueezedInput | None = N
     independent squeezers), and ``power_shares`` overrides the per-sensor
     fraction of the total laser power when the unitary does not describe the
     power routing (again for independent-laser configurations).
+
+    ``arr`` may also be a sequence of C arrays of one sensor count, with
+    ``omega`` of shape (C, n) and one squeeze and one angle per array (a
+    single value is shared); the assembly then carries the batch axis.  The
+    overrides describe one array and are not taken with a batch.
     """
-    m = arr.n_sensors
-    w_in = np.atleast_1d(np.asarray(omega, dtype=float))
-    n_freq = w_in.size
+    single = isinstance(arr, SensorArray)
+    arrays, w_in, squeezes, thetas = _batch(arr, omega, squeeze, theta)
+    if not single and not (mode_covariances is unitary is power_shares is None):
+        raise ConfigError("mode_covariances, unitary and power_shares "
+                          "describe a single array")
+    c, m, n_freq = len(arrays), arrays[0].n_sensors, w_in.shape[1]
 
     if unitary is None:
-        unitary = complete_unitary(arr.dividing_weights)
-    unitary = np.asarray(unitary, dtype=complex)
-    if unitary.shape != (m, m):
-        raise ConfigError("unitary must be M x M")
+        unitaries = np.stack([complete_unitary(a.dividing_weights)
+                              for a in arrays])
+    else:
+        unitaries = np.asarray(unitary, dtype=complex)[None]
+        if unitaries.shape != (1, m, m):
+            raise ConfigError("unitary must be M x M")
     if power_shares is None:
-        power_shares = np.abs(arr.dividing_weights) ** 2
-    power_shares = np.asarray(power_shares, dtype=float)
+        shares = np.abs(np.stack([a.dividing_weights for a in arrays])) ** 2
+    else:
+        shares = np.asarray(power_shares, dtype=float)[None]
+    cw = np.stack([a.combining_weights for a in arrays])
 
-    # Each sensor's response is evaluated once on (+omega, -omega) stacked;
-    # columns [:n_freq] are the +omega rows and [n_freq:] the -omega rows.
-    w = np.concatenate([w_in, -w_in])
-    ncols = 4 * m
-    rows = np.zeros((ncols, 2 * n_freq), dtype=complex)
-    coef_x = np.zeros((m, 2 * n_freq), dtype=complex)  # W_0n-weighted X'
-    coef_y = np.zeros((m, 2 * n_freq), dtype=complex)  # W_0n-weighted Y'
-    signal_row = np.zeros(m, dtype=complex)
-
-    for n in range(m):
-        w0n = arr.combining_weights[n]
-        if w0n == 0.0:
-            continue
-        s = arr.sensors[n]
-        osc = s.oscillator
-        cav = arr.sensor_cavity_at_total_power(n)
-        chi, cmag, half = sensor_response(osc, cav, w, float(power_shares[n]))
-        phase = half * half
-        h = np.conj(half) / chi * np.sqrt(
-            HBAR * osc.mass * osc.omega0 / (8.0 * osc.gamma * cmag))
-        eta_sq = cav.efficiency_sq
-        coef_y[n] = w0n * (-h * phase)
-        coef_x[n] = w0n * (-8.0 * osc.gamma * cmag * phase * chi * h)
-        rows[2 * m + n] = w0n * h * 4.0 * osc.gamma * chi * np.sqrt(2.0 * cmag) * half
-        rows[3 * m + n] = w0n * h * np.sqrt((1.0 - eta_sq) / eta_sq)
-        signal_row[n] = w0n
+    # One response call for every active sensor of the batch, each on its
+    # array's (+omega, -omega) stacked: columns [:n_freq] are the +omega rows
+    # and [n_freq:] the -omega rows.
+    ci, ni = np.nonzero(cw)
+    cols = SensorColumns.of(
+        (arrays[i].sensors[n].oscillator, arrays[i].sensors[n].cavity,
+         arrays[i].total_power) for i, n in zip(ci.tolist(), ni.tolist()))
+    w = np.concatenate([w_in, -w_in], axis=1)
+    chi, cmag, half = sensor_response(cols, cols, w[ci], shares[ci, ni, None])
+    w0n = cw[ci, ni, None]
+    phase = half * half
+    h = np.conj(half) / chi * np.sqrt(
+        HBAR * cols.mass * cols.omega0 / (8.0 * cols.gamma * cmag))
+    # W_0n-weighted X' (rows :m) and Y' (rows m:) coefficients
+    coefs = np.zeros((c, 2 * m, 2 * n_freq), dtype=complex)
+    coefs[ci, ni] = w0n * (-8.0 * cols.gamma * cmag * phase * chi * h)
+    coefs[ci, m + ni] = w0n * (-h * phase)
+    rows = np.zeros((c, 4 * m, 2 * n_freq), dtype=complex)
+    rows[ci, 2 * m + ni] = (w0n * h * 4.0 * cols.gamma * chi
+                            * np.sqrt(2.0 * cmag) * half)
+    rows[ci, 3 * m + ni] = w0n * h * np.sqrt(
+        (1.0 - cols.efficiency_sq) / cols.efficiency_sq)
 
     # Optical input r reaches sensor n through unitary[n, r]:
     #   X_r row = sum_n (Re U_nr X'_n + Im U_nr Y'_n),
     #   Y_r row = sum_n (Re U_nr Y'_n - Im U_nr X'_n),
-    # two real matmuls on the (re, im) interleaved view of the coefficients.
-    u_re, u_im = np.real(unitary).T, np.imag(unitary).T
-    coefs = np.concatenate([coef_x, coef_y]).view(float)
-    rows[:m] = (np.hstack([u_re, u_im]) @ coefs).view(complex)
-    rows[m:2 * m] = (np.hstack([-u_im, u_re]) @ coefs).view(complex)
+    # two real matmuls per array on the (re, im) interleaved coefficients.
+    u_t = unitaries.swapaxes(1, 2)
+    u_re, u_im = u_t.real, u_t.imag
+    coefs = coefs.view(float)
+    rows[:, :m] = (np.concatenate([u_re, u_im], axis=2) @ coefs).view(complex)
+    rows[:, m:2 * m] = (np.concatenate([-u_im, u_re], axis=2) @ coefs).view(complex)
 
-    # input covariance
-    cov = np.zeros((ncols, ncols), dtype=complex)
+    # input covariance: per optical mode r the Hermitian (X, Y) block
+    # [[sxx, sxy + i/2], [sxy - i/2, syy]], then the baths and loss ports
     if mode_covariances is not None:
         if len(mode_covariances) != m:
             raise ConfigError("need one covariance per optical mode")
-        blocks = [_mode_cov_block(p) for p in mode_covariances]
+        modes = [mode_covariances]
     else:
-        mode0 = (QuadraturePsds.vacuum() if squeeze is None
-                 else input_quadrature_psds(squeeze, theta))
-        blocks = [_mode_cov_block(mode0)]
-        blocks += [_mode_cov_block(QuadraturePsds.vacuum())] * (m - 1)
-    for r, blk in enumerate(blocks):
-        cov[r, r] = blk[0, 0]
-        cov[r, m + r] = blk[0, 1]
-        cov[m + r, r] = blk[1, 0]
-        cov[m + r, m + r] = blk[1, 1]
-    for n in range(m):
-        osc = arr.sensors[n].oscillator
-        cov[2 * m + n, 2 * m + n] = K_B * osc.temperature / (HBAR * osc.omega0)
-        cov[3 * m + n, 3 * m + n] = 0.5
+        vacuum = QuadraturePsds.vacuum()
+        modes = [[vacuum if sq is None else input_quadrature_psds(sq, th)]
+                 + [vacuum] * (m - 1) for sq, th in zip(squeezes, thetas.tolist())]
+    syy, sxx, sxy = np.array([[(p.syy, p.sxx, p.sxy) for p in ps]
+                              for ps in modes]).transpose(2, 0, 1)
+    r = np.arange(m)
+    cov = np.zeros((c, 4 * m, 4 * m), dtype=complex)
+    cov[:, r, r] = sxx
+    cov[:, r, m + r] = sxy + 0.5j
+    cov[:, m + r, r] = sxy - 0.5j
+    cov[:, m + r, m + r] = syy
+    cov[:, 2 * m + r, 2 * m + r] = [[K_B * s.oscillator.temperature
+                                     / (HBAR * s.oscillator.omega0)
+                                     for s in a.sensors] for a in arrays]
+    cov[:, 3 * m + r, 3 * m + r] = 0.5
 
-    return TransferAssembly(omega=w_in, row_pos=rows[:, :n_freq],
-                            row_neg=rows[:, n_freq:], input_cov=cov,
-                            signal_row=signal_row, n_sensors=m)
+    fields = (w_in, rows[..., :n_freq], rows[..., n_freq:], cov, cw)
+    if single:
+        fields = [f[0] for f in fields]
+    return TransferAssembly(*fields, n_sensors=m)
 
 
 def _quadratic_form(row: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return np.einsum("cw,cd,dw->w", row, cov, np.conj(row))
+    return np.einsum("...cw,...cd,...dw->...w", row, cov, np.conj(row))
 
 
 def propagate_covariance(assembly: TransferAssembly):
@@ -205,14 +231,19 @@ def propagate_covariance(assembly: TransferAssembly):
     s_pos = _quadratic_form(assembly.row_pos, assembly.input_cov)
     s_neg = _quadratic_form(assembly.row_neg, assembly.input_cov)
     out = 0.5 * (s_pos + s_neg)
-    if np.max(np.abs(np.imag(out))) > 1e-10 * (np.max(np.abs(out)) + 1e-300):
+    if np.any(np.max(np.abs(np.imag(out)), axis=-1)
+              > 1e-10 * (np.max(np.abs(out), axis=-1) + 1e-300)):
         raise ConfigError("oracle quadratic form produced a non-real PSD")
     return np.real(out)
 
 
-def oracle_noise_psd(arr: SensorArray, omega, squeeze: SqueezedInput | None = None,
-                     *, theta: float = 0.0):
-    """Convenience wrapper: assemble and propagate in one call."""
+def oracle_noise_psd(arr, omega, squeeze: SqueezedInput | None = None,
+                     *, theta=0.0):
+    """Convenience wrapper: assemble and propagate in one call.
+
+    For a sequence of C arrays (see ``assemble_transfer``) the result is
+    (C, n), one row per array, from one batched pass.
+    """
     assembly = assemble_transfer(arr, omega, squeeze, theta=theta)
     return _scalarize(propagate_covariance(assembly), omega)
 

@@ -249,7 +249,7 @@ def power_scan_table(scn: Scenario) -> Table:
     """Integrated sensitivity vs laser power: classical, optimal and fixed
     squeezing angle."""
     powers = scn.scan.get("powers_w")
-    if not powers:
+    if powers is None:
         raise ScenarioError("power-scan needs scan.powers_w")
     r = scn.squeeze.r
     inputs = [_VACUUM, SqueezedInput(r=r, angle_policy="optimal"),
@@ -278,21 +278,26 @@ def loss_scan_table(scn: Scenario) -> Table:
 # oracle cross-check suite
 # ---------------------------------------------------------------------------
 
+# the (low, high) factor range of each of a random sensor's nine draws:
+# mass, resonance, quality, temperature, kappa, kappa_readout / kappa, g0,
+# eta^2 and response factor
+_DRAW_LOW = (0.1, 0.1, 0.1, 0.1, 0.1, 0.5, 0.1, 0.8, 0.5)
+_DRAW_HIGH = (10.0, 10.0, 10.0, 10.0, 10.0, 1.0, 10.0, 1.0, 2.0)
+
+
 def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
     """Heterogeneous array within a decade of the membrane reference values."""
     sensors = []
-    for _ in range(m):
+    for mass, omega0, quality, temperature, kappa, readout, g0, eta_sq, response \
+            in rng.uniform(_DRAW_LOW, _DRAW_HIGH, (m, 9)).tolist():
         osc = Oscillator.from_quality(
-            mass=6e-6 * rng.uniform(0.1, 10.0),
-            omega0=TWO_PI * 2000.0 * rng.uniform(0.1, 10.0),
-            quality=1e9 * rng.uniform(0.1, 10.0),
-            temperature=10e-3 * rng.uniform(0.1, 10.0))
-        kappa = 0.94e9 * rng.uniform(0.1, 10.0)
+            mass=6e-6 * mass, omega0=TWO_PI * 2000.0 * omega0,
+            quality=1e9 * quality, temperature=10e-3 * temperature)
+        kappa = 0.94e9 * kappa
         cav = CavityOptics.from_wavelength(
-            kappa=kappa, kappa_readout=kappa * rng.uniform(0.5, 1.0),
-            g0=46.0 * rng.uniform(0.1, 10.0), wavelength=1.06e-6,
-            input_power=0.0, efficiency_sq=rng.uniform(0.8, 1.0))
-        sensors.append(ArraySensor(osc, cav, rng.uniform(0.5, 2.0)))
+            kappa=kappa, kappa_readout=kappa * readout, g0=46.0 * g0,
+            wavelength=1.06e-6, input_power=0.0, efficiency_sq=eta_sq)
+        sensors.append(ArraySensor(osc, cav, response))
     dv = rng.uniform(0.1, 1.0, m)
     dv = dv / np.linalg.norm(dv)
     arr = SensorArray(tuple(sensors), dv.astype(complex), matched_weights(dv),
@@ -303,9 +308,13 @@ def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
 
 def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
                        seed: int = 20240817) -> Table:
-    """Closed-form array noise vs covariance-propagation oracle residuals."""
+    """Closed-form array noise vs covariance-propagation oracle residuals.
+
+    Every config is drawn and its closed form evaluated in turn; the oracle
+    then propagates the configs of each sensor count in one batch.
+    """
     rng = np.random.default_rng(seed)
-    sizes, dbs, residuals = [], [], []
+    configs = []
     for _ in range(n_configs):
         m = int(rng.integers(1, 5))
         arr, db = random_array(rng, m)
@@ -316,9 +325,15 @@ def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
         squeeze = SqueezedInput.from_db(db)
         closed = array_noise_psd(arr, input_quadrature_psds(squeeze, theta),
                                  omegas).total
-        orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
-        sizes.append(m)
-        dbs.append(db)
-        residuals.append(float(np.max(np.abs(orc - closed) / np.abs(closed))))
+        configs.append((arr, db, squeeze, theta, omegas, closed))
+    sizes = [arr.n_sensors for arr, *_ in configs]
+    residuals = np.empty(n_configs)
+    for m in sorted(set(sizes)):
+        idx = [i for i, size in enumerate(sizes) if size == m]
+        arrs, _, squeezes, thetas, omegas, closed = zip(*(configs[i] for i in idx))
+        orc = oracle_noise_psd(arrs, np.array(omegas), squeezes, theta=thetas)
+        closed = np.array(closed)
+        residuals[idx] = np.max(np.abs(orc - closed) / np.abs(closed), axis=1)
     return Table({"config_index": list(range(n_configs)), "n_sensors": sizes,
-                  "squeezing_db": dbs, "max_rel_residual": residuals})
+                  "squeezing_db": [db for _, db, *_ in configs],
+                  "max_rel_residual": residuals.tolist()})

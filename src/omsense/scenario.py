@@ -143,10 +143,12 @@ def _real_weight(raw, name: str) -> float:
 
 
 def _list_of(parse):
-    """A parse for a list whose every entry passes ``parse``."""
+    """A parse for a non-empty list whose every entry passes ``parse``."""
     def parse_list(raw, name: str) -> list:
         if not isinstance(raw, list):
             raise ScenarioError(f"{name} must be a list, got {raw!r}")
+        if not raw:
+            raise ScenarioError(f"{name} must not be empty")
         return [parse(v, f"{name}[{i}]") for i, v in enumerate(raw)]
     return parse_list
 

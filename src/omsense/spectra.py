@@ -46,6 +46,7 @@ __all__ = [
     "CavityOptics",
     "SqueezedInput",
     "QuadraturePsds",
+    "SensorColumns",
     "mechanical_susceptibility",
     "cavity_phase_and_cooperativity",
     "sensor_response",
@@ -170,7 +171,12 @@ class CavityOptics:
     @property
     def intracavity_flux(self) -> float:
         """Intra-cavity field squared, E^2 = (4 kappa_r / kappa^2) E0^2."""
-        return 4.0 * self.kappa_readout / self.kappa**2 * self.photon_flux
+        return self.intracavity_flux_at(self.input_power)
+
+    def intracavity_flux_at(self, input_power: float) -> float:
+        """E^2 when the cavity is driven with ``input_power`` instead."""
+        return (4.0 * self.kappa_readout / self.kappa**2
+                * (input_power / (HBAR * self.laser_omega)))
 
     @classmethod
     def from_wavelength(cls, kappa, kappa_readout, g0, wavelength, input_power,
@@ -262,6 +268,35 @@ class QuadraturePsds:
         return cls(syy=0.5, sxx=0.5, sxy=0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class SensorColumns:
+    """The parameters of k sensors as (k, 1) columns, one row per sensor.
+
+    The fields carry the ``Oscillator`` and ``CavityOptics`` names that the
+    response primitives read, so ``sensor_response(cols, cols, omega, share)``
+    evaluates every row in one broadcast against frequencies of shape (n,)
+    or (k, n).  ``intracavity_flux`` is each row's at the power it is driven
+    with (an array's total power).
+    """
+
+    mass: np.ndarray
+    omega0: np.ndarray
+    gamma: np.ndarray
+    temperature: np.ndarray
+    kappa: np.ndarray
+    g0: np.ndarray
+    efficiency_sq: np.ndarray
+    intracavity_flux: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> "SensorColumns":
+        """From (Oscillator, CavityOptics, input power) triples."""
+        table = [(osc.mass, osc.omega0, osc.gamma, osc.temperature, cav.kappa,
+                  cav.g0, cav.efficiency_sq, cav.intracavity_flux_at(power))
+                 for osc, cav, power in rows]
+        return cls(*np.array(table, dtype=float).reshape(-1, 8).T[:, :, None])
+
+
 # ---------------------------------------------------------------------------
 # response functions
 # ---------------------------------------------------------------------------
@@ -269,7 +304,9 @@ class QuadraturePsds:
 def mechanical_susceptibility(osc: Oscillator, omega):
     """chi_w = Omega / (Omega^2 - w^2 - 2j*gamma*w); chi(-w) = chi(w)*."""
     w = np.asarray(omega, dtype=float)
-    chi = osc.omega0 / (osc.omega0**2 - w**2 - 2j * osc.gamma * w)
+    # squares as products: a float's ** 2 and an array's round differently,
+    # and a record and a SensorColumns row must give the same bits
+    chi = osc.omega0 / (osc.omega0 * osc.omega0 - w**2 - 2j * osc.gamma * w)
     return _scalarize(chi, omega)
 
 
@@ -286,7 +323,7 @@ def cavity_phase_and_cooperativity(cav: CavityOptics, osc: Oscillator, omega,
     w = np.asarray(omega, dtype=float)
     u = 2.0 * w / cav.kappa
     phase = (1.0 + 1j * u) / (1.0 - 1j * u)           # (kappa/2 + iw)/(kappa/2 - iw)
-    g_sq = cav.g0**2 * cav.intracavity_flux
+    g_sq = cav.g0 * cav.g0 * cav.intracavity_flux
     coop = power_scale * (2.0 * g_sq / (osc.gamma * cav.kappa)) / (1.0 - 1j * u) ** 2
     return _scalarize(phase, omega), _scalarize(coop, omega)
 
@@ -327,9 +364,10 @@ def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
     """Per-sensor response (chi_w, |C_w|, e^{i phi_w/2}) at a laser share.
 
     ``share`` is the sensor's fraction of ``cav.input_power`` (|w_k0|^2 in an
-    array, 1.0 standalone).  Every force-noise formula divides by |C_w| and
-    by eta^2, so a sensor without optical readout is rejected here, once for
-    every caller.
+    array, 1.0 standalone).  ``osc`` and ``cav`` are one sensor's records, or
+    both one ``SensorColumns`` with ``share`` a (k, 1) column.  Every
+    force-noise formula divides by |C_w| and by eta^2, so a sensor without
+    optical readout is rejected here, once for every caller.
     """
     w = np.asarray(omega, dtype=float)
     chi = mechanical_susceptibility(osc, w)
@@ -339,7 +377,7 @@ def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
         raise ConfigError(
             "zero optomechanical cooperativity: no optical readout "
             "(shot noise diverges); check laser power / g0 / weights")
-    if cav.efficiency_sq == 0.0:
+    if np.any(cav.efficiency_sq == 0.0):
         raise ConfigError("detection efficiency eta^2 = 0: nothing reaches the detector")
     return chi, cmag, _half_phase(cav, w)
 

@@ -143,7 +143,8 @@ def idle_contribution_shortcut(arr: SensorArray, omega):
             if w0n == 0.0:
                 continue
             s = arr.sensors[n]
-            osc, cav = s.oscillator, arr.sensor_cavity_at_total_power(n)
+            osc = s.oscillator
+            cav = replace(s.cavity, input_power=arr.total_power)
             chi, cmag, half = sensor_response(osc, cav, w,
                                               float(np.abs(dv[n]) ** 2))
             phase = half * half

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omsense.constants import TWO_PI
+from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.errors import ConfigError
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
+                             mechanical_susceptibility, sensor_response,
                              single_sensor_noise_psd, sql_noise_psd)
 from omsense.arrays import (ArrayNoise, ArraySensor, SensorArray,
                             array_noise_psd, array_signal_psd, array_sql_psd,
@@ -279,6 +280,28 @@ def test_array_sql_zero_weight_collapses(membrane_sensor):
         sql_noise_psd(membrane_sensor.oscillator, omega), rel=1e-12)
 
 
+def test_array_sql_equals_the_per_sensor_loop_bitwise(rng):
+    """One broadcast over the active sensors, summed in sensor order, gives
+    exactly the per-sensor ``+=`` loop, at one frequency too; a W = 0 sensor
+    adds nothing."""
+    arr, _ = random_array(rng, 10)
+    cw = arr.combining_weights.copy()
+    cw[2] = 0.0
+    arr = SensorArray(arr.sensors, arr.dividing_weights,
+                      cw / np.linalg.norm(cw), arr.total_power)
+    omegas = np.geomspace(1e2, 1e6, 30)
+    wk = np.abs(arr.combining_weights) ** 2
+    want = np.zeros(omegas.size)
+    for k, s in enumerate(arr.sensors):
+        if wk[k] == 0.0:
+            continue
+        osc = s.oscillator
+        chi = mechanical_susceptibility(osc, omegas)
+        want += wk[k] * HBAR * osc.mass * osc.omega0 / np.abs(chi)
+    np.testing.assert_array_equal(array_sql_psd(arr, omegas), want)
+    assert [array_sql_psd(arr, w) for w in omegas.tolist()] == want.tolist()
+
+
 def test_array_sql_matches_per_sensor_minimization(rng):
     # golden-section over each sensor's coupling reproduces the weighted SQL
     arr, _ = random_array(rng, 3)
@@ -506,3 +529,34 @@ def test_noise_totals_match_each_input_bitwise(membrane_sensor, rng):
                         SqueezedInput(r), theta), omega).total
                     for omega, theta in zip(omegas.tolist(), thetas.tolist())]
             np.testing.assert_allclose(row, want, rtol=1e-12)
+
+
+def test_kernel_rows_equal_a_per_group_response_bitwise(membrane_sensor):
+    """The one broadcast response call of ArrayNoise gives exactly the rows
+    of one sensor_response call per (sensor, share) group, and the W = 0
+    sensor gets no row."""
+    arr = _two_templates_three_copies(membrane_sensor)
+    cw = arr.combining_weights.copy()
+    cw[4] = 0.0
+    arr = SensorArray(arr.sensors, arr.dividing_weights,
+                      cw / np.linalg.norm(cw), arr.total_power)
+    omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 40)
+    noise = ArrayNoise(arr, omegas)
+    assert noise.active.tolist() == [0, 1, 2, 3, 5]
+    assert noise.group.tolist() == [0, 0, 1, 2, 3]
+    for g, k in enumerate([0, 2, 3, 5]):
+        s = arr.sensors[k]
+        osc = s.oscillator
+        cav = replace(s.cavity, input_power=arr.total_power)
+        share = float(np.abs(arr.dividing_weights[k]) ** 2)
+        chi, cmag, half = sensor_response(osc, cav, omegas, share)
+        hmo = HBAR * osc.mass * osc.omega0
+        np.testing.assert_array_equal(
+            noise.alpha[g],
+            half / (2.0 * chi) * np.sqrt(hmo / (2.0 * osc.gamma * cmag)))
+        np.testing.assert_array_equal(
+            noise.beta[g], 2.0 * half * np.sqrt(2.0 * hmo * osc.gamma * cmag))
+        assert noise.thermal[g, 0] == (4.0 * osc.mass * osc.gamma * K_B
+                                       * osc.temperature)
+        eta_sq = cav.efficiency_sq
+        assert noise.loss_weight[g, 0] == (1.0 - eta_sq) / eta_sq

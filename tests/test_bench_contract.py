@@ -31,12 +31,20 @@ def _run_checked(op, tmp_path):
     assert rc == 0, text
     assert {span[1] for span in tracer.spans} >= {"scans", "arrays"}
     assert checker.check_op(op, rc, out_dir, str(tmp_path / "check")) == []
+    return tracer
 
 
 @pytest.mark.parametrize("name", GATED)
 def test_gated_workload_op_passes_its_checks(name, tmp_path):
-    _run_checked(workloads.make_op(workloads.WORKLOADS[name], 1, 0,
-                                   str(tmp_path)), tmp_path)
+    op = workloads.make_op(workloads.WORKLOADS[name], 1, 0, str(tmp_path))
+    tracer = _run_checked(op, tmp_path)
+    if op.command == "oracle-check":
+        # the oracle runs through the wrapped names, so its time and its
+        # counters reach the oracle layer: every config's 50 frequencies
+        assert "oracle" in {span[1] for span in tracer.spans}
+        assert tracer.counters["oracle.assemblies"] >= 1
+        assert (tracer.counters["oracle.freq_points"]
+                == workloads.ORACLE_CONFIGS * 50)
 
 
 @pytest.mark.parametrize("index,command",

@@ -12,8 +12,8 @@ from omsense.spectra import (QuadraturePsds, SqueezedInput,
                              cavity_phase_and_cooperativity,
                              input_quadrature_psds, mechanical_susceptibility)
 from omsense.arrays import (SensorArray, array_noise_psd, array_sql_psd,
-                            identical_array, optimal_squeezing_angle,
-                            single_sensor_array)
+                            identical_array, matched_weights,
+                            optimal_squeezing_angle, single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             oracle_breakdown, oracle_noise_psd,
                             propagate_covariance)
@@ -172,3 +172,43 @@ def test_dcs_block_diagonal_equals_dqs(membrane_sensor, rng):
         arr, omegas, unitary=np.eye(m, dtype=complex),
         power_shares=np.full(m, 1.0 / m), mode_covariances=blocks))
     np.testing.assert_allclose(dcs, dqs, rtol=1e-10)
+
+
+def _with_idle_sensor(arr, k):
+    """``arr`` with sensor k's combining weight zeroed (renormalized)."""
+    cw = arr.combining_weights.copy()
+    cw[k] = 0.0
+    return SensorArray(arr.sensors, arr.dividing_weights,
+                       cw / np.linalg.norm(cw), arr.total_power)
+
+
+def test_batched_oracle_equals_each_single_array_bitwise(rng):
+    """A batch of equal-M arrays, one with a W = 0 sensor, propagates to
+    exactly the rows of one call per array."""
+    arrays = [random_array(rng, 3)[0] for _ in range(3)]
+    arrays.append(_with_idle_sensor(random_array(rng, 3)[0], 1))
+    omegas = np.exp(rng.uniform(np.log(1e2), np.log(1e6), (4, 20)))
+    squeezes = [None, SqueezedInput.from_db(3.0), SqueezedInput.from_db(9.0),
+                SqueezedInput.from_db(14.0)]
+    thetas = rng.uniform(-math.pi / 2, math.pi / 2, 4)
+    batch = oracle_noise_psd(arrays, omegas, squeezes, theta=thetas)
+    assert batch.shape == (4, 20)
+    for arr, omega, squeeze, theta, row in zip(arrays, omegas, squeezes,
+                                               thetas, batch):
+        np.testing.assert_array_equal(
+            row, oracle_noise_psd(arr, omega, squeeze, theta=theta))
+    asm = assemble_transfer(arrays, omegas, squeezes, theta=thetas)
+    assert asm.n_sensors == 3 and np.size(asm.omega) == 80
+    assert not np.any(asm.row_pos[3, asm.block("mech")][1])
+
+
+def test_batch_rejects_mixed_counts_and_overrides(rng):
+    pair = [random_array(rng, 2)[0], random_array(rng, 3)[0]]
+    omegas = np.full((2, 5), 1e4)
+    with pytest.raises(ConfigError, match="one sensor count"):
+        oracle_noise_psd(pair, omegas, [None, None])
+    same = [pair[0], pair[0]]
+    with pytest.raises(ConfigError, match="shape"):
+        oracle_noise_psd(same, omegas[0], [None, None])
+    with pytest.raises(ConfigError, match="single array"):
+        assemble_transfer(same, omegas, unitary=np.eye(2))

@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from omsense import arrays, scans
+from omsense.arrays import ArraySensor, SensorArray, matched_weights
+from omsense.constants import TWO_PI
+from omsense.oracle import oracle_noise_psd
+from omsense.spectra import (CavityOptics, Oscillator, SqueezedInput,
+                             input_quadrature_psds)
 from omsense.scenario import preset_scenario, scenario_from_dict
 from omsense.sensitivity import integrated_sensitivity
 from omsense.scans import (array_scan_table, dm_projection_table,
@@ -167,3 +172,52 @@ def test_array_scan_builds_one_kernel_per_array(monkeypatch, preset, table,
         monkeypatch.setattr(module, "ArrayNoise", Counting)
     table(scenario_from_dict(preset_scenario(preset)))
     assert len(builds) <= max_builds
+
+
+def _scalar_draw_array(rng, m):
+    """random_array's array, drawn one scalar at a time in its order."""
+    sensors = []
+    for _ in range(m):
+        osc = Oscillator.from_quality(
+            mass=6e-6 * rng.uniform(0.1, 10.0),
+            omega0=TWO_PI * 2000.0 * rng.uniform(0.1, 10.0),
+            quality=1e9 * rng.uniform(0.1, 10.0),
+            temperature=10e-3 * rng.uniform(0.1, 10.0))
+        kappa = 0.94e9 * rng.uniform(0.1, 10.0)
+        cav = CavityOptics.from_wavelength(
+            kappa=kappa, kappa_readout=kappa * rng.uniform(0.5, 1.0),
+            g0=46.0 * rng.uniform(0.1, 10.0), wavelength=1.06e-6,
+            input_power=0.0, efficiency_sq=rng.uniform(0.8, 1.0))
+        sensors.append(ArraySensor(osc, cav, rng.uniform(0.5, 2.0)))
+    dv = rng.uniform(0.1, 1.0, m)
+    dv = dv / np.linalg.norm(dv)
+    arr = SensorArray(tuple(sensors), dv.astype(complex), matched_weights(dv),
+                      total_power=2e-3 * m * rng.uniform(0.5, 2.0))
+    return arr, rng.uniform(0.0, 15.0)
+
+
+@pytest.mark.parametrize("seed", [3, 44, 505])
+def test_oracle_check_table_equals_a_per_config_loop(seed):
+    """The batched table is exactly one oracle call per config on arrays
+    drawn scalar by scalar."""
+    table = scans.oracle_check_table(16, seed=seed)
+    rng = np.random.default_rng(seed)
+    sizes, dbs, residuals = [], [], []
+    for _ in range(16):
+        m = int(rng.integers(1, 5))
+        arr, db = _scalar_draw_array(rng, m)
+        theta = rng.uniform(-math.pi / 2, math.pi / 2)
+        omega0 = arr.sensors[0].oscillator.omega0
+        omegas = np.exp(rng.uniform(np.log(omega0 / 100),
+                                    np.log(omega0 * 100), 50))
+        squeeze = SqueezedInput.from_db(db)
+        closed = arrays.array_noise_psd(
+            arr, input_quadrature_psds(squeeze, theta), omegas).total
+        orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
+        sizes.append(m)
+        dbs.append(db)
+        residuals.append(float(np.max(np.abs(orc - closed) / np.abs(closed))))
+    assert table["n_sensors"] == sizes
+    assert table["squeezing_db"] == dbs
+    assert table["max_rel_residual"] == residuals
+    assert len(set(sizes)) > 1

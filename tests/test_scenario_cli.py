@@ -596,7 +596,10 @@ def _run(tmp_path, command, raw):
     ("fig6", "losses", ["x"], "scan.losses[0] must be a number"),
     ("fig6", "losses", [0.0, 1.0], "scan.losses[1] must be in [0, 1)"),
     ("fig6", "losses", [-0.1], "scan.losses[0] must be in [0, 1)"),
-    ("fig6", None, [0.1], "scan must be an object")])
+    ("fig6", None, [0.1], "scan must be an object"),
+    ("fig2", "sensor_counts", [], "scan.sensor_counts must not be empty"),
+    ("fig5", "powers_w", [], "scan.powers_w must not be empty"),
+    ("fig6", "losses", [], "scan.losses must not be empty")])
 def test_cli_malformed_scan_field_is_validation_error(tmp_path, capsys, preset,
                                                       key, value, message):
     raw = preset_scenario(preset)
