@@ -8,9 +8,10 @@ extension to M sensors:
                  per-sensor response kernel, quadrature inputs and
                  force-noise budgets
 ``arrays``       M-sensor network algebra: weights, and the ``ArrayNoise``
-                 kernel (one build per array and frequency set) giving the
-                 combined noise with its residual-vacuum term, squeezed
-                 totals and the optimal squeezing angle; array SQL
+                 kernel (one build per array, or batch of arrays, and
+                 frequency set) giving the combined noise with its
+                 residual-vacuum term, squeezed totals and the optimal
+                 squeezing angle; array SQL
 ``oracle``       independent covariance-propagation verifier for every
                  closed-form noise formula
 ``sensitivity``  resonance-refined adaptive quadrature, integrated

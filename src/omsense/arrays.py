@@ -25,6 +25,7 @@ with matched weights.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,7 +183,7 @@ _VACUUM_PSDS = QuadraturePsds.vacuum()
 
 
 class ArrayNoise:
-    """The array's noise on one frequency set, from one kernel build.
+    """The noise of one array, or of a batch of arrays, from one kernel build.
 
     Holds the coherent amplitudes, one row per distinct (sensor, optical
     share), and the coherent sums A = sum alpha W w and B = sum beta W w;
@@ -194,79 +195,130 @@ class ArrayNoise:
     is computed once and carries the group sums ww = sum W_0k w_k0 and
     wabs2 = sum |W_0k|^2.  ``group[i]`` is the row of the i-th active sensor;
     a fully heterogeneous array is M groups of one.
+
+    ``arr`` may also be a sequence of C arrays of any sensor counts, with
+    ``omega`` of shape (C, n), one frequency row per array.  The rows of the
+    whole batch then go through one response call as (C, G, n) blocks, G the
+    largest group count; an array with fewer groups repeats its first row
+    with zero weights ww and wabs2.  The group sums run row by row, so those
+    rows add exact zeros and each array gets the bits of its own build.
+    Every quantity carries the leading batch axis, ``active`` and ``group``
+    hold one entry per array, ``totals`` is (k, C, n) and ``breakdown`` takes
+    one QuadraturePsds per array (or one for all).  One array is a batch of
+    one with that axis dropped.
     """
 
     __slots__ = ("omega", "active", "group", "alpha", "beta", "ww", "wabs2",
                  "thermal", "loss_weight", "a", "b")
 
-    def __init__(self, arr: SensorArray, omega):
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
-        cw = arr.combining_weights
-        dv = arr.dividing_weights
-        active = np.flatnonzero(np.abs(cw) > 0.0)
-        if active.size == 0:
-            raise ConfigError("all combining weights vanish")
-        shares = np.abs(dv[active]) ** 2
+    def __init__(self, arr, omega):
+        single = isinstance(arr, SensorArray)
+        batch = [arr] if single else list(arr)
+        w = np.asarray(omega, dtype=float)
+        if single:
+            w = np.atleast_1d(w)[None]
+        elif not batch or w.ndim != 2 or w.shape[0] != len(batch):
+            raise ConfigError("a batch of C arrays needs omega of shape (C, n)")
 
-        rows: dict[tuple[ArraySensor, float], int] = {}
-        group = np.array([rows.setdefault((arr.sensors[k], share), len(rows))
-                          for k, share in zip(active.tolist(), shares.tolist())])
+        # the active sensors of the whole batch, as indices into its
+        # concatenated weight vectors, then array by array their groups:
+        # keys[i][g] is the g-th distinct (sensor, share) of array i
+        weights = np.concatenate([a.combining_weights for a in batch]
+                                 + [a.dividing_weights for a in batch])
+        cw, dv = weights[:weights.size // 2], weights[weights.size // 2:]
+        on = np.flatnonzero(np.abs(cw) > 0.0)
+        cw, dv = cw[on], dv[on]
+        shares = (np.abs(dv) ** 2).tolist()
+        on = on.tolist()
+        actives, groups, keys = [], [], []
+        lo = end = 0
+        for a in batch:
+            start, end = end, end + a.n_sensors
+            hi = bisect_left(on, end, lo)
+            if hi == lo:
+                raise ConfigError("all combining weights vanish")
+            rows: dict[tuple[ArraySensor, float], int] = {}
+            groups.append([rows.setdefault((a.sensors[k - start], share), len(rows))
+                           for k, share in zip(on[lo:hi], shares[lo:hi])])
+            actives.append([k - start for k in on[lo:hi]])
+            keys.append(list(rows))
+            lo = hi
 
-        n = len(rows)
-        cols = SensorColumns.of((s.oscillator, s.cavity, arr.total_power)
-                                for s, _ in rows)
-        chi, cmag, half = sensor_response(
-            cols, cols, w, np.array([share for _, share in rows])[:, None])
+        # one block of G rows per array, G the largest group count: an array
+        # with fewer groups repeats its first row with zero weights, which
+        # adds exact zeros to its sums.  One array has no batch axis.
+        c, g_max = len(batch), max(map(len, keys))
+        blocks = (g_max,) if single else (c, g_max)
+        padded = [(a, s, sh) for a, rows in zip(batch, keys)
+                  for s, sh in rows + rows[:1] * (g_max - len(rows))]
+        cols = SensorColumns.of(((s.oscillator, s.cavity, a.total_power)
+                                 for a, s, _ in padded), blocks)
+        share = np.array([sh for *_, sh in padded]).reshape(*blocks, 1)
+        chi, cmag, half = sensor_response(cols, cols, w.reshape(*blocks[:-1], 1, -1),
+                                          share)
         hmo = HBAR * cols.mass * cols.omega0
-        alpha = half / (2.0 * chi) * np.sqrt(hmo / (2.0 * cols.gamma * cmag))
-        beta = 2.0 * half * np.sqrt(2.0 * hmo * cols.gamma * cmag)
+        sensor_pos = np.array([i * g_max + g for i, group in enumerate(groups)
+                               for g in group])
 
-        ww = np.zeros(n, dtype=complex)
-        np.add.at(ww, group, cw[active] * dv[active])
-        wabs2 = np.zeros(n)
-        np.add.at(wabs2, group, np.abs(cw[active]) ** 2)
+        def group_sums(values):
+            """Per-sensor values summed into their group's row."""
+            out = np.zeros(c * g_max, dtype=values.dtype)
+            np.add.at(out, sensor_pos, values)
+            return out.reshape(*blocks, 1)
+
         self.omega = omega
-        self.active = active
-        self.group = group
-        self.alpha = alpha
-        self.beta = beta
-        self.ww = ww[:, None]
-        self.wabs2 = wabs2[:, None]
+        self.active = np.array(actives[0]) if single else tuple(map(np.array, actives))
+        self.group = np.array(groups[0]) if single else tuple(map(np.array, groups))
+        self.alpha = half / (2.0 * chi) * np.sqrt(hmo / (2.0 * cols.gamma * cmag))
+        self.beta = 2.0 * half * np.sqrt(2.0 * hmo * cols.gamma * cmag)
+        self.ww = group_sums(cw * dv)
+        self.wabs2 = group_sums(np.abs(cw) ** 2)
         self.thermal = 4.0 * cols.mass * cols.gamma * K_B * cols.temperature
         self.loss_weight = (1.0 - cols.efficiency_sq) / cols.efficiency_sq
-        self.a = np.sum(alpha * self.ww, axis=0)
-        self.b = np.sum(beta * self.ww, axis=0)
+        self.a = _group_sum(self.alpha * self.ww)
+        self.b = _group_sum(self.beta * self.ww)
 
     def thermal_psd(self):
-        flat = np.sum(self.wabs2 * self.thermal, axis=0)
-        return np.broadcast_to(flat, self.alpha.shape[1:]).copy()
+        flat = _group_sum(self.wabs2 * self.thermal)
+        return np.broadcast_to(flat, self.a.shape).copy()
 
     def residual_expanded(self):
-        diag = np.sum(self.wabs2 * (np.abs(self.alpha) ** 2
-                                    + np.abs(self.beta) ** 2), axis=0)
+        diag = _group_sum(self.wabs2 * (np.abs(self.alpha) ** 2
+                                        + np.abs(self.beta) ** 2))
         return 0.5 * (diag - np.abs(self.a) ** 2 - np.abs(self.b) ** 2)
 
     def detection_loss_psd(self):
-        return np.sum(self.wabs2 * self.loss_weight * 0.5 * np.abs(self.alpha) ** 2,
-                      axis=0)
+        return _group_sum(self.wabs2 * self.loss_weight * 0.5
+                          * np.abs(self.alpha) ** 2)
 
     def floor(self):
         """The input-independent parts: thermal, residual vacuum, detection loss."""
         return self.thermal_psd(), self.residual_expanded(), self.detection_loss_psd()
 
-    def _quadrature_parts(self, inp: QuadraturePsds):
-        """Shot, back-action and correlation PSDs for mode-0 quadrature PSDs."""
-        return (np.abs(self.a) ** 2 * inp.syy, np.abs(self.b) ** 2 * inp.sxx,
-                2.0 * np.real(np.conj(self.a) * self.b) * inp.sxy)
+    def _quadrature_parts(self, inp):
+        """Shot, back-action and correlation PSDs for mode-0 quadrature PSDs:
+        one QuadraturePsds, or for a batch one per array as (C, 1) columns."""
+        if isinstance(inp, QuadraturePsds):
+            syy, sxx, sxy = inp.syy, inp.sxx, inp.sxy
+        else:
+            inp = list(inp)
+            if self.a.ndim != 2 or len(inp) != self.a.shape[0]:
+                raise ConfigError("a batch needs one QuadraturePsds per array")
+            syy, sxx, sxy = np.array([(p.syy, p.sxx, p.sxy)
+                                      for p in inp]).T[:, :, None]
+        return (np.abs(self.a) ** 2 * syy, np.abs(self.b) ** 2 * sxx,
+                2.0 * np.real(np.conj(self.a) * self.b) * sxy)
 
-    def breakdown(self, inp: QuadraturePsds) -> NoiseBreakdown:
-        """Combined force-noise PSD for arbitrary mode-0 quadrature statistics."""
+    def breakdown(self, inp) -> NoiseBreakdown:
+        """Combined force-noise PSD for arbitrary mode-0 quadrature statistics
+        (for a batch, one QuadraturePsds shared or one per array)."""
         parts = self._quadrature_parts(inp) + self.floor()
         return NoiseBreakdown(*(_scalarize(p, self.omega)
                                 for p in (*parts, _total(parts))))
 
     def totals(self, inputs) -> np.ndarray:
-        """Total noise under each SqueezedInput of ``inputs``, (k, n).
+        """Total noise under each SqueezedInput of ``inputs``, (k, n), or
+        (k, C, n) for a batch.
 
         r = 0 gives the vacuum total, equal to ``breakdown(vacuum).total``.
         A squeezed input at angle t (its own, or the optimal angle for the
@@ -305,6 +357,12 @@ class ArrayNoise:
 def _total(parts):
     """The parts summed left to right, so every caller rounds alike."""
     return sum(parts[1:], parts[0])
+
+
+def _group_sum(x):
+    """``x`` summed over its group axis (-2) row by row: np.sum pairs the
+    rows up when there is a single frequency."""
+    return _total([x[..., g, :] for g in range(x.shape[-2])])
 
 
 def _optimal_angle(a, b):

@@ -297,8 +297,12 @@ def _emit(args, command, columns, table: scans.Table, scn: Scenario | None,
 def _run_oracle_check(args) -> int:
     table = scans.oracle_check_table(n_configs=args.configs,
                                      n_freqs=args.freqs, seed=args.seed)
-    worst = max(table["max_rel_residual"])
-    passed = bool(worst < args.residual_tol)
+    residuals = table["max_rel_residual"]
+    # max() skips a NaN unless it comes first: a non-finite residual fails
+    # the check by itself, and its maximum is null in the (strict) manifest
+    non_finite = sum(not math.isfinite(r) for r in residuals)
+    worst = None if non_finite else max(residuals)
+    passed = bool(not non_finite and worst < args.residual_tol)
     outputs = _emit(args, "oracle-check", scans.COLUMNS["oracle-check"], table,
                     None,
                     extra_manifest={"oracle": {
@@ -307,7 +311,9 @@ def _run_oracle_check(args) -> int:
                         "max_rel_residual": worst, "passed": passed}})
     for path in outputs:
         print(path)
-    print(f"max relative residual: {worst:.3e} "
+    summary = (f"not finite in {non_finite} configs" if non_finite
+               else f"{worst:.3e}")
+    print(f"max relative residual: {summary} "
           f"({'PASS' if passed else 'FAIL'} at {args.residual_tol:g})")
     return 0 if passed else 1
 

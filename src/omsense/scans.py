@@ -17,8 +17,8 @@ from .constants import TWO_PI
 from .errors import ScenarioError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       displacement_asd, input_quadrature_psds)
-from .arrays import (ArrayNoise, ArraySensor, SensorArray, array_noise_psd,
-                     array_signal_psd, array_sql_psd, matched_weights)
+from .arrays import (ArrayNoise, ArraySensor, SensorArray, array_signal_psd,
+                     array_sql_psd, matched_weights)
 from .oracle import oracle_noise_psd
 from .sensitivity import (FrequencyGrid, integrated_sensitivity,
                           min_detectable_coupling)
@@ -310,8 +310,9 @@ def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
                        seed: int = 20240817) -> Table:
     """Closed-form array noise vs covariance-propagation oracle residuals.
 
-    Every config is drawn and its closed form evaluated in turn; the oracle
-    then propagates the configs of each sensor count in one batch.
+    Every config is drawn in turn; one ``ArrayNoise`` over all configs gives
+    the closed forms, and the oracle propagates the configs of each sensor
+    count in one batch.
     """
     rng = np.random.default_rng(seed)
     configs = []
@@ -322,18 +323,20 @@ def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
         omega0 = arr.sensors[0].oscillator.omega0
         omegas = np.exp(rng.uniform(np.log(omega0 / 100),
                                     np.log(omega0 * 100), n_freqs))
-        squeeze = SqueezedInput.from_db(db)
-        closed = array_noise_psd(arr, input_quadrature_psds(squeeze, theta),
-                                 omegas).total
-        configs.append((arr, db, squeeze, theta, omegas, closed))
-    sizes = [arr.n_sensors for arr, *_ in configs]
+        configs.append((arr, db, SqueezedInput.from_db(db), theta, omegas))
+    arrs, dbs, squeezes, thetas, omegas = zip(*configs)
+    omegas = np.array(omegas)
+    closed = ArrayNoise(arrs, omegas).breakdown(
+        [input_quadrature_psds(sq, th) for sq, th in zip(squeezes, thetas)]).total
+    sizes = [arr.n_sensors for arr in arrs]
     residuals = np.empty(n_configs)
     for m in sorted(set(sizes)):
         idx = [i for i, size in enumerate(sizes) if size == m]
-        arrs, _, squeezes, thetas, omegas, closed = zip(*(configs[i] for i in idx))
-        orc = oracle_noise_psd(arrs, np.array(omegas), squeezes, theta=thetas)
-        closed = np.array(closed)
-        residuals[idx] = np.max(np.abs(orc - closed) / np.abs(closed), axis=1)
+        orc = oracle_noise_psd([arrs[i] for i in idx], omegas[idx],
+                               [squeezes[i] for i in idx],
+                               theta=[thetas[i] for i in idx])
+        residuals[idx] = np.max(np.abs(orc - closed[idx]) / np.abs(closed[idx]),
+                                axis=1)
     return Table({"config_index": list(range(n_configs)), "n_sensors": sizes,
-                  "squeezing_db": [db for _, db, *_ in configs],
+                  "squeezing_db": list(dbs),
                   "max_rel_residual": residuals.tolist()})

@@ -276,7 +276,8 @@ class SensorColumns:
     response primitives read, so ``sensor_response(cols, cols, omega, share)``
     evaluates every row in one broadcast against frequencies of shape (n,)
     or (k, n).  ``intracavity_flux`` is each row's at the power it is driven
-    with (an array's total power).
+    with (an array's total power).  ``of(rows, (c, g))`` lays the rows out
+    as (c, g, 1) blocks instead, to broadcast against (c, 1, n).
     """
 
     mass: np.ndarray
@@ -289,12 +290,14 @@ class SensorColumns:
     intracavity_flux: np.ndarray
 
     @classmethod
-    def of(cls, rows) -> "SensorColumns":
-        """From (Oscillator, CavityOptics, input power) triples."""
+    def of(cls, rows, shape=(-1,)) -> "SensorColumns":
+        """From (Oscillator, CavityOptics, input power) triples, laid out as
+        (*shape, 1) columns: (k, 1) by default."""
         table = [(osc.mass, osc.omega0, osc.gamma, osc.temperature, cav.kappa,
                   cav.g0, cav.efficiency_sq, cav.intracavity_flux_at(power))
                  for osc, cav, power in rows]
-        return cls(*np.array(table, dtype=float).reshape(-1, 8).T[:, :, None])
+        return cls(*np.array(table, dtype=float).reshape(-1, 8).T.reshape(
+            8, *shape, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def cavity_phase_and_cooperativity(cav: CavityOptics, osc: Oscillator, omega,
     receives a fraction of a shared laser; 1.0 standalone).  The returned
     pair satisfies C_w = |C_w| e^{i phi_w} identically.
     """
-    if np.any(np.asarray(power_scale) < 0):
+    if (np.asarray(power_scale) < 0).any():
         raise ConfigError(f"power_scale must be >= 0, got {power_scale}")
     w = np.asarray(omega, dtype=float)
     u = 2.0 * w / cav.kappa
@@ -365,7 +368,7 @@ def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
 
     ``share`` is the sensor's fraction of ``cav.input_power`` (|w_k0|^2 in an
     array, 1.0 standalone).  ``osc`` and ``cav`` are one sensor's records, or
-    both one ``SensorColumns`` with ``share`` a (k, 1) column.  Every
+    both one ``SensorColumns`` with ``share`` a column of the same shape.  Every
     force-noise formula divides by |C_w| and by eta^2, so a sensor without
     optical readout is rejected here, once for every caller.
     """
@@ -373,11 +376,11 @@ def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
     chi = mechanical_susceptibility(osc, w)
     _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
     cmag = np.abs(coop)
-    if np.any(cmag == 0.0):
+    if (cmag == 0.0).any():
         raise ConfigError(
             "zero optomechanical cooperativity: no optical readout "
             "(shot noise diverges); check laser power / g0 / weights")
-    if np.any(cav.efficiency_sq == 0.0):
+    if (np.asarray(cav.efficiency_sq) == 0.0).any():
         raise ConfigError("detection efficiency eta^2 = 0: nothing reaches the detector")
     return chi, cmag, _half_phase(cav, w)
 

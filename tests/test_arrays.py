@@ -560,3 +560,112 @@ def test_kernel_rows_equal_a_per_group_response_bitwise(membrane_sensor):
                                        * osc.temperature)
         eta_sq = cav.efficiency_sq
         assert noise.loss_weight[g, 0] == (1.0 - eta_sq) / eta_sq
+
+
+# ---------------------------------------------------------------------------
+# batches of arrays
+# ---------------------------------------------------------------------------
+
+_BREAKDOWN_FIELDS = ("shot", "back_action", "correlation", "thermal",
+                     "residual_vacuum", "detection_loss", "total")
+
+
+def _mixed_batch(membrane_sensor, rng):
+    """Arrays of 1 to 16 sensors with 1 to 16 groups: heterogeneous, two
+    templates over three shares, identical copies, a W = 0 sensor, M = 1."""
+    split = _two_templates_three_copies(membrane_sensor)
+    cw = split.combining_weights.copy()
+    cw[4] = 0.0
+    idle = SensorArray(split.sensors, split.dividing_weights,
+                       cw / np.linalg.norm(cw), split.total_power)
+    return [random_array(rng, 3)[0], split,
+            identical_array(membrane_sensor, 5, 2e-3),
+            single_sensor_array(membrane_sensor.oscillator,
+                                membrane_sensor.cavity),
+            idle, random_array(rng, 16)[0]]
+
+
+@pytest.mark.parametrize("n", [1, 50])
+def test_batch_equals_one_build_per_array_bitwise(membrane_sensor, rng, n):
+    """Every output of a batch build is, array by array, exactly that of the
+    array's own build; rows past an array's groups carry zero weights."""
+    arrs = _mixed_batch(membrane_sensor, rng)
+    omegas = np.array([np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, n) * (1 + 0.1 * i)
+                       for i in range(len(arrs))])
+    r = SqueezedInput.from_db(9.0).r
+    inputs = [SqueezedInput.vacuum(), SqueezedInput(r, "optimal"),
+              SqueezedInput(r, "fixed", angle=0.7)]
+    inps = [input_quadrature_psds(SqueezedInput(r), theta)
+            for theta in np.linspace(-1.2, 1.4, len(arrs)).tolist()]
+    noise = ArrayNoise(arrs, omegas)
+    breakdown = noise.breakdown(inps)
+    totals = noise.totals(inputs)
+    assert totals.shape == (len(inputs), len(arrs), n)
+    angles, thermal = noise.optimal_angle(), noise.thermal_psd()
+    n_groups = []
+    for i, (arr, w, inp) in enumerate(zip(arrs, omegas, inps)):
+        one = ArrayNoise(arr, w)
+        one_breakdown = one.breakdown(inp)
+        for field in _BREAKDOWN_FIELDS:
+            np.testing.assert_array_equal(getattr(breakdown, field)[i],
+                                          getattr(one_breakdown, field))
+        np.testing.assert_array_equal(totals[:, i], one.totals(inputs))
+        np.testing.assert_array_equal(angles[i], one.optimal_angle())
+        np.testing.assert_array_equal(thermal[i], one.thermal_psd())
+        np.testing.assert_array_equal(noise.active[i], one.active)
+        np.testing.assert_array_equal(noise.group[i], one.group)
+        g = one.alpha.shape[0]
+        np.testing.assert_array_equal(noise.alpha[i, :g], one.alpha)
+        np.testing.assert_array_equal(noise.beta[i, :g], one.beta)
+        assert not np.any(noise.ww[i, g:]) and not np.any(noise.wabs2[i, g:])
+        n_groups.append(g)
+    assert n_groups == [3, 4, 1, 1, 4, 16]
+    shared = noise.breakdown(QuadraturePsds.vacuum())
+    vacuum = noise.breakdown([QuadraturePsds.vacuum()] * len(arrs))
+    for field in _BREAKDOWN_FIELDS:
+        np.testing.assert_array_equal(getattr(shared, field),
+                                      getattr(vacuum, field))
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_scalar_frequency_equals_the_same_frequency_in_an_array(rng, m):
+    """Group sums run row by row, so a lone frequency rounds exactly like
+    the same frequency inside an array; np.sum pairs the rows up when there
+    is one frequency and enough groups."""
+    r = SqueezedInput.from_db(9.0).r
+    inputs = [SqueezedInput.vacuum(), SqueezedInput(r, "optimal"),
+              SqueezedInput(r, "fixed", angle=0.7)]
+    inp = input_quadrature_psds(SqueezedInput(r), 0.3)
+    for _ in range(10):
+        arr = random_array(rng, m)[0]
+        omegas = arr.sensors[0].oscillator.omega0 * np.geomspace(0.01, 100, 7)
+        noise = ArrayNoise(arr, omegas)
+        breakdown = noise.breakdown(inp)
+        totals, angles = noise.totals(inputs), noise.optimal_angle()
+        for j, omega in enumerate(omegas.tolist()):
+            one = ArrayNoise(arr, omega)
+            one_breakdown = one.breakdown(inp)
+            for field in _BREAKDOWN_FIELDS:
+                assert getattr(one_breakdown, field) == getattr(breakdown, field)[j]
+            assert one.totals(inputs)[:, 0].tolist() == totals[:, j].tolist()
+            assert one.optimal_angle() == angles[j]
+
+
+def test_batch_rejects_bad_shapes_and_dead_arrays(membrane_sensor):
+    arr = identical_array(membrane_sensor, 2, 2e-3)
+    w = np.geomspace(1e2, 1e6, 5)
+    for arrs, omega in (([], np.empty((0, 5))), ([arr, arr], w),
+                        ([arr, arr], np.stack([w] * 3)),
+                        ([arr], w[None, :, None])):
+        with pytest.raises(ConfigError, match="shape"):
+            ArrayNoise(arrs, omega)
+    dead = SensorArray(arr.sensors, arr.dividing_weights,
+                       arr.combining_weights, arr.total_power)
+    object.__setattr__(dead, "combining_weights", np.zeros(2, complex))
+    for arrs, omega in ((dead, w), ([arr, dead], np.stack([w, w]))):
+        with pytest.raises(ConfigError, match="vanish"):
+            ArrayNoise(arrs, omega)
+    pair = ArrayNoise([arr, arr], np.stack([w, w]))
+    for noise in (pair, ArrayNoise(arr, w)):
+        with pytest.raises(ConfigError, match="per array"):
+            noise.breakdown([QuadraturePsds.vacuum()] * 3)

@@ -196,20 +196,26 @@ def _scalar_draw_array(rng, m):
     return arr, rng.uniform(0.0, 15.0)
 
 
-@pytest.mark.parametrize("seed", [3, 44, 505])
-def test_oracle_check_table_equals_a_per_config_loop(seed):
-    """The batched table is exactly one oracle call per config on arrays
-    drawn scalar by scalar."""
-    table = scans.oracle_check_table(16, seed=seed)
+@pytest.mark.parametrize("seed,n_freqs,n_configs", [
+    # the CLI's 50 frequencies and the benchmark's 16 configs keep the bare
+    # seed as their id
+    pytest.param(seed, n_freqs, n_configs,
+                 id=(str(seed) if (n_freqs, n_configs) == (50, 16)
+                     else f"{seed}-{n_freqs}freqs-{n_configs}configs"))
+    for seed in (3, 44, 505) for n_freqs in (1, 50) for n_configs in (1, 16)])
+def test_oracle_check_table_equals_a_per_config_loop(seed, n_freqs, n_configs):
+    """The batched table is exactly one closed-form build and one oracle
+    call per config on arrays drawn scalar by scalar."""
+    table = scans.oracle_check_table(n_configs, n_freqs, seed=seed)
     rng = np.random.default_rng(seed)
     sizes, dbs, residuals = [], [], []
-    for _ in range(16):
+    for _ in range(n_configs):
         m = int(rng.integers(1, 5))
         arr, db = _scalar_draw_array(rng, m)
         theta = rng.uniform(-math.pi / 2, math.pi / 2)
         omega0 = arr.sensors[0].oscillator.omega0
         omegas = np.exp(rng.uniform(np.log(omega0 / 100),
-                                    np.log(omega0 * 100), 50))
+                                    np.log(omega0 * 100), n_freqs))
         squeeze = SqueezedInput.from_db(db)
         closed = arrays.array_noise_psd(
             arr, input_quadrature_psds(squeeze, theta), omegas).total
@@ -220,4 +226,22 @@ def test_oracle_check_table_equals_a_per_config_loop(seed):
     assert table["n_sensors"] == sizes
     assert table["squeezing_db"] == dbs
     assert table["max_rel_residual"] == residuals
-    assert len(set(sizes)) > 1
+    assert len(set(sizes)) > 1 or n_configs == 1
+
+
+def test_oracle_check_table_builds_one_kernel(monkeypatch):
+    """Deterministic cost guard: the closed forms of every config come from
+    one ArrayNoise build over the whole batch."""
+    builds = []
+
+    class Counting(arrays.ArrayNoise):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    for module in (arrays, scans):
+        monkeypatch.setattr(module, "ArrayNoise", Counting)
+    scans.oracle_check_table(16)
+    assert len(builds) == 1

@@ -199,6 +199,40 @@ def test_cli_oracle_check_passes(tmp_path, capsys):
     assert manifest["oracle"]["passed"] is True
 
 
+def test_cli_oracle_check_fails_on_a_nan_residual(tmp_path, capsys,
+                                                  monkeypatch):
+    """A NaN in a config after the first fails the check (exit 1), and the
+    manifest stays strict JSON."""
+    real = scans.oracle_noise_psd
+    poisoned = []
+
+    def oracle(arrs, *args, **kwargs):
+        out = real(arrs, *args, **kwargs)
+        if not poisoned:
+            out[-1, 0] = math.nan
+            poisoned.append(arrs[-1].n_sensors)
+        return out
+
+    monkeypatch.setattr(scans, "oracle_noise_psd", oracle)
+    out = tmp_path / "oc"
+    code = cli.main(["oracle-check", "--configs", "16", "--out", str(out)])
+    assert code == 1
+    rows = list(csv.DictReader(open(out / "oracle-check.csv")))
+    bad = [i for i, r in enumerate(rows)
+           if not math.isfinite(float(r["max_rel_residual"]))]
+    assert len(bad) == 1 and bad[0] > 0
+    assert int(rows[bad[0]]["n_sensors"]) == poisoned[0]
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=reject)
+    assert manifest["oracle"]["passed"] is False
+    assert manifest["oracle"]["max_rel_residual"] is None
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_manifest_records_design_decision_defaults(tmp_path):
     out = tmp_path / "f3"
     assert cli.main(["fig3", "--out", str(out)]) == 0
