@@ -4,16 +4,17 @@ The package is organized around the frequency-domain noise model of a
 cavity-optomechanical force sensor and its coherent, optionally entangled,
 extension to M sensors:
 
-``spectra``      single-sensor susceptibility, cooperativity, the
-                 per-sensor response kernel, quadrature inputs and
-                 force-noise budgets
+``spectra``      single-sensor parameter records, the per-sensor
+                 response kernel (susceptibility, cooperativity and
+                 reflection half phase), quadrature inputs and force-noise
+                 budgets
 ``arrays``       M-sensor network algebra: weights, and the ``ArrayNoise``
                  kernel (one build per array, or batch of arrays, and
                  frequency set) giving the combined noise with its
                  residual-vacuum term, squeezed totals and the optimal
                  squeezing angle; array SQL
-``oracle``       independent covariance-propagation verifier for every
-                 closed-form noise formula
+``oracle``       covariance-propagation verifier of the closed-form array
+                 noise, the one path that ``oracle-check`` runs
 ``sensitivity``  resonance-refined adaptive quadrature, integrated
                  sensitivity, observation plans and coupling projections
 ``scenario``     JSON scenarios with explicit units, plus figure presets
@@ -25,18 +26,17 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, OmsenseError, ScenarioError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
-                      acceleration_asd, cavity_phase_and_cooperativity,
-                      displacement_asd, input_quadrature_psds,
-                      mechanical_susceptibility, sensor_response,
-                      single_sensor_noise_psd, sql_noise_psd,
-                      thermal_momentum_psd)
+                      acceleration_asd, displacement_asd,
+                      input_quadrature_psds, mechanical_susceptibility,
+                      sensor_response, single_sensor_noise_psd,
+                      sql_noise_psd, thermal_momentum_psd)
 from .arrays import (ArrayNoise, ArraySensor, NoiseBreakdown, SensorArray,
                      array_noise_psd, array_signal_psd, array_sql_psd,
                      identical_array, inverse_variance_weights,
                      matched_weights, optimal_squeezing_angle,
                      single_sensor_array, uniform_weights)
 from .oracle import (TransferAssembly, assemble_transfer, complete_unitary,
-                     oracle_breakdown, oracle_noise_psd, propagate_covariance)
+                     oracle_noise_psd, propagate_covariance)
 from .sensitivity import (DarkMatterModel, FrequencyGrid, IntegrationResult,
                           ObservationPlan, calibrate_material_factor,
                           integrated_sensitivity, min_detectable_coupling,

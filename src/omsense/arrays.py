@@ -92,6 +92,9 @@ class SensorArray:
             raise ConfigError("array needs at least one sensor")
         if self.dividing_weights.shape != (m,) or self.combining_weights.shape != (m,):
             raise ConfigError("weight vectors must have one entry per sensor")
+        if not (np.isfinite(self.dividing_weights).all()
+                and np.isfinite(self.combining_weights).all()):
+            raise ConfigError("dividing and combining weights must be finite")
         wnorm = float(np.sum(np.abs(self.dividing_weights) ** 2))
         if abs(wnorm - 1.0) > _NORM_TOL:
             raise ConfigError(

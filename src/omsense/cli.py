@@ -148,8 +148,16 @@ def _write_csv(path, columns, table: scans.Table):
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_cells(values):
+    """A column's cells, with a non-finite float as None (JSON null)."""
+    cells = np.asarray(values)
+    if cells.dtype.kind == "f" and not np.isfinite(cells).all():
+        return [x if math.isfinite(x) else None for x in cells.tolist()]
+    return cells.tolist()
+
+
 def _write_json(path, columns, table: scans.Table):
-    rows = zip(*(np.asarray(table[c]).tolist() for c in columns), strict=True)
+    rows = zip(*(_json_cells(table[c]) for c in columns), strict=True)
     payload = {"columns": list(columns),
                "rows": [dict(zip(columns, row)) for row in rows]}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

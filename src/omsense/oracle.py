@@ -34,7 +34,6 @@ __all__ = [
     "assemble_transfer",
     "propagate_covariance",
     "oracle_noise_psd",
-    "oracle_breakdown",
 ]
 
 
@@ -45,8 +44,7 @@ class TransferAssembly:
     ``row_pos``/``row_neg`` map the stacked input vector
     [X_0..X_{M-1}, Y_0..Y_{M-1}, P_0..P_{M-1}, L_0..L_{M-1}] to the combined
     estimator at +omega and -omega; shapes are (4M, n_freq).  ``input_cov``
-    is the Hermitian spectral covariance of that vector.  ``signal_row``
-    maps per-sensor drive amplitudes to the estimator.  An assembly of a
+    is the Hermitian spectral covariance of that vector.  An assembly of a
     batch of C arrays carries a leading axis of length C on every field.
     """
 
@@ -54,38 +52,30 @@ class TransferAssembly:
     row_pos: np.ndarray
     row_neg: np.ndarray
     input_cov: np.ndarray
-    signal_row: np.ndarray
     n_sensors: int
 
-    def block(self, name: str) -> slice:
-        m = self.n_sensors
-        return {"x": slice(0, m), "y": slice(m, 2 * m),
-                "mech": slice(2 * m, 3 * m), "loss": slice(3 * m, 4 * m)}[name]
 
-
-def complete_unitary(column: np.ndarray, seed_basis: np.ndarray | None = None
-                     ) -> np.ndarray:
+def complete_unitary(column: np.ndarray) -> np.ndarray:
     """Complete one unit column to a full unitary by Gram-Schmidt.
 
-    Each seed is projected out of the columns found so far twice (classical
-    Gram-Schmidt with reorthogonalization, orthogonal to rounding like the
-    modified algorithm), one matrix-vector product per pass.
+    Each standard basis vector in turn is projected out of the columns found
+    so far twice (classical Gram-Schmidt with reorthogonalization, orthogonal
+    to rounding like the modified algorithm), one matrix-vector product per
+    pass, and kept when a part of it remains.  The standard basis spans the
+    whole space, so M - 1 of its vectors always remain.
 
-    The idle columns are arbitrary; a fixed seed basis (default: the standard
-    basis) keeps the completion reproducible.  Physical outputs must not
-    depend on the choice, which the tests assert.
+    The idle columns are arbitrary; physical outputs must not depend on the
+    choice, which the tests assert.
     """
     w = np.asarray(column, dtype=complex)
     m = w.size
     norm = np.linalg.norm(w)
     if abs(norm - 1.0) > 1e-10:
         raise ConfigError(f"dividing column must be normalized, |w| = {norm!r}")
-    if seed_basis is None:
-        seed_basis = np.eye(m, dtype=complex)
     cols = np.zeros((m, m), dtype=complex)
     cols[:, 0] = w / norm
     found = 1
-    for seed in np.asarray(seed_basis, dtype=complex).T:
+    for seed in np.eye(m, dtype=complex):
         if found == m:
             break
         basis = cols[:, :found]
@@ -95,8 +85,6 @@ def complete_unitary(column: np.ndarray, seed_basis: np.ndarray | None = None
         if vn > 1e-8:
             cols[:, found] = v / vn
             found += 1
-    if found != m:
-        raise ConfigError("could not complete the unitary from the seed basis")
     return cols
 
 
@@ -120,44 +108,23 @@ def _batch(arr, omega, squeeze, theta):
 
 
 def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
-                      *, theta=0.0,
-                      mode_covariances: list[QuadraturePsds] | None = None,
-                      unitary: np.ndarray | None = None,
-                      power_shares: np.ndarray | None = None) -> TransferAssembly:
+                      *, theta=0.0) -> TransferAssembly:
     """Build the full transfer rows at +-omega and the input covariance.
 
-    By default the bright mode 0 carries ``squeeze`` at angle ``theta``
-    (vacuum when ``squeeze`` is None) and the idle modes are vacuum; the
-    beam-splitter unitary is the Gram-Schmidt completion of the array's
-    dividing column.
-    ``mode_covariances`` overrides every optical mode (used to model
-    independent squeezers), and ``power_shares`` overrides the per-sensor
-    fraction of the total laser power when the unitary does not describe the
-    power routing (again for independent-laser configurations).
+    The bright mode 0 carries ``squeeze`` at angle ``theta`` (vacuum when
+    ``squeeze`` is None) and the idle modes are vacuum; the beam-splitter
+    unitary is the Gram-Schmidt completion of the array's dividing column.
 
     ``arr`` may also be a sequence of C arrays of one sensor count, with
     ``omega`` of shape (C, n) and one squeeze and one angle per array (a
-    single value is shared); the assembly then carries the batch axis.  The
-    overrides describe one array and are not taken with a batch.
+    single value is shared); the assembly then carries the batch axis.
     """
     single = isinstance(arr, SensorArray)
     arrays, w_in, squeezes, thetas = _batch(arr, omega, squeeze, theta)
-    if not single and not (mode_covariances is unitary is power_shares is None):
-        raise ConfigError("mode_covariances, unitary and power_shares "
-                          "describe a single array")
     c, m, n_freq = len(arrays), arrays[0].n_sensors, w_in.shape[1]
 
-    if unitary is None:
-        unitaries = np.stack([complete_unitary(a.dividing_weights)
-                              for a in arrays])
-    else:
-        unitaries = np.asarray(unitary, dtype=complex)[None]
-        if unitaries.shape != (1, m, m):
-            raise ConfigError("unitary must be M x M")
-    if power_shares is None:
-        shares = np.abs(np.stack([a.dividing_weights for a in arrays])) ** 2
-    else:
-        shares = np.asarray(power_shares, dtype=float)[None]
+    unitaries = np.stack([complete_unitary(a.dividing_weights) for a in arrays])
+    shares = np.abs(np.stack([a.dividing_weights for a in arrays])) ** 2
     cw = np.stack([a.combining_weights for a in arrays])
 
     # One response call for every active sensor of the batch, each on its
@@ -195,14 +162,9 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
 
     # input covariance: per optical mode r the Hermitian (X, Y) block
     # [[sxx, sxy + i/2], [sxy - i/2, syy]], then the baths and loss ports
-    if mode_covariances is not None:
-        if len(mode_covariances) != m:
-            raise ConfigError("need one covariance per optical mode")
-        modes = [mode_covariances]
-    else:
-        vacuum = QuadraturePsds.vacuum()
-        modes = [[vacuum if sq is None else input_quadrature_psds(sq, th)]
-                 + [vacuum] * (m - 1) for sq, th in zip(squeezes, thetas.tolist())]
+    vacuum = QuadraturePsds.vacuum()
+    modes = [[vacuum if sq is None else input_quadrature_psds(sq, th)]
+             + [vacuum] * (m - 1) for sq, th in zip(squeezes, thetas.tolist())]
     syy, sxx, sxy = np.array([[(p.syy, p.sxx, p.sxy) for p in ps]
                               for ps in modes]).transpose(2, 0, 1)
     r = np.arange(m)
@@ -216,7 +178,7 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
                                      for s in a.sensors] for a in arrays]
     cov[:, 3 * m + r, 3 * m + r] = 0.5
 
-    fields = (w_in, rows[..., :n_freq], rows[..., n_freq:], cov, cw)
+    fields = (w_in, rows[..., :n_freq], rows[..., n_freq:], cov)
     if single:
         fields = [f[0] for f in fields]
     return TransferAssembly(*fields, n_sensors=m)
@@ -247,46 +209,3 @@ def oracle_noise_psd(arr, omega, squeeze: SqueezedInput | None = None,
     assembly = assemble_transfer(arr, omega, squeeze, theta=theta)
     return _scalarize(propagate_covariance(assembly), omega)
 
-
-def oracle_breakdown(assembly: TransferAssembly) -> dict[str, np.ndarray]:
-    """Per-block contributions: mode-0 shot/back-action/correlation, idle
-    residual, mechanical thermal and detection loss.  Blocks sum to the total.
-    """
-    m = assembly.n_sensors
-    cov = assembly.input_cov
-    out: dict[str, np.ndarray] = {}
-
-    def avg(fn):
-        return 0.5 * np.real(fn(assembly.row_pos) + fn(assembly.row_neg))
-
-    sxx = np.real(cov[0, 0])
-    syy = np.real(cov[m, m])
-    out["back_action"] = avg(lambda r: sxx * np.abs(r[0]) ** 2)
-    out["shot"] = avg(lambda r: syy * np.abs(r[m]) ** 2)
-
-    def mode0_block(row):
-        idx = np.array([0, m])
-        sub = row[idx]
-        return np.einsum("cw,cd,dw->w", sub, cov[np.ix_(idx, idx)], np.conj(sub))
-
-    out["correlation"] = avg(mode0_block) - out["shot"] - out["back_action"]
-
-    def idle_block(row):
-        total = np.zeros(row.shape[1], dtype=complex)
-        for r in range(1, m):
-            idx = np.array([r, m + r])
-            sub = row[idx]
-            total += np.einsum("cw,cd,dw->w", sub, cov[np.ix_(idx, idx)],
-                               np.conj(sub))
-        return total
-
-    out["residual_vacuum"] = avg(idle_block)
-    mech = assembly.block("mech")
-    diag_mech = np.real(np.diag(cov)[mech])[:, None]
-    out["thermal"] = avg(lambda r: np.sum(diag_mech * np.abs(r[mech]) ** 2, axis=0))
-    loss = assembly.block("loss")
-    out["detection_loss"] = avg(lambda r: 0.5 * np.sum(np.abs(r[loss]) ** 2, axis=0))
-    out["total"] = sum(out[k] for k in ("shot", "back_action", "correlation",
-                                        "residual_vacuum", "thermal",
-                                        "detection_loss"))
-    return out

@@ -10,13 +10,16 @@ to force, per ``q(w) = chi_w/(m*Omega) * F(w)``):
 
     chi_w = Omega / (Omega^2 - w^2 - 2j*gamma*w),      Q = Omega/(2*gamma)
 
-Cavity reflection phase and optomechanical cooperativity:
+Cooperativity and cavity reflection phase, as ``sensor_response`` returns
+them, with u = 2 w / kappa:
 
-    e^{i phi_w} = (kappa/2 + i w)/(kappa/2 - i w)
-    C_w = (2 G^2 / gamma kappa) / (1 - 2 i w / kappa)^2 = |C_w| e^{i phi_w}
+    |C_w| = (2 G^2 / gamma kappa) / (1 + u^2)
+    e^{i phi_w/2} = (1 + i u) / sqrt(1 + u^2)
 
-with G = E*G0, E^2 = (4 kappa_r / kappa^2) E0^2 and E0^2 = P/(hbar Omega_L)
-the input photon flux.
+so that C_w = (2 G^2 / gamma kappa) / (1 - i u)^2 = |C_w| e^{i phi_w}, with
+e^{i phi_w} = (kappa/2 + i w)/(kappa/2 - i w) the reflection phase.  Here
+G = E*G0, E^2 = (4 kappa_r / kappa^2) E0^2 and E0^2 = P/(hbar Omega_L) the
+input photon flux.
 
 Force-noise budget of a phase-quadrature homodyne readout:
 
@@ -48,7 +51,6 @@ __all__ = [
     "QuadraturePsds",
     "SensorColumns",
     "mechanical_susceptibility",
-    "cavity_phase_and_cooperativity",
     "sensor_response",
     "input_quadrature_psds",
     "single_sensor_noise_psd",
@@ -258,11 +260,6 @@ class QuadraturePsds:
         if not (self.syy > 0 and self.sxx > 0):
             raise ConfigError("quadrature variances must be positive")
 
-    @property
-    def uncertainty_product(self) -> float:
-        """syy*sxx - sxy^2; equals 1/4 for any pure squeezed input."""
-        return self.syy * self.sxx - self.sxy**2
-
     @classmethod
     def vacuum(cls):
         return cls(syy=0.5, sxx=0.5, sxy=0.0)
@@ -313,31 +310,6 @@ def mechanical_susceptibility(osc: Oscillator, omega):
     return _scalarize(chi, omega)
 
 
-def cavity_phase_and_cooperativity(cav: CavityOptics, osc: Oscillator, omega,
-                                   power_scale=1.0):
-    """Reflection phase e^{i phi_w} and complex cooperativity C_w.
-
-    ``power_scale`` rescales the circulating power (|w_k0|^2 when the sensor
-    receives a fraction of a shared laser; 1.0 standalone).  The returned
-    pair satisfies C_w = |C_w| e^{i phi_w} identically.
-    """
-    if (np.asarray(power_scale) < 0).any():
-        raise ConfigError(f"power_scale must be >= 0, got {power_scale}")
-    w = np.asarray(omega, dtype=float)
-    u = 2.0 * w / cav.kappa
-    phase = (1.0 + 1j * u) / (1.0 - 1j * u)           # (kappa/2 + iw)/(kappa/2 - iw)
-    g_sq = cav.g0 * cav.g0 * cav.intracavity_flux
-    coop = power_scale * (2.0 * g_sq / (osc.gamma * cav.kappa)) / (1.0 - 1j * u) ** 2
-    return _scalarize(phase, omega), _scalarize(coop, omega)
-
-
-def _half_phase(cav: CavityOptics, omega):
-    """e^{i phi_w / 2} = (1 + 2iw/kappa)/|1 + 2iw/kappa| (branch-free)."""
-    w = np.asarray(omega, dtype=float)
-    z = 1.0 + 2j * w / cav.kappa
-    return z / np.abs(z)
-
-
 def input_quadrature_psds(squeeze: SqueezedInput, theta) -> QuadraturePsds:
     """Quadrature PSDs of a squeezed input at angle theta.
 
@@ -372,38 +344,37 @@ def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
     force-noise formula divides by |C_w| and by eta^2, so a sensor without
     optical readout is rejected here, once for every caller.
     """
+    if (np.asarray(share) < 0).any():
+        raise ConfigError(f"power share must be >= 0, got {share}")
     w = np.asarray(omega, dtype=float)
     chi = mechanical_susceptibility(osc, w)
-    _, coop = cavity_phase_and_cooperativity(cav, osc, w, share)
-    cmag = np.abs(coop)
+    u = 2.0 * w / cav.kappa
+    u2 = 1.0 + u * u
+    g_sq = cav.g0 * cav.g0 * cav.intracavity_flux
+    cmag = share * (2.0 * g_sq / (osc.gamma * cav.kappa)) / u2
     if (cmag == 0.0).any():
         raise ConfigError(
             "zero optomechanical cooperativity: no optical readout "
             "(shot noise diverges); check laser power / g0 / weights")
     if (np.asarray(cav.efficiency_sq) == 0.0).any():
         raise ConfigError("detection efficiency eta^2 = 0: nothing reaches the detector")
-    return chi, cmag, _half_phase(cav, w)
+    return chi, cmag, (1.0 + 1j * u) / np.sqrt(u2)
 
 
 def single_sensor_noise_psd(osc: Oscillator, cav: CavityOptics,
-                            inp: QuadraturePsds, omega, *,
-                            mech_psd=None, power_scale=1.0):
+                            inp: QuadraturePsds, omega, *, power_scale=1.0):
     """Total force-noise PSD (N^2/Hz) for one sensor read out in phase.
 
     Sum of shot, back-action, quadrature-correlation and mechanical terms
     plus the detection-loss term; see the module docstring for the formulas.
-    ``mech_psd`` overrides the flat thermal default K_B T/(hbar Omega).
     """
     chi, cmag, _ = sensor_response(osc, cav, omega, power_scale)
-    if mech_psd is None:
-        mech_psd = thermal_momentum_psd(osc)
-
     m, om, gam = osc.mass, osc.omega0, osc.gamma
     chi_sq = np.abs(chi) ** 2
     shot = HBAR * m * om / (8.0 * gam * cmag * chi_sq) * inp.syy
     back_action = 8.0 * HBAR * m * gam * om * cmag * inp.sxx
     corr = 2.0 * HBAR * m * om * np.real(chi) / chi_sq * inp.sxy
-    mech = 4.0 * HBAR * m * gam * om * mech_psd
+    mech = 4.0 * HBAR * m * gam * om * thermal_momentum_psd(osc)
     loss = ((1.0 - cav.efficiency_sq) / cav.efficiency_sq
             * HBAR * m * om / (16.0 * gam * cmag * chi_sq))
     return _scalarize(shot + back_action + corr + mech + loss, omega)

@@ -9,8 +9,10 @@ squeezed budget in its e^{-+2r} factorization, and the observation-run SNR
 law.  The free-mirror model, mapped onto the cavity by the bad-cavity
 correspondence, is a separate derivation of the single-sensor budget; it
 shares no response primitive with the library beyond the mechanical
-susceptibility.  They are verification code, not part of the ``omsense``
-API.
+susceptibility.  The complex cooperativity C_w is the form that the
+library's real |C_w| and half phase are checked against, and the oracle
+breakdown splits a covariance propagation into its input blocks.  They are
+verification code, not part of the ``omsense`` API.
 """
 
 import math
@@ -27,6 +29,22 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
 from omsense.sensitivity import ObservationPlan
 from omsense.arrays import ArrayNoise, SensorArray
 from omsense.oracle import TransferAssembly
+
+
+def cavity_phase_and_cooperativity(cav: CavityOptics, osc: Oscillator, omega,
+                                   power_scale=1.0):
+    """Reflection phase e^{i phi_w} and complex cooperativity C_w.
+
+    ``power_scale`` rescales the circulating power (|w_k0|^2 when the sensor
+    receives a fraction of a shared laser; 1.0 standalone).  The returned
+    pair satisfies C_w = |C_w| e^{i phi_w} identically.
+    """
+    w = np.asarray(omega, dtype=float)
+    u = 2.0 * w / cav.kappa
+    phase = (1.0 + 1j * u) / (1.0 - 1j * u)           # (kappa/2 + iw)/(kappa/2 - iw)
+    g_sq = cav.g0 * cav.g0 * cav.intracavity_flux
+    coop = power_scale * (2.0 * g_sq / (osc.gamma * cav.kappa)) / (1.0 - 1j * u) ** 2
+    return _scalarize(phase, omega), _scalarize(coop, omega)
 
 
 def residual_vacuum_forms(arr: SensorArray, omega):
@@ -88,17 +106,7 @@ def dqs_vs_dcs_report(arr: SensorArray, n_photons: float, omega,
     theta = noise.optimal_angle()
     [dqs] = noise.totals([SqueezedInput(squeeze.r, "optimal")])
 
-    sensor = arr.sensors[0]
-    per_sensor_power = arr.total_power / m
-    cav = replace(sensor.cavity, input_power=per_sensor_power)
-    weights = np.abs(arr.combining_weights) ** 2
-    dcs = np.zeros(w.size)
-    for k in range(m):
-        if weights[k] == 0.0:
-            continue
-        dcs += weights[k] * np.asarray(
-            squeezed_noise_closed_form(sensor.oscillator, cav, squeeze.r, theta, w))
-
+    dcs = independent_squeezers_psd(arr, squeeze, theta, w)
     dev = float(np.max(np.abs(dqs - dcs) / np.abs(dcs)))
     if dev > rel_tol:
         raise ConfigError(
@@ -110,6 +118,22 @@ def dqs_vs_dcs_report(arr: SensorArray, n_photons: float, omega,
                         max_rel_deviation=dev, dqs_psd=dqs, dcs_psd=dcs)
 
 
+def independent_squeezers_psd(arr: SensorArray, squeeze: SqueezedInput,
+                               theta, omega):
+    """M independent squeezers (DCS): each sensor on its own laser of power
+    P/M with its own squeezer at ``theta``, combined with weights W_0k, as
+    sum_k |W_0k|^2 times the per-sensor squeezed closed form."""
+    m = arr.n_sensors
+    weights = np.abs(arr.combining_weights) ** 2
+    dcs = np.zeros(np.size(omega))
+    for k in np.flatnonzero(weights).tolist():
+        s = arr.sensors[k]
+        cav = replace(s.cavity, input_power=arr.total_power / m)
+        dcs += weights[k] * np.asarray(squeezed_noise_closed_form(
+            s.oscillator, cav, squeeze.r, theta, omega))
+    return dcs
+
+
 def propagate_covariance_eig(assembly: TransferAssembly):
     """Redundant propagation path via eigendecomposition of the covariance."""
     vals, vecs = np.linalg.eigh(assembly.input_cov)
@@ -118,6 +142,50 @@ def propagate_covariance_eig(assembly: TransferAssembly):
     for row in (assembly.row_pos, assembly.row_neg):
         proj = vecs.conj().T @ row
         out += 0.5 * np.einsum("c,cw->w", vals, np.abs(proj) ** 2)
+    return out
+
+
+def oracle_breakdown(assembly: TransferAssembly) -> dict[str, np.ndarray]:
+    """Per-block contributions: mode-0 shot/back-action/correlation, idle
+    residual, mechanical thermal and detection loss.  Blocks sum to the total.
+    """
+    m = assembly.n_sensors
+    cov = assembly.input_cov
+    out: dict[str, np.ndarray] = {}
+
+    def avg(fn):
+        return 0.5 * np.real(fn(assembly.row_pos) + fn(assembly.row_neg))
+
+    sxx = np.real(cov[0, 0])
+    syy = np.real(cov[m, m])
+    out["back_action"] = avg(lambda r: sxx * np.abs(r[0]) ** 2)
+    out["shot"] = avg(lambda r: syy * np.abs(r[m]) ** 2)
+
+    def mode0_block(row):
+        idx = np.array([0, m])
+        sub = row[idx]
+        return np.einsum("cw,cd,dw->w", sub, cov[np.ix_(idx, idx)], np.conj(sub))
+
+    out["correlation"] = avg(mode0_block) - out["shot"] - out["back_action"]
+
+    def idle_block(row):
+        total = np.zeros(row.shape[1], dtype=complex)
+        for r in range(1, m):
+            idx = np.array([r, m + r])
+            sub = row[idx]
+            total += np.einsum("cw,cd,dw->w", sub, cov[np.ix_(idx, idx)],
+                               np.conj(sub))
+        return total
+
+    out["residual_vacuum"] = avg(idle_block)
+    mech = slice(2 * m, 3 * m)
+    diag_mech = np.real(np.diag(cov)[mech])[:, None]
+    out["thermal"] = avg(lambda r: np.sum(diag_mech * np.abs(r[mech]) ** 2, axis=0))
+    loss = slice(3 * m, 4 * m)
+    out["detection_loss"] = avg(lambda r: 0.5 * np.sum(np.abs(r[loss]) ** 2, axis=0))
+    out["total"] = sum(out[k] for k in ("shot", "back_action", "correlation",
+                                        "residual_vacuum", "thermal",
+                                        "detection_loss"))
     return out
 
 

@@ -13,16 +13,17 @@ import numpy as np
 from omsense import cli
 from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
-                             SqueezedInput, cavity_phase_and_cooperativity,
-                             input_quadrature_psds, mechanical_susceptibility,
-                             single_sensor_noise_psd)
+                             SqueezedInput, input_quadrature_psds,
+                             mechanical_susceptibility, single_sensor_noise_psd)
 from omsense.arrays import (ArrayNoise, array_noise_psd, array_signal_psd,
                             identical_array)
 from omsense.oracle import assemble_transfer, propagate_covariance
 from omsense.sensitivity import (FrequencyGrid, integrated_sensitivity,
                                  min_detectable_coupling)
 from omsense.scenario import Scenario, preset_scenario, scenario_from_dict
-from reference_paths import squeezed_noise_closed_form
+from reference_paths import (cavity_phase_and_cooperativity,
+                             independent_squeezers_psd,
+                             squeezed_noise_closed_form)
 from omsense.scans import (dm_projection_table, oracle_check_table,
                            random_array, sensitivity_report)
 
@@ -119,10 +120,7 @@ def test_criterion_4_dqs_equals_dcs(membrane_sensor, rng):
                                     np.log(TWO_PI * 2e6), 50))
         dqs = propagate_covariance(
             assemble_transfer(arr, omegas, squeeze, theta=theta))
-        blocks = [input_quadrature_psds(squeeze, theta)] * m
-        dcs = propagate_covariance(assemble_transfer(
-            arr, omegas, unitary=np.eye(m, dtype=complex),
-            power_shares=np.full(m, 1.0 / m), mode_covariances=blocks))
+        dcs = independent_squeezers_psd(arr, squeeze, theta, omegas)
         worst = max(worst, float(np.max(np.abs(dqs - dcs) / dcs)))
     _report(4, worst < 1e-10,
             f"one squeezer split M ways vs M independent squeezers, "
@@ -175,7 +173,7 @@ def test_criterion_6_sql_optimality(rng):
         def optical(log_p):
             cav = replace(cav_template, input_power=math.exp(log_p))
             return single_sensor_noise_psd(osc, cav, QuadraturePsds.vacuum(),
-                                           omega, mech_psd=0.0)
+                                           omega)
 
         a, b = math.log(1e-10), math.log(100.0)
         c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -212,8 +210,8 @@ def test_criterion_7_paper_number_regressions():
         omega = osc.omega0
         thermal_acc = math.sqrt(4 * osc.mass * osc.gamma * K_B
                                 * osc.temperature) / osc.mass
-        total = single_sensor_noise_psd(osc, cav, QuadraturePsds.vacuum(), omega,
-                                        mech_psd=0.0)
+        total = single_sensor_noise_psd(replace(osc, temperature=0.0), cav,
+                                        QuadraturePsds.vacuum(), omega)
         backaction_acc = math.sqrt(total) / osc.mass
         _, coop = cavity_phase_and_cooperativity(cav, osc, omega)
         shot_disp = math.sqrt(HBAR / (16 * osc.mass * osc.omega0 * osc.gamma

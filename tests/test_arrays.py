@@ -17,10 +17,10 @@ from omsense.arrays import (ArrayNoise, ArraySensor, SensorArray,
                             identical_array, inverse_variance_weights,
                             matched_weights, optimal_squeezing_angle,
                             single_sensor_array, uniform_weights)
-from omsense.oracle import oracle_noise_psd
+from omsense.oracle import assemble_transfer, oracle_noise_psd
 from omsense.scans import random_array
-from reference_paths import (dqs_vs_dcs_report, residual_vacuum_forms,
-                             squeezed_noise_closed_form)
+from reference_paths import (dqs_vs_dcs_report, oracle_breakdown,
+                             residual_vacuum_forms, squeezed_noise_closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +42,19 @@ def test_unnormalized_weights_rejected(membrane_sensor):
     w = np.array([0.9, 0.5], dtype=complex)  # sum |w|^2 = 1.06
     with pytest.raises(ConfigError):
         SensorArray((membrane_sensor,) * 2, w, uniform_weights(2), 4e-3)
+
+
+@pytest.mark.parametrize("field", ["dividing_weights", "combining_weights"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(rng, field, bad):
+    # a NaN passes |norm - 1| > tol, and a NaN combining weight would drop
+    # its sensor from the kernel's active set without a word
+    arr, _ = random_array(rng, 3)
+    weights = {"dividing_weights": arr.dividing_weights.copy(),
+               "combining_weights": arr.combining_weights.copy()}
+    weights[field][1] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        SensorArray(arr.sensors, total_power=arr.total_power, **weights)
 
 
 def test_zero_share_with_nonzero_combining_rejected(membrane_sensor):
@@ -140,7 +153,6 @@ def test_residual_positive_for_detuned_pair(membrane_sensor):
     res = array_noise_psd(arr, QuadraturePsds.vacuum(), omega).residual_vacuum
     assert res > 0.0
     # oracle computes the idle-mode contribution separately: same number
-    from omsense.oracle import assemble_transfer, oracle_breakdown
     asm = assemble_transfer(arr, omega)
     idle = oracle_breakdown(asm)["residual_vacuum"]
     assert idle == pytest.approx(res, rel=1e-10)

@@ -9,16 +9,17 @@ import pytest
 from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.errors import ConfigError
 from omsense.spectra import (QuadraturePsds, SqueezedInput,
-                             cavity_phase_and_cooperativity,
                              input_quadrature_psds, mechanical_susceptibility)
 from omsense.arrays import (SensorArray, array_noise_psd, array_sql_psd,
                             identical_array, matched_weights,
                             optimal_squeezing_angle, single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
-                            oracle_breakdown, oracle_noise_psd,
-                            propagate_covariance)
+                            oracle_noise_psd, propagate_covariance)
 from omsense.scans import random_array
-from reference_paths import idle_contribution_shortcut, propagate_covariance_eig
+from reference_paths import (cavity_phase_and_cooperativity,
+                             idle_contribution_shortcut,
+                             independent_squeezers_psd, oracle_breakdown,
+                             propagate_covariance_eig)
 
 
 def test_single_sensor_reproduces_budget_term_by_term(membrane_osc, membrane_cav):
@@ -91,13 +92,22 @@ def test_completion_choice_does_not_change_psd(rng):
     omega = np.exp(rng.uniform(np.log(1e3), np.log(1e5), 8))
     squeeze = SqueezedInput.from_db(db)
     base = propagate_covariance(assemble_transfer(arr, omega, squeeze, theta=0.4))
-    # different idle columns: permuted and phase-twisted seed basis
-    m = arr.n_sensors
-    seed = np.eye(m, dtype=complex)[:, ::-1] * np.exp(0.3j)
-    alt_unitary = complete_unitary(arr.dividing_weights, seed_basis=seed)
-    alt = propagate_covariance(assemble_transfer(arr, omega, squeeze, theta=0.4,
-                                                 unitary=alt_unitary))
+    # the same array with its sensors in reverse order: Gram-Schmidt meets
+    # the standard basis in another order, so the idle columns differ
+    p = np.arange(arr.n_sensors)[::-1]
+    flipped = SensorArray(tuple(arr.sensors[k] for k in p),
+                          arr.dividing_weights[p], arr.combining_weights[p],
+                          arr.total_power)
+    idle = complete_unitary(arr.dividing_weights)[p, 1:]
+    idle_flipped = complete_unitary(flipped.dividing_weights)[:, 1:]
+    assert not np.allclose(np.abs(idle_flipped), np.abs(idle))
+    alt = propagate_covariance(assemble_transfer(flipped, omega, squeeze,
+                                                 theta=0.4))
     np.testing.assert_allclose(alt, base, rtol=1e-12)
+    # a uniform idle-mode covariance of any size gives completion-invariant
+    # totals, so the idle vacuum itself is checked against the closed form
+    closed = array_noise_psd(arr, input_quadrature_psds(squeeze, 0.4), omega)
+    np.testing.assert_allclose(base, closed.total, rtol=1e-12)
 
 
 def test_idle_shortcut_matches_full_assembly(rng):
@@ -152,26 +162,22 @@ def test_trivial_unit_row():
     cov[0, 0] = cov[m, m] = 0.5
     cov[0, m], cov[m, 0] = 0.5j, -0.5j
     asm = TransferAssembly(omega=np.array([1.0]), row_pos=row, row_neg=row,
-                           input_cov=cov, signal_row=np.ones(1, complex),
-                           n_sensors=m)
+                           input_cov=cov, n_sensors=m)
     assert propagate_covariance(asm) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_dcs_block_diagonal_equals_dqs(membrane_sensor, rng):
-    """Independent squeezers with identity routing match the distributed one."""
-    m = 4
-    arr = identical_array(membrane_sensor, m, power_per_sensor=2e-3)
+    """M independent squeezers, each sensor on its own laser, match the
+    distributed squeezer that the oracle propagates."""
     squeeze = SqueezedInput.from_photon_number(2.03)
     theta = -0.35
-    omegas = np.exp(rng.uniform(np.log(1e2), np.log(1e6), 50))
-
-    dqs = propagate_covariance(assemble_transfer(arr, omegas, squeeze,
-                                                 theta=theta))
-    blocks = [input_quadrature_psds(squeeze, theta)] * m
-    dcs = propagate_covariance(assemble_transfer(
-        arr, omegas, unitary=np.eye(m, dtype=complex),
-        power_shares=np.full(m, 1.0 / m), mode_covariances=blocks))
-    np.testing.assert_allclose(dcs, dqs, rtol=1e-10)
+    for m in (2, 4, 8):
+        arr = identical_array(membrane_sensor, m, power_per_sensor=2e-3)
+        omegas = np.exp(rng.uniform(np.log(1e2), np.log(1e6), 50))
+        dqs = propagate_covariance(assemble_transfer(arr, omegas, squeeze,
+                                                     theta=theta))
+        dcs = independent_squeezers_psd(arr, squeeze, theta, omegas)
+        np.testing.assert_allclose(dcs, dqs, rtol=1e-10)
 
 
 def _with_idle_sensor(arr, k):
@@ -199,7 +205,8 @@ def test_batched_oracle_equals_each_single_array_bitwise(rng):
             row, oracle_noise_psd(arr, omega, squeeze, theta=theta))
     asm = assemble_transfer(arrays, omegas, squeezes, theta=thetas)
     assert asm.n_sensors == 3 and np.size(asm.omega) == 80
-    assert not np.any(asm.row_pos[3, asm.block("mech")][1])
+    mech = slice(2 * asm.n_sensors, 3 * asm.n_sensors)
+    assert not np.any(asm.row_pos[3, mech][1])
 
 
 def test_batch_rejects_mixed_counts_and_overrides(rng):
@@ -210,5 +217,3 @@ def test_batch_rejects_mixed_counts_and_overrides(rng):
     same = [pair[0], pair[0]]
     with pytest.raises(ConfigError, match="shape"):
         oracle_noise_psd(same, omegas[0], [None, None])
-    with pytest.raises(ConfigError, match="single array"):
-        assemble_transfer(same, omegas, unitary=np.eye(2))

@@ -199,6 +199,10 @@ def test_cli_oracle_check_passes(tmp_path, capsys):
     assert manifest["oracle"]["passed"] is True
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
 def test_cli_oracle_check_fails_on_a_nan_residual(tmp_path, capsys,
                                                   monkeypatch):
     """A NaN in a config after the first fails the check (exit 1), and the
@@ -223,14 +227,43 @@ def test_cli_oracle_check_fails_on_a_nan_residual(tmp_path, capsys,
     assert len(bad) == 1 and bad[0] > 0
     assert int(rows[bad[0]]["n_sensors"]) == poisoned[0]
 
-    def reject(token):
-        raise ValueError(f"non-strict JSON constant {token}")
-
     manifest = json.loads((out / "manifest.json").read_text(),
-                          parse_constant=reject)
+                          parse_constant=_reject_constant)
     assert manifest["oracle"]["passed"] is False
     assert manifest["oracle"]["max_rel_residual"] is None
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_json_tables_write_non_finite_cells_as_null(tmp_path, monkeypatch):
+    """An overlay out of its range, and a NaN oracle residual, are null in
+    a --format json table, which parses as strict JSON; CSV keeps nan."""
+    overlay = tmp_path / "narrow.csv"
+    overlay.write_text("100.0,1e-24\n1000.0,2e-24\n")
+    for fmt in ("json", "csv"):
+        assert cli.main(["fig3", "--out", str(tmp_path / fmt), "--format", fmt,
+                         "--overlay", f"narrow={overlay}"]) == 0
+    table = json.loads((tmp_path / "json" / "fig3.json").read_text(),
+                       parse_constant=_reject_constant)
+    cells = [row["overlay_narrow"] for row in table["rows"]]
+    rows = list(csv.DictReader(open(tmp_path / "csv" / "fig3.csv")))
+    assert [c is None for c in cells] == [
+        r["overlay_narrow"] == "nan" for r in rows]
+    assert None in cells and any(c is not None for c in cells)
+
+    real = scans.oracle_noise_psd
+
+    def oracle(arrs, *args, **kwargs):
+        out = real(arrs, *args, **kwargs)
+        out[0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(scans, "oracle_noise_psd", oracle)
+    out = tmp_path / "oc"
+    assert cli.main(["oracle-check", "--configs", "4", "--format", "json",
+                     "--out", str(out)]) == 1
+    table = json.loads((out / "oracle-check.json").read_text(),
+                       parse_constant=_reject_constant)
+    assert None in [row["max_rel_residual"] for row in table["rows"]]
 
 
 def test_manifest_records_design_decision_defaults(tmp_path):

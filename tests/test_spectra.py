@@ -13,14 +13,16 @@ import omsense
 from omsense.constants import HBAR, K_B, TWO_PI, C_LIGHT
 from omsense.errors import ConfigError
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
-                             SqueezedInput, acceleration_asd,
-                             cavity_phase_and_cooperativity, displacement_asd,
+                             SqueezedInput, acceleration_asd, displacement_asd,
                              input_quadrature_psds, mechanical_susceptibility,
-                             single_sensor_noise_psd, sql_noise_psd,
-                             thermal_momentum_psd)
+                             sensor_response, single_sensor_noise_psd,
+                             sql_noise_psd)
 from conftest import power_for_cooperativity
-from reference_paths import (bad_cavity_map, simplified_model_noise_psd,
+from reference_paths import (bad_cavity_map, cavity_phase_and_cooperativity,
+                             simplified_model_noise_psd,
                              squeezed_noise_closed_form)
+
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -67,46 +69,53 @@ def test_susceptibility_conjugation(membrane_osc, rng):
 
 
 # ---------------------------------------------------------------------------
-# cavity phase and cooperativity
+# cooperativity and reflection half phase
 # ---------------------------------------------------------------------------
 
 def test_phase_and_cooperativity_dc(membrane_osc, membrane_cav):
-    phase, coop = cavity_phase_and_cooperativity(membrane_cav, membrane_osc, 0.0)
-    assert phase == pytest.approx(1.0)
-    assert coop.imag == pytest.approx(0.0, abs=1e-30)
+    _, cmag, half = sensor_response(membrane_osc, membrane_cav, 0.0, 1.0)
+    assert half == 1.0
     g_sq = membrane_cav.g0**2 * membrane_cav.intracavity_flux
     expect = 2.0 * g_sq / (membrane_osc.gamma * membrane_cav.kappa)
-    assert coop.real == pytest.approx(expect, rel=1e-12)
-    assert coop.real > 0
+    assert cmag == pytest.approx(expect, rel=1e-12)
+    assert cmag > 0
 
 
 def test_phase_unit_modulus_and_identity(membrane_osc, membrane_cav, rng):
-    omegas = rng.uniform(1.0, 5e9, 128)
-    phase, coop = cavity_phase_and_cooperativity(membrane_cav, membrane_osc, omegas)
-    np.testing.assert_allclose(np.abs(phase), 1.0, rtol=1e-14)
-    # C = |C| e^{i phi} identically
-    np.testing.assert_allclose(coop, np.abs(coop) * phase, rtol=1e-12)
+    # the kernel's real |C| and (1 + iu)/sqrt(1 + u^2) against the complex
+    # C_w and the principal square root of e^{i phi}, in ulp, at +-omega
+    omegas = np.concatenate([np.geomspace(1.0, 5e9, 400),
+                             rng.uniform(1.0, 5e9, 400)])
+    for w in (omegas, -omegas):
+        _, cmag, half = sensor_response(membrane_osc, membrane_cav, w, 0.3)
+        phase, coop = cavity_phase_and_cooperativity(membrane_cav, membrane_osc,
+                                                     w, 0.3)
+        np.testing.assert_allclose(np.abs(half), 1.0, rtol=1e-14)
+        assert np.max(np.abs(cmag - np.abs(coop)) / cmag) <= 8 * EPS
+        assert np.max(np.abs(half - np.sqrt(phase))) <= 4 * EPS
 
 
 def test_phase_coop_conjugation(membrane_osc, membrane_cav, rng):
     omegas = rng.uniform(1.0, 1e9, 32)
-    p_p, c_p = cavity_phase_and_cooperativity(membrane_cav, membrane_osc, omegas)
-    p_m, c_m = cavity_phase_and_cooperativity(membrane_cav, membrane_osc, -omegas)
-    np.testing.assert_allclose(p_m, np.conj(p_p), rtol=1e-14)
-    np.testing.assert_allclose(c_m, np.conj(c_p), rtol=1e-14)
+    chi_p, c_p, h_p = sensor_response(membrane_osc, membrane_cav, omegas, 1.0)
+    chi_m, c_m, h_m = sensor_response(membrane_osc, membrane_cav, -omegas, 1.0)
+    np.testing.assert_array_equal(chi_m, np.conj(chi_p))
+    np.testing.assert_array_equal(c_m, c_p)
+    np.testing.assert_array_equal(h_m, np.conj(h_p))
 
 
 def test_cooperativity_reference_parameters(membrane_osc, membrane_cav):
     # 0.94 GHz cavity, 46 rad/s coupling, 6 mg, 2 mW: |C| stays finite in-band
     omegas = np.geomspace(1.0, 1e8, 50)
-    _, coop = cavity_phase_and_cooperativity(membrane_cav, membrane_osc, omegas)
-    assert np.all(np.isfinite(np.abs(coop)))
-    assert abs(coop[0]) == pytest.approx(3.254e7, rel=1e-3)
+    _, cmag, _ = sensor_response(membrane_osc, membrane_cav, omegas, 1.0)
+    assert np.all(np.isfinite(cmag))
+    assert cmag[0] == pytest.approx(3.254e7, rel=1e-3)
 
 
 def test_power_scale_validation(membrane_osc, membrane_cav):
-    with pytest.raises(ConfigError):
-        cavity_phase_and_cooperativity(membrane_cav, membrane_osc, 1.0, -0.5)
+    with pytest.raises(ConfigError, match="power share"):
+        single_sensor_noise_psd(membrane_osc, membrane_cav,
+                                QuadraturePsds.vacuum(), 1.0, power_scale=-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +159,7 @@ def test_heisenberg_equality(rng):
     for _ in range(200):
         sq = SqueezedInput(r=rng.uniform(0, 1.8))
         q = input_quadrature_psds(sq, rng.uniform(-math.pi, math.pi))
-        assert q.uncertainty_product == pytest.approx(0.25, rel=1e-12)
+        assert q.syy * q.sxx - q.sxy**2 == pytest.approx(0.25, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +173,8 @@ def test_sql_point_reaches_quantum_limit(membrane_osc, membrane_cav):
     p_star = power_for_cooperativity(osc, membrane_cav, omega,
                                      1.0 / (8.0 * osc.gamma * chi_abs))
     cav = replace(membrane_cav, input_power=p_star)
-    noise = single_sensor_noise_psd(osc, cav, QuadraturePsds.vacuum(), omega,
-                                    mech_psd=0.0)
+    cold = replace(osc, temperature=0.0)
+    noise = single_sensor_noise_psd(cold, cav, QuadraturePsds.vacuum(), omega)
     assert noise == pytest.approx(HBAR * osc.mass * osc.omega0 / chi_abs,
                                   rel=1e-12)
 
@@ -195,27 +204,30 @@ def test_zero_cooperativity_rejected(membrane_osc, membrane_cav):
 
 
 def test_sensor_response_is_the_only_response_kernel():
-    # A second caller of these primitives would be a second copy of the
-    # per-sensor response, free to skip or reword its readout checks.
-    primitives = {"cavity_phase_and_cooperativity", "_half_phase"}
+    # A second home of the cooperativity or half-phase formula would be a
+    # second copy of the per-sensor response, free to skip or reword its
+    # readout checks.  |C_w| needs a cavity's E^2 (``.intracavity_flux``)
+    # and both formulas u = 2 w / kappa (a division by ``.kappa``).
     sources = sorted(Path(omsense.__file__).parent.glob("*.py"))
-    calls = []
+    homes = []
     for path in sources:
         tree = ast.parse(path.read_text())
         parent = {child: node for node in ast.walk(tree)
                   for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in primitives:
+            flux = (isinstance(node, ast.Attribute)
+                    and node.attr == "intracavity_flux")
+            over_kappa = (isinstance(node, ast.BinOp)
+                          and isinstance(node.op, ast.Div)
+                          and getattr(node.right, "attr", None) == "kappa")
+            if flux or over_kappa:
                 scope = parent[node]
                 while not isinstance(scope, (ast.FunctionDef, ast.Module)):
                     scope = parent[scope]
-                calls.append((path.name, getattr(scope, "name", None), name))
-    assert sorted(calls) == [
-        ("spectra.py", "sensor_response", "_half_phase"),
-        ("spectra.py", "sensor_response", "cavity_phase_and_cooperativity")]
+                homes.append((path.name, getattr(scope, "name", None),
+                              "E^2" if flux else "u"))
+    assert sorted(homes) == [("spectra.py", "sensor_response", "E^2"),
+                             ("spectra.py", "sensor_response", "u")]
     text = "".join(path.read_text() for path in sources)
     assert text.count("zero optomechanical cooperativity") == 1
     assert text.count("eta^2 = 0") == 1
@@ -229,16 +241,6 @@ def test_loss_monotonicity(membrane_osc, membrane_cav):
         totals.append(single_sensor_noise_psd(membrane_osc, cav,
                                               QuadraturePsds.vacuum(), omega))
     assert all(b > a for a, b in zip(totals, totals[1:]))
-
-
-def test_mech_psd_default_is_thermal(membrane_osc, membrane_cav):
-    omega = TWO_PI * 3100.0
-    explicit = single_sensor_noise_psd(
-        membrane_osc, membrane_cav, QuadraturePsds.vacuum(), omega,
-        mech_psd=thermal_momentum_psd(membrane_osc))
-    default = single_sensor_noise_psd(membrane_osc, membrane_cav,
-                                      QuadraturePsds.vacuum(), omega)
-    assert default == explicit
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +361,7 @@ def test_sql_optimality_golden_section(membrane_osc, membrane_cav, rng):
         def optical(log_p):
             c = replace(cav, input_power=math.exp(log_p))
             return single_sensor_noise_psd(osc, c, QuadraturePsds.vacuum(),
-                                           omega, mech_psd=0.0)
+                                           omega)
 
         a, b = math.log(1e-9), math.log(10.0)
         c, d = b - invphi * (b - a), a + invphi * (b - a)
