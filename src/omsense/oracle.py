@@ -11,21 +11,29 @@ chi(w)* symmetry enters explicitly.
 
 Input covariance blocks are Hermitian: a vacuum optical mode carries
 [[1/2, i/2], [-i/2, 1/2]] in the (X, Y) basis (the i/2 being the
-commutator part that cancels under symmetrization), squeezed modes carry
-the rotated thermal-free squeezed block plus the same commutator, the
-mechanical momentum inputs carry K_B T/(hbar Omega) and the loss ports 1/2.
+commutator part that cancels under symmetrization), the squeezed bright
+mode carries diag(e^{2r}, e^{-2r})/2 rotated by the squeezing angle plus
+the same commutator, the mechanical momentum inputs carry
+K_B T/(hbar Omega) and the loss ports 1/2.  The oracle derives these
+itself; it shares only the per-sensor response kernel with the closed
+forms.
+
+A batch of arrays of any sensor counts is one pass: every array is
+zero-padded to the batch's largest count, whose padded slots have zero
+transfer rows, the beam-splitter unitaries are one batched Householder
+completion, and each array's quadratic form is one matmul.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
-from .spectra import (QuadraturePsds, SensorColumns, SqueezedInput, _scalarize,
-                      input_quadrature_psds, sensor_response)
+from .spectra import SensorColumns, SqueezedInput, _scalarize, sensor_response
 from .arrays import SensorArray
 
 __all__ = [
@@ -41,51 +49,59 @@ __all__ = [
 class TransferAssembly:
     """Frequency-resolved transfer rows and input covariance.
 
-    ``row_pos``/``row_neg`` map the stacked input vector
+    ``rows`` maps the stacked input vector
     [X_0..X_{M-1}, Y_0..Y_{M-1}, P_0..P_{M-1}, L_0..L_{M-1}] to the combined
-    estimator at +omega and -omega; shapes are (4M, n_freq).  ``input_cov``
-    is the Hermitian spectral covariance of that vector.  An assembly of a
-    batch of C arrays carries a leading axis of length C on every field.
+    estimator; its shape is (4M, 2n), columns [:n] at +omega (``row_pos``)
+    and [n:] at -omega (``row_neg``).  ``input_cov`` is the Hermitian
+    spectral covariance of that vector.  An assembly of a batch of C arrays
+    carries a leading axis of length C on every field, and M is the batch's
+    largest sensor count.
     """
 
     omega: np.ndarray
-    row_pos: np.ndarray
-    row_neg: np.ndarray
+    rows: np.ndarray
     input_cov: np.ndarray
     n_sensors: int
 
+    @property
+    def row_pos(self) -> np.ndarray:
+        return self.rows[..., :self.omega.shape[-1]]
 
-def complete_unitary(column: np.ndarray) -> np.ndarray:
-    """Complete one unit column to a full unitary by Gram-Schmidt.
+    @property
+    def row_neg(self) -> np.ndarray:
+        return self.rows[..., self.omega.shape[-1]:]
 
-    Each standard basis vector in turn is projected out of the columns found
-    so far twice (classical Gram-Schmidt with reorthogonalization, orthogonal
-    to rounding like the modified algorithm), one matrix-vector product per
-    pass, and kept when a part of it remains.  The standard basis spans the
-    whole space, so M - 1 of its vectors always remain.
+
+def complete_unitary(columns) -> np.ndarray:
+    """Complete unit columns of shape (..., m) to (..., m, m) unitaries.
+
+    Each column w is mapped to e_0 by one Householder reflection
+    U = I - 2 v v^H / |v|^2 with v = w + e^{i arg w_0} e_0 (Golub & Van
+    Loan, Matrix Computations, sec. 5.1): the sign choice keeps |v|^2 =
+    2 (1 + |w_0|) away from zero, and that closed form depends on w_0
+    alone, so padding a column does not change its bits.  Column 0 of U is
+    then -e^{-i arg w_0} w, a unit phase times w, so it is set to w
+    exactly.  The whole batch is one broadcast.  A column padded with zeros
+    gives block-diag(U, I) with exact zeros and ones, so a padded slot
+    never mixes with a real one.
 
     The idle columns are arbitrary; physical outputs must not depend on the
     choice, which the tests assert.
     """
-    w = np.asarray(column, dtype=complex)
-    m = w.size
-    norm = np.linalg.norm(w)
-    if abs(norm - 1.0) > 1e-10:
-        raise ConfigError(f"dividing column must be normalized, |w| = {norm!r}")
-    cols = np.zeros((m, m), dtype=complex)
-    cols[:, 0] = w / norm
-    found = 1
-    for seed in np.eye(m, dtype=complex):
-        if found == m:
-            break
-        basis = cols[:, :found]
-        v = seed - basis @ (basis.conj().T @ seed)
-        v -= basis @ (basis.conj().T @ v)
-        vn = np.linalg.norm(v)
-        if vn > 1e-8:
-            cols[:, found] = v / vn
-            found += 1
-    return cols
+    w = np.asarray(columns, dtype=complex)
+    norm = np.linalg.norm(w, axis=-1)
+    bad = np.abs(norm - 1.0) > 1e-10
+    if bad.any():
+        raise ConfigError(
+            f"dividing column must be normalized, |w| = {norm[bad].tolist()}")
+    w0 = w[..., 0]
+    v = w.copy()
+    v[..., 0] += np.exp(1j * np.angle(w0))
+    scale = 1.0 / (1.0 + np.abs(w0))
+    u = np.eye(w.shape[-1]) - v[..., :, None] * (
+        np.conj(v)[..., None, :] * scale[..., None, None])
+    u[..., :, 0] = w
+    return u
 
 
 def _batch(arr, omega, squeeze, theta):
@@ -98,13 +114,27 @@ def _batch(arr, omega, squeeze, theta):
     w = np.asarray(omega, dtype=float)
     if c == 0 or w.ndim != 2 or w.shape[0] != c:
         raise ConfigError("a batch of C arrays needs omega of shape (C, n)")
-    if len({a.n_sensors for a in arrays}) != 1:
-        raise ConfigError("a batch needs arrays of one sensor count")
     squeezes = list(squeeze) if isinstance(squeeze, (list, tuple)) else [squeeze] * c
     thetas = np.broadcast_to(np.asarray(theta, dtype=float), (c,))
     if len(squeezes) != c:
         raise ConfigError("a batch needs one squeeze per array")
     return arrays, w, squeezes, thetas
+
+
+def _bright_mode_psds(squeezes, thetas):
+    """(sxx, syy, sxy), each (C,): R diag(e^{2r}, e^{-2r}) R^T / 2 with R the
+    rotation by theta, exact vacuum for a None squeeze.  e^{+-2r} come from
+    the scalar ``math.exp``, as in the closed forms: at small r, sxy's
+    e^{2r} - e^{-2r} would turn a vector exp's last-bit difference into
+    several ulp."""
+    vacuum = np.array([sq is None for sq in squeezes])
+    ep, em = np.array([(1.0, 1.0) if sq is None else
+                       (math.exp(2.0 * sq.r), math.exp(-2.0 * sq.r))
+                       for sq in squeezes]).T
+    th = np.where(vacuum, 0.0, thetas)
+    c, s = np.cos(th), np.sin(th)
+    return (0.5 * (ep * c * c + em * s * s), 0.5 * (em * c * c + ep * s * s),
+            0.5 * c * s * (ep - em))
 
 
 def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
@@ -113,19 +143,31 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
 
     The bright mode 0 carries ``squeeze`` at angle ``theta`` (vacuum when
     ``squeeze`` is None) and the idle modes are vacuum; the beam-splitter
-    unitary is the Gram-Schmidt completion of the array's dividing column.
+    unitary is the Householder completion of the array's dividing column.
 
-    ``arr`` may also be a sequence of C arrays of one sensor count, with
+    ``arr`` may also be a sequence of C arrays of any sensor counts, with
     ``omega`` of shape (C, n) and one squeeze and one angle per array (a
-    single value is shared); the assembly then carries the batch axis.
+    single value is shared); the assembly then carries the batch axis and
+    every array is padded to the batch's largest count M.  A padded slot has
+    zero dividing and combining weight, so it has no sensor rows, and its
+    idle, bath and loss ports have zero transfer rows.
     """
     single = isinstance(arr, SensorArray)
     arrays, w_in, squeezes, thetas = _batch(arr, omega, squeeze, theta)
-    c, m, n_freq = len(arrays), arrays[0].n_sensors, w_in.shape[1]
+    c, m, n_freq = (len(arrays), max(a.n_sensors for a in arrays),
+                    w_in.shape[1])
 
-    unitaries = np.stack([complete_unitary(a.dividing_weights) for a in arrays])
-    shares = np.abs(np.stack([a.dividing_weights for a in arrays])) ** 2
-    cw = np.stack([a.combining_weights for a in arrays])
+    # dividing weights, combining weights and bath PSDs K_B T / (hbar Omega),
+    # zero-padded to m sensors
+    padded = np.zeros((3, c, m), dtype=complex)
+    for i, a in enumerate(arrays):
+        padded[:, i, :a.n_sensors] = (
+            a.dividing_weights, a.combining_weights,
+            [K_B * s.oscillator.temperature / (HBAR * s.oscillator.omega0)
+             for s in a.sensors])
+    dv, cw, bath = padded
+    unitaries = complete_unitary(dv)
+    shares = np.abs(dv) ** 2
 
     # One response call for every active sensor of the batch, each on its
     # array's (+omega, -omega) stacked: columns [:n_freq] are the +omega rows
@@ -161,38 +203,34 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
     rows[:, m:2 * m] = (np.concatenate([-u_im, u_re], axis=2) @ coefs).view(complex)
 
     # input covariance: per optical mode r the Hermitian (X, Y) block
-    # [[sxx, sxy + i/2], [sxy - i/2, syy]], then the baths and loss ports
-    vacuum = QuadraturePsds.vacuum()
-    modes = [[vacuum if sq is None else input_quadrature_psds(sq, th)]
-             + [vacuum] * (m - 1) for sq, th in zip(squeezes, thetas.tolist())]
-    syy, sxx, sxy = np.array([[(p.syy, p.sxx, p.sxy) for p in ps]
-                              for ps in modes]).transpose(2, 0, 1)
+    # [[sxx, sxy + i/2], [sxy - i/2, syy]] (vacuum sxx = syy = 1/2, sxy = 0
+    # on the idle modes), then the baths and the loss ports
+    sxx, syy, sxy = _bright_mode_psds(squeezes, thetas)
     r = np.arange(m)
     cov = np.zeros((c, 4 * m, 4 * m), dtype=complex)
-    cov[:, r, r] = sxx
-    cov[:, r, m + r] = sxy + 0.5j
-    cov[:, m + r, r] = sxy - 0.5j
-    cov[:, m + r, m + r] = syy
-    cov[:, 2 * m + r, 2 * m + r] = [[K_B * s.oscillator.temperature
-                                     / (HBAR * s.oscillator.omega0)
-                                     for s in a.sensors] for a in arrays]
-    cov[:, 3 * m + r, 3 * m + r] = 0.5
+    cov[:, r, r] = cov[:, m + r, m + r] = cov[:, 3 * m + r, 3 * m + r] = 0.5
+    cov[:, r, m + r] = 0.5j
+    cov[:, m + r, r] = -0.5j
+    cov[:, 0, 0], cov[:, m, m] = sxx, syy
+    cov[:, 0, m], cov[:, m, 0] = sxy + 0.5j, sxy - 0.5j
+    cov[:, 2 * m + r, 2 * m + r] = bath
 
-    fields = (w_in, rows[..., :n_freq], rows[..., n_freq:], cov)
+    fields = (w_in, rows, cov)
     if single:
         fields = [f[0] for f in fields]
     return TransferAssembly(*fields, n_sensors=m)
 
 
-def _quadratic_form(row: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return np.einsum("...cw,...cd,...dw->...w", row, cov, np.conj(row))
-
-
 def propagate_covariance(assembly: TransferAssembly):
-    """Symmetrized output PSD: average of the +-omega Hermitian forms."""
-    s_pos = _quadratic_form(assembly.row_pos, assembly.input_cov)
-    s_neg = _quadratic_form(assembly.row_neg, assembly.input_cov)
-    out = 0.5 * (s_pos + s_neg)
+    """Symmetrized output PSD: the average of the +-omega Hermitian forms
+    sum_cd row_c cov_cd conj(row_d), both halves from one matmul."""
+    n = assembly.omega.shape[-1]
+    # cov @ conj(rows) as conj(conj(cov) @ rows): no conjugate copy of rows
+    form = np.conj(assembly.input_cov) @ assembly.rows
+    np.conj(form, out=form)
+    form *= assembly.rows
+    form = form.sum(axis=-2)
+    out = 0.5 * (form[..., :n] + form[..., n:])
     if np.any(np.max(np.abs(np.imag(out)), axis=-1)
               > 1e-10 * (np.max(np.abs(out), axis=-1) + 1e-300)):
         raise ConfigError("oracle quadratic form produced a non-real PSD")

@@ -285,6 +285,11 @@ _DRAW_LOW = (0.1, 0.1, 0.1, 0.1, 0.1, 0.5, 0.1, 0.8, 0.5)
 _DRAW_HIGH = (10.0, 10.0, 10.0, 10.0, 10.0, 1.0, 10.0, 1.0, 2.0)
 
 
+# configs per oracle pass: a pass holds every config at the largest sensor
+# count among them, so chunks bound its memory on long suites
+_ORACLE_CHUNK = 32
+
+
 def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
     """Heterogeneous array within a decade of the membrane reference values."""
     sensors = []
@@ -311,8 +316,9 @@ def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
     """Closed-form array noise vs covariance-propagation oracle residuals.
 
     Every config is drawn in turn; one ``ArrayNoise`` over all configs gives
-    the closed forms, and the oracle propagates the configs of each sensor
-    count in one batch.
+    the closed forms, and the oracle propagates each run of up to
+    ``_ORACLE_CHUNK`` consecutive configs, whatever their sensor counts, in
+    one zero-padded batch.
     """
     rng = np.random.default_rng(seed)
     configs = []
@@ -328,15 +334,13 @@ def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
     omegas = np.array(omegas)
     closed = ArrayNoise(arrs, omegas).breakdown(
         [input_quadrature_psds(sq, th) for sq, th in zip(squeezes, thetas)]).total
+    orc = np.concatenate([
+        oracle_noise_psd(arrs[i:i + _ORACLE_CHUNK], omegas[i:i + _ORACLE_CHUNK],
+                         squeezes[i:i + _ORACLE_CHUNK],
+                         theta=thetas[i:i + _ORACLE_CHUNK])
+        for i in range(0, n_configs, _ORACLE_CHUNK)])
+    residuals = np.max(np.abs(orc - closed) / np.abs(closed), axis=1)
     sizes = [arr.n_sensors for arr in arrs]
-    residuals = np.empty(n_configs)
-    for m in sorted(set(sizes)):
-        idx = [i for i, size in enumerate(sizes) if size == m]
-        orc = oracle_noise_psd([arrs[i] for i in idx], omegas[idx],
-                               [squeezes[i] for i in idx],
-                               theta=[thetas[i] for i in idx])
-        residuals[idx] = np.max(np.abs(orc - closed[idx]) / np.abs(closed[idx]),
-                                axis=1)
     return Table({"config_index": list(range(n_configs)), "n_sensors": sizes,
                   "squeezing_db": list(dbs),
                   "max_rel_residual": residuals.tolist()})

@@ -2,7 +2,7 @@
 
 Each helper computes a quantity the library also computes, by a second,
 independent route: the residual vacuum as the explicit Delta_jk double sum,
-the idle-port noise via the completeness relation instead of Gram-Schmidt
+the idle-port noise via the completeness relation instead of Householder
 idle columns, the oracle propagation via an eigendecomposition of the input
 covariance, the distributed squeezer against M independent squeezers, the
 squeezed budget in its e^{-+2r} factorization, and the observation-run SNR
@@ -194,7 +194,7 @@ def idle_contribution_shortcut(arr: SensorArray, omega):
 
     Uses sum_{r>=1} w*_nr w_mr = delta_nm - w*_n0 w_m0 to fold the M-1 vacuum
     ports into rank-deficient projectors acting on the per-sensor (X', Y')
-    coefficients; must equal the idle block of the Gram-Schmidt assembly.
+    coefficients; must equal the idle block of the Householder assembly.
     The commutator parts of the idle vacua cancel between the +-omega
     evaluations and are omitted, matching the symmetrized block.
     """

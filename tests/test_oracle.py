@@ -78,13 +78,42 @@ def test_scalar_omega_returns_float(membrane_sensor, quantity):
     assert value == quantity(arr, np.array([omega]))[0]
 
 
-def test_gram_schmidt_completion_is_unitary(rng):
-    for m in (2, 3, 5, 32):
-        w = rng.uniform(0.1, 1.0, m) + 1j * rng.uniform(-0.2, 0.2, m)
-        w = w / np.linalg.norm(w)
+def _unit_columns(rng, c, m):
+    w = rng.uniform(0.1, 1.0, (c, m)) + 1j * rng.uniform(-0.2, 0.2, (c, m))
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+
+def test_householder_completion_is_unitary(rng):
+    for m in (1, 2, 3, 5, 32):
+        w = _unit_columns(rng, 6, m)
+        if m > 1:  # a column with w_0 = 0 takes the phase e^{i0} = 1
+            w[0, 0] = 0.0
+            w[0] /= np.linalg.norm(w[0])
         u = complete_unitary(w)
-        np.testing.assert_allclose(u[:, 0], w, rtol=1e-12)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(m), atol=1e-12)
+        assert u.shape == (6, m, m)
+        np.testing.assert_array_equal(u[..., 0], w)
+        gram = np.conj(u).swapaxes(-1, -2) @ u
+        assert np.max(np.abs(gram - np.eye(m))) <= 1e-15 * m
+        # each column of the batch completes as it would alone
+        np.testing.assert_array_equal(u[2], complete_unitary(w[2]))
+
+
+def test_zero_padded_column_completes_block_diagonally(rng):
+    """A column padded with zeros gives block-diag(U, I) with exact zeros
+    and ones, so a padded slot cannot reach a real sensor."""
+    for m, pad in ((1, 3), (3, 1), (4, 12)):
+        w = _unit_columns(rng, 1, m)[0]
+        u = complete_unitary(np.concatenate([w, np.zeros(pad)]))
+        np.testing.assert_array_equal(u[:m, :m], complete_unitary(w))
+        np.testing.assert_array_equal(u[m:, m:], np.eye(pad))
+        assert not np.any(u[:m, m:]) and not np.any(u[m:, :m])
+
+
+def test_completion_rejects_unnormalized_columns(rng):
+    w = _unit_columns(rng, 3, 4)
+    w[1] *= 1.0 + 1e-9
+    with pytest.raises(ConfigError, match="normalized"):
+        complete_unitary(w)
 
 
 def test_completion_choice_does_not_change_psd(rng):
@@ -92,8 +121,8 @@ def test_completion_choice_does_not_change_psd(rng):
     omega = np.exp(rng.uniform(np.log(1e3), np.log(1e5), 8))
     squeeze = SqueezedInput.from_db(db)
     base = propagate_covariance(assemble_transfer(arr, omega, squeeze, theta=0.4))
-    # the same array with its sensors in reverse order: Gram-Schmidt meets
-    # the standard basis in another order, so the idle columns differ
+    # the same array with its sensors in reverse order: the Householder
+    # reflection pivots on another sensor, so the idle columns differ
     p = np.arange(arr.n_sensors)[::-1]
     flipped = SensorArray(tuple(arr.sensors[k] for k in p),
                           arr.dividing_weights[p], arr.combining_weights[p],
@@ -161,7 +190,8 @@ def test_trivial_unit_row():
     cov = np.zeros((4 * m, 4 * m), dtype=complex)
     cov[0, 0] = cov[m, m] = 0.5
     cov[0, m], cov[m, 0] = 0.5j, -0.5j
-    asm = TransferAssembly(omega=np.array([1.0]), row_pos=row, row_neg=row,
+    asm = TransferAssembly(omega=np.array([1.0]),
+                           rows=np.concatenate([row, row], axis=1),
                            input_cov=cov, n_sensors=m)
     assert propagate_covariance(asm) == pytest.approx(0.5, rel=1e-15)
 
@@ -189,31 +219,53 @@ def _with_idle_sensor(arr, k):
 
 
 def test_batched_oracle_equals_each_single_array_bitwise(rng):
-    """A batch of equal-M arrays, one with a W = 0 sensor, propagates to
-    exactly the rows of one call per array."""
-    arrays = [random_array(rng, 3)[0] for _ in range(3)]
+    """Arrays of M = 1, 2, 3, 4 and 16, one with a W = 0 sensor, zero-padded
+    into one batch, propagate to exactly the rows of one call per array; no
+    padded slot and no W = 0 sensor has a transfer row."""
+    arrays = [random_array(rng, m)[0] for m in (1, 2, 3, 4, 16)]
     arrays.append(_with_idle_sensor(random_array(rng, 3)[0], 1))
-    omegas = np.exp(rng.uniform(np.log(1e2), np.log(1e6), (4, 20)))
-    squeezes = [None, SqueezedInput.from_db(3.0), SqueezedInput.from_db(9.0),
-                SqueezedInput.from_db(14.0)]
-    thetas = rng.uniform(-math.pi / 2, math.pi / 2, 4)
+    c = len(arrays)
+    omegas = np.exp(rng.uniform(np.log(1e2), np.log(1e6), (c, 50)))
+    squeezes = [None] + [SqueezedInput.from_db(db)
+                         for db in rng.uniform(0.0, 15.0, c - 1)]
+    thetas = rng.uniform(-math.pi / 2, math.pi / 2, c)
     batch = oracle_noise_psd(arrays, omegas, squeezes, theta=thetas)
-    assert batch.shape == (4, 20)
+    assert batch.shape == (c, 50)
     for arr, omega, squeeze, theta, row in zip(arrays, omegas, squeezes,
                                                thetas, batch):
         np.testing.assert_array_equal(
             row, oracle_noise_psd(arr, omega, squeeze, theta=theta))
     asm = assemble_transfer(arrays, omegas, squeezes, theta=thetas)
-    assert asm.n_sensors == 3 and np.size(asm.omega) == 80
+    assert asm.n_sensors == 16 and np.size(asm.omega) == c * 50
+    for i, arr in enumerate(arrays):
+        padded = np.arange(16) >= arr.n_sensors
+        assert not np.any(asm.rows[i][np.tile(padded, 4)])
     mech = slice(2 * asm.n_sensors, 3 * asm.n_sensors)
-    assert not np.any(asm.row_pos[3, mech][1])
+    assert not np.any(asm.rows[-1, mech][1])
 
 
-def test_batch_rejects_mixed_counts_and_overrides(rng):
+def test_bright_mode_covariance_matches_input_quadrature_psds(membrane_sensor):
+    """The oracle's own squeezed block, diag(e^{2r}, e^{-2r})/2 rotated by
+    theta, is the closed forms' input_quadrature_psds to 4 ulp."""
+    arr = identical_array(membrane_sensor, 1, power_per_sensor=2e-3)
+    grid = [(r, th) for r in np.linspace(0.0, 2.3, 47)
+            for th in np.linspace(-math.pi / 2, math.pi / 2, 37)]
+    asm = assemble_transfer([arr] * len(grid), np.full((len(grid), 1), 1e4),
+                            [SqueezedInput(r) for r, _ in grid],
+                            theta=[th for _, th in grid])
+    cov = asm.input_cov
+    assert not np.any(cov.imag[:, [0, 1], [0, 1]])
+    block = np.stack([cov[:, 0, 0].real, cov[:, 1, 1].real, cov[:, 0, 1].real,
+                      cov[:, 1, 0].real], axis=1)
+    ref = np.array([(q.sxx, q.syy, q.sxy, q.sxy) for q in
+                    (input_quadrature_psds(SqueezedInput(r), th)
+                     for r, th in grid)])
+    assert np.all(np.abs(block - ref) <= 4 * np.spacing(np.abs(ref)))
+    np.testing.assert_array_equal(cov[:, 0, 1].imag, 0.5)
+    np.testing.assert_array_equal(cov[:, 1, 0].imag, -0.5)
+
+
+def test_batch_rejects_bad_omega_shape(rng):
     pair = [random_array(rng, 2)[0], random_array(rng, 3)[0]]
-    omegas = np.full((2, 5), 1e4)
-    with pytest.raises(ConfigError, match="one sensor count"):
-        oracle_noise_psd(pair, omegas, [None, None])
-    same = [pair[0], pair[0]]
     with pytest.raises(ConfigError, match="shape"):
-        oracle_noise_psd(same, omegas[0], [None, None])
+        oracle_noise_psd(pair, np.full(5, 1e4), [None, None])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from omsense import arrays, scans
+from omsense import arrays, oracle, scans
 from omsense.arrays import ArraySensor, SensorArray, matched_weights
 from omsense.constants import TWO_PI
 from omsense.oracle import oracle_noise_psd
@@ -245,3 +245,27 @@ def test_oracle_check_table_builds_one_kernel(monkeypatch):
         monkeypatch.setattr(module, "ArrayNoise", Counting)
     scans.oracle_check_table(16)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("n_configs,batches", [(16, [16]),
+                                               (200, [32] * 6 + [8])])
+def test_oracle_check_table_makes_one_oracle_pass_per_chunk(
+        monkeypatch, n_configs, batches):
+    """Deterministic cost guard: the oracle assembles and propagates each run
+    of up to 32 consecutive configs, of mixed sensor counts, in one pass."""
+    assembled, propagated = [], []
+    assemble, propagate = oracle.assemble_transfer, oracle.propagate_covariance
+
+    def counting_assemble(arrs, *args, **kwargs):
+        assembled.append(len(arrs))
+        return assemble(arrs, *args, **kwargs)
+
+    def counting_propagate(asm):
+        propagated.append(len(asm.omega))
+        return propagate(asm)
+
+    monkeypatch.setattr(oracle, "assemble_transfer", counting_assemble)
+    monkeypatch.setattr(oracle, "propagate_covariance", counting_propagate)
+    table = scans.oracle_check_table(n_configs)
+    assert assembled == propagated == batches
+    assert len(set(table["n_sensors"][:batches[0]])) > 1

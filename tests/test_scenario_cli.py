@@ -18,7 +18,7 @@ from omsense.constants import TWO_PI
 from omsense.errors import ConvergenceError, ScenarioError
 from omsense.scenario import (PRESET_NAMES, load_scenario, preset_scenario,
                               scenario_from_dict)
-from omsense import scans
+from omsense import oracle, scans
 
 
 def _fig4_dict(**overrides):
@@ -231,6 +231,32 @@ def test_cli_oracle_check_fails_on_a_nan_residual(tmp_path, capsys,
                           parse_constant=_reject_constant)
     assert manifest["oracle"]["passed"] is False
     assert manifest["oracle"]["max_rel_residual"] is None
+    assert "FAIL" in capsys.readouterr().out
+
+
+def _idle_column_scaled(u, column):
+    u[..., :, 1:2] *= 1.01
+    return u
+
+
+def _padded_vacuum_leaks(u, column):
+    # every padded input port reaches sensor 0
+    u[..., 0, :] += 0.1 * (np.asarray(column) == 0)
+    return u
+
+
+@pytest.mark.parametrize("mutate", [_idle_column_scaled, _padded_vacuum_leaks],
+                         ids=["idle-column-scaled", "padded-vacuum-leaks"])
+def test_cli_oracle_check_fails_on_a_wrong_completion(tmp_path, capsys,
+                                                      monkeypatch, mutate):
+    """The check can fail: an idle column off unit norm, or a padded slot's
+    vacuum reaching a real sensor, fails the default 16-config check."""
+    complete = oracle.complete_unitary
+    monkeypatch.setattr(oracle, "complete_unitary",
+                        lambda column: mutate(complete(column), column))
+    code = cli.main(["oracle-check", "--configs", "16",
+                     "--out", str(tmp_path / "oc")])
+    assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
 
