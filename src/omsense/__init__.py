@@ -8,7 +8,8 @@ extension to M sensors:
                  response kernel (susceptibility, cooperativity and
                  reflection half phase), quadrature inputs and force-noise
                  budgets
-``arrays``       M-sensor network algebra: weights, and the ``ArrayNoise``
+``arrays``       M-sensor network algebra: weights, the ``ArrayBatch``
+                 parameter block of padded arrays, and the ``ArrayNoise``
                  kernel (one build per array, or batch of arrays, and
                  frequency set) giving the combined noise with its
                  residual-vacuum term, squeezed totals and the optimal
@@ -30,11 +31,12 @@ from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       input_quadrature_psds, mechanical_susceptibility,
                       sensor_response, single_sensor_noise_psd,
                       sql_noise_psd, thermal_momentum_psd)
-from .arrays import (ArrayNoise, ArraySensor, NoiseBreakdown, SensorArray,
-                     array_noise_psd, array_signal_psd, array_sql_psd,
-                     identical_array, inverse_variance_weights,
-                     matched_weights, optimal_squeezing_angle,
-                     single_sensor_array, uniform_weights)
+from .arrays import (ArrayBatch, ArrayNoise, ArraySensor, NoiseBreakdown,
+                     SensorArray, array_noise_psd, array_signal_psd,
+                     array_sql_psd, identical_array,
+                     inverse_variance_weights, matched_weights,
+                     optimal_squeezing_angle, single_sensor_array,
+                     uniform_weights)
 from .oracle import (TransferAssembly, assemble_transfer, complete_unitary,
                      oracle_noise_psd, propagate_covariance)
 from .sensitivity import (DarkMatterModel, FrequencyGrid, IntegrationResult,

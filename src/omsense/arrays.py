@@ -25,7 +25,6 @@ with matched weights.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +38,7 @@ from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SensorColumns,
 __all__ = [
     "ArraySensor",
     "SensorArray",
+    "ArrayBatch",
     "NoiseBreakdown",
     "ArrayNoise",
     "uniform_weights",
@@ -112,6 +112,103 @@ class SensorArray:
         return len(self.sensors)
 
 
+def _check_weights(dividing, combining, total_power):
+    """Reject what ``SensorArray`` rejects in (C, M) rows of weights and (C,)
+    total powers, with its message for the first bad value."""
+    if not (np.isfinite(dividing).all() and np.isfinite(combining).all()):
+        raise ConfigError("dividing and combining weights must be finite")
+    for w, name, tol in ((dividing, "dividing weights must satisfy "
+                                    "sum |w_k0|^2 = 1", _NORM_TOL),
+                         (combining, "combining weights must satisfy "
+                                     "sum |W_0k|^2 = 1", 1e-8)):
+        norm = np.sum(np.abs(w) ** 2, axis=-1)
+        bad = np.abs(norm - 1.0) > tol
+        if bad.any():
+            raise ConfigError(f"{name}, got {norm[bad].ravel()[0].item()!r}")
+    power = np.asarray(total_power)
+    bad = ~(np.isfinite(power) & (power >= 0))
+    if bad.any():
+        raise ConfigError("total power must be finite and >= 0, got "
+                          f"{power[bad].ravel()[0].item()}")
+
+
+@dataclass(frozen=True, eq=False)
+class ArrayBatch:
+    """C arrays padded to M sensors: the parameter block that ``ArrayNoise``
+    and the oracle read.
+
+    ``cols`` holds each slot's sensor parameters as (C, M, 1) columns, with
+    E^2 at its array's total power; ``dividing`` and ``combining`` are the
+    (C, M) weights, zero in the padded slots; ``n_sensors`` holds the (C,)
+    sensor counts.  A padded slot holds a valid sensor's parameters (``of``
+    repeats the array's first), so every column is finite, and its zero
+    weights keep it out of every sum.
+    """
+
+    cols: SensorColumns
+    dividing: np.ndarray
+    combining: np.ndarray
+    n_sensors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n_sensors)
+
+    @classmethod
+    def of(cls, arrays) -> "ArrayBatch":
+        """The block of validated arrays, each distinct sensor record of an
+        array read once (``build_array`` repeats one template up to 128
+        times); nothing is validated again."""
+        arrays = list(arrays)
+        counts = [a.n_sensors for a in arrays]
+        c, m = len(arrays), max(counts, default=0)
+        # each distinct (sensor record, array) once, and every slot's row of
+        # them: a padded slot takes its array's first
+        rows, slot_rows = [], []
+        dividing, combining = np.zeros((2, c, m), dtype=complex)
+        for i, a in enumerate(arrays):
+            seen: dict[int, int] = {}
+            for s in a.sensors:
+                if id(s) not in seen:
+                    seen[id(s)] = len(rows)
+                    rows.append((s.oscillator.mass, s.oscillator.omega0,
+                                 s.oscillator.gamma, s.oscillator.temperature,
+                                 s.cavity.kappa, s.cavity.g0,
+                                 s.cavity.efficiency_sq,
+                                 s.cavity.intracavity_flux_at(a.total_power)))
+            first = len(slot_rows)
+            slot_rows += [seen[id(s)] for s in a.sensors]
+            slot_rows += slot_rows[first:first + 1] * (m - a.n_sensors)
+            dividing[i, :a.n_sensors] = a.dividing_weights
+            combining[i, :a.n_sensors] = a.combining_weights
+        table = np.array(rows).reshape(-1, 8)[np.array(slot_rows, dtype=int)]
+        return cls(SensorColumns(table.reshape(c, m, 8)), dividing, combining,
+                   np.array(counts, dtype=int))
+
+    @classmethod
+    def checked(cls, sensor_fields, dividing, combining, total_power,
+                n_sensors) -> "ArrayBatch":
+        """The block of (C, M) record fields (``SensorColumns.checked``'s
+        keywords but ``input_power``), weights and (C,) total powers,
+        rejected where the records and ``SensorArray`` would reject them."""
+        cols = SensorColumns.checked(
+            **sensor_fields, input_power=np.asarray(total_power)[:, None])
+        _check_weights(dividing, combining, total_power)
+        return cls(cols, dividing, combining, np.asarray(n_sensors))
+
+
+def _as_batch(arr, omega):
+    """(block, omega of shape (C, n), single) of one array, a sequence of
+    arrays or a block; one array is a batch of one."""
+    if isinstance(arr, SensorArray):
+        return (ArrayBatch.of([arr]),
+                np.atleast_1d(np.asarray(omega, dtype=float))[None], True)
+    batch = arr if isinstance(arr, ArrayBatch) else ArrayBatch.of(arr)
+    w = np.asarray(omega, dtype=float)
+    if not len(batch) or w.ndim != 2 or w.shape[0] != len(batch):
+        raise ConfigError("a batch of C arrays needs omega of shape (C, n)")
+    return batch, w, False
+
+
 @dataclass(frozen=True)
 class NoiseBreakdown:
     """Combined force-noise PSD split into its physical contributions (N^2/Hz)."""
@@ -134,9 +231,10 @@ def uniform_weights(m: int) -> np.ndarray:
 
 
 def matched_weights(dividing: np.ndarray) -> np.ndarray:
-    """Combining weights conjugate to the dividing column (sum W* w = 1)."""
+    """Combining weights conjugate to the dividing column (sum W* w = 1):
+    of one (m,) column, or of each row of (..., m)."""
     w = np.asarray(dividing, dtype=complex)
-    return np.conj(w) / math.sqrt(float(np.sum(np.abs(w) ** 2)))
+    return np.conj(w) / np.sqrt(np.sum(np.abs(w) ** 2, axis=-1, keepdims=True))
 
 
 def inverse_variance_weights(sensors, dividing, total_power, omega_ref) -> np.ndarray:
@@ -183,6 +281,8 @@ def single_sensor_array(osc: Oscillator, cav: CavityOptics,
 # ---------------------------------------------------------------------------
 
 _VACUUM_PSDS = QuadraturePsds.vacuum()
+# one kernel row's grouping key: the bytes of its parameters and its share
+_ROW_BYTES = np.dtype((np.void, 8 * (len(SensorColumns.FIELDS) + 1)))
 
 
 class ArrayNoise:
@@ -193,18 +293,21 @@ class ArrayNoise:
     ``breakdown``, ``totals`` and ``optimal_angle`` all read them, so a table
     that needs several noise quantities of one array builds it once.
 
-    Active (W != 0) sensors that compare equal and receive the same share
-    |w_k0|^2 have the same alpha, beta, thermal and loss weights, so each row
-    is computed once and carries the group sums ww = sum W_0k w_k0 and
-    wabs2 = sum |W_0k|^2.  ``group[i]`` is the row of the i-th active sensor;
-    a fully heterogeneous array is M groups of one.
+    Active (W != 0) sensors with equal parameter columns that receive the
+    same share |w_k0|^2 have the same alpha, beta, thermal and loss weights,
+    so each row is computed once and carries the group sums
+    ww = sum W_0k w_k0 and wabs2 = sum |W_0k|^2.  ``group[i]`` is the row of
+    the i-th active sensor, groups numbered in order of first appearance; a
+    fully heterogeneous array is M groups of one.  The kernel reads only the
+    ``ArrayBatch`` block of its arrays.
 
-    ``arr`` may also be a sequence of C arrays of any sensor counts, with
-    ``omega`` of shape (C, n), one frequency row per array.  The rows of the
-    whole batch then go through one response call as (C, G, n) blocks, G the
-    largest group count; an array with fewer groups repeats its first row
-    with zero weights ww and wabs2.  The group sums run row by row, so those
-    rows add exact zeros and each array gets the bits of its own build.
+    ``arr`` may also be a sequence of C arrays of any sensor counts, or their
+    ``ArrayBatch``, with ``omega`` of shape (C, n), one frequency row per
+    array.  The rows of the whole batch then go through one response call
+    as (C, G, n) blocks, G the largest group count; an array with fewer
+    groups repeats its first row with zero weights ww and wabs2.  The group
+    sums run row by row, so those rows add exact zeros and each array gets
+    the bits of its own build.
     Every quantity carries the leading batch axis, ``active`` and ``group``
     hold one entry per array, ``totals`` is (k, C, n) and ``breakdown`` takes
     one QuadraturePsds per array (or one for all).  One array is a batch of
@@ -215,51 +318,46 @@ class ArrayNoise:
                  "thermal", "loss_weight", "a", "b")
 
     def __init__(self, arr, omega):
-        single = isinstance(arr, SensorArray)
-        batch = [arr] if single else list(arr)
-        w = np.asarray(omega, dtype=float)
-        if single:
-            w = np.atleast_1d(w)[None]
-        elif not batch or w.ndim != 2 or w.shape[0] != len(batch):
-            raise ConfigError("a batch of C arrays needs omega of shape (C, n)")
+        batch, w, single = _as_batch(arr, omega)
 
-        # the active sensors of the whole batch, as indices into its
-        # concatenated weight vectors, then array by array their groups:
-        # keys[i][g] is the g-th distinct (sensor, share) of array i
-        weights = np.concatenate([a.combining_weights for a in batch]
-                                 + [a.dividing_weights for a in batch])
-        cw, dv = weights[:weights.size // 2], weights[weights.size // 2:]
-        on = np.flatnonzero(np.abs(cw) > 0.0)
-        cw, dv = cw[on], dv[on]
-        shares = (np.abs(dv) ** 2).tolist()
-        on = on.tolist()
-        actives, groups, keys = [], [], []
-        lo = end = 0
-        for a in batch:
-            start, end = end, end + a.n_sensors
-            hi = bisect_left(on, end, lo)
-            if hi == lo:
+        # array by array, the active sensors' slots and their groups: the
+        # g-th distinct (column row, share) of array i is first met at slot
+        # firsts[i][g].  A slot's key is the bytes of its row (+ 0.0 makes
+        # -0.0 equal to 0.0), which hash faster than a tuple of floats.
+        c = len(batch)
+        on = batch.combining != 0.0
+        rows_shares = np.concatenate(
+            [batch.cols.table, np.abs(batch.dividing[..., None]) ** 2], axis=-1)
+        keys = (rows_shares + 0.0).view(_ROW_BYTES)[..., 0]
+        actives, groups, firsts = [], [], []
+        for row_on, row_keys in zip(on.tolist(), keys.tolist()):
+            active = [k for k, live in enumerate(row_on) if live]
+            if not active:
                 raise ConfigError("all combining weights vanish")
-            rows: dict[tuple[ArraySensor, float], int] = {}
-            groups.append([rows.setdefault((a.sensors[k - start], share), len(rows))
-                           for k, share in zip(on[lo:hi], shares[lo:hi])])
-            actives.append([k - start for k in on[lo:hi]])
-            keys.append(list(rows))
-            lo = hi
+            rows: dict[bytes, int] = {}
+            group, first = [], []
+            for k in active:
+                g = rows.setdefault(row_keys[k], len(rows))
+                if g == len(first):
+                    first.append(k)
+                group.append(g)
+            actives.append(active)
+            groups.append(group)
+            firsts.append(first)
 
         # one block of G rows per array, G the largest group count: an array
         # with fewer groups repeats its first row with zero weights, which
         # adds exact zeros to its sums.  One array has no batch axis.
-        c, g_max = len(batch), max(map(len, keys))
+        g_max = max(map(len, firsts))
         blocks = (g_max,) if single else (c, g_max)
-        padded = [(a, s, sh) for a, rows in zip(batch, keys)
-                  for s, sh in rows + rows[:1] * (g_max - len(rows))]
-        cols = SensorColumns.of(((s.oscillator, s.cavity, a.total_power)
-                                 for a, s, _ in padded), blocks)
-        share = np.array([sh for *_, sh in padded]).reshape(*blocks, 1)
+        slots = np.array([f + f[:1] * (g_max - len(f)) for f in firsts])
+        picked = rows_shares[(0, slots[0]) if single
+                             else (np.arange(c)[:, None], slots)]
+        cols = SensorColumns(picked[..., :-1])
         chi, cmag, half = sensor_response(cols, cols, w.reshape(*blocks[:-1], 1, -1),
-                                          share)
+                                          picked[..., -1:])
         hmo = HBAR * cols.mass * cols.omega0
+        cw, dv = batch.combining[on], batch.dividing[on]
         sensor_pos = np.array([i * g_max + g for i, group in enumerate(groups)
                                for g in group])
 
@@ -402,8 +500,7 @@ def array_sql_psd(arr: SensorArray, omega):
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     wk = np.abs(arr.combining_weights) ** 2
     active = np.flatnonzero(wk)
-    cols = SensorColumns.of((arr.sensors[k].oscillator, arr.sensors[k].cavity,
-                             arr.total_power) for k in active.tolist())
+    cols = ArrayBatch.of([arr]).cols[0, active]
     chi = mechanical_susceptibility(cols, w)
     terms = wk[active, None] * HBAR * cols.mass * cols.omega0 / np.abs(chi)
     # row by row: np.sum pairs the rows up when there is a single frequency

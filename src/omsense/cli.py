@@ -7,8 +7,10 @@ of the same scenario and package version: floats are serialized with
 shortest round-trip ``repr`` and the manifest carries no timestamps.
 
 Exit codes: 0 success, 1 oracle-check residual failure, 2 validation error,
-3 numerical non-convergence.  Every flag has an ``OMSENSE_*`` environment
-override (flag wins over environment).
+3 numerical non-convergence.  The common flags (``--scenario``, ``--out``,
+``--format``, ``--tolerance``, ``--strict``/``--lenient`` and
+``--gamma-convention``) have ``OMSENSE_*`` environment overrides (flag wins
+over environment); ``--overlay`` and the ``oracle-check`` flags do not.
 """
 
 from __future__ import annotations
@@ -311,12 +313,18 @@ def _run_oracle_check(args) -> int:
     non_finite = sum(not math.isfinite(r) for r in residuals)
     worst = None if non_finite else max(residuals)
     passed = bool(not non_finite and worst < args.residual_tol)
+    ranked = sorted(residuals)
+    # nearest rank: the smallest residual with at least p% of them at or below
+    percentiles = {f"residual_p{p}": None if non_finite else
+                   ranked[math.ceil(p / 100 * len(ranked)) - 1]
+                   for p in (50, 90, 99)}
     outputs = _emit(args, "oracle-check", scans.COLUMNS["oracle-check"], table,
                     None,
                     extra_manifest={"oracle": {
                         "configs": args.configs, "freqs": args.freqs,
                         "seed": args.seed, "residual_tol": args.residual_tol,
-                        "max_rel_residual": worst, "passed": passed}})
+                        "max_rel_residual": worst, **percentiles,
+                        "passed": passed}})
     for path in outputs:
         print(path)
     summary = (f"not finite in {non_finite} configs" if non_finite

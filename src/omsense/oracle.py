@@ -18,10 +18,11 @@ K_B T/(hbar Omega) and the loss ports 1/2.  The oracle derives these
 itself; it shares only the per-sensor response kernel with the closed
 forms.
 
-A batch of arrays of any sensor counts is one pass: every array is
-zero-padded to the batch's largest count, whose padded slots have zero
-transfer rows, the beam-splitter unitaries are one batched Householder
-completion, and each array's quadratic form is one matmul.
+A batch of arrays of any sensor counts is one pass over their
+``ArrayBatch`` block: every array is padded to the block's width with zero
+weights, so its padded slots have zero transfer rows, the beam-splitter
+unitaries are one batched Householder completion, and each array's
+quadratic form is one matmul.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
-from .spectra import SensorColumns, SqueezedInput, _scalarize, sensor_response
-from .arrays import SensorArray
+from .spectra import SqueezedInput, _scalarize, sensor_response
+from .arrays import _as_batch
 
 __all__ = [
     "TransferAssembly",
@@ -104,23 +105,6 @@ def complete_unitary(columns) -> np.ndarray:
     return u
 
 
-def _batch(arr, omega, squeeze, theta):
-    """(arrays, omega (C, n), squeezes, thetas (C,)) of one array or a batch."""
-    if isinstance(arr, SensorArray):
-        return ([arr], np.atleast_1d(np.asarray(omega, dtype=float))[None],
-                [squeeze], np.array([theta], dtype=float))
-    arrays = list(arr)
-    c = len(arrays)
-    w = np.asarray(omega, dtype=float)
-    if c == 0 or w.ndim != 2 or w.shape[0] != c:
-        raise ConfigError("a batch of C arrays needs omega of shape (C, n)")
-    squeezes = list(squeeze) if isinstance(squeeze, (list, tuple)) else [squeeze] * c
-    thetas = np.broadcast_to(np.asarray(theta, dtype=float), (c,))
-    if len(squeezes) != c:
-        raise ConfigError("a batch needs one squeeze per array")
-    return arrays, w, squeezes, thetas
-
-
 def _bright_mode_psds(squeezes, thetas):
     """(sxx, syy, sxy), each (C,): R diag(e^{2r}, e^{-2r}) R^T / 2 with R the
     rotation by theta, exact vacuum for a None squeeze.  e^{+-2r} come from
@@ -145,51 +129,49 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
     ``squeeze`` is None) and the idle modes are vacuum; the beam-splitter
     unitary is the Householder completion of the array's dividing column.
 
-    ``arr`` may also be a sequence of C arrays of any sensor counts, with
-    ``omega`` of shape (C, n) and one squeeze and one angle per array (a
-    single value is shared); the assembly then carries the batch axis and
-    every array is padded to the batch's largest count M.  A padded slot has
-    zero dividing and combining weight, so it has no sensor rows, and its
-    idle, bath and loss ports have zero transfer rows.
+    ``arr`` may also be a sequence of C arrays of any sensor counts, or their
+    ``ArrayBatch``, with ``omega`` of shape (C, n) and one squeeze and one
+    angle per array (a single value is shared); the assembly then carries
+    the batch axis and every array is padded to the block's width M.  The
+    assembly reads only the block.  A padded slot has zero dividing and
+    combining weight, so it has no sensor rows, and its idle, bath and loss
+    ports have zero transfer rows.
     """
-    single = isinstance(arr, SensorArray)
-    arrays, w_in, squeezes, thetas = _batch(arr, omega, squeeze, theta)
-    c, m, n_freq = (len(arrays), max(a.n_sensors for a in arrays),
-                    w_in.shape[1])
+    batch, w_in, single = _as_batch(arr, omega)
+    c, m = batch.dividing.shape
+    n_freq = w_in.shape[1]
+    squeezes = list(squeeze) if isinstance(squeeze, (list, tuple)) else [squeeze] * c
+    if len(squeezes) != c:
+        raise ConfigError("a batch needs one squeeze per array")
+    thetas = np.broadcast_to(np.asarray(theta, dtype=float), (c,))
 
-    # dividing weights, combining weights and bath PSDs K_B T / (hbar Omega),
-    # zero-padded to m sensors
-    padded = np.zeros((3, c, m), dtype=complex)
-    for i, a in enumerate(arrays):
-        padded[:, i, :a.n_sensors] = (
-            a.dividing_weights, a.combining_weights,
-            [K_B * s.oscillator.temperature / (HBAR * s.oscillator.omega0)
-             for s in a.sensors])
-    dv, cw, bath = padded
+    dv, cw, cols = batch.dividing, batch.combining, batch.cols
     unitaries = complete_unitary(dv)
     shares = np.abs(dv) ** 2
+    # bath PSDs K_B T / (hbar Omega), zero in the padded slots
+    bath = np.where(np.arange(m) < batch.n_sensors[:, None],
+                    K_B * cols.temperature[..., 0]
+                    / (HBAR * cols.omega0[..., 0]), 0.0)
 
     # One response call for every active sensor of the batch, each on its
     # array's (+omega, -omega) stacked: columns [:n_freq] are the +omega rows
     # and [n_freq:] the -omega rows.
     ci, ni = np.nonzero(cw)
-    cols = SensorColumns.of(
-        (arrays[i].sensors[n].oscillator, arrays[i].sensors[n].cavity,
-         arrays[i].total_power) for i, n in zip(ci.tolist(), ni.tolist()))
+    cols = cols[ci, ni]
     w = np.concatenate([w_in, -w_in], axis=1)
     chi, cmag, half = sensor_response(cols, cols, w[ci], shares[ci, ni, None])
-    w0n = cw[ci, ni, None]
     phase = half * half
-    h = np.conj(half) / chi * np.sqrt(
-        HBAR * cols.mass * cols.omega0 / (8.0 * cols.gamma * cmag))
+    # the W_0n-weighted estimator gain h of each active sensor
+    wh = cw[ci, ni, None] * (np.conj(half) / chi * np.sqrt(
+        HBAR * cols.mass * cols.omega0 / (8.0 * cols.gamma * cmag)))
     # W_0n-weighted X' (rows :m) and Y' (rows m:) coefficients
     coefs = np.zeros((c, 2 * m, 2 * n_freq), dtype=complex)
-    coefs[ci, ni] = w0n * (-8.0 * cols.gamma * cmag * phase * chi * h)
-    coefs[ci, m + ni] = w0n * (-h * phase)
+    coefs[ci, ni] = wh * (-8.0 * cols.gamma * cmag * phase * chi)
+    coefs[ci, m + ni] = -wh * phase
     rows = np.zeros((c, 4 * m, 2 * n_freq), dtype=complex)
-    rows[ci, 2 * m + ni] = (w0n * h * 4.0 * cols.gamma * chi
-                            * np.sqrt(2.0 * cmag) * half)
-    rows[ci, 3 * m + ni] = w0n * h * np.sqrt(
+    rows[ci, 2 * m + ni] = wh * chi * half * (4.0 * cols.gamma
+                                              * np.sqrt(2.0 * cmag))
+    rows[ci, 3 * m + ni] = wh * np.sqrt(
         (1.0 - cols.efficiency_sq) / cols.efficiency_sq)
 
     # Optical input r reaches sensor n through unitary[n, r]:

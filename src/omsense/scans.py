@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TWO_PI
+from .constants import C_LIGHT, TWO_PI
 from .errors import ScenarioError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       displacement_asd, input_quadrature_psds)
-from .arrays import (ArrayNoise, ArraySensor, SensorArray, array_signal_psd,
-                     array_sql_psd, matched_weights)
+from .arrays import (ArrayBatch, ArrayNoise, ArraySensor, SensorArray,
+                     array_signal_psd, array_sql_psd, matched_weights)
 from .oracle import oracle_noise_psd
 from .sensitivity import (FrequencyGrid, integrated_sensitivity,
                           min_detectable_coupling)
@@ -289,58 +289,88 @@ _DRAW_HIGH = (10.0, 10.0, 10.0, 10.0, 10.0, 1.0, 10.0, 1.0, 2.0)
 # count among them, so chunks bound its memory on long suites
 _ORACLE_CHUNK = 32
 
+_LASER_OMEGA = TWO_PI * C_LIGHT / 1.06e-6
+
+
+def _sensor_fields(factors):
+    """Record fields (``SensorColumns.checked``'s keywords but the power) and
+    response factors of random sensors, from (..., 9) uniform factors in
+    ``_DRAW_LOW``..``_DRAW_HIGH``: within a decade of the membrane reference
+    values, Q = omega0 / (2 gamma), at 1.06 um."""
+    mass, omega0, quality, temperature, kappa, readout, g0, eta_sq, response \
+        = np.moveaxis(factors, -1, 0)
+    omega0 = TWO_PI * 2000.0 * omega0
+    kappa = 0.94e9 * kappa
+    return dict(mass=6e-6 * mass, omega0=omega0,
+                gamma=omega0 / (2.0 * (1e9 * quality)),
+                temperature=10e-3 * temperature, kappa=kappa,
+                kappa_readout=kappa * readout, g0=46.0 * g0,
+                laser_omega=_LASER_OMEGA, efficiency_sq=eta_sq), response
+
 
 def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
     """Heterogeneous array within a decade of the membrane reference values."""
-    sensors = []
-    for mass, omega0, quality, temperature, kappa, readout, g0, eta_sq, response \
-            in rng.uniform(_DRAW_LOW, _DRAW_HIGH, (m, 9)).tolist():
-        osc = Oscillator.from_quality(
-            mass=6e-6 * mass, omega0=TWO_PI * 2000.0 * omega0,
-            quality=1e9 * quality, temperature=10e-3 * temperature)
-        kappa = 0.94e9 * kappa
-        cav = CavityOptics.from_wavelength(
-            kappa=kappa, kappa_readout=kappa * readout, g0=46.0 * g0,
-            wavelength=1.06e-6, input_power=0.0, efficiency_sq=eta_sq)
-        sensors.append(ArraySensor(osc, cav, response))
+    fields, response = _sensor_fields(rng.uniform(_DRAW_LOW, _DRAW_HIGH, (m, 9)))
+    columns = [fields[k].tolist() for k in (
+        "mass", "omega0", "gamma", "temperature", "kappa", "kappa_readout",
+        "g0", "efficiency_sq")]
+    sensors = tuple(
+        ArraySensor(Oscillator(*row[:4]),
+                    CavityOptics(*row[4:7], _LASER_OMEGA, 0.0, row[7]), factor)
+        for *row, factor in zip(*columns, response.tolist()))
     dv = rng.uniform(0.1, 1.0, m)
     dv = dv / np.linalg.norm(dv)
-    arr = SensorArray(tuple(sensors), dv.astype(complex), matched_weights(dv),
+    arr = SensorArray(sensors, dv.astype(complex), matched_weights(dv),
                       total_power=2e-3 * m * rng.uniform(0.5, 2.0))
     db = rng.uniform(0.0, 15.0)
     return arr, db
+
+
+def _draw_chunk(rng: np.random.Generator, c: int, n_freqs: int):
+    """(block, squeezing dB (c,), angles (c,), frequencies (c, n)) of c
+    random configs of 1 to 4 sensors, one RNG call per quantity.
+
+    The sensors and weights are ``random_array``'s, drawn for four slots
+    and cut to the largest count; the frequencies are log-uniform within
+    two decades of each config's first resonance.
+    """
+    m = rng.integers(1, 5, c)
+    factors = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (c, 4, 9))
+    dv = rng.uniform(0.1, 1.0, (c, 4))
+    power = 2e-3 * m * rng.uniform(0.5, 2.0, c)
+    db = rng.uniform(0.0, 15.0, c)
+    theta = rng.uniform(-math.pi / 2, math.pi / 2, c)
+    width = int(m.max())
+    fields, _ = _sensor_fields(factors[:, :width])
+    omega0 = fields["omega0"][:, :1]
+    omegas = np.exp(rng.uniform(np.log(omega0 / 100), np.log(omega0 * 100),
+                                (c, n_freqs)))
+    dv = np.where(np.arange(width) < m[:, None], dv[:, :width], 0.0)
+    dv = (dv / np.linalg.norm(dv, axis=1, keepdims=True)).astype(complex)
+    batch = ArrayBatch.checked(fields, dv, matched_weights(dv), power, m)
+    return batch, db, theta, omegas
 
 
 def oracle_check_table(n_configs: int = 200, n_freqs: int = 50,
                        seed: int = 20240817) -> Table:
     """Closed-form array noise vs covariance-propagation oracle residuals.
 
-    Every config is drawn in turn; one ``ArrayNoise`` over all configs gives
-    the closed forms, and the oracle propagates each run of up to
-    ``_ORACLE_CHUNK`` consecutive configs, whatever their sensor counts, in
-    one zero-padded batch.
+    Each run of up to ``_ORACLE_CHUNK`` configs, whatever their sensor
+    counts, is drawn in bulk into one ``ArrayBatch``, which one
+    ``ArrayNoise`` build and one oracle pass both read.
     """
     rng = np.random.default_rng(seed)
-    configs = []
-    for _ in range(n_configs):
-        m = int(rng.integers(1, 5))
-        arr, db = random_array(rng, m)
-        theta = rng.uniform(-math.pi / 2, math.pi / 2)
-        omega0 = arr.sensors[0].oscillator.omega0
-        omegas = np.exp(rng.uniform(np.log(omega0 / 100),
-                                    np.log(omega0 * 100), n_freqs))
-        configs.append((arr, db, SqueezedInput.from_db(db), theta, omegas))
-    arrs, dbs, squeezes, thetas, omegas = zip(*configs)
-    omegas = np.array(omegas)
-    closed = ArrayNoise(arrs, omegas).breakdown(
-        [input_quadrature_psds(sq, th) for sq, th in zip(squeezes, thetas)]).total
-    orc = np.concatenate([
-        oracle_noise_psd(arrs[i:i + _ORACLE_CHUNK], omegas[i:i + _ORACLE_CHUNK],
-                         squeezes[i:i + _ORACLE_CHUNK],
-                         theta=thetas[i:i + _ORACLE_CHUNK])
-        for i in range(0, n_configs, _ORACLE_CHUNK)])
-    residuals = np.max(np.abs(orc - closed) / np.abs(closed), axis=1)
-    sizes = [arr.n_sensors for arr in arrs]
+    sizes, dbs, residuals = [], [], []
+    for start in range(0, n_configs, _ORACLE_CHUNK):
+        batch, db, theta, omegas = _draw_chunk(
+            rng, min(_ORACLE_CHUNK, n_configs - start), n_freqs)
+        squeezes = [SqueezedInput.from_db(x) for x in db.tolist()]
+        closed = ArrayNoise(batch, omegas).breakdown(
+            [input_quadrature_psds(sq, th)
+             for sq, th in zip(squeezes, theta.tolist())]).total
+        orc = oracle_noise_psd(batch, omegas, squeezes, theta=theta)
+        residuals += np.max(np.abs(orc - closed) / np.abs(closed), axis=1).tolist()
+        sizes += batch.n_sensors.tolist()
+        dbs += db.tolist()
     return Table({"config_index": list(range(n_configs)), "n_sensors": sizes,
-                  "squeezing_db": list(dbs),
-                  "max_rel_residual": residuals.tolist()})
+                  "squeezing_db": dbs, "max_rel_residual": residuals})

@@ -265,36 +265,73 @@ class QuadraturePsds:
         return cls(syy=0.5, sxx=0.5, sxy=0.0)
 
 
-@dataclass(frozen=True, eq=False)
 class SensorColumns:
-    """The parameters of k sensors as (k, 1) columns, one row per sensor.
+    """The parameters of many sensors: a (..., 8) ``table`` and its columns.
 
-    The fields carry the ``Oscillator`` and ``CavityOptics`` names that the
-    response primitives read, so ``sensor_response(cols, cols, omega, share)``
-    evaluates every row in one broadcast against frequencies of shape (n,)
-    or (k, n).  ``intracavity_flux`` is each row's at the power it is driven
-    with (an array's total power).  ``of(rows, (c, g))`` lays the rows out
-    as (c, g, 1) blocks instead, to broadcast against (c, 1, n).
+    Each column is a (..., 1) view of the table under the ``Oscillator`` or
+    ``CavityOptics`` name that the response primitives read, so
+    ``sensor_response(cols, cols, omega, share)`` evaluates every row in one
+    broadcast: (k, 1) columns against frequencies of shape (n,) or (k, n),
+    (c, g, 1) blocks against (c, 1, n).  ``intracavity_flux`` is each row's
+    at the power it is driven with (an array's total power).
+    ``cols[index]`` picks rows by a numpy index on the leading axes.
     """
 
-    mass: np.ndarray
-    omega0: np.ndarray
-    gamma: np.ndarray
-    temperature: np.ndarray
-    kappa: np.ndarray
-    g0: np.ndarray
-    efficiency_sq: np.ndarray
-    intracavity_flux: np.ndarray
+    FIELDS = ("mass", "omega0", "gamma", "temperature", "kappa", "g0",
+              "efficiency_sq", "intracavity_flux")
+    __slots__ = ("table",) + FIELDS
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+        # (8, ..., 1): iterating the leading axis gives the column views
+        t = self.table[..., None]
+        for name, column in zip(self.FIELDS, t.transpose(
+                t.ndim - 2, *range(t.ndim - 2), t.ndim - 1)):
+            setattr(self, name, column)
+
+    def __getitem__(self, index) -> "SensorColumns":
+        return SensorColumns(self.table[index])
 
     @classmethod
-    def of(cls, rows, shape=(-1,)) -> "SensorColumns":
-        """From (Oscillator, CavityOptics, input power) triples, laid out as
-        (*shape, 1) columns: (k, 1) by default."""
-        table = [(osc.mass, osc.omega0, osc.gamma, osc.temperature, cav.kappa,
-                  cav.g0, cav.efficiency_sq, cav.intracavity_flux_at(power))
-                 for osc, cav, power in rows]
-        return cls(*np.array(table, dtype=float).reshape(-1, 8).T.reshape(
-            8, *shape, 1))
+    def checked(cls, *, mass, omega0, gamma, temperature, kappa, kappa_readout,
+                g0, laser_omega, efficiency_sq, input_power) -> "SensorColumns":
+        """From arrays of record fields, broadcast together, rejected where
+        an ``Oscillator`` or ``CavityOptics`` would reject them, with the
+        record's message for the first bad value.  E^2 is taken at
+        ``input_power`` as ``intracavity_flux_at`` takes it."""
+        for ok, values, rule in (
+                (np.isfinite(mass) & (mass > 0), (mass,),
+                 "oscillator mass must be finite and positive"),
+                (np.isfinite(omega0) & (omega0 > 0), (omega0,),
+                 "resonance must be finite and positive"),
+                (np.isfinite(gamma) & (gamma > 0), (gamma,),
+                 "damping must be finite and positive"),
+                (np.isfinite(temperature) & (temperature >= 0), (temperature,),
+                 "temperature must be finite and >= 0"),
+                (np.isfinite(kappa) & (0 < kappa_readout)
+                 & (kappa_readout <= kappa * (1 + 1e-12)), (kappa_readout, kappa),
+                 "need 0 < kappa_readout <= kappa, both finite"),
+                ((0 <= efficiency_sq) & (efficiency_sq <= 1), (efficiency_sq,),
+                 "efficiency^2 must lie in [0,1]"),
+                (np.isfinite(g0) & (g0 >= 0), (g0,), "g0 must be finite and >= 0"),
+                (np.isfinite(laser_omega) & (laser_omega > 0), (laser_omega,),
+                 "laser frequency must be finite and positive")):
+            bad = ~np.asarray(ok)
+            if bad.any():
+                got = " / ".join(str(_first(v, bad)) for v in values)
+                raise ConfigError(f"{rule}, got {got}")
+        # float_power is C pow, as the record's kappa**2; ndarray ** 2 is a
+        # product, which rounds differently
+        flux = (4.0 * kappa_readout / np.float_power(kappa, 2)
+                * (input_power / (HBAR * laser_omega)))
+        return cls(np.stack(np.broadcast_arrays(
+            mass, omega0, gamma, temperature, kappa, g0, efficiency_sq, flux),
+            axis=-1))
+
+
+def _first(values, bad):
+    """The first entry of ``values`` (broadcast to ``bad``) where ``bad``."""
+    return np.broadcast_to(values, bad.shape)[bad][0].item()
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,29 @@ def test_grouped_kernel_equal_sensors_collapse_by_value(membrane_sensor):
     assert ArrayNoise(pair, omegas).alpha.shape[0] == 2
 
 
+@pytest.mark.parametrize("m", [1, 128])
+def test_identical_array_reads_one_parameter_row(membrane_sensor, monkeypatch,
+                                                 m):
+    """Deterministic cost guard: M copies of one sensor record are read once,
+    so the collapse stays O(distinct sensors); M equal but distinct records
+    are read M times."""
+    reads = []
+    flux = CavityOptics.intracavity_flux_at
+
+    def counting(self, power):
+        reads.append(power)
+        return flux(self, power)
+
+    monkeypatch.setattr(CavityOptics, "intracavity_flux_at", counting)
+    omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 30)
+    noise = ArrayNoise(identical_array(membrane_sensor, m, 2e-3), omegas)
+    assert len(reads) == 1 and noise.alpha.shape[0] == 1
+    w = uniform_weights(m)
+    fresh = tuple(_fresh_membrane() for _ in range(m))
+    ArrayNoise(SensorArray(fresh, w, matched_weights(w), m * 2e-3), omegas)
+    assert len(reads) == 1 + m
+
+
 def test_squeezed_noise_optimal_angle_single_build_is_exact(membrane_sensor, rng):
     """The "optimal" policy squeezes at exactly optimal_squeezing_angle."""
     arrays = [random_array(rng, 3)[0],

@@ -7,6 +7,7 @@ import pytest
 
 from omsense import arrays, oracle, scans
 from omsense.arrays import ArraySensor, SensorArray, matched_weights
+from omsense.errors import ConfigError
 from omsense.constants import TWO_PI
 from omsense.oracle import oracle_noise_psd
 from omsense.spectra import (CavityOptics, Oscillator, SqueezedInput,
@@ -196,6 +197,60 @@ def _scalar_draw_array(rng, m):
     return arr, rng.uniform(0.0, 15.0)
 
 
+@pytest.mark.parametrize("m", [1, 3, 16])
+def test_random_array_keeps_its_stream(m):
+    """random_array draws the records that a scalar-by-scalar draw through
+    the record constructors gives, and leaves the generator alike."""
+    ours, ref = np.random.default_rng(m), np.random.default_rng(m)
+    arr, db = scans.random_array(ours, m)
+    want, want_db = _scalar_draw_array(ref, m)
+    assert arr.sensors == want.sensors and db == want_db
+    assert arr.total_power == want.total_power
+    np.testing.assert_array_equal(arr.dividing_weights, want.dividing_weights)
+    np.testing.assert_array_equal(arr.combining_weights,
+                                  want.combining_weights)
+    assert ours.uniform() == ref.uniform()
+
+
+def _record_configs(seed, n_configs, n_freqs):
+    """oracle_check_table's configs: its bulk draw replayed chunk by chunk,
+    one RNG call per quantity, but each config built through the records,
+    as (array, squeezing dB, angle, frequencies)."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for start in range(0, n_configs, 32):
+        c = min(32, n_configs - start)
+        counts = rng.integers(1, 5, c)
+        factors = rng.uniform(scans._DRAW_LOW, scans._DRAW_HIGH, (c, 4, 9))
+        dv = rng.uniform(0.1, 1.0, (c, 4))
+        power = rng.uniform(0.5, 2.0, c)
+        dbs = rng.uniform(0.0, 15.0, c)
+        thetas = rng.uniform(-math.pi / 2, math.pi / 2, c)
+        omega0 = TWO_PI * 2000.0 * factors[:, :1, 1]
+        omegas = np.exp(rng.uniform(np.log(omega0 / 100),
+                                    np.log(omega0 * 100), (c, n_freqs)))
+        width = counts.max()
+        dv = np.where(np.arange(width) < counts[:, None], dv[:, :width], 0.0)
+        dv = dv / np.linalg.norm(dv, axis=1, keepdims=True)
+        for i, m in enumerate(counts.tolist()):
+            sensors = []
+            for f in factors[i, :m].tolist():
+                osc = Oscillator.from_quality(
+                    mass=6e-6 * f[0], omega0=TWO_PI * 2000.0 * f[1],
+                    quality=1e9 * f[2], temperature=10e-3 * f[3])
+                kappa = 0.94e9 * f[4]
+                cav = CavityOptics.from_wavelength(
+                    kappa=kappa, kappa_readout=kappa * f[5], g0=46.0 * f[6],
+                    wavelength=1.06e-6, input_power=0.0, efficiency_sq=f[7])
+                sensors.append(ArraySensor(osc, cav, f[8]))
+            w = dv[i, :m]
+            arr = SensorArray(tuple(sensors), w.astype(complex),
+                              matched_weights(w),
+                              total_power=2e-3 * m * power[i].item())
+            configs.append((arr, dbs[i].item(), thetas[i].item(), omegas[i]))
+    return configs
+
+
 @pytest.mark.parametrize("seed,n_freqs,n_configs", [
     # the CLI's 50 frequencies and the benchmark's 16 configs keep the bare
     # seed as their id
@@ -204,23 +259,17 @@ def _scalar_draw_array(rng, m):
                      else f"{seed}-{n_freqs}freqs-{n_configs}configs"))
     for seed in (3, 44, 505) for n_freqs in (1, 50) for n_configs in (1, 16)])
 def test_oracle_check_table_equals_a_per_config_loop(seed, n_freqs, n_configs):
-    """The batched table is exactly one closed-form build and one oracle
-    call per config on arrays drawn scalar by scalar."""
+    """The drawn parameter block is the record path: the table is exactly
+    one closed-form build and one oracle call per config on arrays built
+    through the record constructors from the same draws."""
     table = scans.oracle_check_table(n_configs, n_freqs, seed=seed)
-    rng = np.random.default_rng(seed)
     sizes, dbs, residuals = [], [], []
-    for _ in range(n_configs):
-        m = int(rng.integers(1, 5))
-        arr, db = _scalar_draw_array(rng, m)
-        theta = rng.uniform(-math.pi / 2, math.pi / 2)
-        omega0 = arr.sensors[0].oscillator.omega0
-        omegas = np.exp(rng.uniform(np.log(omega0 / 100),
-                                    np.log(omega0 * 100), n_freqs))
+    for arr, db, theta, omegas in _record_configs(seed, n_configs, n_freqs):
         squeeze = SqueezedInput.from_db(db)
         closed = arrays.array_noise_psd(
             arr, input_quadrature_psds(squeeze, theta), omegas).total
         orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
-        sizes.append(m)
+        sizes.append(arr.n_sensors)
         dbs.append(db)
         residuals.append(float(np.max(np.abs(orc - closed) / np.abs(closed))))
     assert table["n_sensors"] == sizes
@@ -251,10 +300,17 @@ def test_oracle_check_table_builds_one_kernel(monkeypatch):
                                                (200, [32] * 6 + [8])])
 def test_oracle_check_table_makes_one_oracle_pass_per_chunk(
         monkeypatch, n_configs, batches):
-    """Deterministic cost guard: the oracle assembles and propagates each run
-    of up to 32 consecutive configs, of mixed sensor counts, in one pass."""
-    assembled, propagated = [], []
+    """Deterministic cost guard: each run of up to 32 consecutive configs,
+    of mixed sensor counts, is one ArrayNoise build and one oracle pass."""
+    built, assembled, propagated = [], [], []
     assemble, propagate = oracle.assemble_transfer, oracle.propagate_covariance
+
+    class Counting(arrays.ArrayNoise):
+        __slots__ = ()
+
+        def __init__(self, arr, omega):
+            built.append(len(arr))
+            super().__init__(arr, omega)
 
     def counting_assemble(arrs, *args, **kwargs):
         assembled.append(len(arrs))
@@ -264,8 +320,89 @@ def test_oracle_check_table_makes_one_oracle_pass_per_chunk(
         propagated.append(len(asm.omega))
         return propagate(asm)
 
+    for module in (arrays, scans):
+        monkeypatch.setattr(module, "ArrayNoise", Counting)
     monkeypatch.setattr(oracle, "assemble_transfer", counting_assemble)
     monkeypatch.setattr(oracle, "propagate_covariance", counting_propagate)
     table = scans.oracle_check_table(n_configs)
-    assert assembled == propagated == batches
+    assert built == assembled == propagated == batches
     assert len(set(table["n_sensors"][:batches[0]])) > 1
+
+
+def test_oracle_check_table_constructs_no_records(monkeypatch):
+    """Deterministic cost guard: the suite is drawn straight into the
+    parameter block, with no per-sensor or per-array record."""
+    made = []
+    for cls in (Oscillator, CavityOptics, ArraySensor, SensorArray):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            made.append(_name)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    scans.oracle_check_table(16)
+    assert made == []
+    scans.random_array(np.random.default_rng(0), 2)
+    assert sorted(set(made)) == ["ArraySensor", "CavityOptics", "Oscillator",
+                                 "SensorArray"]
+
+
+def _drawn_block(c=3):
+    """Sensor fields, weights, powers and counts of c drawn 4-sensor arrays."""
+    rng = np.random.default_rng(7)
+    fields, _ = scans._sensor_fields(
+        rng.uniform(scans._DRAW_LOW, scans._DRAW_HIGH, (c, 4, 9)))
+    dv = rng.uniform(0.1, 1.0, (c, 4))
+    dv = (dv / np.linalg.norm(dv, axis=1, keepdims=True)).astype(complex)
+    return fields, dv, 2e-3 * 4 * rng.uniform(0.5, 2.0, c)
+
+
+def _message(build):
+    with pytest.raises(ConfigError) as err:
+        build()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mass", 0.0), ("mass", -6e-6), ("mass", math.nan),
+    ("omega0", 0.0), ("omega0", math.inf), ("gamma", math.nan),
+    ("temperature", -1e-3), ("kappa_readout", "above kappa"),
+    ("efficiency_sq", 1.5), ("efficiency_sq", -0.1), ("efficiency_sq", 0.0),
+    ("efficiency_sq", math.nan), ("g0", -1.0),
+    ("dividing", "off unit norm"), ("dividing", math.nan),
+    ("combining", math.inf), ("power", -1.0)])
+def test_block_validation_matches_the_records(field, value):
+    """One bad value in a drawn block fails as the records of that array
+    fail: the same ConfigError message, from the block's one vectorised
+    check (or, for eta^2 = 0, from the kernel on both paths)."""
+    fields, dv, power = _drawn_block()
+    fields = {k: np.array(v, dtype=float) for k, v in fields.items()}
+    cw = matched_weights(dv)
+    i, k = 1, 2
+    if field == "kappa_readout":
+        fields[field][i, k] = 1.5 * fields["kappa"][i, k]
+    elif field == "dividing" and value == "off unit norm":
+        dv[i] *= 1.01
+    elif field in ("dividing", "combining"):
+        (dv if field == "dividing" else cw)[i, k] = value
+    elif field == "power":
+        power[i] = value
+    else:
+        fields[field][i, k] = value
+    omegas = np.geomspace(1e2, 1e6, 5)
+
+    def record_path():
+        names = ("mass", "omega0", "gamma", "temperature", "kappa",
+                 "kappa_readout", "g0", "efficiency_sq")
+        sensors = tuple(
+            ArraySensor(Oscillator(*row[:4]),
+                        CavityOptics(row[4], row[5], row[6],
+                                     float(fields["laser_omega"]), 0.0, row[7]))
+            for row in np.stack([fields[n][i] for n in names], -1).tolist())
+        arrays.ArrayNoise(SensorArray(sensors, dv[i], cw[i], power[i].item()),
+                          omegas)
+
+    def block_path():
+        batch = arrays.ArrayBatch.checked(fields, dv, cw, power, [4, 4, 4])
+        arrays.ArrayNoise(batch, np.stack([omegas] * 3))
+
+    assert _message(block_path) == _message(record_path)

@@ -199,6 +199,23 @@ def test_cli_oracle_check_passes(tmp_path, capsys):
     assert manifest["oracle"]["passed"] is True
 
 
+def test_cli_oracle_check_reports_nearest_rank_percentiles(tmp_path):
+    """The manifest's residual percentiles are nearest-rank values of the
+    table's residuals, ordered p50 <= p90 <= p99 <= max."""
+    out = tmp_path / "oc"
+    assert cli.main(["oracle-check", "--configs", "40", "--freqs", "5",
+                     "--out", str(out)]) == 0
+    residuals = sorted(float(r["max_rel_residual"])
+                       for r in csv.DictReader(open(out / "oracle-check.csv")))
+    block = json.loads((out / "manifest.json").read_text())["oracle"]
+    # ranks ceil(p/100 * 40): 20, 36 and 40
+    assert [block[f"residual_p{p}"] for p in (50, 90, 99)] == [
+        residuals[19], residuals[35], residuals[39]]
+    assert (block["residual_p50"] <= block["residual_p90"]
+            <= block["residual_p99"] <= block["max_rel_residual"])
+    assert block["residual_p50"] < block["residual_p90"]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-strict JSON constant {token}")
 
@@ -214,7 +231,7 @@ def test_cli_oracle_check_fails_on_a_nan_residual(tmp_path, capsys,
         out = real(arrs, *args, **kwargs)
         if not poisoned:
             out[-1, 0] = math.nan
-            poisoned.append(arrs[-1].n_sensors)
+            poisoned.append(int(arrs.n_sensors[-1]))
         return out
 
     monkeypatch.setattr(scans, "oracle_noise_psd", oracle)
@@ -230,7 +247,9 @@ def test_cli_oracle_check_fails_on_a_nan_residual(tmp_path, capsys,
     manifest = json.loads((out / "manifest.json").read_text(),
                           parse_constant=_reject_constant)
     assert manifest["oracle"]["passed"] is False
-    assert manifest["oracle"]["max_rel_residual"] is None
+    for key in ("max_rel_residual", "residual_p50", "residual_p90",
+                "residual_p99"):
+        assert manifest["oracle"][key] is None
     assert "FAIL" in capsys.readouterr().out
 
 
