@@ -11,9 +11,10 @@ extension to M sensors:
 ``arrays``       M-sensor network algebra: weights, the ``ArrayBatch``
                  parameter block of padded arrays, and the ``ArrayNoise``
                  kernel (one build per array, or batch of arrays, and
-                 frequency set) giving the combined noise with its
-                 residual-vacuum term, squeezed totals and the optimal
-                 squeezing angle; array SQL
+                 frequency set; one row for an array of identical
+                 sensors, one per slot otherwise) giving the combined
+                 noise with its residual-vacuum term, squeezed totals and
+                 the optimal squeezing angle; array SQL
 ``oracle``       covariance-propagation verifier of the closed-form array
                  noise, the one path that ``oracle-check`` runs
 ``sensitivity``  resonance-refined adaptive quadrature, integrated

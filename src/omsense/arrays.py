@@ -197,16 +197,18 @@ class ArrayBatch:
 
 
 def _as_batch(arr, omega):
-    """(block, omega of shape (C, n), single) of one array, a sequence of
-    arrays or a block; one array is a batch of one."""
+    """(block, omega of shape (C, n), single) of one array or of a block;
+    one array is a batch of one."""
     if isinstance(arr, SensorArray):
         return (ArrayBatch.of([arr]),
                 np.atleast_1d(np.asarray(omega, dtype=float))[None], True)
-    batch = arr if isinstance(arr, ArrayBatch) else ArrayBatch.of(arr)
+    if not isinstance(arr, ArrayBatch):
+        raise ConfigError("expected a SensorArray or an ArrayBatch, got "
+                          f"{type(arr).__name__}")
     w = np.asarray(omega, dtype=float)
-    if not len(batch) or w.ndim != 2 or w.shape[0] != len(batch):
+    if not len(arr) or w.ndim != 2 or w.shape[0] != len(arr):
         raise ConfigError("a batch of C arrays needs omega of shape (C, n)")
-    return batch, w, False
+    return arr, w, False
 
 
 @dataclass(frozen=True)
@@ -281,115 +283,89 @@ def single_sensor_array(osc: Oscillator, cav: CavityOptics,
 # ---------------------------------------------------------------------------
 
 _VACUUM_PSDS = QuadraturePsds.vacuum()
-# one kernel row's grouping key: the bytes of its parameters and its share
-_ROW_BYTES = np.dtype((np.void, 8 * (len(SensorColumns.FIELDS) + 1)))
 
 
 class ArrayNoise:
     """The noise of one array, or of a batch of arrays, from one kernel build.
 
-    Holds the coherent amplitudes, one row per distinct (sensor, optical
-    share), and the coherent sums A = sum alpha W w and B = sum beta W w;
+    Holds the coherent amplitudes alpha and beta, one per kernel row, the
+    weights ww = sum W_0k w_k0 and wabs2 = sum |W_0k|^2 that each row
+    carries, and the coherent sums A = sum alpha ww and B = sum beta ww;
     ``breakdown``, ``totals`` and ``optimal_angle`` all read them, so a table
-    that needs several noise quantities of one array builds it once.
+    that needs several noise quantities of one array builds it once.  The
+    kernel reads only the ``ArrayBatch`` block of its arrays.
 
-    Active (W != 0) sensors with equal parameter columns that receive the
-    same share |w_k0|^2 have the same alpha, beta, thermal and loss weights,
-    so each row is computed once and carries the group sums
-    ww = sum W_0k w_k0 and wabs2 = sum |W_0k|^2.  ``group[i]`` is the row of
-    the i-th active sensor, groups numbered in order of first appearance; a
-    fully heterogeneous array is M groups of one.  The kernel reads only the
-    ``ArrayBatch`` block of its arrays.
+    The library builds arrays of two shapes: M copies of one template (every
+    scan, the paper's sqrt(M) -> M scaling) and arrays of distinct sensors
+    (``oracle-check``, the robustness claim).  An array whose active
+    (W != 0) sensors all have one parameter row and one share |w_k0|^2 is
+    one kernel row, its weights summed slot by slot in order; any other
+    array is one row per slot, an idle or padded slot repeating the array's
+    first active row with zero weights.
 
-    ``arr`` may also be a sequence of C arrays of any sensor counts, or their
-    ``ArrayBatch``, with ``omega`` of shape (C, n), one frequency row per
-    array.  The rows of the whole batch then go through one response call
-    as (C, G, n) blocks, G the largest group count; an array with fewer
-    groups repeats its first row with zero weights ww and wabs2.  The group
-    sums run row by row, so those rows add exact zeros and each array gets
-    the bits of its own build.
-    Every quantity carries the leading batch axis, ``active`` and ``group``
-    hold one entry per array, ``totals`` is (k, C, n) and ``breakdown`` takes
-    one QuadraturePsds per array (or one for all).  One array is a batch of
-    one with that axis dropped.
+    ``arr`` is a ``SensorArray``, or an ``ArrayBatch`` of C arrays with
+    ``omega`` of shape (C, n), one frequency row per array.  Every row of a
+    batch goes through one response call as (C, G, n) blocks: G = 1 when
+    every array is one row, otherwise G = M and a one-row array keeps its
+    sums in its first row and zeros after it.  Rows are summed in order, so
+    zero rows add exact zeros and each array gets the bits of its own build.
+    Every quantity carries the leading batch axis, ``totals`` is (k, C, n)
+    and ``breakdown`` takes one QuadraturePsds per array (or one for all).
+    One array is a batch of one with that axis dropped.
     """
 
-    __slots__ = ("omega", "active", "group", "alpha", "beta", "ww", "wabs2",
-                 "thermal", "loss_weight", "a", "b")
+    __slots__ = ("omega", "alpha", "beta", "ww", "wabs2", "thermal",
+                 "loss_weight", "a", "b")
 
     def __init__(self, arr, omega):
         batch, w, single = _as_batch(arr, omega)
-
-        # array by array, the active sensors' slots and their groups: the
-        # g-th distinct (column row, share) of array i is first met at slot
-        # firsts[i][g].  A slot's key is the bytes of its row (+ 0.0 makes
-        # -0.0 equal to 0.0), which hash faster than a tuple of floats.
-        c = len(batch)
         on = batch.combining != 0.0
-        rows_shares = np.concatenate(
+        if not on.any(axis=1).all():
+            raise ConfigError("all combining weights vanish")
+        rows = np.concatenate(
             [batch.cols.table, np.abs(batch.dividing[..., None]) ** 2], axis=-1)
-        keys = (rows_shares + 0.0).view(_ROW_BYTES)[..., 0]
-        actives, groups, firsts = [], [], []
-        for row_on, row_keys in zip(on.tolist(), keys.tolist()):
-            active = [k for k, live in enumerate(row_on) if live]
-            if not active:
-                raise ConfigError("all combining weights vanish")
-            rows: dict[bytes, int] = {}
-            group, first = [], []
-            for k in active:
-                g = rows.setdefault(row_keys[k], len(rows))
-                if g == len(first):
-                    first.append(k)
-                group.append(g)
-            actives.append(active)
-            groups.append(group)
-            firsts.append(first)
+        # each array's first active (parameter row, share), and whether every
+        # active slot of the array has it
+        first = rows[np.arange(len(batch)), on.argmax(axis=1)][:, None]
+        same = ((rows == first) | ~on[..., None]).all(axis=(1, 2))
+        ww = batch.combining * batch.dividing
+        wabs2 = np.abs(batch.combining) ** 2
+        if same.all():
+            rows = first
+            ww, wabs2 = ww.cumsum(axis=1)[:, -1:], wabs2.cumsum(axis=1)[:, -1:]
+        else:
+            rows = np.where(on[..., None], rows, first)
+            for x in (ww, wabs2):
+                x[same, 0] = x[same].cumsum(axis=1)[:, -1]
+                x[same, 1:] = 0.0
 
-        # one block of G rows per array, G the largest group count: an array
-        # with fewer groups repeats its first row with zero weights, which
-        # adds exact zeros to its sums.  One array has no batch axis.
-        g_max = max(map(len, firsts))
-        blocks = (g_max,) if single else (c, g_max)
-        slots = np.array([f + f[:1] * (g_max - len(f)) for f in firsts])
-        picked = rows_shares[(0, slots[0]) if single
-                             else (np.arange(c)[:, None], slots)]
-        cols = SensorColumns(picked[..., :-1])
-        chi, cmag, half = sensor_response(cols, cols, w.reshape(*blocks[:-1], 1, -1),
-                                          picked[..., -1:])
+        cols = SensorColumns(rows[..., :-1])
+        chi, cmag, half = sensor_response(cols, cols, w[:, None], rows[..., -1:])
         hmo = HBAR * cols.mass * cols.omega0
-        cw, dv = batch.combining[on], batch.dividing[on]
-        sensor_pos = np.array([i * g_max + g for i, group in enumerate(groups)
-                               for g in group])
-
-        def group_sums(values):
-            """Per-sensor values summed into their group's row."""
-            out = np.zeros(c * g_max, dtype=values.dtype)
-            np.add.at(out, sensor_pos, values)
-            return out.reshape(*blocks, 1)
-
+        fields = (half / (2.0 * chi) * np.sqrt(hmo / (2.0 * cols.gamma * cmag)),
+                  2.0 * half * np.sqrt(2.0 * hmo * cols.gamma * cmag),
+                  ww[..., None], wabs2[..., None],
+                  4.0 * cols.mass * cols.gamma * K_B * cols.temperature,
+                  (1.0 - cols.efficiency_sq) / cols.efficiency_sq)
+        if single:
+            fields = [f[0] for f in fields]
         self.omega = omega
-        self.active = np.array(actives[0]) if single else tuple(map(np.array, actives))
-        self.group = np.array(groups[0]) if single else tuple(map(np.array, groups))
-        self.alpha = half / (2.0 * chi) * np.sqrt(hmo / (2.0 * cols.gamma * cmag))
-        self.beta = 2.0 * half * np.sqrt(2.0 * hmo * cols.gamma * cmag)
-        self.ww = group_sums(cw * dv)
-        self.wabs2 = group_sums(np.abs(cw) ** 2)
-        self.thermal = 4.0 * cols.mass * cols.gamma * K_B * cols.temperature
-        self.loss_weight = (1.0 - cols.efficiency_sq) / cols.efficiency_sq
-        self.a = _group_sum(self.alpha * self.ww)
-        self.b = _group_sum(self.beta * self.ww)
+        (self.alpha, self.beta, self.ww, self.wabs2, self.thermal,
+         self.loss_weight) = fields
+        self.a = _row_sum(self.alpha * self.ww)
+        self.b = _row_sum(self.beta * self.ww)
 
     def thermal_psd(self):
-        flat = _group_sum(self.wabs2 * self.thermal)
+        flat = _row_sum(self.wabs2 * self.thermal)
         return np.broadcast_to(flat, self.a.shape).copy()
 
     def residual_expanded(self):
-        diag = _group_sum(self.wabs2 * (np.abs(self.alpha) ** 2
+        diag = _row_sum(self.wabs2 * (np.abs(self.alpha) ** 2
                                         + np.abs(self.beta) ** 2))
         return 0.5 * (diag - np.abs(self.a) ** 2 - np.abs(self.b) ** 2)
 
     def detection_loss_psd(self):
-        return _group_sum(self.wabs2 * self.loss_weight * 0.5
+        return _row_sum(self.wabs2 * self.loss_weight * 0.5
                           * np.abs(self.alpha) ** 2)
 
     def floor(self):
@@ -460,8 +436,8 @@ def _total(parts):
     return sum(parts[1:], parts[0])
 
 
-def _group_sum(x):
-    """``x`` summed over its group axis (-2) row by row: np.sum pairs the
+def _row_sum(x):
+    """``x`` summed over its kernel-row axis (-2) in order: np.sum pairs the
     rows up when there is a single frequency."""
     return _total([x[..., g, :] for g in range(x.shape[-2])])
 

@@ -129,8 +129,8 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
     ``squeeze`` is None) and the idle modes are vacuum; the beam-splitter
     unitary is the Householder completion of the array's dividing column.
 
-    ``arr`` may also be a sequence of C arrays of any sensor counts, or their
-    ``ArrayBatch``, with ``omega`` of shape (C, n) and one squeeze and one
+    ``arr`` is a ``SensorArray``, or an ``ArrayBatch`` of C arrays of any
+    sensor counts with ``omega`` of shape (C, n) and one squeeze and one
     angle per array (a single value is shared); the assembly then carries
     the batch axis and every array is padded to the block's width M.  The
     assembly reads only the block.  A padded slot has zero dividing and
@@ -223,8 +223,8 @@ def oracle_noise_psd(arr, omega, squeeze: SqueezedInput | None = None,
                      *, theta=0.0):
     """Convenience wrapper: assemble and propagate in one call.
 
-    For a sequence of C arrays (see ``assemble_transfer``) the result is
-    (C, n), one row per array, from one batched pass.
+    For an ``ArrayBatch`` of C arrays (see ``assemble_transfer``) the
+    result is (C, n), one row per array, from one batched pass.
     """
     assembly = assemble_transfer(arr, omega, squeeze, theta=theta)
     return _scalarize(propagate_covariance(assembly), omega)

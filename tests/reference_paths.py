@@ -57,14 +57,16 @@ def residual_vacuum_forms(arr: SensorArray, omega):
     t = ArrayNoise(arr, omega)
     expanded = t.residual_expanded()
 
-    dv = arr.dividing_weights[t.active]
-    cw = arr.combining_weights[t.active]
+    # every slot: an idle one has W = 0, and an array of identical sensors
+    # is one kernel row, which every slot shares
+    dv, cw = arr.dividing_weights, arr.combining_weights
     # alpha/beta carry e^{i phi/2} sqrt(hbar m Omega) and the chi / coop factors,
     # so Delta_jk * (shot + BA kernels) == (delta - w*_j w_k) W*_j W_k *
     # (alpha*_j alpha_k + beta*_j beta_k) / 2.
     proj = np.eye(len(dv), dtype=complex) - np.outer(np.conj(dv), dv)
     wmat = np.outer(np.conj(cw), cw)
-    alpha, beta = t.alpha[t.group], t.beta[t.group]
+    slots = (len(dv), t.alpha.shape[-1])
+    alpha, beta = (np.broadcast_to(x, slots) for x in (t.alpha, t.beta))
     kernel = (np.einsum("jw,kw->jkw", np.conj(alpha), alpha)
               + np.einsum("jw,kw->jkw", np.conj(beta), beta))
     delta_sum = 0.5 * np.einsum("jk,jkw->w", proj * wmat, kernel)

@@ -12,11 +12,12 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
                              mechanical_susceptibility, sensor_response,
                              single_sensor_noise_psd, sql_noise_psd)
-from omsense.arrays import (ArrayNoise, ArraySensor, SensorArray,
-                            array_noise_psd, array_signal_psd, array_sql_psd,
-                            identical_array, inverse_variance_weights,
-                            matched_weights, optimal_squeezing_angle,
-                            single_sensor_array, uniform_weights)
+from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor,
+                            SensorArray, array_noise_psd, array_signal_psd,
+                            array_sql_psd, identical_array,
+                            inverse_variance_weights, matched_weights,
+                            optimal_squeezing_angle, single_sensor_array,
+                            uniform_weights)
 from omsense.oracle import assemble_transfer, oracle_noise_psd
 from omsense.scans import random_array
 from reference_paths import (dqs_vs_dcs_report, oracle_breakdown,
@@ -442,7 +443,7 @@ def _two_templates_three_copies(membrane_sensor):
         replace(membrane_sensor.cavity, efficiency_sq=0.9), 1.3)
     sensors = (membrane_sensor,) * 3 + (other,) * 3
     # equal sensors split over shares: template A in shares (1, 1, 2),
-    # template B in shares (1, 3, 3) -> four (sensor, share) rows
+    # template B in shares (1, 3, 3) -> not one row, so one row per slot
     dv = np.sqrt(np.array([1.0, 1.0, 2.0, 1.0, 3.0, 3.0]))
     dv = dv / np.linalg.norm(dv)
     cw = np.array([0.2, 0.5, 0.3, 0.6, 0.4, 0.3])
@@ -453,7 +454,7 @@ def _two_templates_three_copies(membrane_sensor):
 def test_grouped_kernel_partly_collapsed_matches_oracle(membrane_sensor):
     arr = _two_templates_three_copies(membrane_sensor)
     omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
-    assert ArrayNoise(arr, omegas).alpha.shape[0] == 4
+    assert ArrayNoise(arr, omegas).alpha.shape[0] == 6
 
     squeeze = SqueezedInput.from_db(8.0)
     theta = -0.6
@@ -568,8 +569,8 @@ def test_noise_totals_match_each_input_bitwise(membrane_sensor, rng):
 
 def test_kernel_rows_equal_a_per_group_response_bitwise(membrane_sensor):
     """The one broadcast response call of ArrayNoise gives exactly the rows
-    of one sensor_response call per (sensor, share) group, and the W = 0
-    sensor gets no row."""
+    of one sensor_response call per active slot, and the W = 0 slot carries
+    zero weights."""
     arr = _two_templates_three_copies(membrane_sensor)
     cw = arr.combining_weights.copy()
     cw[4] = 0.0
@@ -577,9 +578,9 @@ def test_kernel_rows_equal_a_per_group_response_bitwise(membrane_sensor):
                       cw / np.linalg.norm(cw), arr.total_power)
     omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 40)
     noise = ArrayNoise(arr, omegas)
-    assert noise.active.tolist() == [0, 1, 2, 3, 5]
-    assert noise.group.tolist() == [0, 0, 1, 2, 3]
-    for g, k in enumerate([0, 2, 3, 5]):
+    assert noise.alpha.shape == (6, 40)
+    assert noise.ww[4, 0] == 0.0 and noise.wabs2[4, 0] == 0.0
+    for k in [0, 1, 2, 3, 5]:
         s = arr.sensors[k]
         osc = s.oscillator
         cav = replace(s.cavity, input_power=arr.total_power)
@@ -587,14 +588,34 @@ def test_kernel_rows_equal_a_per_group_response_bitwise(membrane_sensor):
         chi, cmag, half = sensor_response(osc, cav, omegas, share)
         hmo = HBAR * osc.mass * osc.omega0
         np.testing.assert_array_equal(
-            noise.alpha[g],
+            noise.alpha[k],
             half / (2.0 * chi) * np.sqrt(hmo / (2.0 * osc.gamma * cmag)))
         np.testing.assert_array_equal(
-            noise.beta[g], 2.0 * half * np.sqrt(2.0 * hmo * osc.gamma * cmag))
-        assert noise.thermal[g, 0] == (4.0 * osc.mass * osc.gamma * K_B
+            noise.beta[k], 2.0 * half * np.sqrt(2.0 * hmo * osc.gamma * cmag))
+        assert noise.thermal[k, 0] == (4.0 * osc.mass * osc.gamma * K_B
                                        * osc.temperature)
         eta_sq = cav.efficiency_sq
-        assert noise.loss_weight[g, 0] == (1.0 - eta_sq) / eta_sq
+        assert noise.loss_weight[k, 0] == (1.0 - eta_sq) / eta_sq
+        assert noise.ww[k, 0] == (arr.combining_weights[k]
+                                  * arr.dividing_weights[k])
+
+
+def test_one_template_with_coinciding_shares_is_one_row_per_slot(
+        membrane_sensor):
+    """Copies of one template at unequal dividing weights, two of which
+    coincide, are not one kernel row: one row per slot, oracle to 1e-9."""
+    dv = np.sqrt(np.array([1.0, 2.0, 2.0, 4.0]))
+    dv = (dv / np.linalg.norm(dv)).astype(complex)
+    arr = SensorArray((membrane_sensor,) * 4, dv, matched_weights(dv), 8e-3)
+    omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
+    assert ArrayNoise(arr, omegas).alpha.shape == (4, 50)
+    squeeze = SqueezedInput.from_db(8.0)
+    theta = -0.6
+    closed = array_noise_psd(arr, input_quadrature_psds(squeeze, theta), omegas)
+    orc = oracle_noise_psd(arr, omegas, squeeze, theta=theta)
+    np.testing.assert_allclose(closed.total, orc, rtol=1e-9)
+    np.testing.assert_allclose(_squeezed_total(arr, squeeze.r, theta, omegas),
+                               orc, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +627,9 @@ _BREAKDOWN_FIELDS = ("shot", "back_action", "correlation", "thermal",
 
 
 def _mixed_batch(membrane_sensor, rng):
-    """Arrays of 1 to 16 sensors with 1 to 16 groups: heterogeneous, two
-    templates over three shares, identical copies, a W = 0 sensor, M = 1."""
+    """Arrays of 1 to 16 sensors with 1 to 16 kernel rows: heterogeneous,
+    two templates over three shares, identical copies, a W = 0 sensor,
+    M = 1."""
     split = _two_templates_three_copies(membrane_sensor)
     cw = split.combining_weights.copy()
     cw[4] = 0.0
@@ -623,7 +645,7 @@ def _mixed_batch(membrane_sensor, rng):
 @pytest.mark.parametrize("n", [1, 50])
 def test_batch_equals_one_build_per_array_bitwise(membrane_sensor, rng, n):
     """Every output of a batch build is, array by array, exactly that of the
-    array's own build; rows past an array's groups carry zero weights."""
+    array's own build; rows past an array's own rows carry zero weights."""
     arrs = _mixed_batch(membrane_sensor, rng)
     omegas = np.array([np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, n) * (1 + 0.1 * i)
                        for i in range(len(arrs))])
@@ -632,12 +654,12 @@ def test_batch_equals_one_build_per_array_bitwise(membrane_sensor, rng, n):
               SqueezedInput(r, "fixed", angle=0.7)]
     inps = [input_quadrature_psds(SqueezedInput(r), theta)
             for theta in np.linspace(-1.2, 1.4, len(arrs)).tolist()]
-    noise = ArrayNoise(arrs, omegas)
+    noise = ArrayNoise(ArrayBatch.of(arrs), omegas)
     breakdown = noise.breakdown(inps)
     totals = noise.totals(inputs)
     assert totals.shape == (len(inputs), len(arrs), n)
     angles, thermal = noise.optimal_angle(), noise.thermal_psd()
-    n_groups = []
+    n_rows = []
     for i, (arr, w, inp) in enumerate(zip(arrs, omegas, inps)):
         one = ArrayNoise(arr, w)
         one_breakdown = one.breakdown(inp)
@@ -647,14 +669,12 @@ def test_batch_equals_one_build_per_array_bitwise(membrane_sensor, rng, n):
         np.testing.assert_array_equal(totals[:, i], one.totals(inputs))
         np.testing.assert_array_equal(angles[i], one.optimal_angle())
         np.testing.assert_array_equal(thermal[i], one.thermal_psd())
-        np.testing.assert_array_equal(noise.active[i], one.active)
-        np.testing.assert_array_equal(noise.group[i], one.group)
         g = one.alpha.shape[0]
         np.testing.assert_array_equal(noise.alpha[i, :g], one.alpha)
         np.testing.assert_array_equal(noise.beta[i, :g], one.beta)
         assert not np.any(noise.ww[i, g:]) and not np.any(noise.wabs2[i, g:])
-        n_groups.append(g)
-    assert n_groups == [3, 4, 1, 1, 4, 16]
+        n_rows.append(g)
+    assert n_rows == [3, 6, 1, 1, 6, 16]
     shared = noise.breakdown(QuadraturePsds.vacuum())
     vacuum = noise.breakdown([QuadraturePsds.vacuum()] * len(arrs))
     for field in _BREAKDOWN_FIELDS:
@@ -664,9 +684,9 @@ def test_batch_equals_one_build_per_array_bitwise(membrane_sensor, rng, n):
 
 @pytest.mark.parametrize("m", [4, 16])
 def test_scalar_frequency_equals_the_same_frequency_in_an_array(rng, m):
-    """Group sums run row by row, so a lone frequency rounds exactly like
-    the same frequency inside an array; np.sum pairs the rows up when there
-    is one frequency and enough groups."""
+    """Kernel rows are summed one by one, so a lone frequency rounds exactly
+    like the same frequency inside an array; np.sum pairs the rows up when
+    there is one frequency and enough rows."""
     r = SqueezedInput.from_db(9.0).r
     inputs = [SqueezedInput.vacuum(), SqueezedInput(r, "optimal"),
               SqueezedInput(r, "fixed", angle=0.7)]
@@ -686,6 +706,30 @@ def test_scalar_frequency_equals_the_same_frequency_in_an_array(rng, m):
             assert one.optimal_angle() == angles[j]
 
 
+def test_batch_of_identical_arrays_is_one_row(membrane_sensor):
+    """A block made only of arrays of identical sensors, at different M and
+    power, is one kernel row, and each array has the bits of its own build."""
+    arrs = [identical_array(membrane_sensor, m, p) for m, p in
+            ((1, 2e-3), (5, 1e-3), (16, 4e-3), (128, 3e-4))]
+    omegas = np.array([np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 30) * (1 + 0.1 * i)
+                       for i in range(len(arrs))])
+    inputs = [SqueezedInput.vacuum(),
+              SqueezedInput(SqueezedInput.from_db(9.0).r, "optimal")]
+    inp = input_quadrature_psds(SqueezedInput.from_db(6.0), 0.3)
+    noise = ArrayNoise(ArrayBatch.of(arrs), omegas)
+    assert noise.alpha.shape == (len(arrs), 1, 30)
+    breakdown, totals = noise.breakdown(inp), noise.totals(inputs)
+    for i, (arr, w) in enumerate(zip(arrs, omegas)):
+        one = ArrayNoise(arr, w)
+        one_breakdown = one.breakdown(inp)
+        for field in _BREAKDOWN_FIELDS:
+            np.testing.assert_array_equal(getattr(breakdown, field)[i],
+                                          getattr(one_breakdown, field))
+        np.testing.assert_array_equal(totals[:, i], one.totals(inputs))
+        np.testing.assert_array_equal(noise.ww[i], one.ww)
+        np.testing.assert_array_equal(noise.alpha[i], one.alpha)
+
+
 def test_batch_rejects_bad_shapes_and_dead_arrays(membrane_sensor):
     arr = identical_array(membrane_sensor, 2, 2e-3)
     w = np.geomspace(1e2, 1e6, 5)
@@ -693,14 +737,17 @@ def test_batch_rejects_bad_shapes_and_dead_arrays(membrane_sensor):
                         ([arr, arr], np.stack([w] * 3)),
                         ([arr], w[None, :, None])):
         with pytest.raises(ConfigError, match="shape"):
-            ArrayNoise(arrs, omega)
+            ArrayNoise(ArrayBatch.of(arrs), omega)
+    for arrs in ([arr, arr], (arr,), None):
+        with pytest.raises(ConfigError, match="SensorArray or an ArrayBatch"):
+            ArrayNoise(arrs, np.stack([w, w]))
     dead = SensorArray(arr.sensors, arr.dividing_weights,
                        arr.combining_weights, arr.total_power)
     object.__setattr__(dead, "combining_weights", np.zeros(2, complex))
-    for arrs, omega in ((dead, w), ([arr, dead], np.stack([w, w]))):
+    for arrs, omega in ((dead, w), (ArrayBatch.of([arr, dead]), np.stack([w, w]))):
         with pytest.raises(ConfigError, match="vanish"):
             ArrayNoise(arrs, omega)
-    pair = ArrayNoise([arr, arr], np.stack([w, w]))
+    pair = ArrayNoise(ArrayBatch.of([arr, arr]), np.stack([w, w]))
     for noise in (pair, ArrayNoise(arr, w)):
         with pytest.raises(ConfigError, match="per array"):
             noise.breakdown([QuadraturePsds.vacuum()] * 3)

@@ -10,8 +10,8 @@ from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.errors import ConfigError
 from omsense.spectra import (QuadraturePsds, SqueezedInput,
                              input_quadrature_psds, mechanical_susceptibility)
-from omsense.arrays import (SensorArray, array_noise_psd, array_sql_psd,
-                            identical_array, matched_weights,
+from omsense.arrays import (ArrayBatch, SensorArray, array_noise_psd,
+                            array_sql_psd, identical_array, matched_weights,
                             optimal_squeezing_angle, single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             oracle_noise_psd, propagate_covariance)
@@ -224,18 +224,19 @@ def test_batched_oracle_equals_each_single_array_bitwise(rng):
     padded slot and no W = 0 sensor has a transfer row."""
     arrays = [random_array(rng, m)[0] for m in (1, 2, 3, 4, 16)]
     arrays.append(_with_idle_sensor(random_array(rng, 3)[0], 1))
+    block = ArrayBatch.of(arrays)
     c = len(arrays)
     omegas = np.exp(rng.uniform(np.log(1e2), np.log(1e6), (c, 50)))
     squeezes = [None] + [SqueezedInput.from_db(db)
                          for db in rng.uniform(0.0, 15.0, c - 1)]
     thetas = rng.uniform(-math.pi / 2, math.pi / 2, c)
-    batch = oracle_noise_psd(arrays, omegas, squeezes, theta=thetas)
+    batch = oracle_noise_psd(block, omegas, squeezes, theta=thetas)
     assert batch.shape == (c, 50)
     for arr, omega, squeeze, theta, row in zip(arrays, omegas, squeezes,
                                                thetas, batch):
         np.testing.assert_array_equal(
             row, oracle_noise_psd(arr, omega, squeeze, theta=theta))
-    asm = assemble_transfer(arrays, omegas, squeezes, theta=thetas)
+    asm = assemble_transfer(block, omegas, squeezes, theta=thetas)
     assert asm.n_sensors == 16 and np.size(asm.omega) == c * 50
     for i, arr in enumerate(arrays):
         padded = np.arange(16) >= arr.n_sensors
@@ -250,7 +251,8 @@ def test_bright_mode_covariance_matches_input_quadrature_psds(membrane_sensor):
     arr = identical_array(membrane_sensor, 1, power_per_sensor=2e-3)
     grid = [(r, th) for r in np.linspace(0.0, 2.3, 47)
             for th in np.linspace(-math.pi / 2, math.pi / 2, 37)]
-    asm = assemble_transfer([arr] * len(grid), np.full((len(grid), 1), 1e4),
+    asm = assemble_transfer(ArrayBatch.of([arr] * len(grid)),
+                            np.full((len(grid), 1), 1e4),
                             [SqueezedInput(r) for r, _ in grid],
                             theta=[th for _, th in grid])
     cov = asm.input_cov
@@ -266,6 +268,8 @@ def test_bright_mode_covariance_matches_input_quadrature_psds(membrane_sensor):
 
 
 def test_batch_rejects_bad_omega_shape(rng):
-    pair = [random_array(rng, 2)[0], random_array(rng, 3)[0]]
+    arrays = [random_array(rng, 2)[0], random_array(rng, 3)[0]]
     with pytest.raises(ConfigError, match="shape"):
-        oracle_noise_psd(pair, np.full(5, 1e4), [None, None])
+        oracle_noise_psd(ArrayBatch.of(arrays), np.full(5, 1e4), [None, None])
+    with pytest.raises(ConfigError, match="SensorArray or an ArrayBatch"):
+        oracle_noise_psd(arrays, np.full((2, 5), 1e4), [None, None])
