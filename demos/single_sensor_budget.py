@@ -7,8 +7,8 @@ squeezed-input noise at the frequency-tracking optimal angle.
 """
 
 from omsense import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
-                     acceleration_asd, sql_noise_psd)
-from omsense.arrays import ArrayNoise, single_sensor_array
+                     acceleration_asd)
+from omsense.arrays import ArrayNoise, array_sql_psd, single_sensor_array
 from omsense.constants import TWO_PI
 
 osc = Oscillator.from_quality(mass=6e-6, omega0=TWO_PI * 2000.0, quality=1e9,
@@ -35,7 +35,7 @@ for f_hz in (20.0, 200.0, 1900.0, 2000.0, 2100.0, 20000.0):
           f"{acceleration_asd(osc, bd.back_action):>10.2e} "
           f"{acceleration_asd(osc, bd.thermal):>10.2e} "
           f"{acceleration_asd(osc, bd.total):>10.2e} "
-          f"{acceleration_asd(osc, sql_noise_psd(osc, w)):>10.2e} "
+          f"{acceleration_asd(osc, array_sql_psd(arr, w)):>10.2e} "
           f"{acceleration_asd(osc, squeezed):>10.2e}")
 
 print("\nOn resonance the budget is back-action dominated at 2 mW; off")

@@ -4,11 +4,11 @@ The package is organized around the frequency-domain noise model of a
 cavity-optomechanical force sensor and its coherent, optionally entangled,
 extension to M sensors:
 
-``spectra``      single-sensor parameter records, the per-sensor
-                 response kernel (susceptibility, cooperativity and
-                 reflection half phase), quadrature inputs and force-noise
-                 budgets
-``arrays``       M-sensor network algebra: weights, the ``ArrayBatch``
+``spectra``      single-sensor records and the one rule table of a valid
+                 sensor, the per-sensor response kernel (susceptibility,
+                 cooperativity and reflection half phase), quadrature inputs
+``arrays``       M-sensor network algebra, the only force-noise budget (one
+                 sensor is M = 1): weights, the ``ArrayBatch``
                  parameter block of padded arrays, and the ``ArrayNoise``
                  kernel (one build per array, or batch of arrays, and
                  frequency set; one row for an array of identical
@@ -30,8 +30,7 @@ from .errors import ConfigError, ConvergenceError, OmsenseError, ScenarioError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
                       acceleration_asd, displacement_asd,
                       input_quadrature_psds, mechanical_susceptibility,
-                      sensor_response, single_sensor_noise_psd,
-                      sql_noise_psd, thermal_momentum_psd)
+                      sensor_response)
 from .arrays import (ArrayBatch, ArrayNoise, ArraySensor, NoiseBreakdown,
                      SensorArray, array_noise_psd, array_signal_psd,
                      array_sql_psd, identical_array,

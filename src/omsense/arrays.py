@@ -25,15 +25,15 @@ with matched weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SensorColumns,
-                      _scalarize, mechanical_susceptibility, sensor_response,
-                      single_sensor_noise_psd)
+                      SqueezedInput, _check, _non_negative, _scalarize,
+                      mechanical_susceptibility, sensor_response)
 
 __all__ = [
     "ArraySensor",
@@ -51,9 +51,6 @@ __all__ = [
     "optimal_squeezing_angle",
     "array_sql_psd",
 ]
-
-_NORM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ArraySensor:
@@ -92,20 +89,8 @@ class SensorArray:
             raise ConfigError("array needs at least one sensor")
         if self.dividing_weights.shape != (m,) or self.combining_weights.shape != (m,):
             raise ConfigError("weight vectors must have one entry per sensor")
-        if not (np.isfinite(self.dividing_weights).all()
-                and np.isfinite(self.combining_weights).all()):
-            raise ConfigError("dividing and combining weights must be finite")
-        wnorm = float(np.sum(np.abs(self.dividing_weights) ** 2))
-        if abs(wnorm - 1.0) > _NORM_TOL:
-            raise ConfigError(
-                f"dividing weights must satisfy sum |w_k0|^2 = 1, got {wnorm!r}")
-        cnorm = float(np.sum(np.abs(self.combining_weights) ** 2))
-        if abs(cnorm - 1.0) > 1e-8:
-            raise ConfigError(
-                f"combining weights must satisfy sum |W_0k|^2 = 1, got {cnorm!r}")
-        if not (math.isfinite(self.total_power) and self.total_power >= 0):
-            raise ConfigError(
-                f"total power must be finite and >= 0, got {self.total_power}")
+        _check_weights(self.dividing_weights, self.combining_weights,
+                       self.total_power)
 
     @property
     def n_sensors(self) -> int:
@@ -113,23 +98,23 @@ class SensorArray:
 
 
 def _check_weights(dividing, combining, total_power):
-    """Reject what ``SensorArray`` rejects in (C, M) rows of weights and (C,)
-    total powers, with its message for the first bad value."""
+    """The weight and power rules of ``SensorArray``, for its (M,) weights and
+    total power or for (C, M) rows of weights and (C,) total powers, with
+    the message for the first bad value."""
     if not (np.isfinite(dividing).all() and np.isfinite(combining).all()):
         raise ConfigError("dividing and combining weights must be finite")
     for w, name, tol in ((dividing, "dividing weights must satisfy "
-                                    "sum |w_k0|^2 = 1", _NORM_TOL),
+                                    "sum |w_k0|^2 = 1", 1e-10),
                          (combining, "combining weights must satisfy "
                                      "sum |W_0k|^2 = 1", 1e-8)):
-        norm = np.sum(np.abs(w) ** 2, axis=-1)
-        bad = np.abs(norm - 1.0) > tol
+        # np.sum's sum, without the wrapper that costs a record more than it
+        norm = np.add.reduce(np.abs(w) ** 2, axis=-1)
+        bad = abs(norm - 1.0) > tol
         if bad.any():
             raise ConfigError(f"{name}, got {norm[bad].ravel()[0].item()!r}")
-    power = np.asarray(total_power)
-    bad = ~(np.isfinite(power) & (power >= 0))
-    if bad.any():
-        raise ConfigError("total power must be finite and >= 0, got "
-                          f"{power[bad].ravel()[0].item()}")
+    _check(((_non_negative, ("total_power",),
+             "total power must be finite and >= 0"),),
+           {"total_power": total_power})
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,11 +155,7 @@ class ArrayBatch:
             for s in a.sensors:
                 if id(s) not in seen:
                     seen[id(s)] = len(rows)
-                    rows.append((s.oscillator.mass, s.oscillator.omega0,
-                                 s.oscillator.gamma, s.oscillator.temperature,
-                                 s.cavity.kappa, s.cavity.g0,
-                                 s.cavity.efficiency_sq,
-                                 s.cavity.intracavity_flux_at(a.total_power)))
+                    rows.append(_parameter_row(s, a.total_power))
             first = len(slot_rows)
             slot_rows += [seen[id(s)] for s in a.sensors]
             slot_rows += slot_rows[first:first + 1] * (m - a.n_sensors)
@@ -194,6 +175,13 @@ class ArrayBatch:
             **sensor_fields, input_power=np.asarray(total_power)[:, None])
         _check_weights(dividing, combining, total_power)
         return cls(cols, dividing, combining, np.asarray(n_sensors))
+
+
+def _parameter_row(sensor: ArraySensor, total_power: float) -> tuple:
+    """A sensor's ``SensorColumns`` row, E^2 at ``total_power``."""
+    osc, cav = sensor.oscillator, sensor.cavity
+    return (osc.mass, osc.omega0, osc.gamma, osc.temperature, cav.kappa,
+            cav.g0, cav.efficiency_sq, cav.intracavity_flux_at(total_power))
 
 
 def _as_batch(arr, omega):
@@ -243,19 +231,24 @@ def inverse_variance_weights(sensors, dividing, total_power, omega_ref) -> np.nd
     """W_0k proportional to response/noise of each sensor at omega_ref, renormalized.
 
     Per-sensor noise is the vacuum-input budget at the sensor's share of the
-    laser.  Heterogeneous-array heuristic; the matched policy is exact for
-    identical sensors.
+    laser: the active sensors as one batch of one-sensor arrays, each driven
+    at share * total_power, in one ``ArrayNoise`` build.  Heterogeneous-array
+    heuristic; the matched policy is exact for identical sensors.
     """
-    w = np.asarray(dividing, dtype=complex)
+    share = np.abs(np.asarray(dividing, dtype=complex)) ** 2
+    active = np.flatnonzero(share)
     weights = np.zeros(len(sensors))
-    for k, s in enumerate(sensors):
-        share = float(np.abs(w[k]) ** 2)
-        if share == 0.0:
-            continue
-        cav = replace(s.cavity, input_power=total_power)
-        noise = single_sensor_noise_psd(s.oscillator, cav, QuadraturePsds.vacuum(),
-                                        omega_ref, power_scale=share)
-        weights[k] = s.response_factor / noise
+    if active.size:
+        table = np.array([_parameter_row(sensors[k], total_power)
+                          for k in active])
+        table[:, -1] *= share[active]  # E^2 at share * total_power
+        ones = np.ones((active.size, 1), dtype=complex)
+        batch = ArrayBatch(SensorColumns(table[:, None]), ones, ones,
+                           np.ones(active.size, dtype=int))
+        noise = ArrayNoise(batch, np.full((active.size, 1), omega_ref)
+                           ).totals([SqueezedInput.vacuum()])[0, :, 0]
+        weights[active] = np.array(
+            [sensors[k].response_factor for k in active]) / noise
     norm = math.sqrt(float(np.sum(weights**2)))
     if norm == 0.0:
         raise ConfigError("inverse-variance weights vanished for every sensor")

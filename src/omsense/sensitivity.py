@@ -40,6 +40,7 @@ import numpy as np
 
 from .constants import RHO_DM_DEFAULT, VIRIAL_LINEWIDTH_FRACTION
 from .errors import ConfigError, ConvergenceError
+from .spectra import _check, _finite, _non_negative, _positive
 
 __all__ = [
     "FrequencyGrid",
@@ -270,6 +271,14 @@ def integrated_sensitivity(signal_psd, noise_psd, grid: FrequencyGrid,
 # dark-matter drive and projections
 # ---------------------------------------------------------------------------
 
+_DARK_MATTER_RULES = (
+    (_finite, ("coupling",), "coupling must be finite"),
+    (_non_negative, ("material_factor",), "material factor must be finite and >= 0"),
+    (_positive, ("rho_dm",), "rho_dm must be finite and positive"),
+    (_positive, ("compton_omega",), "Compton frequency must be finite and positive"),
+)
+
+
 @dataclass(frozen=True)
 class DarkMatterModel:
     """Stochastic dark-matter drive: F = g sqrt(rho) M at Compton frequency.
@@ -288,10 +297,7 @@ class DarkMatterModel:
     linewidth_fraction: float = VIRIAL_LINEWIDTH_FRACTION
 
     def __post_init__(self):
-        if self.material_factor < 0 or self.rho_dm <= 0:
-            raise ConfigError("material factor must be >= 0 and rho_dm > 0")
-        if self.compton_omega <= 0:
-            raise ConfigError("Compton frequency must be positive")
+        _check(_DARK_MATTER_RULES, vars(self))
 
     def linewidth(self, omega_dm=None):
         if self.coherence_linewidth is not None:

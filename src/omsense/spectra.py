@@ -3,6 +3,10 @@
 Everything here is expressed in angular frequency (rad/s) and SI units.
 Force spectral densities are symmetrized, one-sided quantities in N^2/Hz.
 
+One table of rules defines a valid sensor, for the records and for a
+``SensorColumns`` block alike.  The force-noise budget below is implemented
+once, by ``arrays.ArrayNoise``; a single sensor is its M = 1 case.
+
 Core relations
 --------------
 Mechanical susceptibility (dimensionless-normalized response of position
@@ -31,7 +35,8 @@ Force-noise budget of a phase-quadrature homodyne readout:
 
 with Spp = K_B T / (hbar Omega) for a flat thermal bath, so the mechanical
 term is 4 m gamma K_B T.  The standard quantum limit of the optical part is
-hbar m Omega / |chi_w|, reached at |C_w| = 1/(8 gamma |chi_w|).
+hbar m Omega / |chi_w| (``arrays.array_sql_psd``), reached at
+|C_w| = 1/(8 gamma |chi_w|).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT, HBAR, K_B, TWO_PI
+from .constants import C_LIGHT, HBAR, TWO_PI
 from .errors import ConfigError
 
 __all__ = [
@@ -53,9 +58,6 @@ __all__ = [
     "mechanical_susceptibility",
     "sensor_response",
     "input_quadrature_psds",
-    "single_sensor_noise_psd",
-    "sql_noise_psd",
-    "thermal_momentum_psd",
     "acceleration_asd",
     "displacement_asd",
 ]
@@ -66,6 +68,77 @@ def _scalarize(value, *inputs):
     if all(np.ndim(x) == 0 for x in inputs):
         return value.item() if np.ndim(value) else value
     return value
+
+
+# ---------------------------------------------------------------------------
+# validity rules
+# ---------------------------------------------------------------------------
+
+def _positive(x):
+    return (0 < x) & (x < math.inf)
+
+
+def _non_negative(x):
+    return (0 <= x) & (x < math.inf)
+
+
+def _finite(x):
+    return (-math.inf < x) & (x < math.inf)
+
+
+# What makes a sensor valid: one (predicate, field names, message) row per
+# rule.  The predicates are comparisons, so they hold for a float and for an
+# array alike, and NaN fails every one of them.  ``Oscillator`` checks the
+# first part, ``CavityOptics`` the second plus its record-only rows, and a
+# ``SensorColumns`` block both parts.
+_OSCILLATOR_RULES = (
+    (_positive, ("mass",), "oscillator mass must be finite and positive"),
+    (_positive, ("omega0",), "resonance must be finite and positive"),
+    (_positive, ("gamma",), "damping must be finite and positive"),
+    (_non_negative, ("temperature",), "temperature must be finite and >= 0"),
+)
+_CAVITY_RULES = (
+    (lambda readout, kappa: (0 < readout) & (readout <= kappa * (1 + 1e-12))
+     & (kappa < math.inf), ("kappa_readout", "kappa"),
+     "need 0 < kappa_readout <= kappa, both finite"),
+    (lambda eta_sq: (0 <= eta_sq) & (eta_sq <= 1), ("efficiency_sq",),
+     "efficiency^2 must lie in [0,1]"),
+    (_non_negative, ("g0",), "g0 must be finite and >= 0"),
+    (_positive, ("laser_omega",), "laser frequency must be finite and positive"),
+)
+_SENSOR_RULES = _OSCILLATOR_RULES + _CAVITY_RULES
+# an array drives its sensors at its own total power and knows no lengths
+_CAVITY_RECORD_RULES = _CAVITY_RULES + (
+    (_non_negative, ("input_power",), "input power must be finite and >= 0"),
+    (lambda length: length is None or _positive(length), ("length",),
+     "cavity length must be finite and positive"),
+)
+_QUADRATURE_RULES = (
+    (lambda syy, sxx: _positive(syy) & _positive(sxx), ("syy", "sxx"),
+     "quadrature variances must be finite and positive"),
+    (_finite, ("sxy",), "quadrature cross spectrum must be finite"),
+)
+
+
+def _check(rules, fields):
+    """Raise ConfigError for the first row of ``rules`` that ``fields`` (field
+    name -> float or array) breaks, with the row's message and the first
+    value that breaks it."""
+    for holds, names, message in rules:
+        # most rows name one field, which a comprehension would slow down
+        ok = (holds(fields[names[0]]) if len(names) == 1
+              else holds(*[fields[n] for n in names]))
+        if ok is True:
+            continue
+        bad = ~np.asarray(ok)
+        if bad.any():
+            got = " / ".join(str(_first(fields[n], bad)) for n in names)
+            raise ConfigError(f"{message}, got {got}")
+
+
+def _first(values, bad):
+    """The first entry of ``values`` (broadcast to ``bad``) where ``bad``."""
+    return np.broadcast_to(values, bad.shape)[bad][0].item()
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +159,7 @@ class Oscillator:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ConfigError(
-                f"oscillator mass must be finite and positive, got {self.mass}")
-        if not (math.isfinite(self.omega0) and self.omega0 > 0):
-            raise ConfigError(f"resonance must be finite and positive, got {self.omega0}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"damping must be finite and positive, got {self.gamma}")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ConfigError(
-                f"temperature must be finite and >= 0, got {self.temperature}")
+        _check(_OSCILLATOR_RULES, vars(self))
 
     @property
     def quality(self) -> float:
@@ -145,25 +209,7 @@ class CavityOptics:
     length: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa)
-                and 0 < self.kappa_readout <= self.kappa * (1 + 1e-12)):
-            raise ConfigError(
-                "need 0 < kappa_readout <= kappa, both finite, got "
-                f"{self.kappa_readout} / {self.kappa}")
-        if not 0 <= self.efficiency_sq <= 1:
-            raise ConfigError(f"efficiency^2 must lie in [0,1], got {self.efficiency_sq}")
-        if not (math.isfinite(self.input_power) and self.input_power >= 0):
-            raise ConfigError(
-                f"input power must be finite and >= 0, got {self.input_power}")
-        if not (math.isfinite(self.g0) and self.g0 >= 0):
-            raise ConfigError(f"g0 must be finite and >= 0, got {self.g0}")
-        if not (math.isfinite(self.laser_omega) and self.laser_omega > 0):
-            raise ConfigError(
-                f"laser frequency must be finite and positive, got {self.laser_omega}")
-        if self.length is not None and not (math.isfinite(self.length)
-                                            and self.length > 0):
-            raise ConfigError(
-                f"cavity length must be finite and positive, got {self.length}")
+        _check(_CAVITY_RECORD_RULES, vars(self))
 
     @property
     def photon_flux(self) -> float:
@@ -257,8 +303,7 @@ class QuadraturePsds:
     sxy: float = 0.0
 
     def __post_init__(self):
-        if not (self.syy > 0 and self.sxx > 0):
-            raise ConfigError("quadrature variances must be positive")
+        _check(_QUADRATURE_RULES, vars(self))
 
     @classmethod
     def vacuum(cls):
@@ -299,27 +344,11 @@ class SensorColumns:
         an ``Oscillator`` or ``CavityOptics`` would reject them, with the
         record's message for the first bad value.  E^2 is taken at
         ``input_power`` as ``intracavity_flux_at`` takes it."""
-        for ok, values, rule in (
-                (np.isfinite(mass) & (mass > 0), (mass,),
-                 "oscillator mass must be finite and positive"),
-                (np.isfinite(omega0) & (omega0 > 0), (omega0,),
-                 "resonance must be finite and positive"),
-                (np.isfinite(gamma) & (gamma > 0), (gamma,),
-                 "damping must be finite and positive"),
-                (np.isfinite(temperature) & (temperature >= 0), (temperature,),
-                 "temperature must be finite and >= 0"),
-                (np.isfinite(kappa) & (0 < kappa_readout)
-                 & (kappa_readout <= kappa * (1 + 1e-12)), (kappa_readout, kappa),
-                 "need 0 < kappa_readout <= kappa, both finite"),
-                ((0 <= efficiency_sq) & (efficiency_sq <= 1), (efficiency_sq,),
-                 "efficiency^2 must lie in [0,1]"),
-                (np.isfinite(g0) & (g0 >= 0), (g0,), "g0 must be finite and >= 0"),
-                (np.isfinite(laser_omega) & (laser_omega > 0), (laser_omega,),
-                 "laser frequency must be finite and positive")):
-            bad = ~np.asarray(ok)
-            if bad.any():
-                got = " / ".join(str(_first(v, bad)) for v in values)
-                raise ConfigError(f"{rule}, got {got}")
+        _check(_SENSOR_RULES, {
+            "mass": mass, "omega0": omega0, "gamma": gamma,
+            "temperature": temperature, "kappa": kappa,
+            "kappa_readout": kappa_readout, "g0": g0,
+            "laser_omega": laser_omega, "efficiency_sq": efficiency_sq})
         # float_power is C pow, as the record's kappa**2; ndarray ** 2 is a
         # product, which rounds differently
         flux = (4.0 * kappa_readout / np.float_power(kappa, 2)
@@ -327,11 +356,6 @@ class SensorColumns:
         return cls(np.stack(np.broadcast_arrays(
             mass, omega0, gamma, temperature, kappa, g0, efficiency_sq, flux),
             axis=-1))
-
-
-def _first(values, bad):
-    """The first entry of ``values`` (broadcast to ``bad``) where ``bad``."""
-    return np.broadcast_to(values, bad.shape)[bad][0].item()
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +387,8 @@ def input_quadrature_psds(squeeze: SqueezedInput, theta) -> QuadraturePsds:
     )
 
 
-def thermal_momentum_psd(osc: Oscillator) -> float:
-    """Flat mechanical-bath momentum PSD, K_B T / (hbar Omega)."""
-    return K_B * osc.temperature / (HBAR * osc.omega0)
-
-
 # ---------------------------------------------------------------------------
-# noise budgets
+# per-sensor response
 # ---------------------------------------------------------------------------
 
 def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
@@ -396,34 +415,6 @@ def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
     if (np.asarray(cav.efficiency_sq) == 0.0).any():
         raise ConfigError("detection efficiency eta^2 = 0: nothing reaches the detector")
     return chi, cmag, (1.0 + 1j * u) / np.sqrt(u2)
-
-
-def single_sensor_noise_psd(osc: Oscillator, cav: CavityOptics,
-                            inp: QuadraturePsds, omega, *, power_scale=1.0):
-    """Total force-noise PSD (N^2/Hz) for one sensor read out in phase.
-
-    Sum of shot, back-action, quadrature-correlation and mechanical terms
-    plus the detection-loss term; see the module docstring for the formulas.
-    """
-    chi, cmag, _ = sensor_response(osc, cav, omega, power_scale)
-    m, om, gam = osc.mass, osc.omega0, osc.gamma
-    chi_sq = np.abs(chi) ** 2
-    shot = HBAR * m * om / (8.0 * gam * cmag * chi_sq) * inp.syy
-    back_action = 8.0 * HBAR * m * gam * om * cmag * inp.sxx
-    corr = 2.0 * HBAR * m * om * np.real(chi) / chi_sq * inp.sxy
-    mech = 4.0 * HBAR * m * gam * om * thermal_momentum_psd(osc)
-    loss = ((1.0 - cav.efficiency_sq) / cav.efficiency_sq
-            * HBAR * m * om / (16.0 * gam * cmag * chi_sq))
-    return _scalarize(shot + back_action + corr + mech + loss, omega)
-
-
-def sql_noise_psd(osc: Oscillator, omega):
-    """Optical noise floor at the standard quantum limit, hbar m Omega/|chi_w|.
-
-    Thermal noise is not included; callers add it when relevant.
-    """
-    chi = mechanical_susceptibility(osc, np.asarray(omega, dtype=float))
-    return _scalarize(HBAR * osc.mass * osc.omega0 / np.abs(chi), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ susceptibility.  The complex cooperativity C_w is the form that the
 library's real |C_w| and half phase are checked against, and the oracle
 breakdown splits a covariance propagation into its input blocks.  They are
 verification code, not part of the ``omsense`` API.
+
+The single-sensor budget, its thermal bath PSD and the standard quantum
+limit are written out here term by term; in the library they exist only as
+``ArrayNoise`` and ``array_sql_psd`` at M = 1.
 """
 
 import math
@@ -230,6 +234,44 @@ def idle_contribution_shortcut(arr: SensorArray, omega):
         t2 = np.einsum("nw,nm,mw->w", y, np.conj(p1), np.conj(y))
         total += 0.5 * 0.25 * np.real(t1 + t2)
     return float(total[0]) if np.ndim(omega) == 0 else total
+
+
+def thermal_momentum_psd(osc: Oscillator) -> float:
+    """Flat mechanical-bath momentum PSD, K_B T / (hbar Omega)."""
+    return K_B * osc.temperature / (HBAR * osc.omega0)
+
+
+
+
+def single_sensor_noise_psd(osc: Oscillator, cav: CavityOptics,
+                            inp: QuadraturePsds, omega, *, power_scale=1.0):
+    """Total force-noise PSD (N^2/Hz) for one sensor read out in phase.
+
+    Sum of shot, back-action, quadrature-correlation and mechanical terms
+    plus the detection-loss term, written out as ``omsense.spectra``'s
+    docstring states them: the term-by-term reference for ``ArrayNoise``
+    at M = 1.
+    """
+    chi, cmag, _ = sensor_response(osc, cav, omega, power_scale)
+    m, om, gam = osc.mass, osc.omega0, osc.gamma
+    chi_sq = np.abs(chi) ** 2
+    shot = HBAR * m * om / (8.0 * gam * cmag * chi_sq) * inp.syy
+    back_action = 8.0 * HBAR * m * gam * om * cmag * inp.sxx
+    corr = 2.0 * HBAR * m * om * np.real(chi) / chi_sq * inp.sxy
+    mech = 4.0 * HBAR * m * gam * om * thermal_momentum_psd(osc)
+    loss = ((1.0 - cav.efficiency_sq) / cav.efficiency_sq
+            * HBAR * m * om / (16.0 * gam * cmag * chi_sq))
+    return _scalarize(shot + back_action + corr + mech + loss, omega)
+
+
+def sql_noise_psd(osc: Oscillator, omega):
+    """Optical noise floor at the standard quantum limit, hbar m Omega/|chi_w|.
+
+    Thermal noise is not included; callers add it when relevant.  The
+    reference for ``array_sql_psd`` at M = 1.
+    """
+    chi = mechanical_susceptibility(osc, np.asarray(omega, dtype=float))
+    return _scalarize(HBAR * osc.mass * osc.omega0 / np.abs(chi), omega)
 
 
 def squeezed_noise_closed_form(osc: Oscillator, cav: CavityOptics,

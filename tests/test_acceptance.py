@@ -14,7 +14,7 @@ from omsense import cli
 from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
-                             mechanical_susceptibility, single_sensor_noise_psd)
+                             mechanical_susceptibility)
 from omsense.arrays import (ArrayNoise, array_noise_psd, array_signal_psd,
                             identical_array)
 from omsense.oracle import assemble_transfer, propagate_covariance
@@ -23,6 +23,7 @@ from omsense.sensitivity import (FrequencyGrid, integrated_sensitivity,
 from omsense.scenario import Scenario, preset_scenario, scenario_from_dict
 from reference_paths import (cavity_phase_and_cooperativity,
                              independent_squeezers_psd,
+                             single_sensor_noise_psd,
                              squeezed_noise_closed_form)
 from omsense.scans import (dm_projection_table, oracle_check_table,
                            random_array, sensitivity_report)

@@ -10,8 +10,7 @@ from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.errors import ConfigError
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
-                             mechanical_susceptibility, sensor_response,
-                             single_sensor_noise_psd, sql_noise_psd)
+                             mechanical_susceptibility, sensor_response)
 from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor,
                             SensorArray, array_noise_psd, array_signal_psd,
                             array_sql_psd, identical_array,
@@ -21,7 +20,8 @@ from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor,
 from omsense.oracle import assemble_transfer, oracle_noise_psd
 from omsense.scans import random_array
 from reference_paths import (dqs_vs_dcs_report, oracle_breakdown,
-                             residual_vacuum_forms, squeezed_noise_closed_form)
+                             residual_vacuum_forms, single_sensor_noise_psd,
+                             sql_noise_psd, squeezed_noise_closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +402,59 @@ def test_inverse_variance_weights_normalized(membrane_sensor, rng):
                                  arr.total_power,
                                  arr.sensors[0].oscillator.omega0)
     assert np.sum(np.abs(w) ** 2) == pytest.approx(1.0, rel=1e-12)
+
+
+def _inverse_variance_reference(sensors, dividing, total_power, omega_ref):
+    """The weights from the term-by-term single-sensor budget, per sensor."""
+    weights = np.zeros(len(sensors))
+    for k, s in enumerate(sensors):
+        share = float(np.abs(dividing[k]) ** 2)
+        if share:
+            cav = replace(s.cavity, input_power=total_power)
+            weights[k] = s.response_factor / single_sensor_noise_psd(
+                s.oscillator, cav, QuadraturePsds.vacuum(), omega_ref,
+                power_scale=share)
+    return weights / math.sqrt(float(np.sum(weights**2)))
+
+
+def test_inverse_variance_weights_match_the_per_sensor_budget(rng):
+    for trial in range(60):
+        m = 1 + trial % 8
+        arr, _ = random_array(rng, m)
+        dv = arr.dividing_weights.copy()
+        if trial % 4 == 1:
+            # one sensor left dark: it gets no weight, the rest renormalize
+            dv[rng.integers(m)] = 0.0
+            dv /= np.linalg.norm(dv)
+        omega_ref = arr.sensors[0].oscillator.omega0 * rng.uniform(0.01, 100.0)
+        got = inverse_variance_weights(arr.sensors, dv, arr.total_power,
+                                       omega_ref)
+        want = _inverse_variance_reference(arr.sensors, dv, arr.total_power,
+                                           omega_ref)
+        assert np.array_equal(got == 0, want == 0)
+        on = want != 0
+        assert np.max(np.abs(got[on] - want[on]) / np.abs(want[on])) <= 4e-15
+
+
+def test_inverse_variance_weights_build_the_kernel_once(monkeypatch, rng):
+    builds = []
+    init = ArrayNoise.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ArrayNoise, "__init__", counting)
+    arr, _ = random_array(rng, 128)
+    w = inverse_variance_weights(arr.sensors, arr.dividing_weights,
+                                 arr.total_power,
+                                 arr.sensors[0].oscillator.omega0)
+    assert len(builds) == 1 and np.all(w != 0)
+
+
+def test_inverse_variance_weights_vanish_without_light(membrane_sensor):
+    with pytest.raises(ConfigError, match="vanished"):
+        inverse_variance_weights((membrane_sensor,) * 2, np.zeros(2), 4e-3,
+                                 membrane_sensor.oscillator.omega0)
 
 
 def test_snr_gain_m_and_sensitivity_gain_m_squared(membrane_sensor):

@@ -817,6 +817,16 @@ def test_cli_sensor_without_readout_exits_two(tmp_path, capsys, command, where,
     assert message in capsys.readouterr().err
 
 
+def test_cli_sensitivity_with_inverse_variance_weights(tmp_path):
+    raw = _fig4_dict()
+    template = raw["array"]["sensors"][0]
+    raw["array"].update(weights_policy="inverse_variance", sensors=[
+        template, dict(template, resonance_hz=2600.0, mass_kg=1.2e-5)])
+    code, out = _run(tmp_path, "sensitivity", raw)
+    assert code == 0
+    assert (out / "sensitivity.csv").exists()
+
+
 def _two_sensor_fig2(kind):
     raw = preset_scenario("fig2")
     raw["scan"]["sensor_counts"] = [2]

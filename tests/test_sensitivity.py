@@ -9,7 +9,7 @@ import pytest
 from omsense.constants import HBAR, TWO_PI, YEAR_S
 from omsense.errors import ConfigError, ConvergenceError
 from omsense import scans
-from omsense.spectra import Oscillator, QuadraturePsds, sql_noise_psd
+from omsense.spectra import Oscillator, QuadraturePsds
 from omsense.arrays import array_noise_psd, array_signal_psd, identical_array
 from omsense import sensitivity
 from omsense.sensitivity import (_G10_WEIGHTS, _K21_NODES, _K21_WEIGHTS,
@@ -20,7 +20,7 @@ from omsense.sensitivity import (_G10_WEIGHTS, _K21_NODES, _K21_WEIGHTS,
                                  min_detectable_coupling,
                                  resonance_refined_grid)
 from omsense.scenario import preset_scenario, scenario_from_dict
-from reference_paths import snr_observation
+from reference_paths import snr_observation, sql_noise_psd
 
 
 @pytest.fixture
@@ -305,6 +305,21 @@ def test_plan_warns_when_averaging_law_invalid():
 def _dm(material=2.5e15):
     return DarkMatterModel(coupling=1e-24, material_factor=material,
                            compton_omega=TWO_PI * 2000.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("coupling", math.nan), ("coupling", math.inf),
+    ("material_factor", math.nan), ("material_factor", math.inf),
+    ("material_factor", -1.0), ("rho_dm", math.nan), ("rho_dm", 0.0),
+    ("compton_omega", math.nan), ("compton_omega", -math.inf)])
+def test_dark_matter_model_rejects_non_finite_fields(field, value):
+    # a NaN field would otherwise come back from min_detectable_coupling as
+    # a NaN coupling, without an error
+    fields = dict(coupling=1e-24, material_factor=2.5e15,
+                  compton_omega=TWO_PI * 2000.0)
+    fields[field] = value
+    with pytest.raises(ConfigError, match="must be finite"):
+        DarkMatterModel(**fields)
 
 
 def test_gmin_quadratic_noise_law():

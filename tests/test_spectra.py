@@ -15,11 +15,11 @@ from omsense.errors import ConfigError
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, acceleration_asd, displacement_asd,
                              input_quadrature_psds, mechanical_susceptibility,
-                             sensor_response, single_sensor_noise_psd,
-                             sql_noise_psd)
+                             sensor_response)
 from conftest import power_for_cooperativity
 from reference_paths import (bad_cavity_map, cavity_phase_and_cooperativity,
                              simplified_model_noise_psd,
+                             single_sensor_noise_psd, sql_noise_psd,
                              squeezed_noise_closed_form)
 
 EPS = np.finfo(float).eps
@@ -498,6 +498,61 @@ def test_cavity_validation():
     with pytest.raises(ConfigError):
         CavityOptics(kappa=1.0, kappa_readout=1.0, g0=1.0, laser_omega=1.0,
                      input_power=1.0, efficiency_sq=1.5)
+
+
+@pytest.mark.parametrize("args", [(0.5, 0.5, math.nan), (math.inf, 0.5),
+                                  (0.5, math.nan), (0.5, 0.5, -math.inf),
+                                  (0.0, 0.5), (0.5, -1.0)])
+def test_quadrature_psds_reject_non_finite_and_non_positive(args):
+    with pytest.raises(ConfigError, match="quadrature"):
+        QuadraturePsds(*args)
+
+
+_SHARED_RULE_MESSAGES = (
+    "oscillator mass must be finite and positive",
+    "resonance must be finite and positive",
+    "damping must be finite and positive",
+    "temperature must be finite and >= 0",
+    "need 0 < kappa_readout <= kappa, both finite",
+    "efficiency^2 must lie in [0,1]",
+    "g0 must be finite and >= 0",
+    "laser frequency must be finite and positive",
+    "dividing and combining weights must be finite",
+    "dividing weights must satisfy sum |w_k0|^2 = 1",
+    "combining weights must satisfy sum |W_0k|^2 = 1",
+    "total power must be finite and >= 0",
+)
+
+
+def test_each_validation_rule_has_one_home():
+    # A record and a parameter block that each spelled out a rule would be
+    # two definitions of a valid sensor, free to drift apart.  Implicitly
+    # concatenated literals are one string constant to the parser, so each
+    # message is counted over the package's string constants.
+    sources = sorted(Path(omsense.__file__).parent.glob("*.py"))
+    strings = [node.value for path in sources
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    for message in _SHARED_RULE_MESSAGES:
+        assert sum(s.count(message) for s in strings) == 1, message
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export; every other module imports to use.
+    unused = []
+    for path in sorted(Path(omsense.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - used)]
+    assert unused == []
 
 
 def test_unit_helpers(membrane_osc, membrane_cav):
