@@ -52,25 +52,16 @@ class TransferAssembly:
 
     ``rows`` maps the stacked input vector
     [X_0..X_{M-1}, Y_0..Y_{M-1}, P_0..P_{M-1}, L_0..L_{M-1}] to the combined
-    estimator; its shape is (4M, 2n), columns [:n] at +omega (``row_pos``)
-    and [n:] at -omega (``row_neg``).  ``input_cov`` is the Hermitian
-    spectral covariance of that vector.  An assembly of a batch of C arrays
-    carries a leading axis of length C on every field, and M is the batch's
-    largest sensor count.
+    estimator; its shape is (4M, 2n), columns [:n] at +omega and [n:] at
+    -omega.  ``input_cov`` is the Hermitian spectral covariance of that
+    vector.  An assembly of a batch of C arrays carries a leading axis of
+    length C on every field, and M is the batch's largest sensor count.
     """
 
     omega: np.ndarray
     rows: np.ndarray
     input_cov: np.ndarray
     n_sensors: int
-
-    @property
-    def row_pos(self) -> np.ndarray:
-        return self.rows[..., :self.omega.shape[-1]]
-
-    @property
-    def row_neg(self) -> np.ndarray:
-        return self.rows[..., self.omega.shape[-1]:]
 
 
 def complete_unitary(columns) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Each function turns a validated Scenario into a ``Table`` of named columns
 that the CLI serializes; everything is deterministic given the scenario.
-The array-, power- and loss-scans are one sweep (``_sweep``) over an axis
-and a list of inputs, whose integrals are the table's columns.
+The array-, power- and loss-scans are one sweep (``_sweep``) over the
+arrays of an axis and a list of inputs, whose integrals are the table's
+columns.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import numpy as np
 
 from .constants import C_LIGHT, TWO_PI
 from .errors import ScenarioError
-from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SqueezedInput,
-                      displacement_asd, input_quadrature_psds)
-from .arrays import (ArrayBatch, ArrayNoise, ArraySensor, SensorArray,
-                     array_signal_psd, array_sql_psd, matched_weights)
+from .spectra import (QuadraturePsds, SqueezedInput, displacement_asd,
+                      input_quadrature_psds)
+from .arrays import (ArrayBatch, ArrayNoise, SensorArray, array_signal_psd,
+                     array_sql_psd, matched_weights)
 from .oracle import oracle_noise_psd
 from .sensitivity import (FrequencyGrid, integrated_sensitivity,
                           min_detectable_coupling)
@@ -78,10 +79,6 @@ class Table:
         return self.columns[name]
 
 
-def _flat_signal(gain: float):
-    return lambda w: np.full_like(np.asarray(w, dtype=float), gain)
-
-
 def _single_reference(scn: Scenario) -> SensorArray:
     """The M = 1 reference: template 0 alone with unit weights, at the power
     ``build_array(1)`` gives a one-template scenario under either power
@@ -89,16 +86,16 @@ def _single_reference(scn: Scenario) -> SensorArray:
     return SensorArray(scn.sensors[:1], np.ones(1), np.ones(1), scn.power)
 
 
-def _sweep(grid: FrequencyGrid, values, build, inputs) -> np.ndarray:
-    """(inputs, values): for each axis value, the integrated sensitivity of
-    ``build(value)`` under each input of ``inputs``; one integral per value,
-    whose components are the inputs, all on one grid."""
-    out = np.empty((len(inputs), len(values)))
-    for j, value in enumerate(values):
-        arr = build(value)
-        signal = _flat_signal(float(array_signal_psd(arr, 1.0)))
+def _sweep(grid: FrequencyGrid, arrays, inputs) -> np.ndarray:
+    """(inputs, arrays): the integrated sensitivity of each array under each
+    input of ``inputs``; one integral per array, whose components are the
+    inputs, all on one grid."""
+    out = np.empty((len(inputs), len(arrays)))
+    for j, arr in enumerate(arrays):
+        gain = float(array_signal_psd(arr, 1.0))
         out[:, j] = integrated_sensitivity(
-            signal, lambda w: ArrayNoise(arr, w).totals(inputs), grid).value
+            lambda w: gain, lambda w: ArrayNoise(arr, w).totals(inputs),
+            grid).value
     return out
 
 
@@ -151,7 +148,7 @@ def sensitivity_report(scn: Scenario) -> Table:
     bisected grid, a different node set."""
     arr = scn.build_array()
     grid = scn.build_grid()
-    signal = _flat_signal(float(array_signal_psd(arr, 1.0)))
+    gain = float(array_signal_psd(arr, 1.0))
     quantities = [("classical", _VACUUM)]
     if scn.squeeze.r > 0:
         quantities.append(("squeezed", scn.squeeze))
@@ -160,8 +157,9 @@ def sensitivity_report(scn: Scenario) -> Table:
         def noise(w):
             return ArrayNoise(arr, w).totals([squeeze])[0]
 
-        results.append(integrated_sensitivity(signal, noise, grid))
-        halves.append(integrated_sensitivity(signal, noise, grid.bisected(),
+        results.append(integrated_sensitivity(lambda w: gain, noise, grid))
+        halves.append(integrated_sensitivity(lambda w: gain, noise,
+                                             grid.bisected(),
                                              rel_tol=0.5 * grid.tol))
     value = np.array([res.value for res in results])
     return Table({
@@ -179,8 +177,8 @@ def array_scan_table(scn: Scenario) -> Table:
     """Integrated sensitivity vs sensor count: DQS, coherent, incoherent."""
     counts = np.array(scn.scan["sensor_counts"], dtype=int)
     grid = scn.build_grid()
-    [[i_single]] = _sweep(grid, [scn], _single_reference, [_VACUUM])
-    i_coh, i_dqs = _sweep(grid, counts.tolist(), scn.build_array,
+    [[i_single]] = _sweep(grid, [_single_reference(scn)], [_VACUUM])
+    i_coh, i_dqs = _sweep(grid, [scn.build_array(m) for m in counts.tolist()],
                           [_VACUUM, scn.squeeze])
     i_incoh = counts * i_single
     return Table({"n_sensors": counts, "i_dqs": i_dqs,
@@ -214,12 +212,13 @@ def dm_projection_table(scn: Scenario,
     r = scn.squeeze.r
     em2r = math.exp(-2.0 * r)
 
-    [n1] = ArrayNoise(arr1, omegas).totals([_VACUUM])
-    noise_m = ArrayNoise(arr_m, omegas)
-    # the DQS column squeezes at the optimal angle whatever the scenario's
-    # angle policy; at r = 0 it is the coherent column
-    nm, ndqs = noise_m.totals([_VACUUM, SqueezedInput(r, "optimal")])
-    thermal_m = float(noise_m.thermal_psd()[0])  # frequency-independent
+    # both arrays from one kernel build; the DQS column squeezes at the
+    # optimal angle whatever the scenario's angle policy, and at r = 0 it is
+    # the coherent column
+    noise = ArrayNoise(ArrayBatch.of([arr1, arr_m]),
+                       np.broadcast_to(omegas, (2, omegas.size)))
+    (n1, nm), (_, ndqs) = noise.totals([_VACUUM, SqueezedInput(r, "optimal")])
+    thermal_m = float(noise.thermal_psd()[1, 0])  # frequency-independent
     sql_m = array_sql_psd(arr_m, omegas)
     plan.check(dm.linewidth(omegas))
 
@@ -255,8 +254,8 @@ def power_scan_table(scn: Scenario) -> Table:
     inputs = [_VACUUM, SqueezedInput(r=r, angle_policy="optimal"),
               SqueezedInput(r=r, angle_policy="fixed",
                             angle=scn.scan["fixed_angle_rad"])]
-    i_cl, i_opt, i_fix = _sweep(scn.build_grid(), powers,
-                                lambda p: scn.build_array(power=p), inputs)
+    i_cl, i_opt, i_fix = _sweep(
+        scn.build_grid(), [scn.build_array(power=p) for p in powers], inputs)
     return Table({"power_w": powers, "i_classical": i_cl,
                   "i_squeezed_optimal": i_opt, "i_squeezed_fixed": i_fix})
 
@@ -267,9 +266,9 @@ def loss_scan_table(scn: Scenario) -> Table:
     if losses is None:
         raise ScenarioError("loss-scan needs scan.losses")
     inputs = [_VACUUM, SqueezedInput(r=scn.squeeze.r, angle_policy="optimal")]
-    i_cl, i_sq = _sweep(scn.build_grid(), losses,
-                        lambda loss: scn.build_array(efficiency_sq=1.0 - loss),
-                        inputs)
+    i_cl, i_sq = _sweep(
+        scn.build_grid(),
+        [scn.build_array(efficiency_sq=1.0 - loss) for loss in losses], inputs)
     return Table({"loss": losses, "efficiency_sq": 1.0 - np.array(losses),
                   "i_classical": i_cl, "i_squeezed_optimal": i_sq})
 
@@ -308,31 +307,13 @@ def _sensor_fields(factors):
                 laser_omega=_LASER_OMEGA, efficiency_sq=eta_sq), response
 
 
-def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
-    """Heterogeneous array within a decade of the membrane reference values."""
-    fields, response = _sensor_fields(rng.uniform(_DRAW_LOW, _DRAW_HIGH, (m, 9)))
-    columns = [fields[k].tolist() for k in (
-        "mass", "omega0", "gamma", "temperature", "kappa", "kappa_readout",
-        "g0", "efficiency_sq")]
-    sensors = tuple(
-        ArraySensor(Oscillator(*row[:4]),
-                    CavityOptics(*row[4:7], _LASER_OMEGA, 0.0, row[7]), factor)
-        for *row, factor in zip(*columns, response.tolist()))
-    dv = rng.uniform(0.1, 1.0, m)
-    dv = dv / np.linalg.norm(dv)
-    arr = SensorArray(sensors, dv.astype(complex), matched_weights(dv),
-                      total_power=2e-3 * m * rng.uniform(0.5, 2.0))
-    db = rng.uniform(0.0, 15.0)
-    return arr, db
-
-
 def _draw_chunk(rng: np.random.Generator, c: int, n_freqs: int):
     """(block, squeezing dB (c,), angles (c,), frequencies (c, n)) of c
     random configs of 1 to 4 sensors, one RNG call per quantity.
 
-    The sensors and weights are ``random_array``'s, drawn for four slots
-    and cut to the largest count; the frequencies are log-uniform within
-    two decades of each config's first resonance.
+    The sensors and weights are drawn for four slots and cut to the largest
+    count; the frequencies are log-uniform within two decades of each
+    config's first resonance.
     """
     m = rng.integers(1, 5, c)
     factors = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (c, 4, 9))

@@ -28,6 +28,10 @@ where Delta_a is the drive coherence linewidth (default: 1e-6 of the
 Compton frequency, the virialized-halo rule) and T_O the campaign length.
 S_drive = (g sqrt(rho) M)^2 / Delta_a is exactly quadratic in the coupling
 g, so the threshold crossing solves in closed form.
+
+Every input is checked by ``spectra._check`` against rows of comparisons,
+which NaN fails; only the quadrature's checks on the values it computes
+raise on their own.
 """
 
 from __future__ import annotations
@@ -61,6 +65,21 @@ __all__ = [
 # Breakpoints closer than this (relative) are merged; a linewidth below it
 # cannot be separated from its resonance in double precision.
 _MERGE_REL = 1e-14
+
+# What a span and its (omega0, gamma) resonance columns, and a quadrature
+# tolerance, must satisfy: one ``spectra._check`` row per rule.
+_TOLERANCE_RULES = (
+    (_positive, ("rel_tol",), "relative tolerance must be finite and positive"),
+)
+_GRID_RULES = (
+    (lambda lo, hi: (0 < lo) & (lo < hi) & (hi < math.inf), ("lo", "hi"),
+     "need 0 < span minimum < span maximum, both finite"),
+    (lambda omega0, lo, hi: (lo <= omega0) & (omega0 <= hi),
+     ("omega0", "lo", "hi"), "resonance must lie inside the span"),
+    (_positive, ("gamma",), "resonance linewidth must be finite and positive"),
+    (lambda gamma, omega0: gamma > _MERGE_REL * omega0, ("gamma", "omega0"),
+     "linewidth too small to separate from its resonance in double precision"),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,25 +115,14 @@ def resonance_refined_grid(resonances, span, tol: float = 1e-3) -> FrequencyGrid
     loop refines wherever its error estimate asks, even at Q ~ 1e9.
     """
     lo, hi = float(span[0]), float(span[1])
-    if not (0.0 < lo < hi):
-        raise ConfigError(f"invalid span {span}")
-    resonances = tuple((float(o), float(g)) for o, g in resonances)
-    for omega0, gamma in resonances:
-        if not (lo <= omega0 <= hi):
-            raise ConfigError(
-                f"resonance at {omega0} rad/s lies outside the span {span}")
-        if gamma <= 0:
-            raise ConfigError("resonance linewidth must be positive")
-        if gamma <= _MERGE_REL * omega0:
-            raise ConfigError(
-                f"linewidth {gamma} rad/s is too small to separate from the "
-                f"resonance at {omega0} rad/s in double precision")
+    omega0, gamma = np.array(list(resonances), dtype=float).reshape(-1, 2).T
+    _check(_GRID_RULES, {"lo": lo, "hi": hi, "omega0": omega0, "gamma": gamma})
 
     ladder = [[]]
-    for omega0, gamma in resonances:
-        k_max = math.ceil(math.log10((hi - lo) / gamma))
-        offsets = gamma * 10.0 ** np.arange(k_max + 1)
-        ladder += [[omega0], omega0 - offsets, omega0 + offsets]
+    for o, g in zip(omega0.tolist(), gamma.tolist()):
+        k_max = math.ceil(math.log10((hi - lo) / g))
+        offsets = g * 10.0 ** np.arange(k_max + 1)
+        ladder += [[o], o - offsets, o + offsets]
     nodes = np.concatenate(ladder)
     inner = nodes[(nodes > lo * (1.0 + _MERGE_REL))
                   & (nodes < hi * (1.0 - _MERGE_REL))]
@@ -250,6 +258,7 @@ def integrated_sensitivity(signal_psd, noise_psd, grid: FrequencyGrid,
     """
     if rel_tol is None:
         rel_tol = grid.tol
+    _check(_TOLERANCE_RULES, {"rel_tol": rel_tol})
     vector = False
 
     def integrand(w):
@@ -271,11 +280,40 @@ def integrated_sensitivity(signal_psd, noise_psd, grid: FrequencyGrid,
 # dark-matter drive and projections
 # ---------------------------------------------------------------------------
 
+# One ``spectra._check`` row per rule; rows that several inputs share are
+# named, so that each rule is written once.
+_COUPLING = (_finite, ("coupling",), "coupling must be finite")
+_RHO_DM = (_positive, ("rho_dm",), "rho_dm must be finite and positive")
+_COMPTON = (_positive, ("compton_omega",),
+            "Compton frequency must be finite and positive")
+_LINEWIDTH = (lambda width: width is None or _positive(width),
+              ("coherence_linewidth",),
+              "coherence linewidth must be finite and positive")
+_FRACTION = (_positive, ("linewidth_fraction",),
+             "linewidth fraction must be finite and positive")
+_MATERIAL = (_non_negative, ("material_factor",),
+             "material factor must be finite and >= 0")
 _DARK_MATTER_RULES = (
-    (_finite, ("coupling",), "coupling must be finite"),
-    (_non_negative, ("material_factor",), "material factor must be finite and >= 0"),
-    (_positive, ("rho_dm",), "rho_dm must be finite and positive"),
-    (_positive, ("compton_omega",), "Compton frequency must be finite and positive"),
+    _COUPLING, _MATERIAL, _RHO_DM, _COMPTON, _LINEWIDTH, _FRACTION,
+)
+_DRIVE_RULES = (_COUPLING, _LINEWIDTH)
+_PROJECTION_RULES = (
+    (_positive, ("noise",), "noise PSD must be positive and finite"),
+    (_positive, ("drive",),
+     "drive PSD must be finite and positive; check coupling and material factor"),
+)
+_PLAN_RULES = (
+    (_positive, ("duration",), "observation duration must be finite and positive"),
+    (lambda t: t is None or _positive(t), ("integration_time",),
+     "integration time must be finite and positive"),
+    (_positive, ("snr_threshold",), "SNR threshold must be finite and positive"),
+)
+_CALIBRATION_RULES = (
+    (_positive, ("acceleration_asd",),
+     "calibration needs a finite positive acceleration"),
+    (_positive, ("coupling",), "calibration needs a finite positive coupling"),
+    (_positive, ("mass",), "calibration needs a finite positive mass"),
+    _COMPTON, _RHO_DM, _FRACTION,
 )
 
 
@@ -305,16 +343,12 @@ class DarkMatterModel:
         omega = self.compton_omega if omega_dm is None else omega_dm
         return self.linewidth_fraction * omega
 
-    def drive_force(self, coupling: float | None = None) -> float:
-        g = self.coupling if coupling is None else coupling
-        return g * math.sqrt(self.rho_dm) * self.material_factor
-
     def drive_psd(self, coupling: float | None = None, omega_dm=None):
         """S_drive = F_DM^2 / Delta_a, flat over the drive linewidth."""
+        g = self.coupling if coupling is None else coupling
         da = self.linewidth(omega_dm)
-        if np.any(da <= 0):
-            raise ConfigError("coherence linewidth must be positive")
-        return self.drive_force(coupling) ** 2 / da
+        _check(_DRIVE_RULES, {"coupling": g, "coherence_linewidth": da})
+        return (g * math.sqrt(self.rho_dm) * self.material_factor) ** 2 / da
 
 
 @dataclass(frozen=True)
@@ -326,16 +360,7 @@ class ObservationPlan:
     snr_threshold: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ConfigError(
-                f"observation duration must be finite and positive, got {self.duration}")
-        if self.integration_time is not None and not (
-                math.isfinite(self.integration_time) and self.integration_time > 0):
-            raise ConfigError(
-                f"integration time must be finite and positive, got {self.integration_time}")
-        if not (math.isfinite(self.snr_threshold) and self.snr_threshold > 0):
-            raise ConfigError(
-                f"SNR threshold must be finite and positive, got {self.snr_threshold}")
+        _check(_PLAN_RULES, vars(self))
 
     def check(self, linewidth) -> list[str]:
         """Plan warnings for a drive linewidth or any of an array of them
@@ -368,13 +393,10 @@ def min_detectable_coupling(noise_psd, dm: DarkMatterModel, plan: ObservationPla
     omega = dm.compton_omega if omega_dm is None else omega_dm
     noise = noise_psd(omega) if callable(noise_psd) else noise_psd
     noise = np.asarray(noise, dtype=float)
-    if np.any(noise <= 0):
-        raise ConfigError("noise PSD must be positive")
     da = dm.linewidth(omega)
     g_ref = dm.coupling if dm.coupling > 0 else 1.0
     drive = dm.drive_psd(coupling=g_ref, omega_dm=omega)
-    if np.any(drive <= 0):
-        raise ConfigError("drive PSD vanished; check coupling and material factor")
+    _check(_PROJECTION_RULES, {"noise": noise, "drive": drive})
     g_min = g_ref * np.sqrt(
         plan.snr_threshold * noise / (drive * np.sqrt(da * plan.duration)))
     return float(g_min) if g_min.ndim == 0 else g_min
@@ -392,10 +414,12 @@ def calibrate_material_factor(acceleration_asd: float, coupling: float,
     Used to anchor projections to a published point; the returned scalar
     belongs in the scenario file, not in library code.
     """
-    if acceleration_asd <= 0 or coupling <= 0 or mass <= 0:
-        raise ConfigError("calibration needs positive acceleration, coupling, mass")
+    _check(_CALIBRATION_RULES, locals())
     noise = (acceleration_asd * mass) ** 2
     da = linewidth_fraction * compton_omega
     m_sq = (plan.snr_threshold * noise * da
             / (rho_dm * coupling**2 * math.sqrt(da * plan.duration)))
-    return math.sqrt(m_sq)
+    # finite inputs can still overflow, as in the linewidth product
+    material_factor = math.sqrt(m_sq)
+    _check((_MATERIAL,), {"material_factor": material_factor})
+    return material_factor

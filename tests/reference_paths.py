@@ -16,7 +16,8 @@ verification code, not part of the ``omsense`` API.
 
 The single-sensor budget, its thermal bath PSD and the standard quantum
 limit are written out here term by term; in the library they exist only as
-``ArrayNoise`` and ``array_sql_psd`` at M = 1.
+``ArrayNoise`` and ``array_sql_psd`` at M = 1.  ``random_array`` draws the
+heterogeneous arrays that the tests compare paths on, as records.
 """
 
 import math
@@ -31,8 +32,30 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, _scalarize,
                              mechanical_susceptibility, sensor_response)
 from omsense.sensitivity import ObservationPlan
-from omsense.arrays import ArrayNoise, SensorArray
+from omsense.arrays import (ArrayNoise, ArraySensor, SensorArray,
+                            matched_weights)
 from omsense.oracle import TransferAssembly
+from omsense.scans import _DRAW_HIGH, _DRAW_LOW, _LASER_OMEGA, _sensor_fields
+
+
+def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
+    """Heterogeneous array within a decade of the membrane reference values,
+    with its squeezing in dB: the records that ``oracle-check`` draws
+    straight into a parameter block, built one sensor at a time."""
+    fields, response = _sensor_fields(rng.uniform(_DRAW_LOW, _DRAW_HIGH, (m, 9)))
+    columns = [fields[k].tolist() for k in (
+        "mass", "omega0", "gamma", "temperature", "kappa", "kappa_readout",
+        "g0", "efficiency_sq")]
+    sensors = tuple(
+        ArraySensor(Oscillator(*row[:4]),
+                    CavityOptics(*row[4:7], _LASER_OMEGA, 0.0, row[7]), factor)
+        for *row, factor in zip(*columns, response.tolist()))
+    dv = rng.uniform(0.1, 1.0, m)
+    dv = dv / np.linalg.norm(dv)
+    arr = SensorArray(sensors, dv.astype(complex), matched_weights(dv),
+                      total_power=2e-3 * m * rng.uniform(0.5, 2.0))
+    db = rng.uniform(0.0, 15.0)
+    return arr, db
 
 
 def cavity_phase_and_cooperativity(cav: CavityOptics, osc: Oscillator, omega,
@@ -144,8 +167,9 @@ def propagate_covariance_eig(assembly: TransferAssembly):
     """Redundant propagation path via eigendecomposition of the covariance."""
     vals, vecs = np.linalg.eigh(assembly.input_cov)
     vals = np.clip(vals, 0.0, None)
-    out = np.zeros(assembly.row_pos.shape[1])
-    for row in (assembly.row_pos, assembly.row_neg):
+    n = assembly.omega.shape[-1]
+    out = np.zeros(n)
+    for row in (assembly.rows[..., :n], assembly.rows[..., n:]):
         proj = vecs.conj().T @ row
         out += 0.5 * np.einsum("c,cw->w", vals, np.abs(proj) ** 2)
     return out
@@ -158,9 +182,11 @@ def oracle_breakdown(assembly: TransferAssembly) -> dict[str, np.ndarray]:
     m = assembly.n_sensors
     cov = assembly.input_cov
     out: dict[str, np.ndarray] = {}
+    n = assembly.omega.shape[-1]
 
     def avg(fn):
-        return 0.5 * np.real(fn(assembly.row_pos) + fn(assembly.row_neg))
+        return 0.5 * np.real(fn(assembly.rows[..., :n])
+                             + fn(assembly.rows[..., n:]))
 
     sxx = np.real(cov[0, 0])
     syy = np.real(cov[m, m])

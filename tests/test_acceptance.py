@@ -22,11 +22,11 @@ from omsense.sensitivity import (FrequencyGrid, integrated_sensitivity,
                                  min_detectable_coupling)
 from omsense.scenario import Scenario, preset_scenario, scenario_from_dict
 from reference_paths import (cavity_phase_and_cooperativity,
-                             independent_squeezers_psd,
+                             independent_squeezers_psd, random_array,
                              single_sensor_noise_psd,
                              squeezed_noise_closed_form)
 from omsense.scans import (dm_projection_table, oracle_check_table,
-                           random_array, sensitivity_report)
+                           sensitivity_report)
 
 
 def _report(number: int, ok: bool, detail: str):

@@ -18,10 +18,10 @@ from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor,
                             optimal_squeezing_angle, single_sensor_array,
                             uniform_weights)
 from omsense.oracle import assemble_transfer, oracle_noise_psd
-from omsense.scans import random_array
 from reference_paths import (dqs_vs_dcs_report, oracle_breakdown,
-                             residual_vacuum_forms, single_sensor_noise_psd,
-                             sql_noise_psd, squeezed_noise_closed_form)
+                             random_array, residual_vacuum_forms,
+                             single_sensor_noise_psd, sql_noise_psd,
+                             squeezed_noise_closed_form)
 
 
 # ---------------------------------------------------------------------------

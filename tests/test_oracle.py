@@ -15,11 +15,10 @@ from omsense.arrays import (ArrayBatch, SensorArray, array_noise_psd,
                             optimal_squeezing_angle, single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             oracle_noise_psd, propagate_covariance)
-from omsense.scans import random_array
 from reference_paths import (cavity_phase_and_cooperativity,
                              idle_contribution_shortcut,
                              independent_squeezers_psd, oracle_breakdown,
-                             propagate_covariance_eig)
+                             propagate_covariance_eig, random_array)
 
 
 def test_single_sensor_reproduces_budget_term_by_term(membrane_osc, membrane_cav):

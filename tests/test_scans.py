@@ -17,6 +17,7 @@ from omsense.sensitivity import integrated_sensitivity
 from omsense.scans import (array_scan_table, dm_projection_table,
                            loss_scan_table, noise_budget_table,
                            power_scan_table, sensitivity_report)
+from reference_paths import random_array
 
 
 @pytest.fixture(scope="module")
@@ -149,17 +150,17 @@ def test_loss_scan_applies_loss_to_every_template():
 
 @pytest.mark.parametrize("preset,table,max_builds", [
     pytest.param("fig2", array_scan_table, 12, id="fig2"),
-    pytest.param("fig3", dm_projection_table, 2, id="fig3"),
+    pytest.param("fig3", dm_projection_table, 1, id="fig3"),
     pytest.param("fig4", noise_budget_table, 1, id="fig4"),
     pytest.param("fig5", power_scan_table, 71, id="fig5"),
     pytest.param("fig6", loss_scan_table, 11, id="fig6")])
 def test_array_scan_builds_one_kernel_per_array(monkeypatch, preset, table,
                                                 max_builds):
-    """Deterministic cost guard: a table builds each array's noise kernel
-    once per frequency set (fig3: the M = 1 reference and the M-array; fig4:
-    the one array), and a sweep once per array and quadrature pass (fig2:
-    the M = 1 reference and 11 counts, each converging in one pass), not
-    once per input or per noise quantity."""
+    """Deterministic cost guard: a table builds its arrays' noise kernel
+    once per frequency set (fig3: the M = 1 reference and the M-array in one
+    batch; fig4: the one array), and a sweep once per array and quadrature
+    pass (fig2: the M = 1 reference and 11 counts, each converging in one
+    pass), not once per input or per noise quantity."""
     builds = []
 
     class Counting(arrays.ArrayNoise):
@@ -202,7 +203,7 @@ def test_random_array_keeps_its_stream(m):
     """random_array draws the records that a scalar-by-scalar draw through
     the record constructors gives, and leaves the generator alike."""
     ours, ref = np.random.default_rng(m), np.random.default_rng(m)
-    arr, db = scans.random_array(ours, m)
+    arr, db = random_array(ours, m)
     want, want_db = _scalar_draw_array(ref, m)
     assert arr.sensors == want.sensors and db == want_db
     assert arr.total_power == want.total_power
@@ -341,7 +342,7 @@ def test_oracle_check_table_constructs_no_records(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting)
     scans.oracle_check_table(16)
     assert made == []
-    scans.random_array(np.random.default_rng(0), 2)
+    random_array(np.random.default_rng(0), 2)
     assert sorted(set(made)) == ["ArraySensor", "CavityOptics", "Oscillator",
                                  "SensorArray"]
 

@@ -767,17 +767,18 @@ def test_cli_complex_explicit_weights_rejected(tmp_path, capsys, phased):
     assert f"array.{phased}[1]" in capsys.readouterr().err
 
 
-def test_cli_signed_real_explicit_weights_match_oracle(tmp_path):
+def _noise_matches_oracle(tmp_path, raw):
+    """Run ``noise`` on ``raw`` (exit 0) and compare every 40th row's
+    classical and optimally squeezed totals with the oracle at 1e-9; the
+    loaded scenario is returned."""
     from omsense.arrays import optimal_squeezing_angle
     from omsense.oracle import oracle_noise_psd
 
-    raw = _explicit_pair([0.6, [-0.8, 0.0]], [0.8, -0.6])
     code, out = _run(tmp_path, "noise", raw)
     assert code == 0
     rows = list(csv.DictReader(open(out / "noise.csv")))[::40]
     scn = load_scenario(tmp_path / "scn.json")
     arr = scn.build_array()
-    assert arr.dividing_weights[1] == -0.8
     for row in rows:
         omega = float(row["omega_rad_s"])
         theta = optimal_squeezing_angle(arr, omega)
@@ -786,6 +787,55 @@ def test_cli_signed_real_explicit_weights_match_oracle(tmp_path):
         assert float(row["total_classical"]) == pytest.approx(classical,
                                                               rel=1e-9)
         assert float(row["total_squeezed"]) == pytest.approx(squeezed, rel=1e-9)
+    return scn
+
+
+def test_cli_signed_real_explicit_weights_match_oracle(tmp_path):
+    scn = _noise_matches_oracle(
+        tmp_path, _explicit_pair([0.6, [-0.8, 0.0]], [0.8, -0.6]))
+    assert scn.build_array().dividing_weights[1] == -0.8
+
+
+def test_cli_uniform_weights_match_oracle(tmp_path):
+    # two distinct templates, so the array is one kernel row per sensor
+    raw = _explicit_pair(None, None)
+    for key in ("dividing_weights", "combining_weights"):
+        del raw["array"][key]
+    raw["array"]["weights_policy"] = "uniform"
+    scn = _noise_matches_oracle(tmp_path, raw)
+    assert scn.weights_policy == "uniform"
+    np.testing.assert_allclose(scn.build_array().combining_weights,
+                               [0.5**0.5, 0.5**0.5])
+
+
+def test_cli_sensor_damping_rate_matches_oracle(tmp_path):
+    raw = _fig4_dict()
+    sensor = raw["array"]["sensors"][0]
+    del sensor["quality_factor"]
+    sensor["damping_rad_s"] = 2.5e-5
+    scn = _noise_matches_oracle(tmp_path, raw)
+    assert scn.sensors[0].oscillator.gamma == 2.5e-5
+
+
+def test_cli_photon_number_light_matches_oracle(tmp_path):
+    raw = _fig4_dict()
+    del raw["input_light"]["squeezing_db"]
+    raw["input_light"]["photon_number"] = 2.0
+    scn = _noise_matches_oracle(tmp_path, raw)
+    assert scn.squeeze.r == pytest.approx(math.asinh(2.0**0.5), rel=1e-12)
+
+
+def test_cli_dark_matter_density_defaults(tmp_path):
+    from omsense.constants import RHO_DM_DEFAULT
+
+    raw = preset_scenario("fig3")
+    del raw["dark_matter"]["density_gev_cm3"]
+    code, out = _run(tmp_path, "dm-projection", raw)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["defaults_used"]["rho_dm_kg_m3"] == RHO_DM_DEFAULT
+    assert load_scenario(tmp_path / "scn.json").dark_matter.rho_dm \
+        == RHO_DM_DEFAULT
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -1,7 +1,9 @@
 """Breakpoints, Gauss-Kronrod integration, SNR law and coupling projections."""
 
 import math
+import signal
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -425,3 +427,110 @@ def test_plan_check_over_an_array_warns_iff_an_element_would(linewidths):
         notes = plan.check(np.array(linewidths))
     assert set(notes) == expected
     assert [str(w.message) for w in caught] == notes
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the test if the block runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _calibrate(**override):
+    args = dict(acceleration_asd=1e-12, coupling=4e-25, mass=6e-6,
+                compton_omega=TWO_PI * 2000.0,
+                plan=ObservationPlan(duration=YEAR_S))
+    return calibrate_material_factor(**(args | override))
+
+
+def _dm_fields(**override):
+    return DarkMatterModel(**(dict(coupling=1e-24, material_factor=2.5e15,
+                                   compton_omega=TWO_PI * 2000.0) | override))
+
+
+def _gmin(noise=1e-35, omega_dm=None):
+    return min_detectable_coupling(noise, _dm(),
+                                   ObservationPlan(duration=YEAR_S), omega_dm)
+
+
+def _grid(lo=1e3, hi=1e5, omega0=1.2e4, gamma=1e-5):
+    return resonance_refined_grid([(omega0, gamma)], (lo, hi))
+
+
+def _integral(rel_tol=None, tol=1e-3):
+    grid = resonance_refined_grid([], (1.0, 2.0), tol=tol)
+    return integrated_sensitivity(lambda w: 1.0, lambda w: 1.0 + 0.0 * w,
+                                  grid, rel_tol=rel_tol)
+
+
+# every float argument of the sensitivity layer's entry points: a valid
+# value and the call that takes it
+_NON_FINITE_SITES = {
+    "dm.coupling": (1e-24, lambda x: _dm_fields(coupling=x)),
+    "dm.material_factor": (2.5e15, lambda x: _dm_fields(material_factor=x)),
+    "dm.compton_omega": (1e4, lambda x: _dm_fields(compton_omega=x)),
+    "dm.rho_dm": (1e-21, lambda x: _dm_fields(rho_dm=x)),
+    "dm.coherence_linewidth":
+        (1e-2, lambda x: _dm_fields(coherence_linewidth=x)),
+    "dm.linewidth_fraction":
+        (1e-6, lambda x: _dm_fields(linewidth_fraction=x)),
+    "plan.duration": (YEAR_S, lambda x: ObservationPlan(duration=x)),
+    "plan.integration_time":
+        (10.0, lambda x: ObservationPlan(duration=YEAR_S, integration_time=x)),
+    "plan.snr_threshold":
+        (2.0, lambda x: ObservationPlan(duration=YEAR_S, snr_threshold=x)),
+    "calibrate.acceleration_asd":
+        (1e-12, lambda x: _calibrate(acceleration_asd=x)),
+    "calibrate.coupling": (4e-25, lambda x: _calibrate(coupling=x)),
+    "calibrate.mass": (6e-6, lambda x: _calibrate(mass=x)),
+    "calibrate.compton_omega": (1e4, lambda x: _calibrate(compton_omega=x)),
+    "calibrate.rho_dm": (1e-21, lambda x: _calibrate(rho_dm=x)),
+    "calibrate.linewidth_fraction":
+        (1e-6, lambda x: _calibrate(linewidth_fraction=x)),
+    "drive_psd.coupling": (1e-24, lambda x: _dm().drive_psd(coupling=x)),
+    "drive_psd.omega_dm": (1e4, lambda x: _dm().drive_psd(omega_dm=x)),
+    "gmin.noise": (1e-35, lambda x: _gmin(noise=x)),
+    "gmin.noise_array": (1e-35, lambda x: _gmin(
+        noise=np.array([1e-35, x]), omega_dm=np.array([1e4, 2e4]))),
+    "gmin.omega_dm": (1e4, lambda x: _gmin(omega_dm=x)),
+    "grid.span_min": (1e3, lambda x: _grid(lo=x)),
+    "grid.span_max": (1e5, lambda x: _grid(hi=x)),
+    "grid.omega0": (1.2e4, lambda x: _grid(omega0=x)),
+    "grid.gamma": (1e-5, lambda x: _grid(gamma=x)),
+    "integral.rel_tol": (1e-3, lambda x: _integral(rel_tol=x)),
+    "integral.grid_tol": (1e-3, lambda x: _integral(tol=x)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("site", sorted(_NON_FINITE_SITES))
+def test_sensitivity_inputs_reject_non_finite_values(site, value):
+    # each call must answer with ConfigError: not a NaN or infinite result,
+    # not a bare ValueError from an integer conversion, and not a quadrature
+    # that bisects toward its evaluation cap on a NaN tolerance; the same
+    # call at a valid value succeeds, so the rejection is the value's doing
+    valid, call = _NON_FINITE_SITES[site]
+    with _deadline(2.0):
+        call(valid)
+        with pytest.raises(ConfigError):
+            call(value)
+
+
+def test_calibration_rejects_a_factor_that_overflows():
+    # finite inputs whose linewidth product overflows to inf made the
+    # factor NaN
+    with pytest.raises(ConfigError, match="material factor must be finite"):
+        _calibrate(compton_omega=1e300, linewidth_fraction=1e10)

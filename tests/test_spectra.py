@@ -521,6 +521,27 @@ _SHARED_RULE_MESSAGES = (
     "dividing weights must satisfy sum |w_k0|^2 = 1",
     "combining weights must satisfy sum |W_0k|^2 = 1",
     "total power must be finite and >= 0",
+    # the sensitivity layer: dark-matter model, drive, projection, plan,
+    # calibration, frequency grid and quadrature tolerance
+    "coupling must be finite",
+    "material factor must be finite and >= 0",
+    "rho_dm must be finite and positive",
+    "Compton frequency must be finite and positive",
+    "coherence linewidth must be finite and positive",
+    "linewidth fraction must be finite and positive",
+    "noise PSD must be positive and finite",
+    "drive PSD must be finite and positive",
+    "observation duration must be finite and positive",
+    "integration time must be finite and positive",
+    "SNR threshold must be finite and positive",
+    "calibration needs a finite positive acceleration",
+    "calibration needs a finite positive coupling",
+    "calibration needs a finite positive mass",
+    "need 0 < span minimum < span maximum, both finite",
+    "resonance must lie inside the span",
+    "resonance linewidth must be finite and positive",
+    "linewidth too small to separate from its resonance",
+    "relative tolerance must be finite and positive",
 )
 
 
