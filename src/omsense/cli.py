@@ -7,10 +7,9 @@ of the same scenario and package version: floats are serialized with
 shortest round-trip ``repr`` and the manifest carries no timestamps.
 
 Exit codes: 0 success, 1 oracle-check residual failure, 2 validation error,
-3 numerical non-convergence.  The common flags (``--scenario``, ``--out``,
-``--format``, ``--tolerance``, ``--strict``/``--lenient`` and
-``--gamma-convention``) have ``OMSENSE_*`` environment overrides (flag wins
-over environment); ``--overlay`` and the ``oracle-check`` flags do not.
+3 numerical non-convergence.  Each common flag has an ``OMSENSE_*`` variable
+(``_ENV_FLAGS``), which ``main`` passes as the flag right after the command:
+its value meets the flag's checks, and a flag on the command line wins.
 """
 
 from __future__ import annotations
@@ -44,48 +43,53 @@ _PRESET_COMMAND = {"fig2": "array-scan", "fig3": "dm-projection",
                    "fig4": "noise", "fig5": "power-scan", "fig6": "loss-scan"}
 
 
-# The OMSENSE_* variables that build_parser reads as flag defaults.
-_PARSER_ENV = ("SCENARIO", "OUT", "FORMAT", "TOLERANCE", "STRICT",
-               "GAMMA_CONVENTION")
+# The OMSENSE_* variables and their flags; OMSENSE_STRICT is --lenient when
+# it reads 0, false, no or empty, and --strict otherwise.
+_ENV_FLAGS = {"SCENARIO": "--scenario", "OUT": "--out", "FORMAT": "--format",
+              "TOLERANCE": "--tolerance",
+              "GAMMA_CONVENTION": "--gamma-convention"}
 
 
-def _env(name: str, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
+def _env_args() -> list[str]:
+    """The set OMSENSE_* variables as flags (``--flag=value`` keeps a value
+    that starts with ``-``)."""
+    args = [f"{flag}={os.environ[ENV_PREFIX + name]}"
+            for name, flag in _ENV_FLAGS.items()
+            if ENV_PREFIX + name in os.environ]
+    strict = os.environ.get(ENV_PREFIX + "STRICT")
+    if strict is not None:
+        args.append("--lenient" if strict.strip().lower()
+                    in ("0", "false", "no", "") else "--strict")
+    return args
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; with a known ``command``, only its subparser.
-
-    argparse fills the namespace from the chosen subparser alone, so parsing
-    ``[command, ...]`` with the single-command parser gives the same result
-    as the full one.  An unknown or missing command builds the full tree, so
-    that usage errors and ``--help`` list every command.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as it
+    was), with constant defaults: the environment comes in as flags."""
     parser = argparse.ArgumentParser(
         prog="omsense",
         description="Quantum noise budgets and dark-matter reach for "
                     "optomechanical sensor arrays")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (command,) if command in _COMMANDS else _COMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--scenario", default=_env("SCENARIO"),
+        p.add_argument("--scenario",
                        help="scenario JSON path (presets embed their own)")
-        p.add_argument("--out", default=_env("OUT", "omsense-out"),
+        p.add_argument("--out", default="omsense-out",
                        help="output directory")
         p.add_argument("--format", choices=("csv", "json"),
-                       default=_env("FORMAT"),
                        help="output format (default: scenario output.format)")
         p.add_argument("--tolerance", type=_tolerance,
-                       default=_env("TOLERANCE"),
                        help="override the grid relative tolerance")
         p.add_argument("--strict", dest="strict", action="store_true",
-                       default=_bool_env("STRICT", True),
+                       default=True,
                        help="reject unknown scenario keys (default)")
         p.add_argument("--lenient", dest="strict", action="store_false",
                        help="warn on unknown scenario keys instead of failing")
         p.add_argument("--gamma-convention", choices=("half", "full"),
-                       default=_env("GAMMA_CONVENTION", "half"),
+                       default="half",
                        help="map quality factors to gamma = Omega/2Q (half) "
                             "or Omega/Q (full)")
         if name in ("dm-projection", "fig3"):
@@ -100,19 +104,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--residual-tol", default=1e-9, type=_checked(
                 float, "must be a finite number > 0"))
     return parser
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_parser(command, env) -> argparse.ArgumentParser:
-    """``env`` holds the _PARSER_ENV values: it only keys the cache."""
-    return build_parser(command)
-
-
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """build_parser(command), reused while the command and the environment
-    defaults it reads stay the same (parsing leaves a parser unchanged)."""
-    return _cached_parser(command if command in _COMMANDS else None,
-                          tuple(_env(name) for name in _PARSER_ENV))
 
 
 def _checked(cast, rule: str, valid=lambda value: value > 0):
@@ -133,13 +124,6 @@ _tolerance = _checked(float, f"tolerance (flag or {ENV_PREFIX}TOLERANCE) "
                              "must be a finite number > 0")
 _positive_int = _checked(int, "must be an integer >= 1")
 _seed = _checked(int, "must be an integer >= 0", lambda value: value >= 0)
-
-
-def _bool_env(name, default):
-    raw = _env(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "")
 
 
 def _write_csv(path, columns, table: scans.Table):
@@ -231,7 +215,9 @@ def _compute(command: str, scn: Scenario, args) -> tuple[list[str], scans.Table]
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser(argv[0] if argv else None).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        argv[1:1] = _env_args()
+    args = build_parser().parse_args(argv)
     command = args.command
     try:
         if command == "oracle-check":

@@ -86,6 +86,11 @@ def _single_reference(scn: Scenario) -> SensorArray:
     return SensorArray(scn.sensors[:1], np.ones(1), np.ones(1), scn.power)
 
 
+# kernel rows x frequencies per ArrayNoise build in a sweep, which slices a
+# round's nodes: memory stays flat, and the elementwise kernel keeps its bits
+_SWEEP_CELLS = 1 << 16
+
+
 def _sweep(grid: FrequencyGrid, arrays, inputs) -> np.ndarray:
     """(inputs, arrays): the integrated sensitivity of each array under each
     input of ``inputs``; one integral per array, whose components are the
@@ -93,9 +98,14 @@ def _sweep(grid: FrequencyGrid, arrays, inputs) -> np.ndarray:
     out = np.empty((len(inputs), len(arrays)))
     for j, arr in enumerate(arrays):
         gain = float(array_signal_psd(arr, 1.0))
-        out[:, j] = integrated_sensitivity(
-            lambda w: gain, lambda w: ArrayNoise(arr, w).totals(inputs),
-            grid).value
+        # ArrayNoise's rows at most: one when one template at one weight fills
+        # every slot, otherwise one per slot
+        dv = arr.dividing_weights.tolist()
+        one = arr.sensors.count(arr.sensors[0]) == dv.count(dv[0]) == len(dv)
+        step = max(1, _SWEEP_CELLS // (1 if one else len(dv)))
+        out[:, j] = integrated_sensitivity(lambda w: gain, lambda w: np.concatenate(
+            [ArrayNoise(arr, w[i:i + step]).totals(inputs)
+             for i in range(0, w.size, step)], axis=1), grid).value
     return out
 
 

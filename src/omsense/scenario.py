@@ -25,8 +25,9 @@ import numpy as np
 from .constants import GEV_PER_CM3_TO_KG_M3, RHO_DM_DEFAULT, TWO_PI, YEAR_S
 from .errors import ScenarioError
 from .spectra import CavityOptics, Oscillator, SqueezedInput
-from .arrays import (ArraySensor, SensorArray, inverse_variance_weights,
-                     matched_weights, uniform_weights)
+from .arrays import (ArraySensor, SensorArray, _check_weights,
+                     inverse_variance_weights, matched_weights,
+                     uniform_weights)
 from .sensitivity import (DarkMatterModel, FrequencyGrid, ObservationPlan,
                           calibrate_material_factor, resonance_refined_grid)
 
@@ -329,6 +330,10 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     policy = _field(arr, "weights_policy", "array", _choice(
         "matched", "uniform", "inverse_variance", "explicit"), "matched")
     defaults.setdefault("weights_policy", policy)
+    power_convention = _field(arr, "power_convention", "array",
+                              _choice("per_sensor", "total"), "per_sensor")
+    defaults["power_convention"] = power_convention
+    power = _field(arr, "power_w", "array", _non_negative)
     explicit_dv = explicit_cw = None
     if policy == "explicit":
         weights = _list_of(_real_weight)
@@ -337,15 +342,10 @@ def scenario_from_dict(raw: dict, strict: bool = True,
         explicit_cw = np.asarray(_field(arr, "combining_weights", "array",
                                         weights), dtype=complex)
         m = copies if len(sensors) == 1 else len(sensors)
-        norm = math.fsum(abs(w) ** 2 for w in explicit_dv)
-        if explicit_dv.size != m or abs(norm - 1.0) > 1e-10:
-            raise ScenarioError(
-                f"dividing weights must have {m} entries with sum |w|^2 = 1 "
-                f"(got norm {norm!r})")
-    power_convention = _field(arr, "power_convention", "array",
-                              _choice("per_sensor", "total"), "per_sensor")
-    defaults["power_convention"] = power_convention
-    power = _field(arr, "power_w", "array", _non_negative)
+        if explicit_dv.size != m:
+            raise ScenarioError(f"dividing weights must have {m} entries, "
+                                f"got {explicit_dv.size}")
+        _check_weights(explicit_dv, explicit_cw, power)
 
     light = _block(raw, "input_light")
     _check_keys(light, _LIGHT_KEYS, "input_light", strict, warns)

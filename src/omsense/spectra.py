@@ -186,6 +186,13 @@ class Oscillator:
         return cls(mass=mass, omega0=omega0, gamma=gamma, temperature=temperature)
 
 
+def _intracavity_flux(kappa, kappa_readout, laser_omega, input_power):
+    """E^2 = (4 kappa_r / kappa^2) P / (hbar Omega_L) of floats or arrays, with
+    kappa^2 as C pow: an array's ``** 2`` is a product and rounds otherwise."""
+    return (4.0 * kappa_readout / np.float_power(kappa, 2)
+            * (input_power / (HBAR * laser_omega)))
+
+
 @dataclass(frozen=True)
 class CavityOptics:
     """Cavity and drive parameters for one sensor.
@@ -223,8 +230,8 @@ class CavityOptics:
 
     def intracavity_flux_at(self, input_power: float) -> float:
         """E^2 when the cavity is driven with ``input_power`` instead."""
-        return (4.0 * self.kappa_readout / self.kappa**2
-                * (input_power / (HBAR * self.laser_omega)))
+        return _intracavity_flux(self.kappa, self.kappa_readout,
+                                 self.laser_omega, input_power)
 
     @classmethod
     def from_wavelength(cls, kappa, kappa_readout, g0, wavelength, input_power,
@@ -342,19 +349,15 @@ class SensorColumns:
                 g0, laser_omega, efficiency_sq, input_power) -> "SensorColumns":
         """From arrays of record fields, broadcast together, rejected where
         an ``Oscillator`` or ``CavityOptics`` would reject them, with the
-        record's message for the first bad value.  E^2 is taken at
-        ``input_power`` as ``intracavity_flux_at`` takes it."""
+        record's message for the first bad value; E^2 at ``input_power``."""
         _check(_SENSOR_RULES, {
             "mass": mass, "omega0": omega0, "gamma": gamma,
             "temperature": temperature, "kappa": kappa,
             "kappa_readout": kappa_readout, "g0": g0,
             "laser_omega": laser_omega, "efficiency_sq": efficiency_sq})
-        # float_power is C pow, as the record's kappa**2; ndarray ** 2 is a
-        # product, which rounds differently
-        flux = (4.0 * kappa_readout / np.float_power(kappa, 2)
-                * (input_power / (HBAR * laser_omega)))
         return cls(np.stack(np.broadcast_arrays(
-            mass, omega0, gamma, temperature, kappa, g0, efficiency_sq, flux),
+            mass, omega0, gamma, temperature, kappa, g0, efficiency_sq,
+            _intracavity_flux(kappa, kappa_readout, laser_omega, input_power)),
             axis=-1))
 
 

@@ -176,6 +176,47 @@ def test_array_scan_builds_one_kernel_per_array(monkeypatch, preset, table,
     assert len(builds) <= max_builds
 
 
+@pytest.mark.parametrize("templates,copies,weights,rows", [
+    pytest.param(3, 1, None, 3, id="three-templates"),
+    pytest.param(1, 3, None, 1, id="one-template"),
+    pytest.param(1, 2, [0.8, 0.6], 2, id="one-template-unequal-shares")])
+def test_sliced_sweep_equals_the_unsliced_run_bitwise(monkeypatch, templates,
+                                                       copies, weights, rows):
+    """A sweep takes a round's nodes through the kernel in slices of at most
+    ``_SWEEP_CELLS`` kernel rows x frequencies, counting one row for one
+    template at one dividing weight and one per slot otherwise; the kernel
+    is elementwise in frequency, so the table keeps every bit."""
+    raw = preset_scenario("fig5")
+    template = raw["array"]["sensors"][0]
+    raw["array"]["sensors"] = [dict(template, resonance_hz=2000.0 * (1 + 1e-3 * k))
+                               for k in range(templates)]
+    raw["array"]["copies"] = copies
+    if weights:
+        raw["array"].update(weights_policy="explicit", dividing_weights=weights,
+                            combining_weights=weights)
+    raw["scan"]["powers_w"] = [1e-4, 1e-2]
+    scn = scenario_from_dict(raw)
+    builds = []  # (frequencies, kernel rows) of each build
+
+    class Counting(arrays.ArrayNoise):
+        __slots__ = ()
+
+        def __init__(self, arr, omega):
+            super().__init__(arr, omega)
+            builds.append((np.size(omega), self.alpha.shape[0]))
+
+    monkeypatch.setattr(scans, "ArrayNoise", Counting)
+    whole = power_scan_table(scn)
+    unsliced = len(builds)
+    monkeypatch.setattr(scans, "_SWEEP_CELLS", 100)
+    sliced = power_scan_table(scn)
+    assert len(builds) > 2 * unsliced
+    assert max(n for n, _ in builds[unsliced:]) == 100 // rows
+    assert {g for _, g in builds} == {rows}
+    for col in scans.COLUMNS["power-scan"]:
+        np.testing.assert_array_equal(sliced[col], whole[col])
+
+
 def _scalar_draw_array(rng, m):
     """random_array's array, drawn one scalar at a time in its order."""
     sensors = []

@@ -1,10 +1,10 @@
 """Scenario schema, CLI commands, manifests and output determinism."""
 
-import argparse
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +15,7 @@ import pytest
 import omsense
 from omsense import cli
 from omsense.constants import TWO_PI
-from omsense.errors import ConvergenceError, ScenarioError
+from omsense.errors import ConfigError, ConvergenceError, ScenarioError
 from omsense.scenario import (PRESET_NAMES, load_scenario, preset_scenario,
                               scenario_from_dict)
 from omsense import oracle, scans
@@ -126,7 +126,7 @@ def test_explicit_weights_must_normalize():
     raw["array"]["weights_policy"] = "explicit"
     raw["array"]["dividing_weights"] = [0.9, 0.5]
     raw["array"]["combining_weights"] = [0.9, 0.5]
-    with pytest.raises(ScenarioError, match="sum"):
+    with pytest.raises(ConfigError, match="sum"):
         scenario_from_dict(raw)
 
 
@@ -347,7 +347,7 @@ def test_env_overrides(tmp_path, monkeypatch):
 
 
 def test_env_change_between_calls_takes_effect(tmp_path, monkeypatch):
-    """The reused parser is keyed by the environment defaults it reads."""
+    """The environment is read on each call, not baked into the parser."""
     out = tmp_path / "o"
     monkeypatch.setenv("OMSENSE_FORMAT", "csv")
     assert cli.main(["fig4", "--out", str(out)]) == 0
@@ -484,47 +484,81 @@ def test_flag_beats_env(tmp_path, monkeypatch):
     assert not (tmp_path / "fromenv").exists()
 
 
-def _subcommands(parser) -> list[str]:
-    action = next(a for a in parser._actions
-                  if isinstance(a, argparse._SubParsersAction))
-    return list(action.choices)
+def test_each_env_variable_reaches_its_flag_and_each_flag_wins(tmp_path,
+                                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    env_scn = tmp_path / "env.json"
+    env_scn.write_text(json.dumps({**_fig4_dict(), "unknown_key": 1}))
+    flag_scn = tmp_path / "flag.json"
+    flag_scn.write_text(json.dumps(_fig4_dict()))
+    for name, value in {"SCENARIO": str(env_scn), "OUT": "-env-out",
+                        "FORMAT": "json", "TOLERANCE": "3e-4",
+                        "STRICT": "No ", "GAMMA_CONVENTION": "full"}.items():
+        monkeypatch.setenv(cli.ENV_PREFIX + name, value)
+    assert cli.main(["noise"]) == 0
+    manifest = json.loads((tmp_path / "-env-out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["noise.json"]
+    assert manifest["scenario_hash"] == load_scenario(
+        env_scn, strict=False).scenario_hash()
+    assert manifest["tolerance_override"] == 3e-4
+    assert manifest["grid"]["tolerance_rel"] == 3e-4
+    assert manifest["strict"] is False
+    assert any("unknown_key" in w for w in manifest["warnings"])
+    assert manifest["gamma_convention"] == "full"
+    assert manifest["defaults_used"]["gamma_convention"] == "full"
+
+    assert cli.main(["noise", "--scenario", str(flag_scn), "--out", "flag-out",
+                     "--format", "csv", "--tolerance", "1e-4", "--strict",
+                     "--gamma-convention", "half"]) == 0
+    manifest = json.loads((tmp_path / "flag-out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["noise.csv"]
+    assert (tmp_path / "flag-out" / "noise.csv").exists()
+    assert manifest["scenario_hash"] == load_scenario(flag_scn).scenario_hash()
+    assert manifest["tolerance_override"] == 1e-4
+    assert manifest["strict"] is True
+    assert manifest["gamma_convention"] == "half"
+    # --strict beats the falsy variable on the scenario it would reject
+    assert cli.main(["noise", "--strict", "--out", "strict-out"]) == 2
+    assert not (tmp_path / "strict-out").exists()
 
 
-def test_main_builds_only_the_requested_subparser(tmp_path, monkeypatch):
-    built = []
-    full_builder = cli.build_parser
-
-    def recording(*args):
-        parser = full_builder(*args)
-        built.append(_subcommands(parser))
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", recording)
-    cli._cached_parser.cache_clear()
-    assert cli.main(["fig4", "--out", str(tmp_path / "a")]) == 0
-    assert built == [["fig4"]]
-    assert cli.main(["fig4", "--out", str(tmp_path / "b")]) == 0
-    assert built == [["fig4"]]  # the second call reuses the parser
-    assert _subcommands(full_builder()) == list(cli._COMMANDS)
+@pytest.mark.parametrize("value,strict", [
+    ("1", True), ("yes", True), ("0", False), ("false", False), ("", False)])
+def test_strict_variable_keeps_its_truthiness_rule(tmp_path, monkeypatch,
+                                                   value, strict):
+    monkeypatch.setenv("OMSENSE_STRICT", value)
+    out = tmp_path / "o"
+    assert cli.main(["fig4", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["strict"] is strict
+    # the opposite flag, given on the command line, wins
+    assert cli.main(["fig4", "--out", str(out),
+                     "--lenient" if strict else "--strict"]) == 0
+    assert (json.loads((out / "manifest.json").read_text())["strict"]
+            is not strict)
 
 
-@pytest.mark.parametrize("extra", [
-    [], ["--lenient", "--tolerance", "1e-4", "--format", "csv", "--out", "o"]])
-def test_single_subparser_matches_full_parser(monkeypatch, extra):
-    monkeypatch.setenv("OMSENSE_OUT", "env-out")
-    monkeypatch.setenv("OMSENSE_FORMAT", "json")
-    monkeypatch.setenv("OMSENSE_TOLERANCE", "3e-4")
-    monkeypatch.setenv("OMSENSE_STRICT", "0")
-    monkeypatch.setenv("OMSENSE_GAMMA_CONVENTION", "full")
-    monkeypatch.setenv("OMSENSE_SCENARIO", "env.json")
-    for command in cli._COMMANDS:
-        argv = [command, *extra]
-        if command == "oracle-check":
-            argv += ["--configs", "3", "--seed", "5"]
-        single = cli.build_parser(command).parse_args(argv)
-        full = cli.build_parser().parse_args(argv)
-        assert vars(single) == vars(full)
-    assert vars(single)["out"] == ("o" if extra else "env-out")
+@pytest.mark.parametrize("command", ["fig4", "oracle-check"])
+@pytest.mark.parametrize("name,value", [("FORMAT", "xml"), ("FORMAT", ""),
+                                        ("GAMMA_CONVENTION", "bogus"),
+                                        ("TOLERANCE", "nan")])
+def test_env_value_meets_its_flags_checks(tmp_path, monkeypatch, capsys,
+                                          command, name, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OMSENSE_" + name, value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--configs", "2", "--freqs", "2"]
+                 if command == "oracle-check" else [command])
+    assert exc.value.code == 2
+    assert "argument --" + name.lower().replace("_", "-") in (
+        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_names_each_env_variable():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = set(re.findall(r"OMSENSE_[A-Z][A-Z_]*", readme))
+    assert named == {cli.ENV_PREFIX + name
+                     for name in (*cli._ENV_FLAGS, "STRICT")}
 
 
 @pytest.mark.parametrize("argv", [["bogus"], ["--scenario", "x.json", "noise"]])
