@@ -8,8 +8,9 @@ shortest round-trip ``repr`` and the manifest carries no timestamps.
 
 Exit codes: 0 success, 1 oracle-check residual failure, 2 validation error,
 3 numerical non-convergence.  Each common flag has an ``OMSENSE_*`` variable
-(``_ENV_FLAGS``), which ``main`` passes as the flag right after the command:
-its value meets the flag's checks, and a flag on the command line wins.
+(``_ENV_FLAGS``), which ``main`` passes as the flag right after a command that
+takes the flag (``oracle-check`` takes only ``--out`` and ``--format``): its
+value meets the flag's checks, and a flag on the command line wins.
 """
 
 from __future__ import annotations
@@ -50,16 +51,27 @@ _ENV_FLAGS = {"SCENARIO": "--scenario", "OUT": "--out", "FORMAT": "--format",
               "GAMMA_CONVENTION": "--gamma-convention"}
 
 
-def _env_args() -> list[str]:
-    """The set OMSENSE_* variables as flags (``--flag=value`` keeps a value
-    that starts with ``-``)."""
-    args = [f"{flag}={os.environ[ENV_PREFIX + name]}"
-            for name, flag in _ENV_FLAGS.items()
-            if ENV_PREFIX + name in os.environ]
+def _env_args(command: str) -> list[str]:
+    """The set OMSENSE_* variables whose flag ``command`` takes, as flags
+    (``--flag=value`` keeps a value that starts with ``-``), each parsed on
+    its own first: a rejected value exits 2 naming its variable."""
+    env = {name: f"{flag}={os.environ[ENV_PREFIX + name]}"
+           for name, flag in _ENV_FLAGS.items()
+           if ENV_PREFIX + name in os.environ}
     strict = os.environ.get(ENV_PREFIX + "STRICT")
     if strict is not None:
-        args.append("--lenient" if strict.strip().lower()
-                    in ("0", "false", "no", "") else "--strict")
+        env["STRICT"] = ("--lenient" if strict.strip().lower()
+                         in ("0", "false", "no", "") else "--strict")
+    args = []
+    for name, arg in env.items():
+        try:
+            _, unknown = build_parser().parse_known_args([command, arg])
+        except SystemExit:
+            print(f"omsense {command}: the rejected value comes from "
+                  f"{ENV_PREFIX}{name}", file=sys.stderr)
+            raise
+        if not unknown:
+            args.append(arg)
     return args
 
 
@@ -75,13 +87,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--scenario",
-                       help="scenario JSON path (presets embed their own)")
         p.add_argument("--out", default="omsense-out",
                        help="output directory")
         p.add_argument("--format", choices=("csv", "json"),
-                       help="output format (default: scenario output.format)")
-        p.add_argument("--tolerance", type=_tolerance,
+                       help="output format (default: scenario output.format, "
+                            "csv for oracle-check)")
+        if name == "oracle-check":
+            # it draws its arrays: no scenario, grid or gamma convention
+            p.set_defaults(scenario=None)
+            p.add_argument("--configs", type=_positive_int, default=200)
+            p.add_argument("--freqs", type=_positive_int, default=50)
+            p.add_argument("--seed", type=_seed, default=20240817)
+            p.add_argument("--residual-tol", type=_positive_float, default=1e-9)
+            continue
+        p.add_argument("--scenario",
+                       help="scenario JSON path (presets embed their own)")
+        p.add_argument("--tolerance", type=_positive_float,
                        help="override the grid relative tolerance")
         p.add_argument("--strict", dest="strict", action="store_true",
                        default=True,
@@ -97,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="LABEL=PATH",
                            help="two-column (frequency_hz, value) CSV merged "
                                 "as a pass-through column; repeatable")
-        if name == "oracle-check":
-            p.add_argument("--configs", type=_positive_int, default=200)
-            p.add_argument("--freqs", type=_positive_int, default=50)
-            p.add_argument("--seed", type=_seed, default=20240817)
-            p.add_argument("--residual-tol", default=1e-9, type=_checked(
-                float, "must be a finite number > 0"))
     return parser
 
 
@@ -120,8 +135,7 @@ def _checked(cast, rule: str, valid=lambda value: value > 0):
     return parse
 
 
-_tolerance = _checked(float, f"tolerance (flag or {ENV_PREFIX}TOLERANCE) "
-                             "must be a finite number > 0")
+_positive_float = _checked(float, "must be a finite number > 0")
 _positive_int = _checked(int, "must be an integer >= 1")
 _seed = _checked(int, "must be an integer >= 0", lambda value: value >= 0)
 
@@ -216,7 +230,7 @@ def _compute(command: str, scn: Scenario, args) -> tuple[list[str], scans.Table]
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:
-        argv[1:1] = _env_args()
+        argv[1:1] = _env_args(argv[0])
     args = build_parser().parse_args(argv)
     command = args.command
     try:
@@ -265,9 +279,6 @@ def _emit(args, command, columns, table: scans.Table, scn: Scenario | None,
         "package": {"name": "omsense", "version": __version__,
                     "numpy": np.__version__},
         "scenario_hash": scn.scenario_hash() if scn is not None else None,
-        "gamma_convention": args.gamma_convention,
-        "strict": bool(args.strict),
-        "tolerance_override": args.tolerance,
         "defaults_used": scn.defaults_used if scn is not None else {},
         "warnings": list(scn.warnings) if scn is not None else [],
         "grid": {"span_rad_s": list(scn.grid_span),
@@ -277,6 +288,10 @@ def _emit(args, command, columns, table: scans.Table, scn: Scenario | None,
         "outputs": [os.path.basename(table_path)],
         "n_rows": len(table),
     }
+    if scn is not None:  # oracle-check has no scenario settings
+        manifest.update(gamma_convention=args.gamma_convention,
+                        strict=bool(args.strict),
+                        tolerance_override=args.tolerance)
     if extra_manifest:
         manifest.update(extra_manifest)
     manifest_path = os.path.join(out_dir, "manifest.json")

@@ -2,14 +2,15 @@
 
 Each function turns a validated Scenario into a ``Table`` of named columns
 that the CLI serializes; everything is deterministic given the scenario.
-The array-, power- and loss-scans are one sweep (``_sweep``) over the
-arrays of an axis and a list of inputs, whose integrals are the table's
-columns.
+Every integral goes through ``_integrals``, which feeds each round's nodes to
+the elementwise kernel in slices, keeping memory flat and every bit; the
+scans stack its values (``_sweep``) and ``sensitivity_report`` reads them.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,27 +87,28 @@ def _single_reference(scn: Scenario) -> SensorArray:
     return SensorArray(scn.sensors[:1], np.ones(1), np.ones(1), scn.power)
 
 
-# kernel rows x frequencies per ArrayNoise build in a sweep, which slices a
-# round's nodes: memory stays flat, and the elementwise kernel keeps its bits
+# the most kernel rows x frequencies in one ArrayNoise build of an integral
 _SWEEP_CELLS = 1 << 16
 
 
-def _sweep(grid: FrequencyGrid, arrays, inputs) -> np.ndarray:
-    """(inputs, arrays): the integrated sensitivity of each array under each
-    input of ``inputs``; one integral per array, whose components are the
-    inputs, all on one grid."""
-    out = np.empty((len(inputs), len(arrays)))
-    for j, arr in enumerate(arrays):
+def _integrals(grid: FrequencyGrid, arrays, inputs, rel_tol=None):
+    """Yield one ``IntegrationResult`` per array, with one component per
+    input of ``inputs``, all on one grid."""
+    for arr in arrays:
         gain = float(array_signal_psd(arr, 1.0))
         # ArrayNoise's rows at most: one when one template at one weight fills
         # every slot, otherwise one per slot
         dv = arr.dividing_weights.tolist()
         one = arr.sensors.count(arr.sensors[0]) == dv.count(dv[0]) == len(dv)
         step = max(1, _SWEEP_CELLS // (1 if one else len(dv)))
-        out[:, j] = integrated_sensitivity(lambda w: gain, lambda w: np.concatenate(
+        yield integrated_sensitivity(lambda w: gain, lambda w: np.concatenate(
             [ArrayNoise(arr, w[i:i + step]).totals(inputs)
-             for i in range(0, w.size, step)], axis=1), grid).value
-    return out
+             for i in range(0, w.size, step)], axis=1), grid, rel_tol)
+
+
+def _sweep(grid: FrequencyGrid, arrays, inputs) -> np.ndarray:
+    """(inputs, arrays): the values of ``_integrals``."""
+    return np.stack([res.value for res in _integrals(grid, arrays, inputs)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,29 +157,27 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> Table:
 def sensitivity_report(scn: Scenario) -> Table:
     """Integrated sensitivity with a self-convergence check: the relative
     change when the integral is recomputed at half the tolerance on the
-    bisected grid, a different node set."""
+    bisected grid, a different node set, warns above the tolerance."""
     arr = scn.build_array()
     grid = scn.build_grid()
-    gain = float(array_signal_psd(arr, 1.0))
     quantities = [("classical", _VACUUM)]
     if scn.squeeze.r > 0:
         quantities.append(("squeezed", scn.squeeze))
     results, halves = [], []
-    for name, squeeze in quantities:
-        def noise(w):
-            return ArrayNoise(arr, w).totals([squeeze])[0]
-
-        results.append(integrated_sensitivity(lambda w: gain, noise, grid))
-        halves.append(integrated_sensitivity(lambda w: gain, noise,
-                                             grid.bisected(),
-                                             rel_tol=0.5 * grid.tol))
-    value = np.array([res.value for res in results])
+    for _, squeeze in quantities:
+        results += _integrals(grid, [arr], [squeeze])
+        halves += _integrals(grid.bisected(), [arr], [squeeze], 0.5 * grid.tol)
+    value = np.array([res.value[0] for res in results])
+    change = np.abs([res.value[0] for res in halves] - value) / np.abs(value)
+    for (name, _), rel in zip(quantities, change.tolist()):
+        if rel > grid.tol:
+            warnings.warn(f"the {name} integral's rel_change_half_tol {rel:.3g} "
+                          f"exceeds the grid tolerance {grid.tol:g}")
     return Table({
         "quantity": [name for name, _ in quantities],
         "value": value,
-        "rel_error_estimate": [res.rel_error for res in results],
-        "rel_change_half_tol": np.abs(np.array([res.value for res in halves])
-                                      - value) / np.abs(value),
+        "rel_error_estimate": [res.rel_error[0] for res in results],
+        "rel_change_half_tol": change,
         "n_panels": [res.n_panels for res in results],
         "n_evaluations": [res.n_evaluations for res in results],
     })

@@ -1,18 +1,20 @@
 """Figure-level tables: orderings, maxima and table consistency."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from omsense import arrays, oracle, scans
+from omsense import arrays, cli, oracle, scans
 from omsense.arrays import ArraySensor, SensorArray, matched_weights
 from omsense.errors import ConfigError
 from omsense.constants import TWO_PI
 from omsense.oracle import oracle_noise_psd
 from omsense.spectra import (CavityOptics, Oscillator, SqueezedInput,
                              input_quadrature_psds)
-from omsense.scenario import preset_scenario, scenario_from_dict
+from omsense.scenario import (PRESET_NAMES, preset_scenario,
+                              scenario_from_dict)
 from omsense.sensitivity import integrated_sensitivity
 from omsense.scans import (array_scan_table, dm_projection_table,
                            loss_scan_table, noise_budget_table,
@@ -182,10 +184,11 @@ def test_array_scan_builds_one_kernel_per_array(monkeypatch, preset, table,
     pytest.param(1, 2, [0.8, 0.6], 2, id="one-template-unequal-shares")])
 def test_sliced_sweep_equals_the_unsliced_run_bitwise(monkeypatch, templates,
                                                        copies, weights, rows):
-    """A sweep takes a round's nodes through the kernel in slices of at most
+    """Every integral, a sweep's and both passes of a sensitivity report,
+    takes a round's nodes through the kernel in slices of at most
     ``_SWEEP_CELLS`` kernel rows x frequencies, counting one row for one
     template at one dividing weight and one per slot otherwise; the kernel
-    is elementwise in frequency, so the table keeps every bit."""
+    is elementwise in frequency, so the tables keep every bit."""
     raw = preset_scenario("fig5")
     template = raw["array"]["sensors"][0]
     raw["array"]["sensors"] = [dict(template, resonance_hz=2000.0 * (1 + 1e-3 * k))
@@ -205,16 +208,66 @@ def test_sliced_sweep_equals_the_unsliced_run_bitwise(monkeypatch, templates,
             super().__init__(arr, omega)
             builds.append((np.size(omega), self.alpha.shape[0]))
 
+    def tables():
+        return power_scan_table(scn), sensitivity_report(scn)
+
     monkeypatch.setattr(scans, "ArrayNoise", Counting)
-    whole = power_scan_table(scn)
+    whole = tables()
     unsliced = len(builds)
     monkeypatch.setattr(scans, "_SWEEP_CELLS", 100)
-    sliced = power_scan_table(scn)
+    sliced = tables()
     assert len(builds) > 2 * unsliced
     assert max(n for n, _ in builds[unsliced:]) == 100 // rows
     assert {g for _, g in builds} == {rows}
-    for col in scans.COLUMNS["power-scan"]:
-        np.testing.assert_array_equal(sliced[col], whole[col])
+    for new, old in zip(sliced, whole):
+        assert len(new) == len(old) > 0
+        for col in old.columns:
+            np.testing.assert_array_equal(new[col], old[col])
+
+
+def _fixed_angle_scenario() -> dict:
+    """One sensor squeezed at a fixed angle of pi/4, which crosses the
+    optimal angle just above the resonance: the squeezed integrand peaks
+    inside a wide seed panel, whose error estimate misses the peak."""
+    raw = preset_scenario("fig4")
+    raw["array"]["sensors"][0].update(
+        mass_kg=5.513896257234017e-6, resonance_hz=2329.059832713219,
+        quality_factor=1346558649.6215436)
+    raw["array"]["power_w"] = 1.6323567993848317e-3
+    raw["input_light"] = {"squeezing_db": 11.516262604835838,
+                          "angle_policy": "fixed", "angle_rad": math.pi / 4}
+    return raw
+
+
+def test_sensitivity_warns_when_its_self_check_fails():
+    """The squeezed integral moves by ~7e-2 at half the tolerance, far above
+    the 1e-3 grid tolerance, so the report warns; the classical one passes."""
+    scn = scenario_from_dict(_fixed_angle_scenario())
+    with pytest.warns(UserWarning) as record:
+        table = sensitivity_report(scn)
+    classical, squeezed = table["rel_change_half_tol"]
+    assert classical < scn.grid_tol < 0.05 < squeezed
+    assert [str(w.message) for w in record] == [
+        f"the squeezed integral's rel_change_half_tol {squeezed:.3g} exceeds "
+        f"the grid tolerance {scn.grid_tol:g}"]
+
+
+def test_sensitivity_self_check_failure_is_a_manifest_warning(tmp_path):
+    """A failed self-check still exits 0, and the manifest says so; the
+    presets' reports pass it and warn of nothing."""
+    for name, raw in [("fixed-angle", _fixed_angle_scenario()),
+                      *((name, preset_scenario(name)) for name in PRESET_NAMES)]:
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(raw))
+        assert cli.main(["sensitivity", "--scenario", str(path),
+                         "--out", str(out)]) == 0
+        warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+        if name == "fixed-angle":
+            [warning] = warnings
+            assert warning.startswith(
+                "the squeezed integral's rel_change_half_tol")
+        else:
+            assert warnings == []
 
 
 def _scalar_draw_array(rng, m):

@@ -543,15 +543,52 @@ def test_strict_variable_keeps_its_truthiness_rule(tmp_path, monkeypatch,
                                         ("TOLERANCE", "nan")])
 def test_env_value_meets_its_flags_checks(tmp_path, monkeypatch, capsys,
                                           command, name, value):
+    """A rejected value exits 2 naming its flag and its variable; oracle-check
+    takes no --gamma-convention or --tolerance, so it leaves those variables
+    out and runs."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("OMSENSE_" + name, value)
+    argv = ([command, "--configs", "2", "--freqs", "2"]
+            if command == "oracle-check" else [command])
+    if command == "oracle-check" and name != "FORMAT":
+        assert cli.main(argv) == 0
+        return
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--configs", "2", "--freqs", "2"]
-                 if command == "oracle-check" else [command])
+        cli.main(argv)
     assert exc.value.code == 2
-    assert "argument --" + name.lower().replace("_", "-") in (
-        capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "argument --" + name.lower().replace("_", "-") in err
+    assert "OMSENSE_" + name in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_check_refuses_a_scenario_and_its_settings(tmp_path, capsys):
+    """oracle-check draws its arrays: a scenario, tolerance, strictness or
+    gamma convention would do nothing, so they exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-check", "--configs", "2", "--freqs", "2",
+                  "--scenario", "/nonexistent.json", "--tolerance", "0.5",
+                  "--gamma-convention", "full", "--lenient",
+                  "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--scenario" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_oracle_check_reads_only_its_variables(tmp_path, monkeypatch):
+    """Variables of flags oracle-check lacks are left out, so a shell that
+    sets them still runs it; OMSENSE_OUT and OMSENSE_FORMAT reach it, and the
+    manifest records no scenario setting."""
+    monkeypatch.chdir(tmp_path)
+    for name, value in {"SCENARIO": "x", "TOLERANCE": "0.5", "STRICT": "0",
+                        "GAMMA_CONVENTION": "full", "OUT": "env-out",
+                        "FORMAT": "json"}.items():
+        monkeypatch.setenv(cli.ENV_PREFIX + name, value)
+    assert cli.main(["oracle-check", "--configs", "2", "--freqs", "2"]) == 0
+    manifest = json.loads((tmp_path / "env-out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["oracle-check.json"]
+    assert not {"gamma_convention", "strict",
+                "tolerance_override"} & set(manifest)
 
 
 def test_readme_names_each_env_variable():
@@ -876,7 +913,10 @@ def test_cli_dark_matter_density_defaults(tmp_path):
     ("--configs", "0"), ("--configs", "-3"), ("--freqs", "0"),
     ("--residual-tol", "nan"), ("--residual-tol", "0"), ("--seed", "-1"),
     ("--seed", "x"),
-    pytest.param("--configs", "1" + "0" * 400, id="--configs-10**400")])
+    pytest.param("--configs", "1" + "0" * 400, id="--configs-10**400"),
+    # flags of the scenario commands, which oracle-check does not read
+    ("--scenario", "x.json"), ("--tolerance", "0.5"),
+    ("--gamma-convention", "full"), ("--lenient", "--strict")])
 def test_oracle_check_bad_flag_exits_two(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle-check", flag, value, "--out", str(tmp_path / "o")])
