@@ -1,15 +1,17 @@
 """Command-line interface: scenario in, deterministic CSV/JSON + manifest out.
 
-Every command reads a scenario file (or a built-in figure preset), computes
-its table and writes ``<command>.csv`` (or ``.json``) plus ``manifest.json``
-into the output directory.  Outputs are byte-identical across repeated runs
-of the same scenario and package version: floats are serialized with
-shortest round-trip ``repr`` and the manifest carries no timestamps.
+Each command computes one table (from a scenario file or a built-in figure
+preset; ``oracle-check`` from seeded arrays) and writes ``<command>.csv`` (or
+``.json``) plus ``manifest.json`` into the output directory.  Outputs are
+byte-identical across repeated runs of the same inputs and package version:
+floats are serialized with shortest round-trip ``repr`` and the manifest
+carries no timestamps.
 
 Exit codes: 0 success, 1 oracle-check residual failure, 2 validation error,
-3 numerical non-convergence.  Each common flag has an ``OMSENSE_*`` variable
-(``_ENV_FLAGS``), which ``main`` passes as the flag right after a command that
-takes the flag (``oracle-check`` takes only ``--out`` and ``--format``): its
+3 numerical non-convergence.  A command takes only the flags it reads: only
+the integrating commands (``_INTEGRATING``, presets too) take ``--tolerance``.
+Each common flag has an ``OMSENSE_*`` variable (``_ENV_FLAGS``), which
+``main`` passes as the flag right after a command that takes the flag: its
 value meets the flag's checks, and a flag on the command line wins.
 """
 
@@ -29,7 +31,7 @@ import numpy as np
 from . import __version__
 from .constants import TWO_PI
 from .errors import ConfigError, ConvergenceError, ScenarioError
-from .scenario import (PRESET_NAMES, Scenario, load_scenario, preset_scenario,
+from .scenario import (PRESET_NAMES, load_scenario, preset_scenario,
                        scenario_from_dict)
 from . import scans
 
@@ -42,6 +44,15 @@ _OUT_OF_RANGE = "inputs outside the model's numeric range"
 
 _PRESET_COMMAND = {"fig2": "array-scan", "fig3": "dm-projection",
                    "fig4": "noise", "fig5": "power-scan", "fig6": "loss-scan"}
+
+# each scenario command's table function, looked up on ``scans`` at run time
+_TABLES = {"noise": "noise_budget_table", "array-scan": "array_scan_table",
+           "sensitivity": "sensitivity_report",
+           "dm-projection": "dm_projection_table",
+           "power-scan": "power_scan_table", "loss-scan": "loss_scan_table"}
+
+# the commands that integrate over the grid, and so take --tolerance
+_INTEGRATING = ("array-scan", "sensitivity", "power-scan", "loss-scan")
 
 
 # The OMSENSE_* variables and their flags; OMSENSE_STRICT is --lenient when
@@ -102,8 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         p.add_argument("--scenario",
                        help="scenario JSON path (presets embed their own)")
-        p.add_argument("--tolerance", type=_positive_float,
-                       help="override the grid relative tolerance")
+        if _PRESET_COMMAND.get(name, name) in _INTEGRATING:
+            p.add_argument("--tolerance", type=_positive_float,
+                           help="override the grid relative tolerance")
+        else:  # it integrates nothing: a tolerance would change no output
+            p.set_defaults(tolerance=None)
         p.add_argument("--strict", dest="strict", action="store_true",
                        default=True,
                        help="reject unknown scenario keys (default)")
@@ -201,111 +215,49 @@ def _load_overlays(specs) -> dict[str, np.ndarray]:
     return overlays
 
 
-def _compute(command: str, scn: Scenario, args) -> tuple[list[str], scans.Table]:
-    effective = _PRESET_COMMAND.get(command, command)
-    if effective == "noise":
-        table = scans.noise_budget_table(scn)
-    elif effective == "array-scan":
-        table = scans.array_scan_table(scn)
-    elif effective == "sensitivity":
-        table = scans.sensitivity_report(scn)
-    elif effective == "dm-projection":
-        overlays = _load_overlays(getattr(args, "overlay", []))
-        table = scans.dm_projection_table(scn, overlays=overlays)
-    elif effective == "power-scan":
-        table = scans.power_scan_table(scn)
-    elif effective == "loss-scan":
-        table = scans.loss_scan_table(scn)
+def _scenario_run(args):
+    """(columns, table, format, manifest fields, (notes, exit code))."""
+    command = args.command
+    if command in PRESET_NAMES and args.scenario is None:
+        scn = scenario_from_dict(preset_scenario(command), strict=args.strict,
+                                 gamma_convention=args.gamma_convention)
     else:
-        raise ScenarioError(f"unhandled command {command!r}")
+        if args.scenario is None:
+            raise ScenarioError(
+                f"command {command!r} requires --scenario (or OMSENSE_SCENARIO)")
+        scn = load_scenario(args.scenario, strict=args.strict,
+                            gamma_convention=args.gamma_convention)
+    if args.tolerance is not None:
+        scn.grid_tol = args.tolerance
+    effective = _PRESET_COMMAND.get(command, command)
+    table_fn = getattr(scans, _TABLES[effective])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = (table_fn(scn, overlays=_load_overlays(args.overlay))
+                 if effective == "dm-projection" else table_fn(scn))
+    for message in (str(w.message) for w in caught):
+        if message not in scn.warnings:
+            scn.warnings.append(message)
     # the frozen columns must be finite; overlays are NaN out of their range
     frozen = scans.COLUMNS[effective]
     for col in frozen:
         values = np.asarray(table[col])
         if values.dtype.kind != "U" and not np.isfinite(values).all():
             raise ConfigError(f"{_OUT_OF_RANGE}: column {col!r} is not finite")
-    return frozen + sorted(set(table.columns) - set(frozen)), table
+    columns = frozen + sorted(set(table.columns) - set(frozen))
+    fields = {"scenario_hash": scn.scenario_hash(),
+              "defaults_used": scn.defaults_used,
+              "warnings": list(scn.warnings),
+              "grid": {"span_rad_s": list(scn.grid_span),
+                       "tolerance_rel": scn.grid_tol},
+              "gamma_convention": args.gamma_convention,
+              "strict": bool(args.strict),
+              "tolerance_override": args.tolerance}
+    return columns, table, args.format or scn.output_format, fields, ((), 0)
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        argv[1:1] = _env_args(argv[0])
-    args = build_parser().parse_args(argv)
-    command = args.command
-    try:
-        if command == "oracle-check":
-            return _run_oracle_check(args)
-        if command in PRESET_NAMES and args.scenario is None:
-            scn = scenario_from_dict(preset_scenario(command),
-                                     strict=args.strict,
-                                     gamma_convention=args.gamma_convention)
-        else:
-            if args.scenario is None:
-                raise ScenarioError(
-                    f"command {command!r} requires --scenario (or OMSENSE_SCENARIO)")
-            scn = load_scenario(args.scenario, strict=args.strict,
-                                gamma_convention=args.gamma_convention)
-        if args.tolerance is not None:
-            scn.grid_tol = args.tolerance
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            columns, table = _compute(command, scn, args)
-        for message in (str(w.message) for w in caught):
-            if message not in scn.warnings:
-                scn.warnings.append(message)
-        outputs = _emit(args, command, columns, table, scn)
-        for path in outputs:
-            print(path)
-        return 0
-    except (ScenarioError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"error: {_OUT_OF_RANGE} ({exc})", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return 3
-
-
-def _emit(args, command, columns, table: scans.Table, scn: Scenario | None,
-          extra_manifest: dict | None = None) -> list[str]:
-    out_dir = args.out
-    fmt = args.format or (scn.output_format if scn is not None else "csv")
-    table_path = os.path.join(out_dir, f"{command}.{fmt}")
-    manifest = {
-        "command": command,
-        "package": {"name": "omsense", "version": __version__,
-                    "numpy": np.__version__},
-        "scenario_hash": scn.scenario_hash() if scn is not None else None,
-        "defaults_used": scn.defaults_used if scn is not None else {},
-        "warnings": list(scn.warnings) if scn is not None else [],
-        "grid": {"span_rad_s": list(scn.grid_span),
-                 "tolerance_rel": scn.grid_tol}
-                if scn is not None else None,
-        "columns": columns,
-        "outputs": [os.path.basename(table_path)],
-        "n_rows": len(table),
-    }
-    if scn is not None:  # oracle-check has no scenario settings
-        manifest.update(gamma_convention=args.gamma_convention,
-                        strict=bool(args.strict),
-                        tolerance_override=args.tolerance)
-    if extra_manifest:
-        manifest.update(extra_manifest)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        (_write_csv if fmt == "csv" else _write_json)(table_path, columns, table)
-        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write to --out {out_dir}: {exc}") from exc
-    return [table_path, manifest_path]
-
-
-def _run_oracle_check(args) -> int:
+def _oracle_run(args):
+    """As ``_scenario_run``; oracle-check has no scenario settings."""
     table = scans.oracle_check_table(n_configs=args.configs,
                                      n_freqs=args.freqs, seed=args.seed)
     residuals = table["max_rel_residual"]
@@ -319,20 +271,55 @@ def _run_oracle_check(args) -> int:
     percentiles = {f"residual_p{p}": None if non_finite else
                    ranked[math.ceil(p / 100 * len(ranked)) - 1]
                    for p in (50, 90, 99)}
-    outputs = _emit(args, "oracle-check", scans.COLUMNS["oracle-check"], table,
-                    None,
-                    extra_manifest={"oracle": {
-                        "configs": args.configs, "freqs": args.freqs,
-                        "seed": args.seed, "residual_tol": args.residual_tol,
-                        "max_rel_residual": worst, **percentiles,
-                        "passed": passed}})
-    for path in outputs:
-        print(path)
+    fields = {"scenario_hash": None, "defaults_used": {}, "warnings": [],
+              "grid": None,
+              "oracle": {"configs": args.configs, "freqs": args.freqs,
+                         "seed": args.seed, "residual_tol": args.residual_tol,
+                         "max_rel_residual": worst, **percentiles,
+                         "passed": passed}}
     summary = (f"not finite in {non_finite} configs" if non_finite
                else f"{worst:.3e}")
-    print(f"max relative residual: {summary} "
-          f"({'PASS' if passed else 'FAIL'} at {args.residual_tol:g})")
-    return 0 if passed else 1
+    summary = (f"max relative residual: {summary} "
+               f"({'PASS' if passed else 'FAIL'} at {args.residual_tol:g})")
+    return (scans.COLUMNS["oracle-check"], table, args.format or "csv", fields,
+            ((summary,), 0 if passed else 1))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        argv[1:1] = _env_args(argv[0])
+    args = build_parser().parse_args(argv)
+    command = args.command
+    run = _oracle_run if command == "oracle-check" else _scenario_run
+    try:
+        columns, table, fmt, fields, (notes, code) = run(args)
+        table_path = os.path.join(args.out, f"{command}.{fmt}")
+        manifest_path = os.path.join(args.out, "manifest.json")
+        manifest = {"command": command, "columns": columns, "n_rows": len(table),
+                    "package": {"name": "omsense", "version": __version__,
+                                "numpy": np.__version__},
+                    "outputs": [os.path.basename(table_path)], **fields}
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            (_write_csv if fmt == "csv" else _write_json)(table_path, columns,
+                                                          table)
+            with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write to --out {args.out}: {exc}") from exc
+        for line in (table_path, manifest_path, *notes):
+            print(line)
+        return code
+    except (ScenarioError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: {_OUT_OF_RANGE} ({exc})", file=sys.stderr)
+        return 2
+    except ConvergenceError as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -352,7 +352,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     angle_policy = _field(light, "angle_policy", "input_light",
                           _choice("vacuum", "fixed", "optimal"), "vacuum")
     angle = _field(light, "angle_rad", "input_light", _finite, 0.0)
-    db = _field(light, "squeezing_db", "input_light", _finite, None)
+    db = _field(light, "squeezing_db", "input_light", _non_negative, None)
     n_s = _field(light, "photon_number", "input_light", _non_negative, None)
     if db is not None and n_s is not None:
         raise ScenarioError(

@@ -1,0 +1,69 @@
+"""Mutation cases: each gate passes on the real code and fails on a mutant.
+
+A case swaps one library function for a wrong variant, runs the test that
+guards it in-process on the real code and then under the mutant, and asserts
+that the test passes and then fails on one of its assertions.  A gate that
+cannot fail shows up here as a mutant that survives.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+import test_scans as scans_tests
+import test_scenario_cli as scenario_cli_tests
+from omsense import cli, scans
+
+
+def _mutant(fn, old: str, new: str):
+    """``fn`` recompiled with ``old`` in its source replaced by ``new``; it
+    looks its globals up in ``fn``'s module, as ``fn`` does."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{old!r} is not once in {fn.__name__}"
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+def _no_env_insertion(monkeypatch):
+    monkeypatch.setattr(cli, "_env_args", lambda command: [])
+
+
+def _row_rule_ignoring_weights(monkeypatch):
+    # one kernel row whenever one template fills every slot, whatever the
+    # dividing weights: the unequal shares' two rows get one row's slices
+    monkeypatch.setattr(scans, "_integrals", _mutant(
+        scans._integrals, " == dv.count(dv[0])", ""))
+
+
+@pytest.mark.parametrize("mutate,gate,params", [
+    pytest.param(_no_env_insertion,
+                 scenario_cli_tests
+                 .test_each_env_variable_reaches_its_flag_and_each_flag_wins,
+                 {}, id="no-environment-insertion"),
+    pytest.param(_row_rule_ignoring_weights,
+                 scans_tests.test_sliced_sweep_equals_the_unsliced_run_bitwise,
+                 # its one-template-unequal-shares case
+                 {"templates": 1, "copies": 2, "weights": [0.8, 0.6],
+                  "rows": 2},
+                 id="row-rule-ignoring-weights")])
+def test_gate_passes_and_fails_under_its_mutant(tmp_path, mutate, gate, params):
+    def gate_passes(run: str) -> bool:
+        wanted = inspect.signature(gate).parameters
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if run == "mutant":
+                mutate(monkeypatch)
+            fixtures = {"monkeypatch": monkeypatch,
+                        "tmp_path": tmp_path / run}
+            fixtures["tmp_path"].mkdir()
+            try:
+                gate(**{k: v for k, v in fixtures.items() if k in wanted},
+                     **params)
+            except AssertionError:
+                return False
+        return True
+
+    assert gate_passes("real")
+    assert not gate_passes("mutant")

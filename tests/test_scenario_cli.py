@@ -486,6 +486,7 @@ def test_flag_beats_env(tmp_path, monkeypatch):
 
 def test_each_env_variable_reaches_its_flag_and_each_flag_wins(tmp_path,
                                                                monkeypatch):
+    """Run on sensitivity, which integrates and so takes every common flag."""
     monkeypatch.chdir(tmp_path)
     env_scn = tmp_path / "env.json"
     env_scn.write_text(json.dumps({**_fig4_dict(), "unknown_key": 1}))
@@ -495,9 +496,9 @@ def test_each_env_variable_reaches_its_flag_and_each_flag_wins(tmp_path,
                         "FORMAT": "json", "TOLERANCE": "3e-4",
                         "STRICT": "No ", "GAMMA_CONVENTION": "full"}.items():
         monkeypatch.setenv(cli.ENV_PREFIX + name, value)
-    assert cli.main(["noise"]) == 0
+    assert cli.main(["sensitivity"]) == 0
     manifest = json.loads((tmp_path / "-env-out" / "manifest.json").read_text())
-    assert manifest["outputs"] == ["noise.json"]
+    assert manifest["outputs"] == ["sensitivity.json"]
     assert manifest["scenario_hash"] == load_scenario(
         env_scn, strict=False).scenario_hash()
     assert manifest["tolerance_override"] == 3e-4
@@ -507,18 +508,19 @@ def test_each_env_variable_reaches_its_flag_and_each_flag_wins(tmp_path,
     assert manifest["gamma_convention"] == "full"
     assert manifest["defaults_used"]["gamma_convention"] == "full"
 
-    assert cli.main(["noise", "--scenario", str(flag_scn), "--out", "flag-out",
-                     "--format", "csv", "--tolerance", "1e-4", "--strict",
+    assert cli.main(["sensitivity", "--scenario", str(flag_scn),
+                     "--out", "flag-out", "--format", "csv",
+                     "--tolerance", "1e-4", "--strict",
                      "--gamma-convention", "half"]) == 0
     manifest = json.loads((tmp_path / "flag-out" / "manifest.json").read_text())
-    assert manifest["outputs"] == ["noise.csv"]
-    assert (tmp_path / "flag-out" / "noise.csv").exists()
+    assert manifest["outputs"] == ["sensitivity.csv"]
+    assert (tmp_path / "flag-out" / "sensitivity.csv").exists()
     assert manifest["scenario_hash"] == load_scenario(flag_scn).scenario_hash()
     assert manifest["tolerance_override"] == 1e-4
     assert manifest["strict"] is True
     assert manifest["gamma_convention"] == "half"
     # --strict beats the falsy variable on the scenario it would reject
-    assert cli.main(["noise", "--strict", "--out", "strict-out"]) == 2
+    assert cli.main(["sensitivity", "--strict", "--out", "strict-out"]) == 2
     assert not (tmp_path / "strict-out").exists()
 
 
@@ -537,20 +539,23 @@ def test_strict_variable_keeps_its_truthiness_rule(tmp_path, monkeypatch,
             is not strict)
 
 
-@pytest.mark.parametrize("command", ["fig4", "oracle-check"])
+@pytest.mark.parametrize("command", ["fig4", "fig2", "oracle-check"])
 @pytest.mark.parametrize("name,value", [("FORMAT", "xml"), ("FORMAT", ""),
                                         ("GAMMA_CONVENTION", "bogus"),
                                         ("TOLERANCE", "nan")])
 def test_env_value_meets_its_flags_checks(tmp_path, monkeypatch, capsys,
                                           command, name, value):
-    """A rejected value exits 2 naming its flag and its variable; oracle-check
-    takes no --gamma-convention or --tolerance, so it leaves those variables
-    out and runs."""
+    """A rejected value exits 2 naming its flag and its variable.  fig4
+    integrates nothing, so it takes no --tolerance; oracle-check takes no
+    --gamma-convention or --tolerance.  They leave those variables out and
+    run."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("OMSENSE_" + name, value)
     argv = ([command, "--configs", "2", "--freqs", "2"]
             if command == "oracle-check" else [command])
-    if command == "oracle-check" and name != "FORMAT":
+    left_out = {"fig4": ("TOLERANCE",),
+                "oracle-check": ("TOLERANCE", "GAMMA_CONVENTION")}
+    if name in left_out.get(command, ()):
         assert cli.main(argv) == 0
         return
     with pytest.raises(SystemExit) as exc:
@@ -589,6 +594,63 @@ def test_oracle_check_reads_only_its_variables(tmp_path, monkeypatch):
     assert manifest["outputs"] == ["oracle-check.json"]
     assert not {"gamma_convention", "strict",
                 "tolerance_override"} & set(manifest)
+
+
+@pytest.mark.parametrize("command", ["noise", "dm-projection", "fig3", "fig4"])
+def test_command_that_integrates_nothing_refuses_tolerance(tmp_path, capsys,
+                                                           command):
+    """A tolerance would change nothing in these tables, so it exits 2."""
+    raw = preset_scenario("fig3" if command == "dm-projection" else "fig4")
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    scenario = [] if command in PRESET_NAMES else ["--scenario", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *scenario, "--tolerance", "0.5",
+                  "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_tolerance_variable_does_not_reach_fig4(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMSENSE_TOLERANCE", "0.5")
+    out = tmp_path / "o"
+    assert cli.main(["fig4", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tolerance_override"] is None
+    assert manifest["grid"]["tolerance_rel"] == 1e-3
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_tolerance_variable_reaches_exactly_the_integrating_commands(
+        monkeypatch, command):
+    monkeypatch.setenv("OMSENSE_TOLERANCE", "3e-4")
+    integrates = cli._PRESET_COMMAND.get(command, command) in {
+        "array-scan", "sensitivity", "power-scan", "loss-scan"}
+    assert cli._env_args(command) == (["--tolerance=3e-4"] if integrates
+                                      else [])
+
+
+_SCENARIO_MANIFEST_KEYS = {
+    "columns", "command", "defaults_used", "gamma_convention", "grid",
+    "n_rows", "outputs", "package", "scenario_hash", "strict",
+    "tolerance_override", "warnings"}
+
+
+@pytest.mark.parametrize("argv,keys", [
+    *[([name], _SCENARIO_MANIFEST_KEYS) for name in PRESET_NAMES],
+    (["sensitivity", "--scenario", "fig4.json"], _SCENARIO_MANIFEST_KEYS),
+    (["oracle-check", "--configs", "2", "--freqs", "2"],
+     {"columns", "command", "defaults_used", "grid", "n_rows", "oracle",
+      "outputs", "package", "scenario_hash", "warnings"})],
+    ids=[*PRESET_NAMES, "sensitivity", "oracle-check"])
+def test_each_command_writes_exactly_its_manifest_keys(tmp_path, monkeypatch,
+                                                       argv, keys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig4.json").write_text(json.dumps(_fig4_dict()))
+    assert cli.main([*argv, "--out", "o"]) == 0
+    assert set(json.loads((tmp_path / "o" / "manifest.json").read_text())) \
+        == keys
 
 
 def test_readme_names_each_env_variable():
@@ -655,12 +717,11 @@ def test_load_scenario_from_file_roundtrip(tmp_path):
 # exit code 2 for non-finite and out-of-range inputs
 # ---------------------------------------------------------------------------
 
-def _run_noise(tmp_path, raw, *flags):
+def _run_noise(tmp_path, raw):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(raw))  # NaN / Infinity literals, as json.load reads them
     out = tmp_path / "out"
-    code = cli.main(["noise", "--scenario", str(path), "--out", str(out),
-                     *flags])
+    code = cli.main(["noise", "--scenario", str(path), "--out", str(out)])
     assert not (out / "noise.csv").exists()
     return code
 
@@ -668,19 +729,23 @@ def _run_noise(tmp_path, raw, *flags):
 def test_cli_bad_tolerance_env_is_validation_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OMSENSE_TOLERANCE", "x")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["fig4", "--out", str(tmp_path / "x")])
+        cli.main(["fig5", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert "OMSENSE_TOLERANCE" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("key,value", [("squeezing_db", math.nan),
                                        ("squeezing_db", math.inf),
+                                       ("squeezing_db", -10),
                                        ("photon_number", math.nan),
                                        ("photon_number", math.inf)])
 def test_cli_non_finite_squeezing_rejected(tmp_path, capsys, key, value):
+    """The message names the key and the value the scenario gives."""
     raw = _fig4_dict(input_light={key: value, "angle_policy": "optimal"})
     assert _run_noise(tmp_path, raw) == 2
-    assert "finite" in capsys.readouterr().err
+    assert (f"input_light.{key} must be finite and >= 0, got {value!r}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -714,10 +779,15 @@ def test_cli_bad_tolerance_rejected(tmp_path, capsys, value):
     assert _run_noise(tmp_path, raw) == 2
     assert "tolerance_rel must be finite and > 0" in capsys.readouterr().err
 
+    path = tmp_path / "fig4.json"
+    path.write_text(json.dumps(_fig4_dict()))
     with pytest.raises(SystemExit) as exc:
-        _run_noise(tmp_path, _fig4_dict(), "--tolerance", repr(value))
+        cli.main(["sensitivity", "--scenario", str(path), "--out",
+                  str(tmp_path / "flag-out"), "--tolerance", repr(value)])
     assert exc.value.code == 2
-    assert "tolerance" in capsys.readouterr().err
+    assert ("argument --tolerance: must be a finite number > 0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "flag-out").exists()
 
 
 @pytest.mark.parametrize("block,key,value,message", [
