@@ -8,8 +8,6 @@ independent sensors.  Distributing one squeezed vacuum over the array adds a
 constant entanglement factor on top.
 """
 
-import numpy as np
-
 from omsense import SqueezedInput
 from omsense.arrays import ArrayNoise, array_signal_psd, identical_array
 from omsense.scenario import preset_scenario, scenario_from_dict
@@ -22,16 +20,11 @@ inputs = [SqueezedInput.vacuum(),
           SqueezedInput.from_db(10.0, angle_policy="optimal")]
 
 
-def flat(gain):
-    return lambda w: np.full_like(np.asarray(w, float), gain)
-
-
 def sensitivities(m):
     arr = identical_array(sensor, m, power_per_sensor=2e-3)
-    gain = float(array_signal_psd(arr, 1.0))
     # one kernel build per quadrature pass gives both noise totals
     res = integrated_sensitivity(
-        flat(gain), lambda w: ArrayNoise(arr, w).totals(inputs), grid)
+        array_signal_psd(arr), lambda w: ArrayNoise(arr, w).totals(inputs), grid)
     i_coh, i_dqs = res.value.tolist()
     return i_coh, i_dqs
 

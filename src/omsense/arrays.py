@@ -447,11 +447,11 @@ def _optimal_angle(a, b):
 # signal and noise
 # ---------------------------------------------------------------------------
 
-def array_signal_psd(arr: SensorArray, drive_amplitude):
-    """Signal PSD of the combined estimator, |sum_n W_0n M_n|^2 f^2 (N^2/Hz)."""
+def array_signal_psd(arr: SensorArray) -> float:
+    """Signal gain of the combined estimator, |sum_n W_0n M_n|^2: its signal
+    PSD per unit drive PSD."""
     resp = np.array([s.response_factor for s in arr.sensors])
-    gain = np.abs(np.sum(arr.combining_weights * resp)) ** 2
-    return gain * np.asarray(drive_amplitude) ** 2
+    return float(np.abs(np.sum(arr.combining_weights * resp)) ** 2)
 
 
 def array_noise_psd(arr: SensorArray, inp: QuadraturePsds, omega) -> NoiseBreakdown:

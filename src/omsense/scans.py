@@ -17,8 +17,8 @@ import numpy as np
 
 from .constants import C_LIGHT, TWO_PI
 from .errors import ScenarioError
-from .spectra import (QuadraturePsds, SqueezedInput, displacement_asd,
-                      input_quadrature_psds)
+from .spectra import (QuadraturePsds, SqueezedInput, acceleration_asd,
+                      displacement_asd, input_quadrature_psds)
 from .arrays import (ArrayBatch, ArrayNoise, SensorArray, array_signal_psd,
                      array_sql_psd, matched_weights)
 from .oracle import oracle_noise_psd
@@ -91,19 +91,19 @@ def _single_reference(scn: Scenario) -> SensorArray:
 _SWEEP_CELLS = 1 << 16
 
 
-def _integrals(grid: FrequencyGrid, arrays, inputs, rel_tol=None):
+def _integrals(grid: FrequencyGrid, arrays, inputs):
     """Yield one ``IntegrationResult`` per array, with one component per
-    input of ``inputs``, all on one grid."""
+    input of ``inputs``, all on one grid at its tolerance."""
     for arr in arrays:
-        gain = float(array_signal_psd(arr, 1.0))
         # ArrayNoise's rows at most: one when one template at one weight fills
         # every slot, otherwise one per slot
         dv = arr.dividing_weights.tolist()
         one = arr.sensors.count(arr.sensors[0]) == dv.count(dv[0]) == len(dv)
         step = max(1, _SWEEP_CELLS // (1 if one else len(dv)))
-        yield integrated_sensitivity(lambda w: gain, lambda w: np.concatenate(
-            [ArrayNoise(arr, w[i:i + step]).totals(inputs)
-             for i in range(0, w.size, step)], axis=1), grid, rel_tol)
+        yield integrated_sensitivity(
+            array_signal_psd(arr), lambda w: np.concatenate(
+                [ArrayNoise(arr, w[i:i + step]).totals(inputs)
+                 for i in range(0, w.size, step)], axis=1), grid)
 
 
 def _sweep(grid: FrequencyGrid, arrays, inputs) -> np.ndarray:
@@ -129,7 +129,6 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> Table:
     thermal = float(bd.thermal[0])  # frequency-independent
     em2r = math.exp(-2.0 * scn.squeeze.r)
     osc0 = arr.sensors[0].oscillator
-    mass = osc0.mass
     return Table({
         "omega_rad_s": omegas,
         "frequency_hz": omegas / TWO_PI,
@@ -144,8 +143,8 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> Table:
         "sql": sql,
         "classical_limit_total": sql + thermal,
         "squeezed_limit_total": em2r * sql + thermal,
-        "acc_asd_classical": np.sqrt(bd.total) / mass,
-        "acc_asd_squeezed": np.sqrt(sq_total) / mass,
+        "acc_asd_classical": acceleration_asd(osc0, bd.total),
+        "acc_asd_squeezed": acceleration_asd(osc0, sq_total),
         "disp_asd_classical": displacement_asd(osc0, omegas, bd.total),
     })
 
@@ -166,7 +165,7 @@ def sensitivity_report(scn: Scenario) -> Table:
     results, halves = [], []
     for _, squeeze in quantities:
         results += _integrals(grid, [arr], [squeeze])
-        halves += _integrals(grid.bisected(), [arr], [squeeze], 0.5 * grid.tol)
+        halves += _integrals(grid.bisected(), [arr], [squeeze])
     value = np.array([res.value[0] for res in results])
     change = np.abs([res.value[0] for res in halves] - value) / np.abs(value)
     for (name, _), rel in zip(quantities, change.tolist()):
@@ -218,7 +217,7 @@ def dm_projection_table(scn: Scenario,
 
     arr1 = _single_reference(scn)
     arr_m = scn.build_array(m_count)
-    gain_m = float(array_signal_psd(arr_m, 1.0))
+    gain_m = array_signal_psd(arr_m)
     r = scn.squeeze.r
     em2r = math.exp(-2.0 * r)
 

@@ -177,6 +177,13 @@ _SCAN_FIELDS = {
 }
 
 
+def _exclusive(block: dict, where: str, *keys: str) -> None:
+    """Exit 2 when two of ``keys`` are given: one would override the other."""
+    given = [key for key in keys if block.get(key) is not None]
+    if len(given) > 1:
+        raise ScenarioError(f"{where}: give {given[0]} or {given[1]}, not both")
+
+
 def _angular(block: dict, base: str, where: str, default=_REQUIRED,
              parse=_positive):
     """Read ``<base>_rad_s`` or ``<base>_hz`` (converted by 2 pi), as
@@ -184,8 +191,7 @@ def _angular(block: dict, base: str, where: str, default=_REQUIRED,
     rad_key, hz_key = f"{base}_rad_s", f"{base}_hz"
     hz = _field(block, hz_key, where, parse, None)
     if hz is not None:
-        if block.get(rad_key) is not None:
-            raise ScenarioError(f"{where}: give {rad_key} or {hz_key}, not both")
+        _exclusive(block, where, rad_key, hz_key)
         return parse(TWO_PI * hz, f"{where}.{hz_key} (in rad/s)")
     if default is _REQUIRED and block.get(rad_key) is None:
         raise ScenarioError(f"{where}: {rad_key} or {hz_key} required")
@@ -201,6 +207,7 @@ def _build_sensor(raw: dict, idx: int, strict: bool, warnings_out: list,
     temperature = _field(raw, "temperature_k", where, _non_negative, 0.0)
     damping = _angular(raw, "damping", where, default=None)
     quality = _field(raw, "quality_factor", where, _positive, None)
+    _exclusive(raw, where, "damping_rad_s", "damping_hz", "quality_factor")
     if damping is not None:
         osc = Oscillator(mass=mass, omega0=omega0, gamma=damping,
                          temperature=temperature)
@@ -354,9 +361,14 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     angle = _field(light, "angle_rad", "input_light", _finite, 0.0)
     db = _field(light, "squeezing_db", "input_light", _non_negative, None)
     n_s = _field(light, "photon_number", "input_light", _non_negative, None)
-    if db is not None and n_s is not None:
-        raise ScenarioError(
-            "input_light: give squeezing_db or photon_number, not both")
+    _exclusive(light, "input_light", "squeezing_db", "photon_number")
+    for key, value in (("squeezing_db", db), ("photon_number", n_s)):
+        if angle_policy == "vacuum" and value:
+            raise ScenarioError(f"input_light.angle_policy 'vacuum' needs "
+                                f"{key} = 0, got {value!r}")
+    if light.get("angle_rad") is not None and angle_policy != "fixed":
+        warns.append(f"input_light.angle_rad has no effect under angle_policy "
+                     f"{angle_policy!r}")
     if db is not None:
         squeeze = SqueezedInput.from_db(db, angle_policy, angle)
     elif n_s is not None:
@@ -381,6 +393,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
         _check_keys(dm_block, _DM_KEYS, where, strict, warns)
         rho = _field(dm_block, "density_kg_m3", where, _positive, None)
         gev = _field(dm_block, "density_gev_cm3", where, _positive, None)
+        _exclusive(dm_block, where, "density_kg_m3", "density_gev_cm3")
         if rho is None and gev is not None:
             rho = GEV_PER_CM3_TO_KG_M3 * gev
         elif rho is None:
@@ -391,6 +404,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
         fraction = _field(dm_block, "linewidth_fraction", where, _positive, 1e-6)
         defaults["coherence_linewidth_rule"] = f"Delta_a = {fraction:g} * Omega_DM"
         material = _field(dm_block, "material_factor", where, _non_negative, None)
+        _exclusive(dm_block, where, "material_factor", "calibration")
         if material is None:
             cal = dm_block.get("calibration")
             if cal is None:

@@ -5,8 +5,8 @@ The headline quantity is the integrated sensitivity
     I = integral_0^inf (S_drive / S_noise)^2 dw / pi,
 
 a bandwidth-aware figure of merit for detecting an incoherent force whose
-frequency is unknown a priori (the drive PSD is taken flat over the band by
-default).  For pure-SQL noise the integral evaluates in closed form to
+frequency is unknown a priori, under a drive PSD flat over the band.  For
+pure-SQL noise the integral evaluates in closed form to
 gamma / S_SQL(Omega)^2 = 1/(4 gamma (hbar m Omega)^2), which the quadrature
 must reproduce.  With Q ~ 1e9 resonances the peak is a billionth of its
 own frequency wide, so the quadrature works as QUADPACK QAGP does
@@ -15,8 +15,8 @@ omega0 +- gamma 10^k split the span into seed panels, and each panel is
 integrated with the 21-point Gauss-Kronrod rule, whose embedded 10-point
 Gauss rule gives the error estimate |K21 - G10| from the same integrand
 values.  Panels are bisected until the summed estimate meets the relative
-tolerance.  The integrand may be vector-valued (as in SciPy's quad_vec):
-its components share the panels, a panel is bisected when any component
+tolerance.  The noise may have several components (as in SciPy's
+quad_vec): they share the panels, a panel is bisected when any component
 misses its share of the tolerance, and every component must meet it.
 
 Dark-matter projections convert a detector noise PSD into a minimum
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,11 +98,12 @@ class FrequencyGrid:
         return float(self.nodes[0]), float(self.nodes[-1])
 
     def bisected(self) -> "FrequencyGrid":
-        """The same span with every seed panel split at its midpoint."""
+        """The self-check's grid: the same span with every seed panel split
+        at its midpoint, at half the tolerance."""
         mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         nodes = np.empty(2 * self.nodes.size - 1)
         nodes[0::2], nodes[1::2] = self.nodes, mid
-        return FrequencyGrid(nodes=nodes, tol=self.tol)
+        return FrequencyGrid(nodes=nodes, tol=0.5 * self.tol)
 
 
 def resonance_refined_grid(resonances, span, tol: float = 1e-3) -> FrequencyGrid:
@@ -164,13 +165,17 @@ _G10_WEIGHTS[11::2] = _WG[::-1]
 _RULES = np.stack([_K21_WEIGHTS, _G10_WEIGHTS], axis=1)
 
 
+# integrand evaluations after which the quadrature gives up
+_MAX_EVALUATIONS = 6_000_000
+
+
 @dataclass(frozen=True)
 class IntegrationResult:
-    """``value`` and ``rel_error`` are floats for a scalar integrand and
-    (k,) arrays, one entry per component, for a (k, n) integrand."""
+    """``value`` and ``rel_error`` are (k,) arrays, one entry per component
+    of the noise."""
 
-    value: float | np.ndarray
-    rel_error: float | np.ndarray
+    value: np.ndarray
+    rel_error: np.ndarray
     n_panels: int
     n_evaluations: int
     rounds: int
@@ -189,24 +194,30 @@ def _panel_values(f, a, b):
     return kronrod, np.abs(kronrod - sums[..., 1])
 
 
-def _adaptive_panels(f, nodes, rel_tol, max_evaluations=6_000_000):
-    """Integrate every component of ``f`` over ``nodes``' panels.
+def integrated_sensitivity(gain: float, noise_psd,
+                           grid: FrequencyGrid) -> IntegrationResult:
+    """integral (gain/noise)^2 dw/pi over the grid span, adaptively refined
+    to the grid's tolerance.
 
-    Panels are shared by the components: a panel is bisected when any
-    component's error exceeds its share rel_tol |I_j| / n_panels, and the
-    integral converges when every component meets rel_tol.  Values and
-    errors are (k,) arrays.
+    ``gain`` is the signal PSD, flat over the band.  ``noise_psd`` is a
+    vectorized callable of omega giving (n,) or (k, n) for n frequencies: k
+    integrals on shared panels, a panel being bisected when any component's
+    error exceeds its share tol |I_j| / n_panels.  The noise must be finite
+    and positive wherever it is evaluated, and the integral finite
+    (ConfigError otherwise); ConvergenceError replaces an unconverged value.
     """
-    a = np.asarray(nodes[:-1], dtype=float)
-    b = np.asarray(nodes[1:], dtype=float)
-    evals = 0
+    rel_tol = grid.tol
+    _check(_TOLERANCE_RULES, {"rel_tol": rel_tol})
 
-    def refresh(a_, b_):
-        nonlocal evals
-        evals += _K21_NODES.size * a_.size
-        return _panel_values(f, a_, b_)
+    def integrand(w):
+        noise = np.asarray(noise_psd(w), dtype=float)
+        if not np.all((noise > 0.0) & np.isfinite(noise)):
+            raise ConfigError("noise PSD must be finite and positive on the span")
+        return (gain / noise) ** 2 / math.pi
 
-    val, err = refresh(a, b)
+    a, b = grid.nodes[:-1], grid.nodes[1:]
+    val, err = _panel_values(integrand, a, b)
+    evals = _K21_NODES.size * a.size
     rounds = 0
     while True:
         rounds += 1
@@ -223,57 +234,24 @@ def _adaptive_panels(f, nodes, rel_tol, max_evaluations=6_000_000):
             return IntegrationResult(value=total, rel_error=rel_error,
                                      n_panels=a.size, n_evaluations=evals,
                                      rounds=rounds)
-        if evals > max_evaluations:
+        if evals > _MAX_EVALUATIONS:
             raise ConvergenceError(
                 f"quadrature did not reach rel_tol={rel_tol:g} within "
-                f"{max_evaluations} evaluations (estimate {np.max(rel_error):g})")
+                f"{_MAX_EVALUATIONS} evaluations (estimate {np.max(rel_error):g})")
         share = (rel_tol * scale / max(a.size, 1))[:, None]
         bad = np.any(err > share, axis=0)
         if not np.any(bad):
             worst = np.max(err / scale[:, None], axis=0)
             bad = worst == np.max(worst)
         mid = 0.5 * (a[bad] + b[bad])
-        new_a = np.concatenate([a[~bad], a[bad], mid])
-        new_b = np.concatenate([b[~bad], mid, b[bad]])
-        keep_val, keep_err = val[:, ~bad], err[:, ~bad]
-        ref_val, ref_err = refresh(np.concatenate([a[bad], mid]),
-                                   np.concatenate([mid, b[bad]]))
+        ref_a, ref_b = np.concatenate([a[bad], mid]), np.concatenate([mid, b[bad]])
+        ref_val, ref_err = _panel_values(integrand, ref_a, ref_b)
+        evals += _K21_NODES.size * ref_a.size
+        new_a = np.concatenate([a[~bad], ref_a])
         order = np.argsort(new_a, kind="stable")
-        a, b = new_a[order], new_b[order]
-        val = np.concatenate([keep_val, ref_val], axis=1)[:, order]
-        err = np.concatenate([keep_err, ref_err], axis=1)[:, order]
-
-
-def integrated_sensitivity(signal_psd, noise_psd, grid: FrequencyGrid,
-                           rel_tol: float | None = None,
-                           max_evaluations: int = 6_000_000) -> IntegrationResult:
-    """integral (signal/noise)^2 dw/pi over the grid span, adaptively refined.
-
-    ``signal_psd`` and ``noise_psd`` are vectorized callables of omega; the
-    noise must be finite and positive wherever the quadrature evaluates it,
-    and the integral finite (ConfigError otherwise).  A noise callable that
-    returns (k, n) for n frequencies gives k integrals on shared panels, with
-    (k,) ``value`` and ``rel_error``; one that returns (n,) gives floats.
-    Raises ConvergenceError instead of returning an unconverged value.
-    """
-    if rel_tol is None:
-        rel_tol = grid.tol
-    _check(_TOLERANCE_RULES, {"rel_tol": rel_tol})
-    vector = False
-
-    def integrand(w):
-        nonlocal vector
-        noise = np.asarray(noise_psd(w), dtype=float)
-        if not np.all((noise > 0.0) & np.isfinite(noise)):
-            raise ConfigError("noise PSD must be finite and positive on the span")
-        vector = noise.ndim > 1
-        return (np.asarray(signal_psd(w), dtype=float) / noise) ** 2 / math.pi
-
-    res = _adaptive_panels(integrand, grid.nodes, rel_tol, max_evaluations)
-    if vector:
-        return res
-    return replace(res, value=float(res.value[0]),
-                   rel_error=float(res.rel_error[0]))
+        a, b = new_a[order], np.concatenate([b[~bad], ref_b])[order]
+        val = np.concatenate([val[:, ~bad], ref_val], axis=1)[:, order]
+        err = np.concatenate([err[:, ~bad], ref_err], axis=1)[:, order]
 
 
 # ---------------------------------------------------------------------------

@@ -79,19 +79,16 @@ def test_criterion_3_scaling_laws(membrane_sensor):
     vac = QuadraturePsds.vacuum()
     squeeze = SqueezedInput.from_db(10.0, angle_policy="optimal")
 
-    def flat(gain):
-        return lambda w: np.full_like(np.asarray(w, float), gain)
-
     def curves(m):
         arr = identical_array(membrane_sensor, m, 2e-3)
-        gain = float(array_signal_psd(arr, 1.0))
+        gain = array_signal_psd(arr)
         i_coh = integrated_sensitivity(
-            flat(gain), lambda w: array_noise_psd(arr, vac, w).total, grid).value
+            gain, lambda w: array_noise_psd(arr, vac, w).total, grid).value[0]
 
         def sq_noise(w):
             return ArrayNoise(arr, w).totals([squeeze])[0]
 
-        i_dqs = integrated_sensitivity(flat(gain), sq_noise, grid).value
+        i_dqs = integrated_sensitivity(gain, sq_noise, grid).value[0]
         return i_coh, i_dqs
 
     counts = (1, 2, 5, 10, 20, 50, 100)

@@ -73,7 +73,7 @@ def test_signal_psd_identical_sensors(membrane_sensor):
     f = 2.5e-17
     for m in (1, 3, 8):
         arr = identical_array(membrane_sensor, m, 2e-3)
-        assert array_signal_psd(arr, f) == pytest.approx(m * f * f, rel=1e-12)
+        assert array_signal_psd(arr) * f**2 == pytest.approx(m * f * f, rel=1e-12)
 
 
 def test_signal_psd_alternating_response(membrane_sensor):
@@ -81,7 +81,7 @@ def test_signal_psd_alternating_response(membrane_sensor):
     minus = ArraySensor(plus.oscillator, plus.cavity, -1.0)
     w = uniform_weights(4)
     arr = SensorArray((plus, minus, plus, minus), w, uniform_weights(4), 8e-3)
-    assert array_signal_psd(arr, 1e-18) == pytest.approx(0.0, abs=1e-60)
+    assert array_signal_psd(arr) * 1e-18**2 == pytest.approx(0.0, abs=1e-60)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +388,13 @@ def test_global_combining_phase_invariance(rng):
     inp = input_quadrature_psds(SqueezedInput.from_db(db), -0.5)
     omegas = np.geomspace(1e3, 1e5, 10)
     base = array_noise_psd(arr, inp, omegas).total
-    base_sig = array_signal_psd(arr, 1e-18)
+    base_sig = array_signal_psd(arr) * 1e-18**2
     rotated = SensorArray(arr.sensors, arr.dividing_weights,
                           arr.combining_weights * np.exp(0.7j), arr.total_power)
     np.testing.assert_allclose(array_noise_psd(rotated, inp, omegas).total,
                                base, rtol=1e-12)
-    assert array_signal_psd(rotated, 1e-18) == pytest.approx(base_sig, rel=1e-12)
+    assert (array_signal_psd(rotated) * 1e-18**2
+            == pytest.approx(base_sig, rel=1e-12))
 
 
 def test_inverse_variance_weights_normalized(membrane_sensor, rng):
@@ -463,11 +464,11 @@ def test_snr_gain_m_and_sensitivity_gain_m_squared(membrane_sensor):
     f = 1e-18
     single = identical_array(membrane_sensor, 1, 2e-3)
     s_noise = array_noise_psd(single, QuadraturePsds.vacuum(), omega).total
-    s_sig = array_signal_psd(single, f)
+    s_sig = array_signal_psd(single) * f**2
     for m in (2, 4, 8, 16):
         arr = identical_array(membrane_sensor, m, 2e-3)
         noise = array_noise_psd(arr, QuadraturePsds.vacuum(), omega).total
-        sig = array_signal_psd(arr, f)
+        sig = array_signal_psd(arr) * f**2
         assert noise == pytest.approx(s_noise, rel=1e-12)
         assert sig / s_sig == pytest.approx(m, rel=1e-12)
         snr_gain = (sig / noise) / (s_sig / s_noise)

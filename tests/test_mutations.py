@@ -14,6 +14,7 @@ import pytest
 import test_scans as scans_tests
 import test_scenario_cli as scenario_cli_tests
 from omsense import cli, scans
+from omsense.sensitivity import FrequencyGrid
 
 
 def _mutant(fn, old: str, new: str):
@@ -38,6 +39,17 @@ def _row_rule_ignoring_weights(monkeypatch):
         scans._integrals, " == dv.count(dv[0])", ""))
 
 
+def _bisected_at_full_tolerance(monkeypatch):
+    monkeypatch.setattr(FrequencyGrid, "bisected", _mutant(
+        FrequencyGrid.bisected, "0.5 * self.tol", "self.tol"))
+
+
+def _integrals_ignoring_the_cell_cap(monkeypatch):
+    # the slice width no longer follows _SWEEP_CELLS
+    monkeypatch.setattr(scans, "_integrals", _mutant(
+        scans._integrals, "_SWEEP_CELLS", "(1 << 16)"))
+
+
 @pytest.mark.parametrize("mutate,gate,params", [
     pytest.param(_no_env_insertion,
                  scenario_cli_tests
@@ -48,7 +60,16 @@ def _row_rule_ignoring_weights(monkeypatch):
                  # its one-template-unequal-shares case
                  {"templates": 1, "copies": 2, "weights": [0.8, 0.6],
                   "rows": 2},
-                 id="row-rule-ignoring-weights")])
+                 id="row-rule-ignoring-weights"),
+    pytest.param(_bisected_at_full_tolerance,
+                 scans_tests
+                 .test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance,
+                 {}, id="bisected-at-full-tolerance"),
+    pytest.param(_integrals_ignoring_the_cell_cap,
+                 scans_tests.test_sliced_sweep_equals_the_unsliced_run_bitwise,
+                 # its three-templates case
+                 {"templates": 3, "copies": 1, "weights": None, "rows": 3},
+                 id="integrals-ignoring-the-cell-cap")])
 def test_gate_passes_and_fails_under_its_mutant(tmp_path, mutate, gate, params):
     def gate_passes(run: str) -> bool:
         wanted = inspect.signature(gate).parameters

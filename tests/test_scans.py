@@ -122,15 +122,15 @@ def test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance(monkeypatch
     grid = scn.build_grid()
     calls = []
 
-    def recording(signal, noise, grid, rel_tol=None):
-        calls.append((grid.nodes, rel_tol))
-        return integrated_sensitivity(signal, noise, grid, rel_tol)
+    def recording(gain, noise, grid):
+        calls.append((grid.nodes, grid.tol))
+        return integrated_sensitivity(gain, noise, grid)
 
     monkeypatch.setattr(scans, "integrated_sensitivity", recording)
     table = scans.sensitivity_report(scn)
     assert len(calls) == 2 * len(table)
     for (nodes, tol), (half_nodes, half_tol) in zip(calls[0::2], calls[1::2]):
-        assert tol is None and half_tol == 0.5 * grid.tol
+        assert tol == grid.tol and half_tol == 0.5 * grid.tol
         np.testing.assert_array_equal(nodes, grid.nodes)
         np.testing.assert_array_equal(half_nodes, grid.bisected().nodes)
     assert np.all(table["rel_change_half_tol"] > 0.0)

@@ -821,6 +821,70 @@ def test_cli_points_per_decade_accepted_and_ignored(tmp_path):
     assert any("points_per_decade has no effect" in w for w in outputs["with"][1])
 
 
+@pytest.mark.parametrize("light,warning", [
+    ({"squeezing_db": 10.0, "angle_policy": "optimal"},
+     "input_light.angle_rad has no effect under angle_policy 'optimal'"),
+    ({"angle_policy": "vacuum"},
+     "input_light.angle_rad has no effect under angle_policy 'vacuum'"),
+    ({"squeezing_db": 10.0, "angle_policy": "fixed"}, None)],
+    ids=["optimal", "vacuum", "fixed"])
+def test_angle_rad_is_noted_where_the_policy_ignores_it(tmp_path, light,
+                                                        warning):
+    """Only the fixed policy reads angle_rad; under the others the table is
+    the one without it and the manifest says the key did nothing."""
+    outputs = {}
+    for label, angle in (("with", {"angle_rad": 0.3}), ("without", {})):
+        code, out = _run(tmp_path / label, "noise",
+                         _fig4_dict(input_light=dict(light, **angle)))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs[label] = ((out / "noise.csv").read_bytes(), manifest["warnings"])
+    assert outputs["without"][1] == []
+    if warning is None:  # the fixed policy reads the angle
+        assert outputs["with"][1] == []
+        assert outputs["with"][0] != outputs["without"][0]
+    else:
+        assert outputs["with"] == (outputs["without"][0], [warning])
+
+
+@pytest.mark.parametrize("key", ["squeezing_db", "photon_number"])
+def test_vacuum_policy_with_squeezing_names_both_keys(tmp_path, capsys, key):
+    code, _ = _run(tmp_path / "zero", "noise",
+                   _fig4_dict(input_light={key: 0, "angle_policy": "vacuum"}))
+    assert code == 0
+    code, out = _run(tmp_path / "squeezed", "noise",
+                     _fig4_dict(input_light={key: 2.0, "angle_policy": "vacuum"}))
+    assert code == 2
+    assert (f"error: input_light.angle_policy 'vacuum' needs {key} = 0, "
+            f"got 2.0") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset,path,value,pair", [
+    ("fig3", ("dark_matter", "density_kg_m3"), 7e-22,
+     "dark_matter: give density_kg_m3 or density_gev_cm3"),
+    ("fig4", ("array", "sensors", 0, "damping_rad_s"), 2.5e-5,
+     "array.sensors[0]: give damping_rad_s or quality_factor"),
+    ("fig4", ("array", "sensors", 0, "damping_hz"), 4e-6,
+     "array.sensors[0]: give damping_hz or quality_factor"),
+    ("fig3", ("dark_matter", "material_factor"), 2.5e15,
+     "dark_matter: give material_factor or calibration"),
+    ("fig3", ("dark_matter",), {"compton_hz": 2000.0, "material_factor": 2.5e15,
+                                "calibration": {"bogus": 1}},
+     "dark_matter: give material_factor or calibration")],
+    ids=["density", "damping-rad-s", "damping-hz", "material-factor",
+         "material-factor-unread-calibration"])
+def test_key_that_would_override_another_exits_two(tmp_path, capsys, preset,
+                                                   path, value, pair):
+    """Each pair used to let one key win and drop the other unread."""
+    raw = preset_scenario(preset)
+    _set(raw, path, value)
+    code, out = _run(tmp_path, cli._PRESET_COMMAND[preset], raw)
+    assert code == 2
+    assert f"error: {pair}, not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run(tmp_path, command, raw):
     tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "scn.json"

@@ -81,8 +81,7 @@ def test_grid_rejects_span_excluding_resonance():
 def test_flat_ratio_integral():
     width = 100.0
     grid = resonance_refined_grid([], (1e-9, width), tol=1e-8)
-    res = integrated_sensitivity(lambda w: 3.0 * np.ones_like(w),
-                                 lambda w: np.ones_like(w), grid)
+    res = integrated_sensitivity(3.0, lambda w: np.ones_like(w), grid)
     assert res.value == pytest.approx(9.0 * width / math.pi, rel=1e-8)
 
 
@@ -92,8 +91,8 @@ def test_sql_integral_matches_closed_form(membrane_osc, membrane_grid):
     different on-resonance SQL and sits a fixed factor away (16 against the
     half-linewidth reading, 8 against the full-linewidth one)."""
     osc = membrane_osc
-    res = integrated_sensitivity(lambda w: np.ones_like(w),
-                                 lambda w: sql_noise_psd(osc, w), membrane_grid)
+    res = integrated_sensitivity(1.0, lambda w: sql_noise_psd(osc, w),
+                                 membrane_grid)
     analytic = 1.0 / (4.0 * osc.gamma * (HBAR * osc.mass * osc.omega0) ** 2)
     assert res.value == pytest.approx(analytic, rel=0.05)
     # the identity is exact, so the quadrature should do far better than 5%
@@ -118,8 +117,7 @@ def test_sql_lorentzian_identity_across_quality(quality):
     grid = resonance_refined_grid([(osc.omega0, osc.gamma)],
                                   (osc.omega0 / 1e6, osc.omega0 * 1e3),
                                   tol=1e-3)
-    res = integrated_sensitivity(lambda w: np.ones_like(w),
-                                 lambda w: sql_noise_psd(osc, w), grid)
+    res = integrated_sensitivity(1.0, lambda w: sql_noise_psd(osc, w), grid)
     analytic = 1.0 / (4.0 * osc.gamma * (HBAR * osc.mass * osc.omega0) ** 2)
     assert res.value == pytest.approx(analytic, rel=1e-6)
 
@@ -167,15 +165,12 @@ def test_scaling_laws_coherent_and_incoherent(membrane_sensor, membrane_grid):
         vac = QuadraturePsds.vacuum()
         return lambda w: array_noise_psd(arr, vac, w).total
 
-    def flat(gain):
-        return lambda w: np.full_like(np.asarray(w, float), gain)
-
-    i_one = integrated_sensitivity(flat(array_signal_psd(single, 1.0)),
-                                   noise_fn(single), membrane_grid).value
+    i_one = integrated_sensitivity(array_signal_psd(single), noise_fn(single),
+                                   membrane_grid).value
     for m in (2, 4, 8, 16, 32):
         arr = identical_array(membrane_sensor, m, 2e-3)
-        i_m = integrated_sensitivity(flat(array_signal_psd(arr, 1.0)),
-                                     noise_fn(arr), membrane_grid).value
+        i_m = integrated_sensitivity(array_signal_psd(arr), noise_fn(arr),
+                                     membrane_grid).value
         assert i_m / i_one == pytest.approx(m * m, rel=1e-6)
         i_incoherent = m * i_one  # independent sensors add at the power level
         assert i_incoherent / i_one == pytest.approx(m, rel=1e-12)
@@ -183,23 +178,24 @@ def test_scaling_laws_coherent_and_incoherent(membrane_sensor, membrane_grid):
 
 def test_self_convergence_under_tolerance_halving(membrane_osc, membrane_grid):
     noise = lambda w: sql_noise_psd(membrane_osc, w)
-    sig = lambda w: np.ones_like(w)
-    base = integrated_sensitivity(sig, noise, membrane_grid, rel_tol=1e-3)
-    half = integrated_sensitivity(sig, noise, membrane_grid, rel_tol=5e-4)
+    half_grid = FrequencyGrid(nodes=membrane_grid.nodes, tol=5e-4)
+    base = integrated_sensitivity(1.0, noise, membrane_grid)
+    half = integrated_sensitivity(1.0, noise, half_grid)
     assert abs(half.value - base.value) / base.value < 1e-3
 
 
-def test_integration_reports_non_convergence(membrane_osc, membrane_grid):
+def test_integration_reports_non_convergence(monkeypatch, membrane_osc,
+                                            membrane_grid):
     noise = lambda w: sql_noise_psd(membrane_osc, w)
-    with pytest.raises(ConvergenceError):
-        integrated_sensitivity(lambda w: np.ones_like(w), noise, membrane_grid,
-                               rel_tol=1e-15, max_evaluations=20_000)
+    monkeypatch.setattr(sensitivity, "_MAX_EVALUATIONS", 20_000)
+    grid = FrequencyGrid(nodes=membrane_grid.nodes, tol=1e-15)
+    with pytest.raises(ConvergenceError, match="within 20000 evaluations"):
+        integrated_sensitivity(1.0, noise, grid)
 
 
 def test_noise_must_be_positive(membrane_grid):
     with pytest.raises(ConfigError):
-        integrated_sensitivity(lambda w: np.ones_like(w),
-                               lambda w: np.zeros_like(w), membrane_grid)
+        integrated_sensitivity(1.0, lambda w: np.zeros_like(w), membrane_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +205,6 @@ def test_noise_must_be_positive(membrane_grid):
 # A Q = 1e6 line at 1.5 rad/s on the span [1, 2] rad/s.
 _W0, _GAMMA = 1.5, 1.5 / 2e6
 _LO, _HI = 1.0, 2.0
-
-
-def _unit(w):
-    return np.ones_like(w)
 
 
 def _lorentzian_noise(w):
@@ -229,16 +221,15 @@ def test_vector_components_meet_their_closed_forms():
     tol = 1e-6
     grid = resonance_refined_grid([(_W0, _GAMMA)], (_LO, _HI), tol=tol)
     res = integrated_sensitivity(
-        _unit, lambda w: np.stack([np.full_like(w, 2.0), _lorentzian_noise(w)]),
+        1.0, lambda w: np.stack([np.full_like(w, 2.0), _lorentzian_noise(w)]),
         grid)
     assert res.value.shape == res.rel_error.shape == (2,)
     want = [(_HI - _LO) / (4.0 * math.pi), _lorentzian_integral()]
     for value, rel_error, exact in zip(res.value, res.rel_error, want):
         assert rel_error <= tol
         assert value == pytest.approx(exact, rel=tol)
-
-    scalar = integrated_sensitivity(_unit, _lorentzian_noise, grid)
-    assert type(scalar.value) is float and type(scalar.rel_error) is float
+    # (n,) noise is one component
+    assert integrated_sensitivity(1.0, _lorentzian_noise, grid).value.shape == (1,)
 
 
 def test_unrefined_component_sums_over_the_shared_panels(monkeypatch):
@@ -246,7 +237,7 @@ def test_unrefined_component_sums_over_the_shared_panels(monkeypatch):
     1/w^2 component comes out as its scalar integral over the panels that
     the Lorentzian's refinement left."""
     seed = FrequencyGrid(nodes=np.array([_LO, _HI]), tol=1e-6)
-    assert integrated_sensitivity(_unit, lambda w: w, seed).rounds == 1
+    assert integrated_sensitivity(1.0, lambda w: w, seed).rounds == 1
 
     ends = []
     panel_values = sensitivity._panel_values
@@ -255,10 +246,10 @@ def test_unrefined_component_sums_over_the_shared_panels(monkeypatch):
         ends.extend([a, b])
         return panel_values(f, a, b)
 
-    line = integrated_sensitivity(_unit, _lorentzian_noise, seed)
+    line = integrated_sensitivity(1.0, _lorentzian_noise, seed)
     monkeypatch.setattr(sensitivity, "_panel_values", recording)
     res = integrated_sensitivity(
-        _unit, lambda w: np.stack([w, _lorentzian_noise(w)]), seed)
+        1.0, lambda w: np.stack([w, _lorentzian_noise(w)]), seed)
     assert res.rounds > 1 and res.n_panels > 1
     # the line drives every bisection, as it does when integrated alone
     assert (res.n_panels, res.rounds) == (line.n_panels, line.rounds)
@@ -266,9 +257,9 @@ def test_unrefined_component_sums_over_the_shared_panels(monkeypatch):
 
     refined = FrequencyGrid(nodes=np.unique(np.concatenate(ends)), tol=1.0)
     assert refined.nodes.size == res.n_panels + 1
-    smooth = integrated_sensitivity(_unit, lambda w: w, refined)
+    smooth = integrated_sensitivity(1.0, lambda w: w, refined)
     assert smooth.rounds == 1
-    assert res.value[0] == pytest.approx(smooth.value, rel=1e-14)
+    assert res.value[0] == pytest.approx(smooth.value[0], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +460,9 @@ def _grid(lo=1e3, hi=1e5, omega0=1.2e4, gamma=1e-5):
     return resonance_refined_grid([(omega0, gamma)], (lo, hi))
 
 
-def _integral(rel_tol=None, tol=1e-3):
+def _integral(tol=1e-3):
     grid = resonance_refined_grid([], (1.0, 2.0), tol=tol)
-    return integrated_sensitivity(lambda w: 1.0, lambda w: 1.0 + 0.0 * w,
-                                  grid, rel_tol=rel_tol)
+    return integrated_sensitivity(1.0, lambda w: 1.0 + 0.0 * w, grid)
 
 
 # every float argument of the sensitivity layer's entry points: a valid
@@ -509,7 +499,6 @@ _NON_FINITE_SITES = {
     "grid.span_max": (1e5, lambda x: _grid(hi=x)),
     "grid.omega0": (1.2e4, lambda x: _grid(omega0=x)),
     "grid.gamma": (1e-5, lambda x: _grid(gamma=x)),
-    "integral.rel_tol": (1e-3, lambda x: _integral(rel_tol=x)),
     "integral.grid_tol": (1e-3, lambda x: _integral(tol=x)),
 }
 
