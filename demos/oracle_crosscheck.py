@@ -34,7 +34,7 @@ sensors = tuple(
         (9e-6, 1500.0, 2e9, 0.6e9, 0.85, 1.3)))
 dv = np.array([0.5, 0.6, 0.62])
 dv = dv / np.linalg.norm(dv)
-arr = SensorArray(sensors, dv.astype(complex), matched_weights(dv),
+arr = SensorArray(sensors, dv, matched_weights(dv),
                   total_power=6e-3)
 squeeze = SqueezedInput.from_db(10.0)
 omega = arr.sensors[0].oscillator.omega0 * 1.7

@@ -3,7 +3,8 @@
 One bright input mode (optionally squeezed) is split over the array by a
 passive network whose first column carries the dividing weights w_k0; the
 homodyne records are converted to per-sensor force estimates and combined
-with weights W_0k.  With hats on the coherent per-sensor amplitudes
+with weights W_0k.  Weights are real (arg w_k0 = 0, which every closed form
+assumes; ``_real_weights``).  With hats on the coherent per-sensor amplitudes
 
     alpha_k = e^{i phi_k/2}/(2 chi_k) sqrt(hbar m_k Omega_k / (2 gamma_k |C'_k|))
     beta_k  = 2 e^{i phi_k/2} sqrt(2 hbar m_k Omega_k gamma_k |C'_k|)
@@ -69,9 +70,9 @@ class ArraySensor:
 class SensorArray:
     """M sensors plus dividing weights w, combining weights W and total power.
 
-    The dividing weights must form one column of a unitary (sum |w_k0|^2 = 1);
-    per-sensor circulating power scales as |w_k0|^2 of ``total_power``.
-    Combining weights are normalized to sum |W_0k|^2 = 1.
+    The dividing weights must form one column of a real orthogonal matrix
+    (sum w_k0^2 = 1); per-sensor circulating power scales as w_k0^2 of
+    ``total_power``.  Combining weights are normalized to sum W_0k^2 = 1.
     """
 
     sensors: tuple[ArraySensor, ...]
@@ -80,27 +81,37 @@ class SensorArray:
     total_power: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dividing_weights",
-                           np.asarray(self.dividing_weights, dtype=complex))
-        object.__setattr__(self, "combining_weights",
-                           np.asarray(self.combining_weights, dtype=complex))
         m = len(self.sensors)
         if m == 0:
             raise ConfigError("array needs at least one sensor")
-        if self.dividing_weights.shape != (m,) or self.combining_weights.shape != (m,):
+        dv, cw = self.dividing_weights, self.combining_weights
+        if np.shape(dv) != (m,) or np.shape(cw) != (m,):
             raise ConfigError("weight vectors must have one entry per sensor")
-        _check_weights(self.dividing_weights, self.combining_weights,
-                       self.total_power)
+        dv, cw = _check_weights(dv, cw, self.total_power)
+        object.__setattr__(self, "dividing_weights", dv)
+        object.__setattr__(self, "combining_weights", cw)
 
     @property
     def n_sensors(self) -> int:
         return len(self.sensors)
 
 
+def _real_weights(weights, name: str) -> np.ndarray:
+    """``weights`` as float64; a nonzero imaginary part, which numpy's cast
+    would drop with only a warning, is a ConfigError."""
+    w = np.asarray(weights)
+    if np.iscomplexobj(w) and (w.imag != 0.0).any():
+        raise ConfigError(f"{name} must be real (the closed forms assume arg "
+                          f"w_k0 = 0), got {w[w.imag != 0].flat[0].item()!r}")
+    return np.asarray(w.real, dtype=float)
+
+
 def _check_weights(dividing, combining, total_power):
     """The weight and power rules of ``SensorArray``, for its (M,) weights and
     total power or for (C, M) rows of weights and (C,) total powers, with
-    the message for the first bad value."""
+    the message for the first bad value; returns the weights as float64."""
+    dividing = _real_weights(dividing, "dividing weights")
+    combining = _real_weights(combining, "combining weights")
     if not (np.isfinite(dividing).all() and np.isfinite(combining).all()):
         raise ConfigError("dividing and combining weights must be finite")
     for w, name, tol in ((dividing, "dividing weights must satisfy "
@@ -108,13 +119,14 @@ def _check_weights(dividing, combining, total_power):
                          (combining, "combining weights must satisfy "
                                      "sum |W_0k|^2 = 1", 1e-8)):
         # np.sum's sum, without the wrapper that costs a record more than it
-        norm = np.add.reduce(np.abs(w) ** 2, axis=-1)
+        norm = np.add.reduce(w ** 2, axis=-1)
         bad = abs(norm - 1.0) > tol
         if bad.any():
             raise ConfigError(f"{name}, got {norm[bad].ravel()[0].item()!r}")
     _check(((_non_negative, ("total_power",),
              "total power must be finite and >= 0"),),
            {"total_power": total_power})
+    return dividing, combining
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +161,7 @@ class ArrayBatch:
         # each distinct (sensor record, array) once, and every slot's row of
         # them: a padded slot takes its array's first
         rows, slot_rows = [], []
-        dividing, combining = np.zeros((2, c, m), dtype=complex)
+        dividing, combining = np.zeros((2, c, m))
         for i, a in enumerate(arrays):
             seen: dict[int, int] = {}
             for s in a.sensors:
@@ -173,7 +185,7 @@ class ArrayBatch:
         rejected where the records and ``SensorArray`` would reject them."""
         cols = SensorColumns.checked(
             **sensor_fields, input_power=np.asarray(total_power)[:, None])
-        _check_weights(dividing, combining, total_power)
+        dividing, combining = _check_weights(dividing, combining, total_power)
         return cls(cols, dividing, combining, np.asarray(n_sensors))
 
 
@@ -217,14 +229,14 @@ class NoiseBreakdown:
 # ---------------------------------------------------------------------------
 
 def uniform_weights(m: int) -> np.ndarray:
-    return np.full(m, 1.0 / math.sqrt(m), dtype=complex)
+    return np.full(m, 1.0 / math.sqrt(m))
 
 
 def matched_weights(dividing: np.ndarray) -> np.ndarray:
-    """Combining weights conjugate to the dividing column (sum W* w = 1):
-    of one (m,) column, or of each row of (..., m)."""
-    w = np.asarray(dividing, dtype=complex)
-    return np.conj(w) / np.sqrt(np.sum(np.abs(w) ** 2, axis=-1, keepdims=True))
+    """Combining weights matched to the dividing column (sum W w = 1): the
+    normalized column, of one (m,) column or of each row of (..., m)."""
+    w = _real_weights(dividing, "dividing weights")
+    return w / np.sqrt(np.sum(w ** 2, axis=-1, keepdims=True))
 
 
 def inverse_variance_weights(sensors, dividing, total_power, omega_ref) -> np.ndarray:
@@ -235,14 +247,14 @@ def inverse_variance_weights(sensors, dividing, total_power, omega_ref) -> np.nd
     at share * total_power, in one ``ArrayNoise`` build.  Heterogeneous-array
     heuristic; the matched policy is exact for identical sensors.
     """
-    share = np.abs(np.asarray(dividing, dtype=complex)) ** 2
+    share = _real_weights(dividing, "dividing weights") ** 2
     active = np.flatnonzero(share)
     weights = np.zeros(len(sensors))
     if active.size:
         table = np.array([_parameter_row(sensors[k], total_power)
                           for k in active])
         table[:, -1] *= share[active]  # E^2 at share * total_power
-        ones = np.ones((active.size, 1), dtype=complex)
+        ones = np.ones((active.size, 1))
         batch = ArrayBatch(SensorColumns(table[:, None]), ones, ones,
                            np.ones(active.size, dtype=int))
         noise = ArrayNoise(batch, np.full((active.size, 1), omega_ref)
@@ -252,7 +264,7 @@ def inverse_variance_weights(sensors, dividing, total_power, omega_ref) -> np.nd
     norm = math.sqrt(float(np.sum(weights**2)))
     if norm == 0.0:
         raise ConfigError("inverse-variance weights vanished for every sensor")
-    return (weights / norm).astype(complex)
+    return weights / norm
 
 
 def identical_array(sensor: ArraySensor, m: int, power_per_sensor: float) -> SensorArray:
@@ -266,9 +278,7 @@ def identical_array(sensor: ArraySensor, m: int, power_per_sensor: float) -> Sen
 def single_sensor_array(osc: Oscillator, cav: CavityOptics,
                         response_factor: float = 1.0) -> SensorArray:
     sensor = ArraySensor(oscillator=osc, cavity=cav, response_factor=response_factor)
-    return SensorArray(sensors=(sensor,), dividing_weights=np.ones(1, complex),
-                       combining_weights=np.ones(1, complex),
-                       total_power=cav.input_power)
+    return SensorArray((sensor,), np.ones(1), np.ones(1), cav.input_power)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +326,13 @@ class ArrayNoise:
         if not on.any(axis=1).all():
             raise ConfigError("all combining weights vanish")
         rows = np.concatenate(
-            [batch.cols.table, np.abs(batch.dividing[..., None]) ** 2], axis=-1)
+            [batch.cols.table, batch.dividing[..., None] ** 2], axis=-1)
         # each array's first active (parameter row, share), and whether every
         # active slot of the array has it
         first = rows[np.arange(len(batch)), on.argmax(axis=1)][:, None]
         same = ((rows == first) | ~on[..., None]).all(axis=(1, 2))
         ww = batch.combining * batch.dividing
-        wabs2 = np.abs(batch.combining) ** 2
+        wabs2 = batch.combining ** 2
         if same.all():
             rows = first
             ww, wabs2 = ww.cumsum(axis=1)[:, -1:], wabs2.cumsum(axis=1)[:, -1:]
@@ -451,7 +461,7 @@ def array_signal_psd(arr: SensorArray) -> float:
     """Signal gain of the combined estimator, |sum_n W_0n M_n|^2: its signal
     PSD per unit drive PSD."""
     resp = np.array([s.response_factor for s in arr.sensors])
-    return float(np.abs(np.sum(arr.combining_weights * resp)) ** 2)
+    return float(np.sum(arr.combining_weights * resp) ** 2)
 
 
 def array_noise_psd(arr: SensorArray, inp: QuadraturePsds, omega) -> NoiseBreakdown:
@@ -467,7 +477,7 @@ def optimal_squeezing_angle(arr: SensorArray, omega):
 def array_sql_psd(arr: SensorArray, omega):
     """Weighted-average standard quantum limit, sum_k |W_0k|^2 hbar m_k O_k/|chi_k|."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    wk = np.abs(arr.combining_weights) ** 2
+    wk = arr.combining_weights ** 2
     active = np.flatnonzero(wk)
     cols = ArrayBatch.of([arr]).cols[0, active]
     chi = mechanical_susceptibility(cols, w)

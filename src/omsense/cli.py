@@ -9,7 +9,9 @@ carries no timestamps.
 
 Exit codes: 0 success, 1 oracle-check residual failure, 2 validation error,
 3 numerical non-convergence.  A command takes only the flags it reads: only
-the integrating commands (``_INTEGRATING``, presets too) take ``--tolerance``.
+the integrating commands (``_INTEGRATING``, presets too) take ``--tolerance``,
+and a preset, which runs its own scenario, takes no ``--scenario``,
+``--strict`` or ``--lenient``.
 Each common flag has an ``OMSENSE_*`` variable (``_ENV_FLAGS``), which
 ``main`` passes as the flag right after a command that takes the flag: its
 value meets the flag's checks, and a flag on the command line wins.
@@ -111,18 +113,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=_seed, default=20240817)
             p.add_argument("--residual-tol", type=_positive_float, default=1e-9)
             continue
-        p.add_argument("--scenario",
-                       help="scenario JSON path (presets embed their own)")
+        if name in PRESET_NAMES:
+            # a preset runs its own built-in scenario, strictly
+            p.set_defaults(scenario=None, strict=True)
+        else:
+            p.add_argument("--scenario", help="scenario JSON path")
+            p.add_argument("--strict", dest="strict", action="store_true",
+                           default=True,
+                           help="reject unknown scenario keys (default)")
+            p.add_argument("--lenient", dest="strict", action="store_false",
+                           help="warn on unknown scenario keys instead of "
+                                "failing")
         if _PRESET_COMMAND.get(name, name) in _INTEGRATING:
             p.add_argument("--tolerance", type=_positive_float,
                            help="override the grid relative tolerance")
         else:  # it integrates nothing: a tolerance would change no output
             p.set_defaults(tolerance=None)
-        p.add_argument("--strict", dest="strict", action="store_true",
-                       default=True,
-                       help="reject unknown scenario keys (default)")
-        p.add_argument("--lenient", dest="strict", action="store_false",
-                       help="warn on unknown scenario keys instead of failing")
         p.add_argument("--gamma-convention", choices=("half", "full"),
                        default="half",
                        help="map quality factors to gamma = Omega/2Q (half) "
@@ -218,8 +224,8 @@ def _load_overlays(specs) -> dict[str, np.ndarray]:
 def _scenario_run(args):
     """(columns, table, format, manifest fields, (notes, exit code))."""
     command = args.command
-    if command in PRESET_NAMES and args.scenario is None:
-        scn = scenario_from_dict(preset_scenario(command), strict=args.strict,
+    if command in PRESET_NAMES:
+        scn = scenario_from_dict(preset_scenario(command),
                                  gamma_convention=args.gamma_convention)
     else:
         if args.scenario is None:

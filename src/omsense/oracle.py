@@ -21,8 +21,8 @@ forms.
 A batch of arrays of any sensor counts is one pass over their
 ``ArrayBatch`` block: every array is padded to the block's width with zero
 weights, so its padded slots have zero transfer rows, the beam-splitter
-unitaries are one batched Householder completion, and each array's
-quadratic form is one matmul.
+matrices (real orthogonal, as the weights are real) are one batched
+Householder completion, and each array's quadratic form is one matmul.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .constants import HBAR, K_B
 from .errors import ConfigError
 from .spectra import SqueezedInput, _scalarize, sensor_response
-from .arrays import _as_batch
+from .arrays import _as_batch, _real_weights
 
 __all__ = [
     "TransferAssembly",
@@ -65,22 +65,19 @@ class TransferAssembly:
 
 
 def complete_unitary(columns) -> np.ndarray:
-    """Complete unit columns of shape (..., m) to (..., m, m) unitaries.
+    """Complete real unit columns (..., m) to (..., m, m) orthogonal matrices.
 
     Each column w is mapped to e_0 by one Householder reflection
-    U = I - 2 v v^H / |v|^2 with v = w + e^{i arg w_0} e_0 (Golub & Van
-    Loan, Matrix Computations, sec. 5.1): the sign choice keeps |v|^2 =
-    2 (1 + |w_0|) away from zero, and that closed form depends on w_0
-    alone, so padding a column does not change its bits.  Column 0 of U is
-    then -e^{-i arg w_0} w, a unit phase times w, so it is set to w
-    exactly.  The whole batch is one broadcast.  A column padded with zeros
-    gives block-diag(U, I) with exact zeros and ones, so a padded slot
-    never mixes with a real one.
-
-    The idle columns are arbitrary; physical outputs must not depend on the
-    choice, which the tests assert.
+    U = I - 2 v v^T / |v|^2, v = w + s e_0 with s = -1 where w_0 < 0 and
+    +1 otherwise (Golub & Van Loan, Matrix Computations, sec. 5.1): |v|^2 =
+    2 (1 + |w_0|) stays away from zero and depends on w_0 alone, so padding
+    a column does not change its bits.  Column 0 of U, -s w, is set to w.
+    The batch is one broadcast; a zero-padded column gives block-diag(U, I)
+    with exact zeros and ones, so a padded slot never mixes with a real one.
+    The idle columns are arbitrary: the tests assert that no output depends
+    on them.
     """
-    w = np.asarray(columns, dtype=complex)
+    w = _real_weights(columns, "dividing column")
     norm = np.linalg.norm(w, axis=-1)
     bad = np.abs(norm - 1.0) > 1e-10
     if bad.any():
@@ -88,10 +85,10 @@ def complete_unitary(columns) -> np.ndarray:
             f"dividing column must be normalized, |w| = {norm[bad].tolist()}")
     w0 = w[..., 0]
     v = w.copy()
-    v[..., 0] += np.exp(1j * np.angle(w0))
+    v[..., 0] += np.where(w0 < 0.0, -1.0, 1.0)
     scale = 1.0 / (1.0 + np.abs(w0))
     u = np.eye(w.shape[-1]) - v[..., :, None] * (
-        np.conj(v)[..., None, :] * scale[..., None, None])
+        v[..., None, :] * scale[..., None, None])
     u[..., :, 0] = w
     return u
 
@@ -117,16 +114,15 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
     """Build the full transfer rows at +-omega and the input covariance.
 
     The bright mode 0 carries ``squeeze`` at angle ``theta`` (vacuum when
-    ``squeeze`` is None) and the idle modes are vacuum; the beam-splitter
-    unitary is the Householder completion of the array's dividing column.
+    ``squeeze`` is None) and the idle modes are vacuum; the beam splitter is
+    the Householder completion of the array's dividing column.
 
     ``arr`` is a ``SensorArray``, or an ``ArrayBatch`` of C arrays of any
     sensor counts with ``omega`` of shape (C, n) and one squeeze and one
-    angle per array (a single value is shared); the assembly then carries
-    the batch axis and every array is padded to the block's width M.  The
-    assembly reads only the block.  A padded slot has zero dividing and
-    combining weight, so it has no sensor rows, and its idle, bath and loss
-    ports have zero transfer rows.
+    angle per array (a single value is shared); the assembly, which reads
+    only the block, then carries the batch axis, every array padded to the
+    block's width M.  A padded slot has zero weights, so it has no sensor
+    rows, and its idle, bath and loss ports have zero transfer rows.
     """
     batch, w_in, single = _as_batch(arr, omega)
     c, m = batch.dividing.shape
@@ -137,8 +133,6 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
     thetas = np.broadcast_to(np.asarray(theta, dtype=float), (c,))
 
     dv, cw, cols = batch.dividing, batch.combining, batch.cols
-    unitaries = complete_unitary(dv)
-    shares = np.abs(dv) ** 2
     # bath PSDs K_B T / (hbar Omega), zero in the padded slots
     bath = np.where(np.arange(m) < batch.n_sensors[:, None],
                     K_B * cols.temperature[..., 0]
@@ -150,30 +144,26 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
     ci, ni = np.nonzero(cw)
     cols = cols[ci, ni]
     w = np.concatenate([w_in, -w_in], axis=1)
-    chi, cmag, half = sensor_response(cols, cols, w[ci], shares[ci, ni, None])
+    chi, cmag, half = sensor_response(cols, cols, w[ci], dv[ci, ni, None] ** 2)
     phase = half * half
     # the W_0n-weighted estimator gain h of each active sensor
     wh = cw[ci, ni, None] * (np.conj(half) / chi * np.sqrt(
         HBAR * cols.mass * cols.omega0 / (8.0 * cols.gamma * cmag)))
-    # W_0n-weighted X' (rows :m) and Y' (rows m:) coefficients
-    coefs = np.zeros((c, 2 * m, 2 * n_freq), dtype=complex)
-    coefs[ci, ni] = wh * (-8.0 * cols.gamma * cmag * phase * chi)
-    coefs[ci, m + ni] = -wh * phase
+    # W_0n-weighted X' (rows :m) and Y' (rows m:2m) coefficients, mixed by
+    # the beam splitter below, then the bath and loss rows
     rows = np.zeros((c, 4 * m, 2 * n_freq), dtype=complex)
+    rows[ci, ni] = wh * (-8.0 * cols.gamma * cmag * phase * chi)
+    rows[ci, m + ni] = -wh * phase
     rows[ci, 2 * m + ni] = wh * chi * half * (4.0 * cols.gamma
                                               * np.sqrt(2.0 * cmag))
     rows[ci, 3 * m + ni] = wh * np.sqrt(
         (1.0 - cols.efficiency_sq) / cols.efficiency_sq)
 
-    # Optical input r reaches sensor n through unitary[n, r]:
-    #   X_r row = sum_n (Re U_nr X'_n + Im U_nr Y'_n),
-    #   Y_r row = sum_n (Re U_nr Y'_n - Im U_nr X'_n),
-    # two real matmuls per array on the (re, im) interleaved coefficients.
-    u_t = unitaries.swapaxes(1, 2)
-    u_re, u_im = u_t.real, u_t.imag
-    coefs = coefs.view(float)
-    rows[:, :m] = (np.concatenate([u_re, u_im], axis=2) @ coefs).view(complex)
-    rows[:, m:2 * m] = (np.concatenate([-u_im, u_re], axis=2) @ coefs).view(complex)
+    # Optical input r reaches sensor n through U[n, r]: the X_r row is
+    # sum_n U_nr X'_n and the Y_r row sum_n U_nr Y'_n, one real matmul each
+    # on the (re, im) interleaved coefficients.
+    u_t, xy = complete_unitary(dv).swapaxes(1, 2), rows.view(float)
+    xy[:, :m], xy[:, m:2 * m] = u_t @ xy[:, :m], u_t @ xy[:, m:2 * m]
 
     # input covariance: per optical mode r the Hermitian (X, Y) block
     # [[sxx, sxy + i/2], [sxy - i/2, syy]] (vacuum sxx = syy = 1/2, sxy = 0
@@ -182,8 +172,7 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
     r = np.arange(m)
     cov = np.zeros((c, 4 * m, 4 * m), dtype=complex)
     cov[:, r, r] = cov[:, m + r, m + r] = cov[:, 3 * m + r, 3 * m + r] = 0.5
-    cov[:, r, m + r] = 0.5j
-    cov[:, m + r, r] = -0.5j
+    cov[:, r, m + r], cov[:, m + r, r] = 0.5j, -0.5j
     cov[:, 0, 0], cov[:, m, m] = sxx, syy
     cov[:, 0, m], cov[:, m, 0] = sxy + 0.5j, sxy - 0.5j
     cov[:, 2 * m + r, 2 * m + r] = bath

@@ -80,6 +80,14 @@ class Table:
         return self.columns[name]
 
 
+def _note_optimal_angle(scn: Scenario, command: str, also: str = "") -> None:
+    """Warn that ``command``, which squeezes at the optimal angle (and at
+    ``also``), ignores the scenario's fixed one."""
+    if scn.squeeze.r > 0 and scn.squeeze.angle_policy == "fixed":
+        warnings.warn(f"input_light.angle_policy 'fixed' has no effect: "
+                      f"{command} squeezes at the optimal angle{also}")
+
+
 def _single_reference(scn: Scenario) -> SensorArray:
     """The M = 1 reference: template 0 alone with unit weights, at the power
     ``build_array(1)`` gives a one-template scenario under either power
@@ -209,6 +217,7 @@ def dm_projection_table(scn: Scenario,
     """
     if scn.dark_matter is None:
         raise ScenarioError("dm-projection needs a dark_matter block")
+    _note_optimal_angle(scn, "dm-projection")
     dm, plan, scan = scn.dark_matter, scn.plan, scn.scan
     m_count = scan["dqs_sensors"]
     omegas = np.geomspace(TWO_PI * scan["compton_hz_min"],
@@ -259,6 +268,7 @@ def power_scan_table(scn: Scenario) -> Table:
     powers = scn.scan.get("powers_w")
     if powers is None:
         raise ScenarioError("power-scan needs scan.powers_w")
+    _note_optimal_angle(scn, "power-scan", " and at scan.fixed_angle_rad")
     r = scn.squeeze.r
     inputs = [_VACUUM, SqueezedInput(r=r, angle_policy="optimal"),
               SqueezedInput(r=r, angle_policy="fixed",
@@ -274,6 +284,7 @@ def loss_scan_table(scn: Scenario) -> Table:
     losses = scn.scan.get("losses")
     if losses is None:
         raise ScenarioError("loss-scan needs scan.losses")
+    _note_optimal_angle(scn, "loss-scan")
     inputs = [_VACUUM, SqueezedInput(r=scn.squeeze.r, angle_policy="optimal")]
     i_cl, i_sq = _sweep(
         scn.build_grid(),
@@ -336,7 +347,7 @@ def _draw_chunk(rng: np.random.Generator, c: int, n_freqs: int):
     omegas = np.exp(rng.uniform(np.log(omega0 / 100), np.log(omega0 * 100),
                                 (c, n_freqs)))
     dv = np.where(np.arange(width) < m[:, None], dv[:, :width], 0.0)
-    dv = (dv / np.linalg.norm(dv, axis=1, keepdims=True)).astype(complex)
+    dv = dv / np.linalg.norm(dv, axis=1, keepdims=True)
     batch = ArrayBatch.checked(fields, dv, matched_weights(dv), power, m)
     return batch, db, theta, omegas
 

@@ -341,24 +341,31 @@ def scenario_from_dict(raw: dict, strict: bool = True,
                               _choice("per_sensor", "total"), "per_sensor")
     defaults["power_convention"] = power_convention
     power = _field(arr, "power_w", "array", _non_negative)
-    explicit_dv = explicit_cw = None
+    # given weights are parsed under every policy, so a malformed one exits
+    # 2, and are noted where the policy sets the weights
+    keys = ("dividing_weights", "combining_weights")
+    explicit_dv, explicit_cw = (
+        _field(arr, key, "array", _list_of(_real_weight),
+               _REQUIRED if policy == "explicit" else None) for key in keys)
     if policy == "explicit":
-        weights = _list_of(_real_weight)
-        explicit_dv = np.asarray(_field(arr, "dividing_weights", "array",
-                                        weights), dtype=complex)
-        explicit_cw = np.asarray(_field(arr, "combining_weights", "array",
-                                        weights), dtype=complex)
         m = copies if len(sensors) == 1 else len(sensors)
-        if explicit_dv.size != m:
+        if len(explicit_dv) != m:
             raise ScenarioError(f"dividing weights must have {m} entries, "
-                                f"got {explicit_dv.size}")
-        _check_weights(explicit_dv, explicit_cw, power)
+                                f"got {len(explicit_dv)}")
+        explicit_dv, explicit_cw = _check_weights(explicit_dv, explicit_cw,
+                                                  power)
+    else:
+        warns += [f"array.{key} has no effect under weights_policy {policy!r}"
+                  for key in keys if arr.get(key) is not None]
+        explicit_dv = explicit_cw = None
 
     light = _block(raw, "input_light")
     _check_keys(light, _LIGHT_KEYS, "input_light", strict, warns)
     angle_policy = _field(light, "angle_policy", "input_light",
                           _choice("vacuum", "fixed", "optimal"), "vacuum")
     angle = _field(light, "angle_rad", "input_light", _finite, 0.0)
+    if angle_policy == "fixed" and light.get("angle_rad") is None:
+        defaults["angle_rad"] = angle
     db = _field(light, "squeezing_db", "input_light", _non_negative, None)
     n_s = _field(light, "photon_number", "input_light", _non_negative, None)
     _exclusive(light, "input_light", "squeezing_db", "photon_number")

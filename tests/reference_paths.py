@@ -52,7 +52,7 @@ def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
         for *row, factor in zip(*columns, response.tolist()))
     dv = rng.uniform(0.1, 1.0, m)
     dv = dv / np.linalg.norm(dv)
-    arr = SensorArray(sensors, dv.astype(complex), matched_weights(dv),
+    arr = SensorArray(sensors, dv, matched_weights(dv),
                       total_power=2e-3 * m * rng.uniform(0.5, 2.0))
     db = rng.uniform(0.0, 15.0)
     return arr, db

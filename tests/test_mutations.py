@@ -11,9 +11,11 @@ import textwrap
 
 import pytest
 
+import test_arrays as arrays_tests
+import test_oracle as oracle_tests
 import test_scans as scans_tests
 import test_scenario_cli as scenario_cli_tests
-from omsense import cli, scans
+from omsense import arrays, cli, oracle, scans
 from omsense.sensitivity import FrequencyGrid
 
 
@@ -50,6 +52,22 @@ def _integrals_ignoring_the_cell_cap(monkeypatch):
         scans._integrals, "_SWEEP_CELLS", "(1 << 16)"))
 
 
+def _weight_rule_without_realness(monkeypatch):
+    # the complex-to-real cast that drops the imaginary parts
+    monkeypatch.setattr(arrays, "_check_weights", _mutant(
+        arrays._check_weights,
+        'dividing = _real_weights(dividing, "dividing weights")\n'
+        '    combining = _real_weights(combining, "combining weights")',
+        "dividing, combining = np.real(dividing), np.real(combining)"))
+
+
+def _householder_sign_fixed_at_plus_one(monkeypatch):
+    mutant = _mutant(oracle.complete_unitary,
+                     "np.where(w0 < 0.0, -1.0, 1.0)", "1.0")
+    monkeypatch.setattr(oracle, "complete_unitary", mutant)
+    monkeypatch.setattr(oracle_tests, "complete_unitary", mutant)
+
+
 @pytest.mark.parametrize("mutate,gate,params", [
     pytest.param(_no_env_insertion,
                  scenario_cli_tests
@@ -69,8 +87,18 @@ def _integrals_ignoring_the_cell_cap(monkeypatch):
                  scans_tests.test_sliced_sweep_equals_the_unsliced_run_bitwise,
                  # its three-templates case
                  {"templates": 3, "copies": 1, "weights": None, "rows": 3},
-                 id="integrals-ignoring-the-cell-cap")])
-def test_gate_passes_and_fails_under_its_mutant(tmp_path, mutate, gate, params):
+                 id="integrals-ignoring-the-cell-cap"),
+    pytest.param(_weight_rule_without_realness,
+                 arrays_tests
+                 .test_complex_weights_are_refused_wherever_weights_enter,
+                 {"phased": arrays_tests._PHASED[0]},
+                 id="weight-rule-without-realness"),
+    pytest.param(_householder_sign_fixed_at_plus_one,
+                 # its w_0 < 0 rows
+                 oracle_tests.test_householder_completion_is_unitary, {},
+                 id="householder-sign-fixed-at-plus-one")])
+def test_gate_passes_and_fails_under_its_mutant(tmp_path, request, mutate,
+                                                gate, params):
     def gate_passes(run: str) -> bool:
         wanted = inspect.signature(gate).parameters
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -79,10 +107,13 @@ def test_gate_passes_and_fails_under_its_mutant(tmp_path, mutate, gate, params):
             fixtures = {"monkeypatch": monkeypatch,
                         "tmp_path": tmp_path / run}
             fixtures["tmp_path"].mkdir()
+            # any other fixture the gate takes, from conftest
+            fixtures.update({k: request.getfixturevalue(k) for k in wanted
+                             if k not in fixtures and k not in params})
             try:
                 gate(**{k: v for k, v in fixtures.items() if k in wanted},
                      **params)
-            except AssertionError:
+            except (AssertionError, pytest.fail.Exception):
                 return False
         return True
 

@@ -10,9 +10,10 @@ from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.errors import ConfigError
 from omsense.spectra import (QuadraturePsds, SqueezedInput,
                              input_quadrature_psds, mechanical_susceptibility)
-from omsense.arrays import (ArrayBatch, SensorArray, array_noise_psd,
-                            array_sql_psd, identical_array, matched_weights,
-                            optimal_squeezing_angle, single_sensor_array)
+from omsense.arrays import (ArrayBatch, ArrayNoise, SensorArray,
+                            array_noise_psd, array_sql_psd, identical_array,
+                            matched_weights, optimal_squeezing_angle,
+                            single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             oracle_noise_psd, propagate_covariance)
 from reference_paths import (cavity_phase_and_cooperativity,
@@ -78,20 +79,20 @@ def test_scalar_omega_returns_float(membrane_sensor, quantity):
 
 
 def _unit_columns(rng, c, m):
-    w = rng.uniform(0.1, 1.0, (c, m)) + 1j * rng.uniform(-0.2, 0.2, (c, m))
+    """c >= 3 real unit columns of m signed entries: w_0 = 0 in row 0 (for
+    m > 1; the sign is then +1), w_0 < 0 in row 1 and w_0 > 0 in row 2."""
+    w = rng.uniform(0.1, 1.0, (c, m)) * rng.choice([-1.0, 1.0], (c, m))
+    w[:3, 0] = (0.0 if m > 1 else 1.0), -abs(w[1, 0]), abs(w[2, 0])
     return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
 def test_householder_completion_is_unitary(rng):
     for m in (1, 2, 3, 5, 32):
         w = _unit_columns(rng, 6, m)
-        if m > 1:  # a column with w_0 = 0 takes the phase e^{i0} = 1
-            w[0, 0] = 0.0
-            w[0] /= np.linalg.norm(w[0])
         u = complete_unitary(w)
-        assert u.shape == (6, m, m)
+        assert u.shape == (6, m, m) and u.dtype == np.float64
         np.testing.assert_array_equal(u[..., 0], w)
-        gram = np.conj(u).swapaxes(-1, -2) @ u
+        gram = u.swapaxes(-1, -2) @ u
         assert np.max(np.abs(gram - np.eye(m))) <= 1e-15 * m
         # each column of the batch completes as it would alone
         np.testing.assert_array_equal(u[2], complete_unitary(w[2]))
@@ -101,11 +102,11 @@ def test_zero_padded_column_completes_block_diagonally(rng):
     """A column padded with zeros gives block-diag(U, I) with exact zeros
     and ones, so a padded slot cannot reach a real sensor."""
     for m, pad in ((1, 3), (3, 1), (4, 12)):
-        w = _unit_columns(rng, 1, m)[0]
-        u = complete_unitary(np.concatenate([w, np.zeros(pad)]))
-        np.testing.assert_array_equal(u[:m, :m], complete_unitary(w))
-        np.testing.assert_array_equal(u[m:, m:], np.eye(pad))
-        assert not np.any(u[:m, m:]) and not np.any(u[m:, :m])
+        for w in _unit_columns(rng, 3, m):
+            u = complete_unitary(np.concatenate([w, np.zeros(pad)]))
+            np.testing.assert_array_equal(u[:m, :m], complete_unitary(w))
+            np.testing.assert_array_equal(u[m:, m:], np.eye(pad))
+            assert not np.any(u[:m, m:]) and not np.any(u[m:, :m])
 
 
 def test_completion_rejects_unnormalized_columns(rng):
@@ -113,6 +114,30 @@ def test_completion_rejects_unnormalized_columns(rng):
     w[1] *= 1.0 + 1e-9
     with pytest.raises(ConfigError, match="normalized"):
         complete_unitary(w)
+
+
+def test_signed_real_weights_agree_with_the_oracle(rng):
+    """A dividing column whose first entry is negative flips the
+    Householder sign; the closed forms, optimal angle included, still agree
+    with the oracle at 1e-9, and every weight and the completion are real."""
+    arr, db = random_array(rng, 3)
+    squeeze = SqueezedInput.from_db(db)
+    omega = np.geomspace(0.1, 10.0, 7) * arr.sensors[0].oscillator.omega0
+    for dv in ([-0.6, 0.0, 0.8], [-0.48, 0.6, -0.64]):
+        for cw in (matched_weights(dv), np.array([0.8, 0.0, -0.6])):
+            signed = SensorArray(arr.sensors, dv, cw, arr.total_power)
+            assert signed.dividing_weights.dtype == np.float64
+            assert complete_unitary(signed.dividing_weights).dtype == np.float64
+            closed = array_noise_psd(
+                signed, input_quadrature_psds(squeeze, 0.4), omega).total
+            np.testing.assert_allclose(
+                oracle_noise_psd(signed, omega, squeeze, theta=0.4), closed,
+                rtol=1e-9)
+            [optimal] = ArrayNoise(signed, omega).totals([squeeze])
+            for w, theta, total in zip(
+                    omega, optimal_squeezing_angle(signed, omega), optimal):
+                assert oracle_noise_psd(signed, w, squeeze, theta=theta) \
+                    == pytest.approx(total, rel=1e-9)
 
 
 def test_completion_choice_does_not_change_psd(rng):

@@ -529,12 +529,13 @@ def test_each_env_variable_reaches_its_flag_and_each_flag_wins(tmp_path,
 def test_strict_variable_keeps_its_truthiness_rule(tmp_path, monkeypatch,
                                                    value, strict):
     monkeypatch.setenv("OMSENSE_STRICT", value)
-    out = tmp_path / "o"
-    assert cli.main(["fig4", "--out", str(out)]) == 0
+    out, scenario = tmp_path / "o", tmp_path / "fig4.json"
+    scenario.write_text(json.dumps(_fig4_dict()))
+    argv = ["noise", "--scenario", str(scenario), "--out", str(out)]
+    assert cli.main(argv) == 0
     assert json.loads((out / "manifest.json").read_text())["strict"] is strict
     # the opposite flag, given on the command line, wins
-    assert cli.main(["fig4", "--out", str(out),
-                     "--lenient" if strict else "--strict"]) == 0
+    assert cli.main(argv + ["--lenient" if strict else "--strict"]) == 0
     assert (json.loads((out / "manifest.json").read_text())["strict"]
             is not strict)
 
@@ -845,6 +846,97 @@ def test_angle_rad_is_noted_where_the_policy_ignores_it(tmp_path, light,
         assert outputs["with"][0] != outputs["without"][0]
     else:
         assert outputs["with"] == (outputs["without"][0], [warning])
+
+
+def test_fixed_angle_without_angle_rad_records_its_default(tmp_path):
+    light = {"squeezing_db": 10.0, "angle_policy": "fixed"}
+    defaults = {}
+    for label, angle in (("without", {}), ("with", {"angle_rad": 0.0})):
+        code, out = _run(tmp_path / label, "noise",
+                         _fig4_dict(input_light=dict(light, **angle)))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        defaults[label] = manifest["defaults_used"]
+    assert defaults["without"]["angle_rad"] == 0.0
+    assert "angle_rad" not in defaults["with"]
+
+
+@pytest.mark.parametrize("command,preset", [
+    ("power-scan", "fig5"), ("loss-scan", "fig6"), ("dm-projection", "fig3")])
+def test_optimal_angle_commands_note_a_fixed_angle(tmp_path, command, preset):
+    """These commands squeeze at the optimal angle whatever input_light
+    says: a fixed angle leaves the table as it is, and the manifest says
+    so."""
+    outputs = {}
+    for policy, angle in (("optimal", {}), ("fixed", {"angle_rad": 0.3})):
+        raw = preset_scenario(preset)
+        raw["input_light"] = {"squeezing_db": 10.0, "angle_policy": policy,
+                              **angle}
+        code, out = _run(tmp_path / policy, command, raw)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs[policy] = ((out / f"{command}.csv").read_bytes(),
+                           manifest["warnings"])
+    assert outputs["optimal"][1] == []
+    assert outputs["fixed"][0] == outputs["optimal"][0]
+    [note] = outputs["fixed"][1]
+    assert note.startswith("input_light.angle_policy 'fixed' has no effect: "
+                           f"{command} squeezes at the optimal angle")
+
+
+@pytest.mark.parametrize("policy", ["matched", "uniform", "inverse_variance"])
+def test_weights_under_a_weight_setting_policy_are_noted(tmp_path, capsys,
+                                                         policy):
+    """Given weights do nothing unless weights_policy is explicit: the
+    table is the one without them and the manifest notes each key; they are
+    still parsed, so a malformed one exits 2."""
+    outputs = {}
+    for label, weights in (("with", {"dividing_weights": [1, 0],
+                                     "combining_weights": [0.5]}),
+                           ("without", {})):
+        raw = _fig4_dict()
+        raw["array"].update(weights_policy=policy, **weights)
+        code, out = _run(tmp_path / label, "noise", raw)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs[label] = ((out / "noise.csv").read_bytes(), manifest["warnings"])
+    assert outputs["with"] == (outputs["without"][0], [
+        f"array.{key} has no effect under weights_policy {policy!r}"
+        for key in ("dividing_weights", "combining_weights")])
+    raw = _fig4_dict()
+    raw["array"].update(weights_policy=policy, dividing_weights="junk")
+    assert _run(tmp_path / "junk", "noise", raw)[0] == 2
+    assert "array.dividing_weights must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--scenario=fig4.json", "--strict",
+                                  "--lenient"])
+def test_preset_refuses_a_scenario_and_strictness(tmp_path, capsys, flag):
+    """A preset runs its own scenario: --scenario would make it an alias of
+    its base command, and strictness does nothing on a built-in one."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig2", flag, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert flag.partition("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_and_strict_variables_leave_a_preset_as_it_is(tmp_path,
+                                                               monkeypatch):
+    scenario = tmp_path / "fig4.json"
+    scenario.write_text(json.dumps(_fig4_dict()))
+    outputs = {}
+    for label in ("plain", "env"):
+        if label == "env":
+            monkeypatch.setenv("OMSENSE_SCENARIO", str(scenario))
+            monkeypatch.setenv("OMSENSE_STRICT", "0")
+        out = tmp_path / label
+        assert cli.main(["fig2", "--out", str(out)]) == 0
+        outputs[label] = ((out / "fig2.csv").read_bytes(),
+                          (out / "manifest.json").read_bytes())
+    assert outputs["env"] == outputs["plain"]
+    assert len(outputs["env"][0].splitlines()) == 1 + 11
+    assert json.loads(outputs["env"][1])["strict"] is True
 
 
 @pytest.mark.parametrize("key", ["squeezing_db", "photon_number"])
