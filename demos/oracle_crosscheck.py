@@ -26,7 +26,6 @@ sensors = tuple(
                                         quality=q, temperature=10e-3),
                 CavityOptics.from_wavelength(kappa=kappa, kappa_readout=kappa,
                                              g0=46.0, wavelength=1.06e-6,
-                                             input_power=0.0,
                                              efficiency_sq=eta_sq), factor)
     for mass, hz, q, kappa, eta_sq, factor in (
         (6e-6, 2000.0, 1e9, 0.94e9, 0.95, 1.0),

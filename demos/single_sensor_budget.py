@@ -15,13 +15,15 @@ osc = Oscillator.from_quality(mass=6e-6, omega0=TWO_PI * 2000.0, quality=1e9,
                               temperature=10e-3)
 cav = CavityOptics.from_wavelength(kappa=0.94e9, kappa_readout=0.94e9,
                                    g0=46.0, wavelength=1.06e-6,
-                                   input_power=2e-3, length=1e-3)
-arr = single_sensor_array(osc, cav)
+                                   length=1e-3)
+power = 2e-3  # W; the laser power is the array's, here an array of one
+arr = single_sensor_array(osc, cav, power)
 squeeze = SqueezedInput.from_db(10.0, angle_policy="optimal")
 vac = QuadraturePsds.vacuum()
 
 print(f"membrane sensor: Q = {osc.quality:.2e}, gamma = {osc.gamma:.3e} rad/s")
-print(f"input flux E0^2 = {cav.photon_flux:.3e} photons/s\n")
+print(f"intracavity field E^2 = {cav.intracavity_flux_at(power):.3e} "
+      "photons\n")
 
 print(f"{'f [Hz]':>10} {'shot':>10} {'back-act':>10} {'thermal':>10} "
       f"{'total':>10} {'SQL':>10} {'squeezed':>10}  (m s^-2/rtHz)")

@@ -33,8 +33,8 @@ import numpy as np
 from .constants import HBAR, K_B
 from .errors import ConfigError
 from .spectra import (CavityOptics, Oscillator, QuadraturePsds, SensorColumns,
-                      SqueezedInput, _check, _non_negative, _scalarize,
-                      mechanical_susceptibility, sensor_response)
+                      SqueezedInput, _check, _non_negative, _positive,
+                      _scalarize, mechanical_susceptibility, sensor_response)
 
 __all__ = [
     "ArraySensor",
@@ -71,8 +71,8 @@ class SensorArray:
     """M sensors plus dividing weights w, combining weights W and total power.
 
     The dividing weights must form one column of a real orthogonal matrix
-    (sum w_k0^2 = 1); per-sensor circulating power scales as w_k0^2 of
-    ``total_power``.  Combining weights are normalized to sum W_0k^2 = 1.
+    (sum w_k0^2 = 1); the laser power is the array's, sensor k getting w_k0^2
+    of ``total_power``.  Combining weights are normalized to sum W_0k^2 = 1.
     """
 
     sensors: tuple[ArraySensor, ...]
@@ -106,6 +106,22 @@ def _real_weights(weights, name: str) -> np.ndarray:
     return np.asarray(w.real, dtype=float)
 
 
+def _sum_sq(w):
+    """sum w^2 over the last axis, by np.sum's reduce without its wrapper."""
+    return np.add.reduce(w ** 2, axis=-1)
+
+
+# a dividing column is a unit vector: ``SensorArray`` and ``complete_unitary``
+_DIVIDING_RULE = (lambda norm: abs(norm - 1.0) <= 1e-10, ("dividing",),
+                  "dividing weights must satisfy sum |w_k0|^2 = 1")
+_ARRAY_RULES = (
+    _DIVIDING_RULE,
+    (lambda norm: abs(norm - 1.0) <= 1e-8, ("combining",),
+     "combining weights must satisfy sum |W_0k|^2 = 1"),
+    (_non_negative, ("total_power",), "total power must be finite and >= 0"),
+)
+
+
 def _check_weights(dividing, combining, total_power):
     """The weight and power rules of ``SensorArray``, for its (M,) weights and
     total power or for (C, M) rows of weights and (C,) total powers, with
@@ -114,18 +130,9 @@ def _check_weights(dividing, combining, total_power):
     combining = _real_weights(combining, "combining weights")
     if not (np.isfinite(dividing).all() and np.isfinite(combining).all()):
         raise ConfigError("dividing and combining weights must be finite")
-    for w, name, tol in ((dividing, "dividing weights must satisfy "
-                                    "sum |w_k0|^2 = 1", 1e-10),
-                         (combining, "combining weights must satisfy "
-                                     "sum |W_0k|^2 = 1", 1e-8)):
-        # np.sum's sum, without the wrapper that costs a record more than it
-        norm = np.add.reduce(w ** 2, axis=-1)
-        bad = abs(norm - 1.0) > tol
-        if bad.any():
-            raise ConfigError(f"{name}, got {norm[bad].ravel()[0].item()!r}")
-    _check(((_non_negative, ("total_power",),
-             "total power must be finite and >= 0"),),
-           {"total_power": total_power})
+    _check(_ARRAY_RULES, {"dividing": _sum_sq(dividing),
+                          "combining": _sum_sq(combining),
+                          "total_power": total_power})
     return dividing, combining
 
 
@@ -236,7 +243,10 @@ def matched_weights(dividing: np.ndarray) -> np.ndarray:
     """Combining weights matched to the dividing column (sum W w = 1): the
     normalized column, of one (m,) column or of each row of (..., m)."""
     w = _real_weights(dividing, "dividing weights")
-    return w / np.sqrt(np.sum(w ** 2, axis=-1, keepdims=True))
+    norm = _sum_sq(w)
+    _check(((_positive, ("norm",), "a dividing column to match needs a "
+             "finite, nonzero sum w^2"),), {"norm": norm})
+    return w / np.sqrt(norm)[..., None]
 
 
 def inverse_variance_weights(sensors, dividing, total_power, omega_ref) -> np.ndarray:
@@ -275,10 +285,11 @@ def identical_array(sensor: ArraySensor, m: int, power_per_sensor: float) -> Sen
                        total_power=m * power_per_sensor)
 
 
-def single_sensor_array(osc: Oscillator, cav: CavityOptics,
+def single_sensor_array(osc: Oscillator, cav: CavityOptics, power: float,
                         response_factor: float = 1.0) -> SensorArray:
+    """One sensor driven at ``power``: the M = 1 array."""
     sensor = ArraySensor(oscillator=osc, cavity=cav, response_factor=response_factor)
-    return SensorArray((sensor,), np.ones(1), np.ones(1), cav.input_power)
+    return SensorArray((sensor,), np.ones(1), np.ones(1), power)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +354,7 @@ class ArrayNoise:
                 x[same, 1:] = 0.0
 
         cols = SensorColumns(rows[..., :-1])
-        chi, cmag, half = sensor_response(cols, cols, w[:, None], rows[..., -1:])
+        chi, cmag, half = sensor_response(cols, w[:, None], rows[..., -1:])
         hmo = HBAR * cols.mass * cols.omega0
         fields = (half / (2.0 * chi) * np.sqrt(hmo / (2.0 * cols.gamma * cmag)),
                   2.0 * half * np.sqrt(2.0 * hmo * cols.gamma * cmag),

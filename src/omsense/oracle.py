@@ -34,8 +34,9 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ConfigError
-from .spectra import SqueezedInput, _scalarize, sensor_response
-from .arrays import _as_batch, _real_weights
+from .spectra import (_ANGLE_RULES, SqueezedInput, _check, _scalarize,
+                      sensor_response)
+from .arrays import _DIVIDING_RULE, _as_batch, _real_weights, _sum_sq
 
 __all__ = [
     "TransferAssembly",
@@ -78,11 +79,7 @@ def complete_unitary(columns) -> np.ndarray:
     on them.
     """
     w = _real_weights(columns, "dividing column")
-    norm = np.linalg.norm(w, axis=-1)
-    bad = np.abs(norm - 1.0) > 1e-10
-    if bad.any():
-        raise ConfigError(
-            f"dividing column must be normalized, |w| = {norm[bad].tolist()}")
+    _check((_DIVIDING_RULE,), {"dividing": _sum_sq(w)})
     w0 = w[..., 0]
     v = w.copy()
     v[..., 0] += np.where(w0 < 0.0, -1.0, 1.0)
@@ -99,6 +96,7 @@ def _bright_mode_psds(squeezes, thetas):
     the scalar ``math.exp``, as in the closed forms: at small r, sxy's
     e^{2r} - e^{-2r} would turn a vector exp's last-bit difference into
     several ulp."""
+    _check(_ANGLE_RULES, {"angle": thetas})
     vacuum = np.array([sq is None for sq in squeezes])
     ep, em = np.array([(1.0, 1.0) if sq is None else
                        (math.exp(2.0 * sq.r), math.exp(-2.0 * sq.r))
@@ -144,7 +142,7 @@ def assemble_transfer(arr, omega, squeeze: SqueezedInput | None = None,
     ci, ni = np.nonzero(cw)
     cols = cols[ci, ni]
     w = np.concatenate([w_in, -w_in], axis=1)
-    chi, cmag, half = sensor_response(cols, cols, w[ci], dv[ci, ni, None] ** 2)
+    chi, cmag, half = sensor_response(cols, w[ci], dv[ci, ni, None] ** 2)
     phase = half * half
     # the W_0n-weighted estimator gain h of each active sensor
     wh = cw[ci, ni, None] * (np.conj(half) / chi * np.sqrt(

@@ -227,7 +227,6 @@ def _build_sensor(raw: dict, idx: int, strict: bool, warnings_out: list,
         kappa_readout=_angular(raw, "readout_kappa", where, default=kappa),
         g0=0.0 if g0 is None else g0,
         wavelength=_field(raw, "wavelength_m", where, _positive),
-        input_power=0.0,
         efficiency_sq=_field(raw, "detection_efficiency_sq", where, _finite, 1.0),
         length=length)
     if g0 is None:

@@ -23,7 +23,7 @@ them, with u = 2 w / kappa:
 so that C_w = (2 G^2 / gamma kappa) / (1 - i u)^2 = |C_w| e^{i phi_w}, with
 e^{i phi_w} = (kappa/2 + i w)/(kappa/2 - i w) the reflection phase.  Here
 G = E*G0, E^2 = (4 kappa_r / kappa^2) E0^2 and E0^2 = P/(hbar Omega_L) the
-input photon flux.
+input photon flux at the array's drive power P (``intracavity_flux_at``).
 
 Force-noise budget of a phase-quadrature homodyne readout:
 
@@ -107,12 +107,18 @@ _CAVITY_RULES = (
     (_positive, ("laser_omega",), "laser frequency must be finite and positive"),
 )
 _SENSOR_RULES = _OSCILLATOR_RULES + _CAVITY_RULES
-# an array drives its sensors at its own total power and knows no lengths
+# a parameter block knows no lengths
 _CAVITY_RECORD_RULES = _CAVITY_RULES + (
-    (_non_negative, ("input_power",), "input power must be finite and >= 0"),
     (lambda length: length is None or _positive(length), ("length",),
      "cavity length must be finite and positive"),
 )
+# inputs of the response primitives (omega < 0 is the oracle's -omega half)
+_FREQUENCY_RULES = ((_finite, ("omega",), "frequencies must be finite"),)
+_SHARE_RULES = ((_non_negative, ("share",),
+                 "power share must be finite and >= 0"),)
+_ANGLE_RULES = ((_finite, ("angle",), "squeezing angle must be finite"),)
+_SQUEEZE_RULES = ((_non_negative, ("r",), "squeezing strength must be "
+                   "finite and >= 0"),) + _ANGLE_RULES
 _QUADRATURE_RULES = (
     (lambda syy, sxx: _positive(syy) & _positive(sxx), ("syy", "sxx"),
      "quadrature variances must be finite and positive"),
@@ -195,13 +201,13 @@ def _intracavity_flux(kappa, kappa_readout, laser_omega, input_power):
 
 @dataclass(frozen=True)
 class CavityOptics:
-    """Cavity and drive parameters for one sensor.
+    """Cavity and readout parameters of one sensor (the drive power is its
+    array's: ``intracavity_flux_at``).
 
     kappa           total cavity dissipation rate (rad/s)
     kappa_readout   dissipation to the readout port (rad/s), <= kappa
     g0              vacuum optomechanical coupling rate (rad/s)
     laser_omega     laser angular frequency (rad/s)
-    input_power     input laser power (W)
     efficiency_sq   detection efficiency eta^2 in [0, 1]
     length          cavity length (m), optional; enables the Fabry-Perot
                     identity g0 = (Omega_L/L) sqrt(hbar/(2 m Omega))
@@ -211,35 +217,24 @@ class CavityOptics:
     kappa_readout: float
     g0: float
     laser_omega: float
-    input_power: float
     efficiency_sq: float = 1.0
     length: float | None = None
 
     def __post_init__(self):
         _check(_CAVITY_RECORD_RULES, vars(self))
 
-    @property
-    def photon_flux(self) -> float:
-        """Input photon flux E0^2 = P / (hbar Omega_L), 1/s."""
-        return self.input_power / (HBAR * self.laser_omega)
-
-    @property
-    def intracavity_flux(self) -> float:
-        """Intra-cavity field squared, E^2 = (4 kappa_r / kappa^2) E0^2."""
-        return self.intracavity_flux_at(self.input_power)
-
     def intracavity_flux_at(self, input_power: float) -> float:
-        """E^2 when the cavity is driven with ``input_power`` instead."""
+        """Intra-cavity field squared, E^2 = (4 kappa_r / kappa^2) E0^2, when
+        the cavity is driven with ``input_power`` (W)."""
         return _intracavity_flux(self.kappa, self.kappa_readout,
                                  self.laser_omega, input_power)
 
     @classmethod
-    def from_wavelength(cls, kappa, kappa_readout, g0, wavelength, input_power,
+    def from_wavelength(cls, kappa, kappa_readout, g0, wavelength,
                         efficiency_sq=1.0, length=None):
         return cls(kappa=kappa, kappa_readout=kappa_readout, g0=g0,
                    laser_omega=TWO_PI * C_LIGHT / wavelength,
-                   input_power=input_power, efficiency_sq=efficiency_sq,
-                   length=length)
+                   efficiency_sq=efficiency_sq, length=length)
 
     def g0_from_geometry(self, osc: Oscillator) -> float:
         """Fabry-Perot vacuum coupling (Omega_L/L) sqrt(hbar / 2 m Omega)."""
@@ -264,11 +259,7 @@ class SqueezedInput:
     angle: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0):
-            raise ConfigError(
-                f"squeezing strength must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.angle):
-            raise ConfigError(f"squeezing angle must be finite, got {self.angle}")
+        _check(_SQUEEZE_RULES, vars(self))
         if self.angle_policy not in ("vacuum", "fixed", "optimal"):
             raise ConfigError(f"unknown angle policy {self.angle_policy!r}")
         if self.angle_policy == "vacuum" and self.r != 0.0:
@@ -322,7 +313,7 @@ class SensorColumns:
 
     Each column is a (..., 1) view of the table under the ``Oscillator`` or
     ``CavityOptics`` name that the response primitives read, so
-    ``sensor_response(cols, cols, omega, share)`` evaluates every row in one
+    ``sensor_response(cols, omega, share)`` evaluates every row in one
     broadcast: (k, 1) columns against frequencies of shape (n,) or (k, n),
     (c, g, 1) blocks against (c, 1, n).  ``intracavity_flux`` is each row's
     at the power it is driven with (an array's total power).
@@ -368,6 +359,7 @@ class SensorColumns:
 def mechanical_susceptibility(osc: Oscillator, omega):
     """chi_w = Omega / (Omega^2 - w^2 - 2j*gamma*w); chi(-w) = chi(w)*."""
     w = np.asarray(omega, dtype=float)
+    _check(_FREQUENCY_RULES, {"omega": w})
     # squares as products: a float's ** 2 and an array's round differently,
     # and a record and a SensorColumns row must give the same bits
     chi = osc.omega0 / (osc.omega0 * osc.omega0 - w**2 - 2j * osc.gamma * w)
@@ -394,28 +386,27 @@ def input_quadrature_psds(squeeze: SqueezedInput, theta) -> QuadraturePsds:
 # per-sensor response
 # ---------------------------------------------------------------------------
 
-def sensor_response(osc: Oscillator, cav: CavityOptics, omega, share):
+def sensor_response(cols: SensorColumns, omega, share):
     """Per-sensor response (chi_w, |C_w|, e^{i phi_w/2}) at a laser share.
 
-    ``share`` is the sensor's fraction of ``cav.input_power`` (|w_k0|^2 in an
-    array, 1.0 standalone).  ``osc`` and ``cav`` are one sensor's records, or
-    both one ``SensorColumns`` with ``share`` a column of the same shape.  Every
-    force-noise formula divides by |C_w| and by eta^2, so a sensor without
-    optical readout is rejected here, once for every caller.
+    ``cols`` is a ``SensorColumns`` block, its E^2 at the power of the array
+    that drives each row, and ``share`` each sensor's fraction of that power
+    (|w_k0|^2), a scalar or a column of the block's shape.  Every force-noise
+    formula divides by |C_w| and by eta^2, so a sensor without optical
+    readout is rejected here, once for every caller.
     """
-    if (np.asarray(share) < 0).any():
-        raise ConfigError(f"power share must be >= 0, got {share}")
+    _check(_SHARE_RULES, {"share": share})
     w = np.asarray(omega, dtype=float)
-    chi = mechanical_susceptibility(osc, w)
-    u = 2.0 * w / cav.kappa
+    chi = mechanical_susceptibility(cols, w)
+    u = 2.0 * w / cols.kappa
     u2 = 1.0 + u * u
-    g_sq = cav.g0 * cav.g0 * cav.intracavity_flux
-    cmag = share * (2.0 * g_sq / (osc.gamma * cav.kappa)) / u2
+    g_sq = cols.g0 * cols.g0 * cols.intracavity_flux
+    cmag = share * (2.0 * g_sq / (cols.gamma * cols.kappa)) / u2
     if (cmag == 0.0).any():
         raise ConfigError(
             "zero optomechanical cooperativity: no optical readout "
             "(shot noise diverges); check laser power / g0 / weights")
-    if (np.asarray(cav.efficiency_sq) == 0.0).any():
+    if (cols.efficiency_sq == 0.0).any():
         raise ConfigError("detection efficiency eta^2 = 0: nothing reaches the detector")
     return chi, cmag, (1.0 + 1j * u) / np.sqrt(u2)
 

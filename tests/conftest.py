@@ -5,6 +5,10 @@ from omsense.constants import TWO_PI
 from omsense.spectra import CavityOptics, Oscillator
 from omsense.arrays import ArraySensor
 
+# The membrane reference point's laser power (W).  The power is an array's,
+# not the cavity's, so a test passes it wherever it drives one sensor.
+MEMBRANE_POWER = 2e-3
+
 
 @pytest.fixture
 def membrane_osc():
@@ -15,10 +19,11 @@ def membrane_osc():
 
 @pytest.fixture
 def membrane_cav():
-    """Matching cavity: kappa = 0.94e9 rad/s, g0 = 46 rad/s, 1.06 um, 2 mW."""
+    """Matching cavity: kappa = 0.94e9 rad/s, g0 = 46 rad/s, 1.06 um, driven
+    at ``MEMBRANE_POWER``."""
     return CavityOptics.from_wavelength(kappa=0.94e9, kappa_readout=0.94e9,
                                         g0=46.0, wavelength=1.06e-6,
-                                        input_power=2e-3, length=1e-3)
+                                        length=1e-3)
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ heterogeneous arrays that the tests compare paths on, as records.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, _scalarize,
                              mechanical_susceptibility, sensor_response)
 from omsense.sensitivity import ObservationPlan
-from omsense.arrays import (ArrayNoise, ArraySensor, SensorArray,
-                            matched_weights)
+from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor, SensorArray,
+                            matched_weights, single_sensor_array)
 from omsense.oracle import TransferAssembly
 from omsense.scans import _DRAW_HIGH, _DRAW_LOW, _LASER_OMEGA, _sensor_fields
 
@@ -48,7 +48,7 @@ def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
         "g0", "efficiency_sq")]
     sensors = tuple(
         ArraySensor(Oscillator(*row[:4]),
-                    CavityOptics(*row[4:7], _LASER_OMEGA, 0.0, row[7]), factor)
+                    CavityOptics(*row[4:7], _LASER_OMEGA, row[7]), factor)
         for *row, factor in zip(*columns, response.tolist()))
     dv = rng.uniform(0.1, 1.0, m)
     dv = dv / np.linalg.norm(dv)
@@ -58,9 +58,15 @@ def random_array(rng: np.random.Generator, m: int) -> tuple[SensorArray, float]:
     return arr, db
 
 
-def cavity_phase_and_cooperativity(cav: CavityOptics, osc: Oscillator, omega,
-                                   power_scale=1.0):
-    """Reflection phase e^{i phi_w} and complex cooperativity C_w.
+def sensor_block(osc: Oscillator, cav: CavityOptics, power: float):
+    """One sensor's ``SensorColumns`` row, E^2 at ``power``: the block that
+    ``sensor_response`` reads, from the records through ``ArrayBatch.of``."""
+    return ArrayBatch.of([single_sensor_array(osc, cav, power)]).cols[0, 0]
+
+
+def cavity_phase_and_cooperativity(cav: CavityOptics, osc: Oscillator, power,
+                                   omega, power_scale=1.0):
+    """Reflection phase e^{i phi_w} and complex cooperativity C_w at ``power``.
 
     ``power_scale`` rescales the circulating power (|w_k0|^2 when the sensor
     receives a fraction of a shared laser; 1.0 standalone).  The returned
@@ -69,7 +75,7 @@ def cavity_phase_and_cooperativity(cav: CavityOptics, osc: Oscillator, omega,
     w = np.asarray(omega, dtype=float)
     u = 2.0 * w / cav.kappa
     phase = (1.0 + 1j * u) / (1.0 - 1j * u)           # (kappa/2 + iw)/(kappa/2 - iw)
-    g_sq = cav.g0 * cav.g0 * cav.intracavity_flux
+    g_sq = cav.g0 * cav.g0 * cav.intracavity_flux_at(power)
     coop = power_scale * (2.0 * g_sq / (osc.gamma * cav.kappa)) / (1.0 - 1j * u) ** 2
     return _scalarize(phase, omega), _scalarize(coop, omega)
 
@@ -157,9 +163,9 @@ def independent_squeezers_psd(arr: SensorArray, squeeze: SqueezedInput,
     dcs = np.zeros(np.size(omega))
     for k in np.flatnonzero(weights).tolist():
         s = arr.sensors[k]
-        cav = replace(s.cavity, input_power=arr.total_power / m)
         dcs += weights[k] * np.asarray(squeezed_noise_closed_form(
-            s.oscillator, cav, squeeze.r, theta, omega))
+            s.oscillator, s.cavity, arr.total_power / m, squeeze.r, theta,
+            omega))
     return dcs
 
 
@@ -244,9 +250,9 @@ def idle_contribution_shortcut(arr: SensorArray, omega):
                 continue
             s = arr.sensors[n]
             osc = s.oscillator
-            cav = replace(s.cavity, input_power=arr.total_power)
-            chi, cmag, half = sensor_response(osc, cav, w,
-                                              float(np.abs(dv[n]) ** 2))
+            chi, cmag, half = sensor_response(
+                sensor_block(osc, s.cavity, arr.total_power), w,
+                float(np.abs(dv[n]) ** 2))
             phase = half * half
             h = np.conj(half) / chi * np.sqrt(
                 HBAR * osc.mass * osc.omega0 / (8.0 * osc.gamma * cmag))
@@ -269,16 +275,18 @@ def thermal_momentum_psd(osc: Oscillator) -> float:
 
 
 
-def single_sensor_noise_psd(osc: Oscillator, cav: CavityOptics,
+def single_sensor_noise_psd(osc: Oscillator, cav: CavityOptics, power: float,
                             inp: QuadraturePsds, omega, *, power_scale=1.0):
-    """Total force-noise PSD (N^2/Hz) for one sensor read out in phase.
+    """Total force-noise PSD (N^2/Hz) for one sensor driven at ``power`` (W)
+    and read out in phase.
 
     Sum of shot, back-action, quadrature-correlation and mechanical terms
     plus the detection-loss term, written out as ``omsense.spectra``'s
     docstring states them: the term-by-term reference for ``ArrayNoise``
     at M = 1.
     """
-    chi, cmag, _ = sensor_response(osc, cav, omega, power_scale)
+    chi, cmag, _ = sensor_response(sensor_block(osc, cav, power), omega,
+                                   power_scale)
     m, om, gam = osc.mass, osc.omega0, osc.gamma
     chi_sq = np.abs(chi) ** 2
     shot = HBAR * m * om / (8.0 * gam * cmag * chi_sq) * inp.syy
@@ -300,16 +308,18 @@ def sql_noise_psd(osc: Oscillator, omega):
     return _scalarize(HBAR * osc.mass * osc.omega0 / np.abs(chi), omega)
 
 
-def squeezed_noise_closed_form(osc: Oscillator, cav: CavityOptics,
+def squeezed_noise_closed_form(osc: Oscillator, cav: CavityOptics, power: float,
                                r, theta, omega, *, power_scale=1.0):
-    """Squeezed-input force noise in the e^{-+2r} factorization (N^2/Hz).
+    """Squeezed-input force noise in the e^{-+2r} factorization (N^2/Hz), for
+    one sensor driven at ``power`` (W).
 
     hbar m Omega / (16 gamma |C||chi|^2) * (|cos t - 8 gamma |C| chi sin t|^2 e^{-2r}
     + |sin t + 8 gamma |C| chi cos t|^2 e^{2r}) + 4 m gamma K_B T, plus the
     same detection-loss term as the generic budget.  Must agree with
     single_sensor_noise_psd(input_quadrature_psds(r, theta)) to rounding.
     """
-    chi, cmag, _ = sensor_response(osc, cav, omega, power_scale)
+    chi, cmag, _ = sensor_response(sensor_block(osc, cav, power), omega,
+                                   power_scale)
 
     m, om, gam = osc.mass, osc.omega0, osc.gamma
     chi_sq = np.abs(chi) ** 2
@@ -357,8 +367,9 @@ def simplified_model_noise_psd(zeta, e0, eta, osc: Oscillator,
     return _scalarize(thermal + shot + back_action + corr, omega)
 
 
-def bad_cavity_map(cav: CavityOptics, osc: Oscillator | None = None):
-    """Map cavity parameters onto the simplified model's (zeta, E0).
+def bad_cavity_map(cav: CavityOptics, power: float,
+                   osc: Oscillator | None = None):
+    """Map a cavity driven at ``power`` onto the simplified model's (zeta, E0).
 
     hbar zeta = (4 g0 / kappa) sqrt(2 hbar m Omega), which equals
     4 Omega_L / (L kappa) for a Fabry-Perot cavity.  Valid for kappa much
@@ -374,7 +385,7 @@ def bad_cavity_map(cav: CavityOptics, osc: Oscillator | None = None):
         zeta = 4.0 * cav.laser_omega / (cav.length * cav.kappa)
     else:
         raise ConfigError("bad_cavity_map needs a cavity length or an oscillator")
-    return zeta, math.sqrt(cav.photon_flux)
+    return zeta, math.sqrt(power / (HBAR * cav.laser_omega))
 
 
 def snr_observation(drive_psd: float, noise_psd: float, linewidth: float,

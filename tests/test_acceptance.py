@@ -21,6 +21,7 @@ from omsense.oracle import assemble_transfer, propagate_covariance
 from omsense.sensitivity import (FrequencyGrid, integrated_sensitivity,
                                  min_detectable_coupling)
 from omsense.scenario import Scenario, preset_scenario, scenario_from_dict
+from conftest import MEMBRANE_POWER
 from reference_paths import (cavity_phase_and_cooperativity,
                              independent_squeezers_psd, random_array,
                              single_sensor_noise_psd,
@@ -37,7 +38,7 @@ def _report(number: int, ok: bool, detail: str):
 def _membrane(gamma_convention="half"):
     osc = Oscillator.from_quality(6e-6, TWO_PI * 2000.0, 1e9, 10e-3,
                                   gamma_convention=gamma_convention)
-    cav = CavityOptics.from_wavelength(0.94e9, 0.94e9, 46.0, 1.06e-6, 2e-3,
+    cav = CavityOptics.from_wavelength(0.94e9, 0.94e9, 46.0, 1.06e-6,
                                        length=1e-3)
     return osc, cav
 
@@ -58,7 +59,8 @@ def test_criterion_2_identity_reduction(membrane_sensor):
     omegas = np.array([TWO_PI * 63.0, TWO_PI * 1999.999, TWO_PI * 2000.0,
                        TWO_PI * 2404.0, TWO_PI * 19000.0])
     single = single_sensor_noise_psd(membrane_sensor.oscillator,
-                                     membrane_sensor.cavity, inp, omegas)
+                                     membrane_sensor.cavity, MEMBRANE_POWER,
+                                     inp, omegas)
     worst_total, worst_res = 0.0, 0.0
     for m in (1, 2, 4, 8, 16):
         bd = array_noise_psd(identical_array(membrane_sensor, m, 2e-3),
@@ -137,13 +139,17 @@ def test_criterion_5_squeezing_factorization(rng):
                 6e-6 * rng.uniform(0.1, 10), TWO_PI * rng.uniform(200, 2e4),
                 10 ** rng.uniform(6, 9), rng.uniform(0, 0.1))
             kappa = 10 ** rng.uniform(8, 10)
+            # power before eta^2: the seeded draw order fixes the cases
+            readout = kappa * rng.uniform(0.5, 1.0)
+            g0 = 46.0 * rng.uniform(0.1, 10)
+            power = 10 ** rng.uniform(-5, -1)
             cav = CavityOptics.from_wavelength(
-                kappa, kappa * rng.uniform(0.5, 1.0), 46.0 * rng.uniform(0.1, 10),
-                1.06e-6, 10 ** rng.uniform(-5, -1),
+                kappa, readout, g0, 1.06e-6,
                 efficiency_sq=rng.uniform(0.7, 1.0))
             omega = osc.omega0 * 10 ** rng.uniform(-2, 2)
-            closed = squeezed_noise_closed_form(osc, cav, r, theta, omega)
-            generic = single_sensor_noise_psd(osc, cav, inp, omega)
+            closed = squeezed_noise_closed_form(osc, cav, power, r, theta,
+                                                omega)
+            generic = single_sensor_noise_psd(osc, cav, power, inp, omega)
         else:
             arr, _ = random_array(rng, int(rng.integers(1, 5)))
             omega = float(np.exp(rng.uniform(np.log(1e2), np.log(1e6))))
@@ -169,9 +175,8 @@ def test_criterion_6_sql_optimality(rng):
         chi_abs = abs(mechanical_susceptibility(osc, omega))
 
         def optical(log_p):
-            cav = replace(cav_template, input_power=math.exp(log_p))
-            return single_sensor_noise_psd(osc, cav, QuadraturePsds.vacuum(),
-                                           omega)
+            return single_sensor_noise_psd(osc, cav_template, math.exp(log_p),
+                                           QuadraturePsds.vacuum(), omega)
 
         a, b = math.log(1e-10), math.log(100.0)
         c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -189,7 +194,7 @@ def test_criterion_6_sql_optimality(rng):
         best = optical(log_p_star)
         sql = HBAR * osc.mass * osc.omega0 / chi_abs
         _, coop = cavity_phase_and_cooperativity(
-            replace(cav_template, input_power=math.exp(log_p_star)), osc, omega)
+            cav_template, osc, math.exp(log_p_star), omega)
         worst_val = max(worst_val, abs(best / sql - 1.0))
         worst_coop = max(worst_coop,
                          abs(abs(coop) * 8.0 * osc.gamma * chi_abs - 1.0))
@@ -209,9 +214,11 @@ def test_criterion_7_paper_number_regressions():
         thermal_acc = math.sqrt(4 * osc.mass * osc.gamma * K_B
                                 * osc.temperature) / osc.mass
         total = single_sensor_noise_psd(replace(osc, temperature=0.0), cav,
-                                        QuadraturePsds.vacuum(), omega)
+                                        MEMBRANE_POWER, QuadraturePsds.vacuum(),
+                                        omega)
         backaction_acc = math.sqrt(total) / osc.mass
-        _, coop = cavity_phase_and_cooperativity(cav, osc, omega)
+        _, coop = cavity_phase_and_cooperativity(cav, osc, MEMBRANE_POWER,
+                                                 omega)
         shot_disp = math.sqrt(HBAR / (16 * osc.mass * osc.omega0 * osc.gamma
                                       * abs(coop)))
         results[conv] = {"thermal_acc": thermal_acc,

@@ -20,8 +20,9 @@ from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor,
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             oracle_noise_psd)
 from omsense.scans import _sensor_fields
+from conftest import MEMBRANE_POWER
 from reference_paths import (dqs_vs_dcs_report, oracle_breakdown,
-                             random_array, residual_vacuum_forms,
+                             random_array, residual_vacuum_forms, sensor_block,
                              single_sensor_noise_psd, sql_noise_psd,
                              squeezed_noise_closed_form)
 
@@ -35,7 +36,7 @@ def test_degenerate_single_sensor_routing(membrane_sensor):
     arr = SensorArray((membrane_sensor,) * 3, w, matched_weights(w), 2e-3)
     omega = TWO_PI * 1500.0
     single = single_sensor_noise_psd(membrane_sensor.oscillator,
-                                     membrane_sensor.cavity,
+                                     membrane_sensor.cavity, MEMBRANE_POWER,
                                      QuadraturePsds.vacuum(), omega)
     assert array_noise_psd(arr, QuadraturePsds.vacuum(), omega).total == \
         pytest.approx(single, rel=1e-12)
@@ -93,6 +94,40 @@ def test_complex_weights_are_refused_wherever_weights_enter(membrane_sensor,
             weights_of(phased)
 
 
+@pytest.mark.parametrize("column", [[0.0, 0.0], [math.inf, 1.0],
+                                    [math.nan, 1.0]])
+def test_matched_weights_refuse_a_column_without_a_norm(column):
+    """A column with sum w^2 zero or not finite has no matched weights: a
+    ConfigError, not NaN weights behind a numpy warning."""
+    with pytest.raises(ConfigError, match="finite, nonzero sum w"):
+        matched_weights(np.array(column))
+
+
+@pytest.mark.parametrize("entry", ["ArrayNoise", "oracle_noise_psd",
+                                   "array_sql_psd", "inverse_variance_weights",
+                                   "oracle_theta", "sensor_response_share"])
+def test_nan_frequencies_shares_and_angles_are_refused(membrane_sensor, entry):
+    """NaN fails the rule rows of the response primitives, so no entry point
+    turns a NaN frequency, share or oracle angle into a NaN PSD."""
+    arr = identical_array(membrane_sensor, 2, 4e-3)
+    calls = {
+        "ArrayNoise": lambda: ArrayNoise(arr, [math.nan, 1e4]),
+        "oracle_noise_psd": lambda: oracle_noise_psd(arr, [math.nan]),
+        "array_sql_psd": lambda: array_sql_psd(arr, [math.nan]),
+        "inverse_variance_weights": lambda: inverse_variance_weights(
+            arr.sensors, arr.dividing_weights, arr.total_power, math.nan),
+        "oracle_theta": lambda: oracle_noise_psd(
+            arr, [1e4], SqueezedInput.from_db(10.0), theta=math.nan),
+        "sensor_response_share": lambda: sensor_response(
+            ArrayBatch.of([arr]).cols[0], [1e4], math.nan),
+    }
+    message = {"oracle_theta": "squeezing angle must be finite",
+               "sensor_response_share": "power share must be finite"}
+    with pytest.raises(ConfigError,
+                       match=message.get(entry, "frequencies must be finite")):
+        calls[entry]()
+
+
 def test_complex_typed_real_weights_are_stored_as_float(membrane_sensor):
     w = np.array([0.6, -0.8], dtype=complex)
     arr = SensorArray((membrane_sensor,) * 2, w, matched_weights(w), 4e-3)
@@ -132,7 +167,8 @@ def test_identical_array_reduces_to_single_sensor(membrane_sensor, m):
                        TWO_PI * 2000.01, TWO_PI * 17000.0])
     inp = input_quadrature_psds(SqueezedInput.from_db(10.0), -0.42)
     single = single_sensor_noise_psd(membrane_sensor.oscillator,
-                                     membrane_sensor.cavity, inp, omegas)
+                                     membrane_sensor.cavity, MEMBRANE_POWER,
+                                     inp, omegas)
     bd = array_noise_psd(arr, inp, omegas)
     np.testing.assert_allclose(bd.total, single, rtol=1e-12)
     assert np.max(np.abs(bd.residual_vacuum) / bd.total) < 1e-12
@@ -173,7 +209,8 @@ def test_residual_vanishes_for_matched_identical(membrane_sensor):
 
 
 def test_residual_single_sensor_is_zero(membrane_sensor):
-    arr = single_sensor_array(membrane_sensor.oscillator, membrane_sensor.cavity)
+    arr = single_sensor_array(membrane_sensor.oscillator, membrane_sensor.cavity,
+                              MEMBRANE_POWER)
     res = array_noise_psd(arr, QuadraturePsds.vacuum(),
                           TWO_PI * 777.0).residual_vacuum
     assert res == pytest.approx(0.0, abs=1e-40)
@@ -233,7 +270,8 @@ def test_array_squeezed_equals_single_sensor_squeezed(membrane_sensor):
     theta = -0.3
     sq = _squeezed_total(arr, r, theta, omegas)
     single = squeezed_noise_closed_form(membrane_sensor.oscillator,
-                                        membrane_sensor.cavity, r, theta, omegas)
+                                        membrane_sensor.cavity, MEMBRANE_POWER,
+                                        r, theta, omegas)
     np.testing.assert_allclose(sq, single, rtol=1e-12)
 
 
@@ -284,7 +322,8 @@ def test_optimal_angle_range(rng):
 
 
 def test_optimal_angle_beats_dense_scan(membrane_sensor, rng):
-    arr = single_sensor_array(membrane_sensor.oscillator, membrane_sensor.cavity)
+    arr = single_sensor_array(membrane_sensor.oscillator, membrane_sensor.cavity,
+                              MEMBRANE_POWER)
     r = SqueezedInput.from_db(10.0).r
     for omega in (TWO_PI * 433.0, TWO_PI * 2551.0, TWO_PI * 11000.0):
         noise = ArrayNoise(arr, omega)
@@ -434,10 +473,9 @@ def _inverse_variance_reference(sensors, dividing, total_power, omega_ref):
     for k, s in enumerate(sensors):
         share = float(np.abs(dividing[k]) ** 2)
         if share:
-            cav = replace(s.cavity, input_power=total_power)
             weights[k] = s.response_factor / single_sensor_noise_psd(
-                s.oscillator, cav, QuadraturePsds.vacuum(), omega_ref,
-                power_scale=share)
+                s.oscillator, s.cavity, total_power, QuadraturePsds.vacuum(),
+                omega_ref, power_scale=share)
     return weights / math.sqrt(float(np.sum(weights**2)))
 
 
@@ -509,7 +547,7 @@ def _fresh_membrane(temperature=10e-3):
                                   quality=1e9, temperature=temperature)
     cav = CavityOptics.from_wavelength(kappa=0.94e9, kappa_readout=0.94e9,
                                        g0=46.0, wavelength=1.06e-6,
-                                       input_power=2e-3, length=1e-3)
+                                       length=1e-3)
     return ArraySensor(oscillator=osc, cavity=cav, response_factor=1.0)
 
 
@@ -660,9 +698,9 @@ def test_kernel_rows_equal_a_per_group_response_bitwise(membrane_sensor):
     for k in [0, 1, 2, 3, 5]:
         s = arr.sensors[k]
         osc = s.oscillator
-        cav = replace(s.cavity, input_power=arr.total_power)
         share = float(np.abs(arr.dividing_weights[k]) ** 2)
-        chi, cmag, half = sensor_response(osc, cav, omegas, share)
+        chi, cmag, half = sensor_response(
+            sensor_block(osc, s.cavity, arr.total_power), omegas, share)
         hmo = HBAR * osc.mass * osc.omega0
         np.testing.assert_array_equal(
             noise.alpha[k],
@@ -671,7 +709,7 @@ def test_kernel_rows_equal_a_per_group_response_bitwise(membrane_sensor):
             noise.beta[k], 2.0 * half * np.sqrt(2.0 * hmo * osc.gamma * cmag))
         assert noise.thermal[k, 0] == (4.0 * osc.mass * osc.gamma * K_B
                                        * osc.temperature)
-        eta_sq = cav.efficiency_sq
+        eta_sq = s.cavity.efficiency_sq
         assert noise.loss_weight[k, 0] == (1.0 - eta_sq) / eta_sq
         assert noise.ww[k, 0] == (arr.combining_weights[k]
                                   * arr.dividing_weights[k])
@@ -715,7 +753,7 @@ def _mixed_batch(membrane_sensor, rng):
     return [random_array(rng, 3)[0], split,
             identical_array(membrane_sensor, 5, 2e-3),
             single_sensor_array(membrane_sensor.oscillator,
-                                membrane_sensor.cavity),
+                                membrane_sensor.cavity, MEMBRANE_POWER),
             idle, random_array(rng, 16)[0]]
 
 

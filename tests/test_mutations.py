@@ -15,7 +15,7 @@ import test_arrays as arrays_tests
 import test_oracle as oracle_tests
 import test_scans as scans_tests
 import test_scenario_cli as scenario_cli_tests
-from omsense import arrays, cli, oracle, scans
+from omsense import arrays, cli, oracle, scans, spectra
 from omsense.sensitivity import FrequencyGrid
 
 
@@ -68,6 +68,24 @@ def _householder_sign_fixed_at_plus_one(monkeypatch):
     monkeypatch.setattr(oracle_tests, "complete_unitary", mutant)
 
 
+def _completion_without_the_weight_rule(monkeypatch):
+    mutant = _mutant(oracle.complete_unitary,
+                     '_check((_DIVIDING_RULE,), {"dividing": _sum_sq(w)})',
+                     "pass")
+    monkeypatch.setattr(oracle, "complete_unitary", mutant)
+    monkeypatch.setattr(oracle_tests, "complete_unitary", mutant)
+
+
+def _share_rule_as_a_negative_test(monkeypatch):
+    # the comparison that NaN passes
+    mutant = _mutant(spectra.sensor_response,
+                     '_check(_SHARE_RULES, {"share": share})',
+                     "if (np.asarray(share) < 0).any():\n"
+                     '        raise ConfigError("negative power share")')
+    monkeypatch.setattr(spectra, "sensor_response", mutant)
+    monkeypatch.setattr(arrays_tests, "sensor_response", mutant)
+
+
 @pytest.mark.parametrize("mutate,gate,params", [
     pytest.param(_no_env_insertion,
                  scenario_cli_tests
@@ -96,7 +114,15 @@ def _householder_sign_fixed_at_plus_one(monkeypatch):
     pytest.param(_householder_sign_fixed_at_plus_one,
                  # its w_0 < 0 rows
                  oracle_tests.test_householder_completion_is_unitary, {},
-                 id="householder-sign-fixed-at-plus-one")])
+                 id="householder-sign-fixed-at-plus-one"),
+    pytest.param(_completion_without_the_weight_rule,
+                 oracle_tests.test_completion_rejects_non_finite_columns,
+                 {"column": [float("nan"), 0.0]},
+                 id="completion-without-the-weight-rule"),
+    pytest.param(_share_rule_as_a_negative_test,
+                 arrays_tests.test_nan_frequencies_shares_and_angles_are_refused,
+                 {"entry": "sensor_response_share"},
+                 id="share-rule-as-a-negative-test")])
 def test_gate_passes_and_fails_under_its_mutant(tmp_path, request, mutate,
                                                 gate, params):
     def gate_passes(run: str) -> bool:

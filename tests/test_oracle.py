@@ -16,6 +16,7 @@ from omsense.arrays import (ArrayBatch, ArrayNoise, SensorArray,
                             single_sensor_array)
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             oracle_noise_psd, propagate_covariance)
+from conftest import MEMBRANE_POWER
 from reference_paths import (cavity_phase_and_cooperativity,
                              idle_contribution_shortcut,
                              independent_squeezers_psd, oracle_breakdown,
@@ -23,7 +24,7 @@ from reference_paths import (cavity_phase_and_cooperativity,
 
 
 def test_single_sensor_reproduces_budget_term_by_term(membrane_osc, membrane_cav):
-    arr = single_sensor_array(membrane_osc, membrane_cav)
+    arr = single_sensor_array(membrane_osc, membrane_cav, MEMBRANE_POWER)
     omega = np.array([TWO_PI * 850.0])
     squeeze = SqueezedInput.from_db(7.0)
     theta = -0.6
@@ -32,7 +33,8 @@ def test_single_sensor_reproduces_budget_term_by_term(membrane_osc, membrane_cav
 
     q = input_quadrature_psds(squeeze, theta)
     chi = mechanical_susceptibility(membrane_osc, omega[0])
-    _, coop = cavity_phase_and_cooperativity(membrane_cav, membrane_osc, omega[0])
+    _, coop = cavity_phase_and_cooperativity(membrane_cav, membrane_osc,
+                                             MEMBRANE_POWER, omega[0])
     cmag = abs(coop)
     m, om, gam = membrane_osc.mass, membrane_osc.omega0, membrane_osc.gamma
     shot = HBAR * m * om / (8 * gam * cmag * abs(chi) ** 2) * q.syy
@@ -49,7 +51,7 @@ def test_single_sensor_reproduces_budget_term_by_term(membrane_osc, membrane_cav
 
 
 def test_zero_coupling_raises_under_force_conversion(membrane_osc, membrane_cav):
-    arr = single_sensor_array(membrane_osc, membrane_cav)
+    arr = single_sensor_array(membrane_osc, membrane_cav, MEMBRANE_POWER)
     dark = SensorArray(arr.sensors, arr.dividing_weights, arr.combining_weights,
                        total_power=0.0)
     with pytest.raises(ConfigError):
@@ -59,7 +61,8 @@ def test_zero_coupling_raises_under_force_conversion(membrane_osc, membrane_cav)
 def test_zero_efficiency_raises(membrane_osc, membrane_cav):
     blind = replace(membrane_cav, efficiency_sq=0.0)
     with pytest.raises(ConfigError, match="eta\\^2 = 0"):
-        assemble_transfer(single_sensor_array(membrane_osc, blind),
+        assemble_transfer(single_sensor_array(membrane_osc, blind,
+                                              MEMBRANE_POWER),
                           np.array([1e3]))
 
 
@@ -112,8 +115,17 @@ def test_zero_padded_column_completes_block_diagonally(rng):
 def test_completion_rejects_unnormalized_columns(rng):
     w = _unit_columns(rng, 3, 4)
     w[1] *= 1.0 + 1e-9
-    with pytest.raises(ConfigError, match="normalized"):
+    with pytest.raises(ConfigError, match="dividing weights must satisfy"):
         complete_unitary(w)
+
+
+@pytest.mark.parametrize("column", [[math.nan, 0.0], [math.inf, 0.0],
+                                    [0.6, math.nan]])
+def test_completion_rejects_non_finite_columns(column):
+    """A column whose sum w^2 is not finite breaks the dividing-weight rule
+    of ``SensorArray``; it never becomes a NaN matrix."""
+    with pytest.raises(ConfigError, match="dividing weights must satisfy"):
+        complete_unitary(np.array(column))
 
 
 def test_signed_real_weights_agree_with_the_oracle(rng):

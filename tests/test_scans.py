@@ -283,7 +283,7 @@ def _scalar_draw_array(rng, m):
         cav = CavityOptics.from_wavelength(
             kappa=kappa, kappa_readout=kappa * rng.uniform(0.5, 1.0),
             g0=46.0 * rng.uniform(0.1, 10.0), wavelength=1.06e-6,
-            input_power=0.0, efficiency_sq=rng.uniform(0.8, 1.0))
+            efficiency_sq=rng.uniform(0.8, 1.0))
         sensors.append(ArraySensor(osc, cav, rng.uniform(0.5, 2.0)))
     dv = rng.uniform(0.1, 1.0, m)
     dv = dv / np.linalg.norm(dv)
@@ -336,7 +336,7 @@ def _record_configs(seed, n_configs, n_freqs):
                 kappa = 0.94e9 * f[4]
                 cav = CavityOptics.from_wavelength(
                     kappa=kappa, kappa_readout=kappa * f[5], g0=46.0 * f[6],
-                    wavelength=1.06e-6, input_power=0.0, efficiency_sq=f[7])
+                    wavelength=1.06e-6, efficiency_sq=f[7])
                 sensors.append(ArraySensor(osc, cav, f[8]))
             w = dv[i, :m]
             arr = SensorArray(tuple(sensors), w.astype(complex),
@@ -491,7 +491,7 @@ def test_block_validation_matches_the_records(field, value):
         sensors = tuple(
             ArraySensor(Oscillator(*row[:4]),
                         CavityOptics(row[4], row[5], row[6],
-                                     float(fields["laser_omega"]), 0.0, row[7]))
+                                     float(fields["laser_omega"]), row[7]))
             for row in np.stack([fields[n][i] for n in names], -1).tolist())
         arrays.ArrayNoise(SensorArray(sensors, dv[i], cw[i], power[i].item()),
                           omegas)

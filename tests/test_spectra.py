@@ -16,9 +16,9 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, acceleration_asd, displacement_asd,
                              input_quadrature_psds, mechanical_susceptibility,
                              sensor_response)
-from conftest import power_for_cooperativity
+from conftest import MEMBRANE_POWER as P_MEM, power_for_cooperativity
 from reference_paths import (bad_cavity_map, cavity_phase_and_cooperativity,
-                             simplified_model_noise_psd,
+                             sensor_block, simplified_model_noise_psd,
                              single_sensor_noise_psd, sql_noise_psd,
                              squeezed_noise_closed_form)
 
@@ -73,9 +73,10 @@ def test_susceptibility_conjugation(membrane_osc, rng):
 # ---------------------------------------------------------------------------
 
 def test_phase_and_cooperativity_dc(membrane_osc, membrane_cav):
-    _, cmag, half = sensor_response(membrane_osc, membrane_cav, 0.0, 1.0)
+    cols = sensor_block(membrane_osc, membrane_cav, P_MEM)
+    _, cmag, half = sensor_response(cols, 0.0, 1.0)
     assert half == 1.0
-    g_sq = membrane_cav.g0**2 * membrane_cav.intracavity_flux
+    g_sq = membrane_cav.g0**2 * membrane_cav.intracavity_flux_at(P_MEM)
     expect = 2.0 * g_sq / (membrane_osc.gamma * membrane_cav.kappa)
     assert cmag == pytest.approx(expect, rel=1e-12)
     assert cmag > 0
@@ -86,10 +87,11 @@ def test_phase_unit_modulus_and_identity(membrane_osc, membrane_cav, rng):
     # C_w and the principal square root of e^{i phi}, in ulp, at +-omega
     omegas = np.concatenate([np.geomspace(1.0, 5e9, 400),
                              rng.uniform(1.0, 5e9, 400)])
+    cols = sensor_block(membrane_osc, membrane_cav, P_MEM)
     for w in (omegas, -omegas):
-        _, cmag, half = sensor_response(membrane_osc, membrane_cav, w, 0.3)
+        _, cmag, half = sensor_response(cols, w, 0.3)
         phase, coop = cavity_phase_and_cooperativity(membrane_cav, membrane_osc,
-                                                     w, 0.3)
+                                                     P_MEM, w, 0.3)
         np.testing.assert_allclose(np.abs(half), 1.0, rtol=1e-14)
         assert np.max(np.abs(cmag - np.abs(coop)) / cmag) <= 8 * EPS
         assert np.max(np.abs(half - np.sqrt(phase))) <= 4 * EPS
@@ -97,8 +99,9 @@ def test_phase_unit_modulus_and_identity(membrane_osc, membrane_cav, rng):
 
 def test_phase_coop_conjugation(membrane_osc, membrane_cav, rng):
     omegas = rng.uniform(1.0, 1e9, 32)
-    chi_p, c_p, h_p = sensor_response(membrane_osc, membrane_cav, omegas, 1.0)
-    chi_m, c_m, h_m = sensor_response(membrane_osc, membrane_cav, -omegas, 1.0)
+    cols = sensor_block(membrane_osc, membrane_cav, P_MEM)
+    chi_p, c_p, h_p = sensor_response(cols, omegas, 1.0)
+    chi_m, c_m, h_m = sensor_response(cols, -omegas, 1.0)
     np.testing.assert_array_equal(chi_m, np.conj(chi_p))
     np.testing.assert_array_equal(c_m, c_p)
     np.testing.assert_array_equal(h_m, np.conj(h_p))
@@ -107,14 +110,15 @@ def test_phase_coop_conjugation(membrane_osc, membrane_cav, rng):
 def test_cooperativity_reference_parameters(membrane_osc, membrane_cav):
     # 0.94 GHz cavity, 46 rad/s coupling, 6 mg, 2 mW: |C| stays finite in-band
     omegas = np.geomspace(1.0, 1e8, 50)
-    _, cmag, _ = sensor_response(membrane_osc, membrane_cav, omegas, 1.0)
+    _, cmag, _ = sensor_response(sensor_block(membrane_osc, membrane_cav, P_MEM),
+                                 omegas, 1.0)
     assert np.all(np.isfinite(cmag))
     assert cmag[0] == pytest.approx(3.254e7, rel=1e-3)
 
 
 def test_power_scale_validation(membrane_osc, membrane_cav):
     with pytest.raises(ConfigError, match="power share"):
-        single_sensor_noise_psd(membrane_osc, membrane_cav,
+        single_sensor_noise_psd(membrane_osc, membrane_cav, P_MEM,
                                 QuadraturePsds.vacuum(), 1.0, power_scale=-0.5)
 
 
@@ -172,9 +176,9 @@ def test_sql_point_reaches_quantum_limit(membrane_osc, membrane_cav):
     chi_abs = abs(mechanical_susceptibility(osc, omega))
     p_star = power_for_cooperativity(osc, membrane_cav, omega,
                                      1.0 / (8.0 * osc.gamma * chi_abs))
-    cav = replace(membrane_cav, input_power=p_star)
     cold = replace(osc, temperature=0.0)
-    noise = single_sensor_noise_psd(cold, cav, QuadraturePsds.vacuum(), omega)
+    noise = single_sensor_noise_psd(cold, membrane_cav, p_star,
+                                    QuadraturePsds.vacuum(), omega)
     assert noise == pytest.approx(HBAR * osc.mass * osc.omega0 / chi_abs,
                                   rel=1e-12)
 
@@ -185,9 +189,9 @@ def test_axis_aligned_squeezing_has_no_correlation_term(membrane_osc, membrane_c
     for theta in (0.0, math.pi / 2):
         q = input_quadrature_psds(SqueezedInput.from_db(8.0), theta)
         assert abs(q.sxy) < 1e-15
-        total = single_sensor_noise_psd(osc, cav, q, omega)
+        total = single_sensor_noise_psd(osc, cav, P_MEM, q, omega)
         chi_abs = abs(mechanical_susceptibility(osc, omega))
-        _, coop = cavity_phase_and_cooperativity(cav, osc, omega)
+        _, coop = cavity_phase_and_cooperativity(cav, osc, P_MEM, omega)
         cmag = abs(coop)
         manual = (HBAR * osc.mass * osc.omega0 / (8 * osc.gamma * cmag * chi_abs**2)
                   * q.syy
@@ -197,10 +201,9 @@ def test_axis_aligned_squeezing_has_no_correlation_term(membrane_osc, membrane_c
 
 
 def test_zero_cooperativity_rejected(membrane_osc, membrane_cav):
-    dark = replace(membrane_cav, input_power=0.0)
     with pytest.raises(ConfigError):
-        single_sensor_noise_psd(membrane_osc, dark, QuadraturePsds.vacuum(),
-                                TWO_PI * 100.0)
+        single_sensor_noise_psd(membrane_osc, membrane_cav, 0.0,
+                                QuadraturePsds.vacuum(), TWO_PI * 100.0)
 
 
 def test_sensor_response_is_the_only_response_kernel():
@@ -238,7 +241,7 @@ def test_loss_monotonicity(membrane_osc, membrane_cav):
     totals = []
     for eta_sq in (1.0, 0.95, 0.9, 0.8, 0.6, 0.4):
         cav = replace(membrane_cav, efficiency_sq=eta_sq)
-        totals.append(single_sensor_noise_psd(membrane_osc, cav,
+        totals.append(single_sensor_noise_psd(membrane_osc, cav, P_MEM,
                                               QuadraturePsds.vacuum(), omega))
     assert all(b > a for a, b in zip(totals, totals[1:]))
 
@@ -249,9 +252,10 @@ def test_loss_monotonicity(membrane_osc, membrane_cav):
 
 def test_squeezed_form_reduces_to_vacuum(membrane_osc, membrane_cav):
     omega = TWO_PI * 2800.0
-    vac = single_sensor_noise_psd(membrane_osc, membrane_cav,
+    vac = single_sensor_noise_psd(membrane_osc, membrane_cav, P_MEM,
                                   QuadraturePsds.vacuum(), omega)
-    sq = squeezed_noise_closed_form(membrane_osc, membrane_cav, 0.0, 0.4, omega)
+    sq = squeezed_noise_closed_form(membrane_osc, membrane_cav, P_MEM, 0.0, 0.4,
+                                    omega)
     assert sq == pytest.approx(vac, rel=1e-12)
 
 
@@ -262,17 +266,18 @@ def test_squeezed_factorization_random(membrane_osc, rng):
             mass=6e-6 * rng.uniform(0.1, 10), omega0=TWO_PI * rng.uniform(200, 2e4),
             quality=10 ** rng.uniform(6, 9), temperature=rng.uniform(0, 0.1))
         kappa = 10 ** rng.uniform(8, 10)
+        # power before eta^2: the seeded draw order fixes the cases
+        readout, g0 = kappa * rng.uniform(0.5, 1.0), 46.0 * rng.uniform(0.1, 10)
+        power = 10 ** rng.uniform(-5, -1)
         cav = CavityOptics.from_wavelength(
-            kappa=kappa, kappa_readout=kappa * rng.uniform(0.5, 1.0),
-            g0=46.0 * rng.uniform(0.1, 10), wavelength=1.06e-6,
-            input_power=10 ** rng.uniform(-5, -1),
+            kappa=kappa, kappa_readout=readout, g0=g0, wavelength=1.06e-6,
             efficiency_sq=rng.uniform(0.7, 1.0))
         r = rng.uniform(0.0, 15.0) * math.log(10.0) / 20.0  # up to 15 dB
         theta = rng.uniform(-math.pi / 2, math.pi / 2)
         omega = osc.omega0 * 10 ** rng.uniform(-2, 2)
-        closed = squeezed_noise_closed_form(osc, cav, r, theta, omega)
+        closed = squeezed_noise_closed_form(osc, cav, power, r, theta, omega)
         generic = single_sensor_noise_psd(
-            osc, cav, input_quadrature_psds(SqueezedInput(r=r), theta), omega)
+            osc, cav, power, input_quadrature_psds(SqueezedInput(r=r), theta), omega)
         assert closed == pytest.approx(generic, rel=1e-12)
 
 
@@ -281,7 +286,7 @@ def test_optimal_angle_minimizes_anti_squeezed_coefficient(membrane_osc,
     # golden-section scan over theta confirms the e^{+2r} coefficient minimum
     from omsense.arrays import (ArrayNoise, optimal_squeezing_angle,
                                 single_sensor_array)
-    arr = single_sensor_array(membrane_osc, membrane_cav)
+    arr = single_sensor_array(membrane_osc, membrane_cav, P_MEM)
     r = SqueezedInput.from_db(10.0).r
     for omega in (TWO_PI * 300.0, TWO_PI * 1402.0, TWO_PI * 3500.0):
         noise = ArrayNoise(arr, omega)
@@ -313,7 +318,7 @@ def test_optimal_angle_minimizes_anti_squeezed_coefficient(membrane_osc,
 def test_squeezed_below_classical_where_optical_dominates(membrane_osc,
                                                           membrane_cav):
     from omsense.arrays import ArrayNoise, single_sensor_array
-    arr = single_sensor_array(membrane_osc, membrane_cav)
+    arr = single_sensor_array(membrane_osc, membrane_cav, P_MEM)
     omegas = np.geomspace(membrane_osc.omega0 / 1e3, membrane_osc.omega0 * 1e3, 301)
     noise = ArrayNoise(arr, omegas)
     vac = noise.breakdown(QuadraturePsds.vacuum())
@@ -359,9 +364,8 @@ def test_sql_optimality_golden_section(membrane_osc, membrane_cav, rng):
         chi_abs = abs(mechanical_susceptibility(osc, omega))
 
         def optical(log_p):
-            c = replace(cav, input_power=math.exp(log_p))
-            return single_sensor_noise_psd(osc, c, QuadraturePsds.vacuum(),
-                                           omega)
+            return single_sensor_noise_psd(osc, cav, math.exp(log_p),
+                                           QuadraturePsds.vacuum(), omega)
 
         a, b = math.log(1e-9), math.log(10.0)
         c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -376,8 +380,7 @@ def test_sql_optimality_golden_section(membrane_osc, membrane_cav, rng):
         best = optical(math.log(p_star))
         assert best == pytest.approx(HBAR * osc.mass * osc.omega0 / chi_abs,
                                      rel=1e-6)
-        _, coop = cavity_phase_and_cooperativity(
-            replace(cav, input_power=p_star), osc, omega)
+        _, coop = cavity_phase_and_cooperativity(cav, osc, p_star, omega)
         assert abs(coop) == pytest.approx(1.0 / (8.0 * osc.gamma * chi_abs),
                                           rel=1e-4)
 
@@ -429,12 +432,12 @@ def test_bad_cavity_correspondence(membrane_osc, membrane_cav, eta_sq):
     # kappa/Omega ~ 7.5e4: simplified and cavity budgets agree to 1 percent
     osc = membrane_osc
     cav = replace(membrane_cav, efficiency_sq=eta_sq)
-    zeta, e0 = bad_cavity_map(cav, osc)
+    zeta, e0 = bad_cavity_map(cav, P_MEM, osc)
     eta = math.sqrt(eta_sq)
     omegas = np.geomspace(osc.omega0 / 10.0, cav.kappa / 100.0, 40)
     for inp in (QuadraturePsds.vacuum(),
                 input_quadrature_psds(SqueezedInput.from_db(10.0), -0.7)):
-        cavity = single_sensor_noise_psd(osc, cav, inp, omegas)
+        cavity = single_sensor_noise_psd(osc, cav, P_MEM, inp, omegas)
         simple = simplified_model_noise_psd(zeta, e0, eta, osc, inp, omegas)
         np.testing.assert_allclose(simple, cavity, rtol=1e-2)
 
@@ -444,8 +447,8 @@ def test_bad_cavity_map_identities(membrane_osc, membrane_cav):
     # Fabry-Perot identity: both routes agree when g0 is geometric
     g0_geo = membrane_cav.g0_from_geometry(osc)
     cav = replace(membrane_cav, g0=g0_geo)
-    zeta_len, _ = bad_cavity_map(cav, osc)
-    zeta_g0, _ = bad_cavity_map(replace(cav, length=None), osc)
+    zeta_len, _ = bad_cavity_map(cav, P_MEM, osc)
+    zeta_g0, _ = bad_cavity_map(replace(cav, length=None), P_MEM, osc)
     assert zeta_g0 == pytest.approx(zeta_len, rel=1e-12)
     assert zeta_len == pytest.approx(4.0 * cav.laser_omega / (cav.length * cav.kappa),
                                      rel=1e-12)
@@ -456,8 +459,8 @@ def test_bad_cavity_free_space_factor_two(membrane_cav):
     cav = CavityOptics(kappa=C_LIGHT / membrane_cav.length,
                        kappa_readout=C_LIGHT / membrane_cav.length,
                        g0=membrane_cav.g0, laser_omega=membrane_cav.laser_omega,
-                       input_power=2e-3, length=membrane_cav.length)
-    zeta, _ = bad_cavity_map(cav)  # length route: the Fabry-Perot identity
+                       length=membrane_cav.length)
+    zeta, _ = bad_cavity_map(cav, P_MEM)  # length route: the Fabry-Perot identity
     mirror_zeta = 2.0 * cav.laser_omega / C_LIGHT
     assert zeta == pytest.approx(2.0 * mirror_zeta, rel=1e-12)
 
@@ -466,7 +469,7 @@ def test_bad_cavity_map_warns_for_slow_cavity(membrane_osc, membrane_cav):
     cav = replace(membrane_cav, kappa=10.0 * membrane_osc.omega0,
                   kappa_readout=10.0 * membrane_osc.omega0)
     with pytest.warns(UserWarning):
-        bad_cavity_map(cav, membrane_osc)
+        bad_cavity_map(cav, P_MEM, membrane_osc)
 
 
 def test_simplified_model_rejects_dark_input(membrane_osc):
@@ -493,11 +496,10 @@ def test_oscillator_validation():
 
 def test_cavity_validation():
     with pytest.raises(ConfigError):
-        CavityOptics(kappa=1.0, kappa_readout=2.0, g0=1.0, laser_omega=1.0,
-                     input_power=1.0)
+        CavityOptics(kappa=1.0, kappa_readout=2.0, g0=1.0, laser_omega=1.0)
     with pytest.raises(ConfigError):
         CavityOptics(kappa=1.0, kappa_readout=1.0, g0=1.0, laser_omega=1.0,
-                     input_power=1.0, efficiency_sq=1.5)
+                     efficiency_sq=1.5)
 
 
 @pytest.mark.parametrize("args", [(0.5, 0.5, math.nan), (math.inf, 0.5),
@@ -578,7 +580,7 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_unit_helpers(membrane_osc, membrane_cav):
     omega = membrane_osc.omega0
-    total = single_sensor_noise_psd(membrane_osc, membrane_cav,
+    total = single_sensor_noise_psd(membrane_osc, membrane_cav, P_MEM,
                                     QuadraturePsds.vacuum(), omega)
     acc = acceleration_asd(membrane_osc, total)
     assert acc == pytest.approx(math.sqrt(total) / membrane_osc.mass, rel=1e-12)
