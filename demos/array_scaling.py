@@ -9,22 +9,25 @@ constant entanglement factor on top.
 """
 
 from omsense import SqueezedInput
-from omsense.arrays import ArrayNoise, array_signal_psd, identical_array
+from omsense.arrays import (ArrayBatch, ArrayNoise, array_signal_psd,
+                            identical_array, noise_peaks)
 from omsense.scenario import preset_scenario, scenario_from_dict
 from omsense.sensitivity import integrated_sensitivity
 
 scn = scenario_from_dict(preset_scenario("fig2"))
 sensor = scn.sensors[0]
-grid = scn.build_grid()
 inputs = [SqueezedInput.vacuum(),
           SqueezedInput.from_db(10.0, angle_policy="optimal")]
 
 
 def sensitivities(m):
     arr = identical_array(sensor, m, power_per_sensor=2e-3)
+    # seed panels where the integrand peaks, as the CLI does
+    [peaks] = noise_peaks([(ArrayBatch.of([arr]), inputs)])
     # one kernel build per quadrature pass gives both noise totals
     res = integrated_sensitivity(
-        array_signal_psd(arr), lambda w: ArrayNoise(arr, w).totals(inputs), grid)
+        array_signal_psd(arr), lambda w: ArrayNoise(arr, w).totals(inputs),
+        scn.build_grid(peaks))
     i_coh, i_dqs = res.value.tolist()
     return i_coh, i_dqs
 

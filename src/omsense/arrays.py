@@ -25,6 +25,8 @@ with matched weights.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +44,7 @@ __all__ = [
     "ArrayBatch",
     "NoiseBreakdown",
     "ArrayNoise",
+    "noise_peaks",
     "uniform_weights",
     "matched_weights",
     "inverse_variance_weights",
@@ -156,6 +159,11 @@ class ArrayBatch:
 
     def __len__(self) -> int:
         return len(self.n_sensors)
+
+    @functools.cached_property
+    def kernel_rows(self):
+        """``_kernel_rows`` of the block, formed once per block."""
+        return _kernel_rows(self)
 
     @classmethod
     def of(cls, arrays) -> "ArrayBatch":
@@ -307,7 +315,8 @@ class ArrayNoise:
     carries, and the coherent sums A = sum alpha ww and B = sum beta ww;
     ``breakdown``, ``totals`` and ``optimal_angle`` all read them, so a table
     that needs several noise quantities of one array builds it once.  The
-    kernel reads only the ``ArrayBatch`` block of its arrays.
+    kernel reads only the ``ArrayBatch`` block of its arrays, whose rows it
+    forms once per block (``ArrayBatch.kernel_rows``).
 
     The library builds arrays of two shapes: M copies of one template (every
     scan, the paper's sqrt(M) -> M scaling) and arrays of distinct sensors
@@ -333,34 +342,11 @@ class ArrayNoise:
 
     def __init__(self, arr, omega):
         batch, w, single = _as_batch(arr, omega)
-        on = batch.combining != 0.0
-        if not on.any(axis=1).all():
-            raise ConfigError("all combining weights vanish")
-        rows = np.concatenate(
-            [batch.cols.table, batch.dividing[..., None] ** 2], axis=-1)
-        # each array's first active (parameter row, share), and whether every
-        # active slot of the array has it
-        first = rows[np.arange(len(batch)), on.argmax(axis=1)][:, None]
-        same = ((rows == first) | ~on[..., None]).all(axis=(1, 2))
-        ww = batch.combining * batch.dividing
-        wabs2 = batch.combining ** 2
-        if same.all():
-            rows = first
-            ww, wabs2 = ww.cumsum(axis=1)[:, -1:], wabs2.cumsum(axis=1)[:, -1:]
-        else:
-            rows = np.where(on[..., None], rows, first)
-            for x in (ww, wabs2):
-                x[same, 0] = x[same].cumsum(axis=1)[:, -1]
-                x[same, 1:] = 0.0
-
-        cols = SensorColumns(rows[..., :-1])
-        chi, cmag, half = sensor_response(cols, w[:, None], rows[..., -1:])
-        hmo = HBAR * cols.mass * cols.omega0
-        fields = (half / (2.0 * chi) * np.sqrt(hmo / (2.0 * cols.gamma * cmag)),
-                  2.0 * half * np.sqrt(2.0 * hmo * cols.gamma * cmag),
-                  ww[..., None], wabs2[..., None],
-                  4.0 * cols.mass * cols.gamma * K_B * cols.temperature,
-                  (1.0 - cols.efficiency_sq) / cols.efficiency_sq)
+        cols, share, ww, wabs2 = batch.kernel_rows
+        alpha, beta, thermal, loss_weight, _ = _row_fields(cols, share,
+                                                           w[:, None])
+        fields = (alpha, beta, ww[..., None], wabs2[..., None], thermal,
+                  loss_weight)
         if single:
             fields = [f[0] for f in fields]
         self.omega = omega
@@ -445,6 +431,44 @@ class ArrayNoise:
         return _scalarize(_optimal_angle(self.a, self.b), self.omega)
 
 
+def _kernel_rows(batch: ArrayBatch):
+    """The kernel rows of a batch, as ``ArrayNoise`` describes them: their
+    (C, G, 1) ``SensorColumns`` and shares |w_k0|^2, and the (C, G) weights
+    ww and wabs2 that each row carries."""
+    on = batch.combining != 0.0
+    if not on.any(axis=1).all():
+        raise ConfigError("all combining weights vanish")
+    rows = np.concatenate(
+        [batch.cols.table, batch.dividing[..., None] ** 2], axis=-1)
+    # each array's first active (parameter row, share), and whether every
+    # active slot of the array has it
+    first = rows[np.arange(len(batch)), on.argmax(axis=1)][:, None]
+    same = ((rows == first) | ~on[..., None]).all(axis=(1, 2))
+    ww = batch.combining * batch.dividing
+    wabs2 = batch.combining ** 2
+    if same.all():
+        rows = first
+        ww, wabs2 = ww.cumsum(axis=1)[:, -1:], wabs2.cumsum(axis=1)[:, -1:]
+    else:
+        rows = np.where(on[..., None], rows, first)
+        for x in (ww, wabs2):
+            x[same, 0] = x[same].cumsum(axis=1)[:, -1]
+            x[same, 1:] = 0.0
+    return SensorColumns(rows[..., :-1]), rows[..., -1:], ww, wabs2
+
+
+def _row_fields(cols: SensorColumns, share, w):
+    """Each kernel row's coherent amplitudes alpha and beta at frequencies
+    ``w``, its thermal PSD and detection-loss weight, and the half phase
+    e^{i phi_w/2} of its response."""
+    chi, cmag, half = sensor_response(cols, w, share)
+    hmo = HBAR * cols.mass * cols.omega0
+    return (half / (2.0 * chi) * np.sqrt(hmo / (2.0 * cols.gamma * cmag)),
+            2.0 * half * np.sqrt(2.0 * hmo * cols.gamma * cmag),
+            4.0 * cols.mass * cols.gamma * K_B * cols.temperature,
+            (1.0 - cols.efficiency_sq) / cols.efficiency_sq, half)
+
+
 def _total(parts):
     """The parts summed left to right, so every caller rounds alike."""
     return sum(parts[1:], parts[0])
@@ -462,6 +486,187 @@ def _optimal_angle(a, b):
     theta = 0.5 * np.arctan2(-rr, -q)
     # +pi/2 and -pi/2 label the same squeezed state; use the negative branch.
     return np.where(theta > math.pi / 2 - 1e-15, -math.pi / 2, theta)
+
+
+# ---------------------------------------------------------------------------
+# where the integrand peaks
+# ---------------------------------------------------------------------------
+
+_ZERO_AND_ONE = np.array([0.0, 1.0])
+
+# Leading coefficients below this share of the largest are dropped before
+# the roots are taken: their zeros lie beyond 1e100 times the scale.
+_NEGLIGIBLE = 1e-200
+
+
+def noise_peaks(blocks):
+    """For each (one-array ``ArrayBatch``, inputs) pair of ``blocks``, where
+    the array's integrand (gain/S)^2 peaks under the inputs: a tuple of
+    (centre, half width) pairs, the zeros p = centre + i half width of its
+    noise numerators (``_numerators``) with both parts positive.  A
+    numerator that is not finite, or whose arithmetic overflows or divides
+    by zero, has no zeros.
+    """
+    peaks = [[] for _ in blocks]
+    with np.errstate(all="ignore"):
+        scale, numerators = _numerators(blocks)
+        # the zeros of every numerator of one degree from one call
+        by_degree = {}
+        for k, block in enumerate(numerators):
+            for n in block:
+                big = max(map(abs, n))
+                if not (all(map(math.isfinite, n)) and big > 0.0):
+                    continue
+                while abs(n[-1]) <= _NEGLIGIBLE * big:
+                    n.pop()
+                if len(n) > 1:
+                    by_degree.setdefault(len(n), []).append((k, _companion(n)))
+        for group in by_degree.values():
+            owners, matrices = zip(*group)
+            zeros = np.linalg.eigvals(np.array(matrices))
+            for k, row in zip(owners, zeros.tolist()):
+                for y in row:
+                    p = scale * cmath.sqrt(y)
+                    if 0.0 < p.imag < math.inf and abs(p.real) < math.inf:
+                        centre, width = _quantized(p)
+                        if centre > 0.0:
+                            peaks[k].append((centre, width))
+    return [tuple(p) for p in peaks]
+
+
+def _quantized(p):
+    """(centre, half width) of a zero p, both to the multiple of a power of
+    two between 1/2048 and 1/1024 of the width nearest them, so that arrays
+    that differ only by rounding share peaks."""
+    q = math.ldexp(1.0, math.frexp(p.imag)[1] - 11)
+    return (p.real - math.remainder(p.real, q),
+            p.imag - math.remainder(p.imag, q))
+
+
+def _numerators(blocks):
+    """(scale, numerators) of the (one-array ``ArrayBatch``, inputs) pairs
+    of ``blocks``: for each block, the ascending coefficients in
+    (omega/scale)^2 of its noise numerators, those of the vacuum, when an
+    input is vacuum or at the optimal angle, and of each fixed angle.
+
+    A numerator is N = S prod_j (1 + sigma_j^2 omega^2), sigma_j over the
+    block's distinct 2/kappa.  With z = i omega, a kernel row's alpha is
+    alpha(0) (1 + sigma z) D/omega0^2, D = omega0^2 - 2 gamma z + z^2 the
+    susceptibility's denominator, and its beta is beta(0)/(1 - sigma z), so
+    N is a real polynomial in y = omega^2 for the vacuum total and for a
+    fixed-angle total (``ArrayNoise.totals``); the optimal angle's noise is
+    not a rational function.  The row constants come from one kernel call
+    at omega = 0 and 1 over every block's rows, after its checks.
+    """
+    rows = [batch.kernel_rows for batch, _ in blocks]
+    cols = SensorColumns(np.concatenate([c.table[0] for c, *_ in rows]))
+    alpha, beta, thermal, loss_weight, half = _row_fields(
+        cols, np.concatenate([s[0] for _, s, *_ in rows]), _ZERO_AND_ONE)
+    # omega0, gamma, e^{i phi/2} at omega = 1, alpha(0), beta(0), loss
+    # weight and thermal PSD of each row, with its ww and wabs2
+    fields = [(t[1], t[2], h1, a0.real, b0.real, loss, th)
+              for t, (a0, _), (b0, _), (_, h1), (loss,), (th,) in zip(
+                  cols.table.tolist(), alpha.tolist(), beta.tolist(),
+                  half.tolist(), loss_weight.tolist(), thermal.tolist())]
+    weights = [p for _, _, ww, w2 in rows
+               for p in zip(ww[0].tolist(), w2[0].tolist())]
+    # in x = omega/scale, where the coefficients stay near 1
+    scale = fields[0][0]
+    numerators, stop = [], 0
+    for (_, _, ww, _), (_, inputs) in zip(rows, blocks):
+        start, stop = stop, stop + ww.shape[1]
+        try:
+            numerators.append(_block_numerators(
+                scale, fields[start:stop], weights[start:stop], inputs))
+        except ArithmeticError:  # a zero divisor or an overflow: no zeros
+            numerators.append([])
+    return scale, numerators
+
+
+def _block_numerators(scale, fields, weights, inputs):
+    """One block's numerators for ``_numerators``, from each kernel row's
+    fields and (ww, wabs2) weights."""
+    inner = [0.0] * 4  # thermal and |alpha|^2 terms, before prod_j (1 + ...)
+    coherent = [0.0] * 4  # A, before prod_j (1 - sigma_j z)
+    by_rate = {}  # sigma: (|beta|^2 terms, B's share)
+    for (omega0, gamma, h1, alpha0, b, loss, thermal), (w, w2) in zip(
+            fields, weights):
+        # in x: o2 = (omega0/scale)^2, g2 = 2 gamma/scale, sigma = u at x = 1
+        # (tan phi/2 at omega = 1) and a = alpha(0)/o2, so
+        # alpha = a (1 + sigma z)(o2 - g2 z + z^2) and
+        # |alpha|^2 = a^2 (1 + sigma^2 y) |D|^2(y)
+        o2 = omega0 / scale * (omega0 / scale)
+        g2, sigma = 2.0 * gamma / scale, h1.imag / h1.real * scale
+        a = alpha0 / o2
+        s2, m1 = sigma * sigma, g2 * g2 - 2.0 * o2
+        wa = 0.5 * w2 * (1.0 + loss) * a * a
+        for k, (x, y) in enumerate(zip(
+                (o2 * o2, m1 + s2 * o2 * o2, 1.0 + s2 * m1, s2),
+                (o2, sigma * o2 - g2, 1.0 - sigma * g2, sigma))):
+            inner[k] += wa * x
+            coherent[k] += w * a * y
+        inner[0] += w2 * thermal
+        beta_sq, b_share = by_rate.get(sigma, (0.0, 0.0))
+        by_rate[sigma] = (beta_sq + 0.5 * w2 * b * b, b_share + w * b)
+    # prod (1 - sigma_j z) over the rates, and over all rates but one
+    p_all = _product(by_rate)
+    p_but = {r: _product([q for q in by_rate if q != r]) for r in by_rate}
+    vacuum = _mul(_square(p_all), inner)
+    for r, (beta_sq, _) in by_rate.items():
+        for k, x in enumerate(_square(p_but[r])):
+            vacuum[k] += beta_sq * x
+    numerators = []
+    if any(sq.r == 0.0 or sq.angle_policy == "optimal" for sq in inputs):
+        numerators.append(vacuum)
+    fixed = dict.fromkeys((sq.r, sq.angle) for sq in inputs
+                          if sq.r > 0.0 and sq.angle_policy == "fixed")
+    if fixed:
+        q_a, q_b = _mul(p_all, coherent), [0.0] * len(vacuum)
+        for r, (_, b_share) in by_rate.items():
+            for k, x in enumerate(p_but[r]):
+                q_b[k] += b_share * x
+    for r, angle in fixed:
+        # a fixed angle t adds |A cos t - B sin t|^2 (e^-2r - 1)/2 and
+        # |A sin t + B cos t|^2 (e^2r - 1)/2
+        c, s = math.cos(angle), math.sin(angle)
+        w_minus, w_plus = 0.5 * math.expm1(-2.0 * r), 0.5 * math.expm1(2.0 * r)
+        f = _square([c * x - s * y for x, y in zip(q_a, q_b)])
+        g = _square([s * x + c * y for x, y in zip(q_a, q_b)])
+        numerators.append([v + w_minus * x + w_plus * y
+                           for v, x, y in zip(vacuum, f, g)])
+    return numerators
+
+
+def _mul(p, q):
+    """The product of two polynomials, as lists of ascending coefficients."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _product(rates):
+    """Ascending coefficients of prod (1 - r z) over ``rates``."""
+    p = [1.0]
+    for r in rates:
+        p = _mul(p, [1.0, -r])
+    return p
+
+
+def _square(q):
+    """Ascending coefficients in y = -z^2 of q(z) q(-z), for the ascending
+    coefficients of a real polynomial q: |q(i omega)|^2 at y = omega^2."""
+    product = _mul(q, [x if k % 2 == 0 else -x for k, x in enumerate(q)])
+    return [x if k % 2 == 0 else -x for k, x in enumerate(product[0::2])]
+
+
+def _companion(n):
+    """The companion matrix of ascending coefficients ``n`` (n[-1] != 0), as
+    nested lists, whose eigenvalues are the polynomial's zeros."""
+    d = len(n) - 1
+    return [[float(j == i - 1) for j in range(d - 1)] + [-n[i] / n[-1]]
+            for i in range(d)]
 
 
 # ---------------------------------------------------------------------------

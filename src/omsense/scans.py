@@ -2,9 +2,10 @@
 
 Each function turns a validated Scenario into a ``Table`` of named columns
 that the CLI serializes; everything is deterministic given the scenario.
-Every integral goes through ``_integrals``, which feeds each round's nodes to
-the elementwise kernel in slices, keeping memory flat and every bit; the
-scans stack its values (``_sweep``) and ``sensitivity_report`` reads them.
+Every integral goes through ``_integrals``, which seeds each array's panels
+at its noise peaks and feeds each round's nodes to the elementwise kernel in
+slices, keeping memory flat and every bit; the scans stack its values
+(``_sweep``) and ``sensitivity_report`` reads them.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from .errors import ScenarioError
 from .spectra import (QuadraturePsds, SqueezedInput, acceleration_asd,
                       displacement_asd, input_quadrature_psds)
 from .arrays import (ArrayBatch, ArrayNoise, SensorArray, array_signal_psd,
-                     array_sql_psd, matched_weights)
+                     array_sql_psd, matched_weights, noise_peaks)
 from .oracle import oracle_noise_psd
-from .sensitivity import (FrequencyGrid, integrated_sensitivity,
-                          min_detectable_coupling)
+from .sensitivity import integrated_sensitivity, min_detectable_coupling
 from .scenario import Scenario
 
 __all__ = [
@@ -99,24 +99,37 @@ def _single_reference(scn: Scenario) -> SensorArray:
 _SWEEP_CELLS = 1 << 16
 
 
-def _integrals(grid: FrequencyGrid, arrays, inputs):
-    """Yield one ``IntegrationResult`` per array, with one component per
-    input of ``inputs``, all on one grid at its tolerance."""
-    for arr in arrays:
-        # ArrayNoise's rows at most: one when one template at one weight fills
-        # every slot, otherwise one per slot
-        dv = arr.dividing_weights.tolist()
-        one = arr.sensors.count(arr.sensors[0]) == dv.count(dv[0]) == len(dv)
-        step = max(1, _SWEEP_CELLS // (1 if one else len(dv)))
-        yield integrated_sensitivity(
-            array_signal_psd(arr), lambda w: np.concatenate(
-                [ArrayNoise(arr, w[i:i + step]).totals(inputs)
-                 for i in range(0, w.size, step)], axis=1), grid)
+def _integrals(scn: Scenario, work, self_check=False):
+    """Yield, for each (array, inputs) pair of ``work``, the array's
+    ``IntegrationResult`` with one component per input, on the scenario's
+    grid seeded at the array's noise peaks (``arrays.noise_peaks``); with
+    ``self_check``, a pair: that one and the one on the same grid bisected
+    (``FrequencyGrid.bisected``)."""
+    work = [(arr, ArrayBatch.of([arr]), inputs) for arr, inputs in work]
+    peaks = noise_peaks([(batch, inputs) for _, batch, inputs in work])
+    grids = {}  # arrays with the same peaks share a grid
+    for (arr, batch, inputs), seeds in zip(work, peaks):
+        if seeds not in grids:
+            grids[seeds] = scn.build_grid(seeds)
+        grid = grids[seeds]
+        _, _, ww, _ = batch.kernel_rows
+        step = max(1, _SWEEP_CELLS // ww.shape[1])
+
+        def noise(w):
+            return np.concatenate(
+                [ArrayNoise(batch, w[None, i:i + step]).totals(inputs)[:, 0]
+                 for i in range(0, w.size, step)], axis=1)
+
+        gain = array_signal_psd(arr)
+        results = [integrated_sensitivity(gain, noise, g) for g in
+                   ((grid, grid.bisected()) if self_check else (grid,))]
+        yield results if self_check else results[0]
 
 
-def _sweep(grid: FrequencyGrid, arrays, inputs) -> np.ndarray:
-    """(inputs, arrays): the values of ``_integrals``."""
-    return np.stack([res.value for res in _integrals(grid, arrays, inputs)], axis=1)
+def _sweep(scn: Scenario, arrays, inputs) -> np.ndarray:
+    """(inputs, arrays): the values of ``_integrals`` on each array."""
+    return np.stack([res.value for res in _integrals(
+        scn, [(arr, inputs) for arr in arrays])], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +176,20 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> Table:
 
 def sensitivity_report(scn: Scenario) -> Table:
     """Integrated sensitivity with a self-convergence check: the relative
-    change when the integral is recomputed at half the tolerance on the
-    bisected grid, a different node set, warns above the tolerance."""
+    change when the integral is recomputed at half the tolerance on its
+    grid bisected, a different node set, warns above the tolerance."""
     arr = scn.build_array()
-    grid = scn.build_grid()
     quantities = [("classical", _VACUUM)]
     if scn.squeeze.r > 0:
         quantities.append(("squeezed", scn.squeeze))
-    results, halves = [], []
-    for _, squeeze in quantities:
-        results += _integrals(grid, [arr], [squeeze])
-        halves += _integrals(grid.bisected(), [arr], [squeeze])
+    results, halves = zip(*_integrals(
+        scn, [(arr, [squeeze]) for _, squeeze in quantities], self_check=True))
     value = np.array([res.value[0] for res in results])
     change = np.abs([res.value[0] for res in halves] - value) / np.abs(value)
     for (name, _), rel in zip(quantities, change.tolist()):
-        if rel > grid.tol:
+        if rel > scn.grid_tol:
             warnings.warn(f"the {name} integral's rel_change_half_tol {rel:.3g} "
-                          f"exceeds the grid tolerance {grid.tol:g}")
+                          f"exceeds the grid tolerance {scn.grid_tol:g}")
     return Table({
         "quantity": [name for name, _ in quantities],
         "value": value,
@@ -193,10 +203,10 @@ def sensitivity_report(scn: Scenario) -> Table:
 def array_scan_table(scn: Scenario) -> Table:
     """Integrated sensitivity vs sensor count: DQS, coherent, incoherent."""
     counts = np.array(scn.scan["sensor_counts"], dtype=int)
-    grid = scn.build_grid()
-    [[i_single]] = _sweep(grid, [_single_reference(scn)], [_VACUUM])
-    i_coh, i_dqs = _sweep(grid, [scn.build_array(m) for m in counts.tolist()],
-                          [_VACUUM, scn.squeeze])
+    single, *sweep = _integrals(scn, [(_single_reference(scn), [_VACUUM])] + [
+        (scn.build_array(m), [_VACUUM, scn.squeeze]) for m in counts.tolist()])
+    i_single = single.value[0]
+    i_coh, i_dqs = np.stack([res.value for res in sweep], axis=1)
     i_incoh = counts * i_single
     return Table({"n_sensors": counts, "i_dqs": i_dqs,
                   "i_classical_coherent": i_coh,
@@ -274,7 +284,7 @@ def power_scan_table(scn: Scenario) -> Table:
               SqueezedInput(r=r, angle_policy="fixed",
                             angle=scn.scan["fixed_angle_rad"])]
     i_cl, i_opt, i_fix = _sweep(
-        scn.build_grid(), [scn.build_array(power=p) for p in powers], inputs)
+        scn, [scn.build_array(power=p) for p in powers], inputs)
     return Table({"power_w": powers, "i_classical": i_cl,
                   "i_squeezed_optimal": i_opt, "i_squeezed_fixed": i_fix})
 
@@ -287,8 +297,8 @@ def loss_scan_table(scn: Scenario) -> Table:
     _note_optimal_angle(scn, "loss-scan")
     inputs = [_VACUUM, SqueezedInput(r=scn.squeeze.r, angle_policy="optimal")]
     i_cl, i_sq = _sweep(
-        scn.build_grid(),
-        [scn.build_array(efficiency_sq=1.0 - loss) for loss in losses], inputs)
+        scn, [scn.build_array(efficiency_sq=1.0 - loss) for loss in losses],
+        inputs)
     return Table({"loss": losses, "efficiency_sq": 1.0 - np.array(losses),
                   "i_classical": i_cl, "i_squeezed_optimal": i_sq})
 

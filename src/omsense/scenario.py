@@ -24,12 +24,13 @@ import numpy as np
 
 from .constants import GEV_PER_CM3_TO_KG_M3, RHO_DM_DEFAULT, TWO_PI, YEAR_S
 from .errors import ScenarioError
-from .spectra import CavityOptics, Oscillator, SqueezedInput
+from .spectra import CavityOptics, Oscillator, SqueezedInput, _check
 from .arrays import (ArraySensor, SensorArray, _check_weights,
                      inverse_variance_weights, matched_weights,
                      uniform_weights)
-from .sensitivity import (DarkMatterModel, FrequencyGrid, ObservationPlan,
-                          calibrate_material_factor, resonance_refined_grid)
+from .sensitivity import (_GRID_RULES, DarkMatterModel, FrequencyGrid,
+                          ObservationPlan, calibrate_material_factor,
+                          resonance_refined_grid)
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict", "preset_scenario",
            "PRESET_NAMES", "SCHEMA_VERSION"]
@@ -297,11 +298,20 @@ class Scenario:
         return SensorArray(sensors=sensors, dividing_weights=dv,
                            combining_weights=cw, total_power=total)
 
-    def build_grid(self) -> FrequencyGrid:
-        resonances = sorted({(s.oscillator.omega0, s.oscillator.gamma)
-                             for s in self.sensors})
-        return resonance_refined_grid(resonances, self.grid_span,
-                                      tol=self.grid_tol)
+    def build_grid(self, peaks) -> FrequencyGrid:
+        """The quadrature grid of one integral: the span and tolerance, and
+        a ladder on each (centre, half width) pair of ``peaks``
+        (``arrays.noise_peaks``) whose centre lies inside the span.  Each
+        sensor's (omega0, gamma) line is held to the span rules of
+        ``resonance_refined_grid`` all the same."""
+        lo, hi = self.grid_span
+        omega0, gamma = np.array(sorted({
+            (s.oscillator.omega0, s.oscillator.gamma) for s in self.sensors})).T
+        _check(_GRID_RULES, {"lo": lo, "hi": hi, "omega0": omega0,
+                             "gamma": gamma})
+        return resonance_refined_grid(
+            [p for p in peaks if lo <= p[0] <= hi], self.grid_span,
+            tol=self.grid_tol)
 
 
 def scenario_from_dict(raw: dict, strict: bool = True,
@@ -449,7 +459,7 @@ def scenario_from_dict(raw: dict, strict: bool = True,
     tol = _field(grid, "tolerance_rel", "grid", _positive, 1e-3)
     if "points_per_decade" in grid:
         warns.append("grid.points_per_decade has no effect: seed panels come "
-                     "from the resonances alone")
+                     "from the noise peaks alone")
 
     scan_block = _block(raw, "scan")
     _check_keys(scan_block, set(_SCAN_FIELDS), "scan", strict, warns)

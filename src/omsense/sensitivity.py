@@ -8,16 +8,18 @@ a bandwidth-aware figure of merit for detecting an incoherent force whose
 frequency is unknown a priori, under a drive PSD flat over the band.  For
 pure-SQL noise the integral evaluates in closed form to
 gamma / S_SQL(Omega)^2 = 1/(4 gamma (hbar m Omega)^2), which the quadrature
-must reproduce.  With Q ~ 1e9 resonances the peak is a billionth of its
-own frequency wide, so the quadrature works as QUADPACK QAGP does
-(Piessens et al., 1983): breakpoints at each resonance omega0 and at
-omega0 +- gamma 10^k split the span into seed panels, and each panel is
-integrated with the 21-point Gauss-Kronrod rule, whose embedded 10-point
-Gauss rule gives the error estimate |K21 - G10| from the same integrand
-values.  Panels are bisected until the summed estimate meets the relative
-tolerance.  The noise may have several components (as in SciPy's
-quad_vec): they share the panels, a panel is bisected when any component
-misses its share of the tolerance, and every component must meet it.
+must reproduce.  The integrand peaks far more narrowly than the span it
+lies in, so the quadrature works as QUADPACK QAGP does (Piessens et al.,
+1983): breakpoints at the integrand's difficult points split the span into
+seed panels.  Those points are its peaks, the zeros of the noise numerator
+(``arrays.noise_peaks``): each peak's centre and centre +- width 10^k.
+Each panel is integrated with the 21-point Gauss-Kronrod rule, whose
+embedded 10-point Gauss rule gives the error estimate |K21 - G10| from the
+same integrand values.  Panels are bisected until the summed estimate
+meets the relative tolerance.  The noise may have several components (as
+in SciPy's quad_vec): they share the panels, a panel is bisected when any
+component misses its share of the tolerance, and every component must
+meet it.
 
 Dark-matter projections convert a detector noise PSD into a minimum
 detectable coupling via the observation-run SNR
@@ -109,11 +111,12 @@ class FrequencyGrid:
 def resonance_refined_grid(resonances, span, tol: float = 1e-3) -> FrequencyGrid:
     """Breakpoints for the quadrature in the style of QUADPACK QAGP.
 
-    ``resonances`` is an iterable of (omega0, gamma) pairs; every resonance
-    must lie inside the span.  The breakpoints are the span ends, each
-    omega0, and omega0 +- gamma 10^k (k = 0, 1, ...) while inside the span,
-    so that seed panels shrink geometrically onto each line; the adaptive
-    loop refines wherever its error estimate asks, even at Q ~ 1e9.
+    ``resonances`` is an iterable of (omega0, gamma) pairs, the centres and
+    half widths of the integrand's peaks (``arrays.noise_peaks``); every
+    centre must lie inside the span.  The breakpoints are the span ends,
+    each omega0, and omega0 +- gamma 10^k (k = 0, 1, ...) while inside the
+    span, so that seed panels shrink geometrically onto each peak; the
+    adaptive loop refines wherever its error estimate asks.
     """
     lo, hi = float(span[0]), float(span[1])
     omega0, gamma = np.array(list(resonances), dtype=float).reshape(-1, 2).T

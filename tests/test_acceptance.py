@@ -15,8 +15,8 @@ from omsense.constants import HBAR, K_B, TWO_PI
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
                              mechanical_susceptibility)
-from omsense.arrays import (ArrayNoise, array_noise_psd, array_signal_psd,
-                            identical_array)
+from omsense.arrays import (ArrayBatch, ArrayNoise, array_noise_psd,
+                            array_signal_psd, identical_array, noise_peaks)
 from omsense.oracle import assemble_transfer, propagate_covariance
 from omsense.sensitivity import (FrequencyGrid, integrated_sensitivity,
                                  min_detectable_coupling)
@@ -77,12 +77,13 @@ def test_criterion_2_identity_reduction(membrane_sensor):
 
 def test_criterion_3_scaling_laws(membrane_sensor):
     scn = scenario_from_dict(preset_scenario("fig2"))
-    grid = scn.build_grid()
     vac = QuadraturePsds.vacuum()
     squeeze = SqueezedInput.from_db(10.0, angle_policy="optimal")
 
     def curves(m):
         arr = identical_array(membrane_sensor, m, 2e-3)
+        [peaks] = noise_peaks([(ArrayBatch.of([arr]), [squeeze])])
+        grid = scn.build_grid(peaks)
         gain = array_signal_psd(arr)
         i_coh = integrated_sensitivity(
             gain, lambda w: array_noise_psd(arr, vac, w).total, grid).value[0]
@@ -285,18 +286,19 @@ def test_criterion_9_quadrature_self_convergence():
 
 
 def test_criterion_9_fails_on_a_sparse_ladder(monkeypatch):
-    """The gate can fail: seed panels at omega0 +- gamma 10^(3k) alone
-    under-resolve fig6's line, and its error estimate no longer bounds the
-    change."""
-    def sparse_grid(self, tol=None):
-        [(omega0, gamma)] = {(s.oscillator.omega0, s.oscillator.gamma)
-                             for s in self.sensors}
+    """The gate can fail: seed panels at every fourth rung of the peak
+    ladder, centre +- width 10^(4k), under-resolve fig6's peak, and its
+    error estimate no longer bounds the change (every third rung still
+    passes)."""
+    def sparse_grid(self, peaks):
         lo, hi = self.grid_span
-        offsets = gamma * 10.0 ** np.arange(0, 22, 3)
-        nodes = np.concatenate([[lo, omega0, hi], omega0 - offsets,
-                                omega0 + offsets])
+        offsets = 10.0 ** np.arange(0, 22, 4)
+        nodes = np.concatenate([[lo, hi]] + [
+            np.concatenate([[centre], centre - width * offsets,
+                            centre + width * offsets])
+            for centre, width in peaks if lo <= centre <= hi])
         return FrequencyGrid(nodes=np.unique(nodes[(nodes >= lo) & (nodes <= hi)]),
-                             tol=self.grid_tol if tol is None else tol)
+                             tol=self.grid_tol)
 
     monkeypatch.setattr(Scenario, "build_grid", sparse_grid)
     table = sensitivity_report(scenario_from_dict(preset_scenario("fig6")))

@@ -12,8 +12,8 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
                              mechanical_susceptibility, sensor_response)
 from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor,
-                            SensorArray, array_noise_psd, array_signal_psd,
-                            array_sql_psd, identical_array,
+                            SensorArray, _numerators, array_noise_psd,
+                            array_signal_psd, array_sql_psd, identical_array,
                             inverse_variance_weights, matched_weights,
                             optimal_squeezing_angle, single_sensor_array,
                             uniform_weights)
@@ -629,6 +629,43 @@ def test_identical_array_reads_one_parameter_row(membrane_sensor, monkeypatch,
     fresh = tuple(_fresh_membrane() for _ in range(m))
     ArrayNoise(SensorArray(fresh, w, matched_weights(w), m * 2e-3), omegas)
     assert len(reads) == 1 + m
+
+
+def _distinct_kappa_templates(sensor):
+    """Three templates with distinct resonances, masses, Q and cavity rates,
+    at uniform dividing and matched combining weights."""
+    osc, cav = sensor.oscillator, sensor.cavity
+    sensors = tuple(
+        ArraySensor(replace(osc, omega0=osc.omega0 * f, mass=osc.mass * g,
+                            gamma=osc.gamma * q),
+                    replace(cav, kappa=cav.kappa * k, kappa_readout=cav.kappa * k))
+        for f, g, q, k in [(1.0, 1.0, 1.0, 1.0), (1.15, 1.7, 3.0, 0.5),
+                           (0.85, 0.6, 0.3, 2.0)])
+    w = uniform_weights(3)
+    return SensorArray(sensors, w, matched_weights(w), 3 * 2e-3)
+
+
+@pytest.mark.parametrize("angle_policy", ["vacuum", "fixed"])
+@pytest.mark.parametrize("case", ["M=1", "M=16", "three-kappas"])
+def test_noise_numerator_is_the_kernel(membrane_sensor, case, angle_policy):
+    """The peak step's numerator N over prod_kappa (1 + (2 omega/kappa)^2) is
+    ``ArrayNoise.totals``: a quartic in omega^2 for one kappa, of degree 3 +
+    K for K distinct ones."""
+    arr = (_distinct_kappa_templates(membrane_sensor) if case == "three-kappas"
+           else identical_array(membrane_sensor, int(case[2:]), 2e-3))
+    inp = (SqueezedInput.vacuum() if angle_policy == "vacuum"
+           else SqueezedInput.from_db(11.5, "fixed", 0.7))
+    batch = ArrayBatch.of([arr])
+    scale, [[numerator]] = _numerators([(batch, [inp])])
+    kappas = {s.cavity.kappa for s in arr.sensors}
+    _, _, ww, _ = batch.kernel_rows
+    assert ww.shape[1] == (3 if case == "three-kappas" else 1)
+    assert len(numerator) == 4 + len(kappas)
+    omegas = np.geomspace(1.0, 1e8, 2001)
+    cavity = np.prod([1.0 + (2.0 * omegas / k) ** 2 for k in kappas], axis=0)
+    np.testing.assert_allclose(
+        np.polynomial.polynomial.polyval((omegas / scale) ** 2, numerator)
+        / cavity, ArrayNoise(arr, omegas).totals([inp])[0], rtol=1e-10)
 
 
 def test_squeezed_noise_optimal_angle_single_build_is_exact(membrane_sensor, rng):

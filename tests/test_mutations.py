@@ -35,10 +35,15 @@ def _no_env_insertion(monkeypatch):
 
 
 def _row_rule_ignoring_weights(monkeypatch):
-    # one kernel row whenever one template fills every slot, whatever the
-    # dividing weights: the unequal shares' two rows get one row's slices
-    monkeypatch.setattr(scans, "_integrals", _mutant(
-        scans._integrals, " == dv.count(dv[0])", ""))
+    # the kernel's rows compared without their shares: one template at
+    # unequal dividing weights collapses into one row
+    monkeypatch.setattr(arrays, "_kernel_rows", _mutant(
+        arrays._kernel_rows, "((rows == first)",
+        "((rows[..., :-1] == first[..., :-1])"))
+
+
+def _seeds_at_the_mechanical_lines(monkeypatch):
+    monkeypatch.setattr(scans, "noise_peaks", scans_tests._mechanical_seeds)
 
 
 def _bisected_at_full_tolerance(monkeypatch):
@@ -97,6 +102,9 @@ def _share_rule_as_a_negative_test(monkeypatch):
                  {"templates": 1, "copies": 2, "weights": [0.8, 0.6],
                   "rows": 2},
                  id="row-rule-ignoring-weights"),
+    pytest.param(_seeds_at_the_mechanical_lines,
+                 scans_tests.test_fixed_angle_integrals_meet_their_tolerance,
+                 {}, id="seeds-at-the-mechanical-lines"),
     pytest.param(_bisected_at_full_tolerance,
                  scans_tests
                  .test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance,

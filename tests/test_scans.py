@@ -1,7 +1,9 @@
 """Figure-level tables: orderings, maxima and table consistency."""
 
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,10 +118,10 @@ def test_sensitivity_report_quantities():
 
 
 def test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance(monkeypatch):
-    """rel_change_half_tol compares two different node sets, so it is not
-    a number compared with itself."""
+    """rel_change_half_tol compares two different node sets: the second pass
+    runs on the first pass's nodes with every panel split at its midpoint,
+    at half the tolerance, so it is not a number compared with itself."""
     scn = scenario_from_dict(preset_scenario("fig4"))
-    grid = scn.build_grid()
     calls = []
 
     def recording(gain, noise, grid):
@@ -130,9 +132,10 @@ def test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance(monkeypatch
     table = scans.sensitivity_report(scn)
     assert len(calls) == 2 * len(table)
     for (nodes, tol), (half_nodes, half_tol) in zip(calls[0::2], calls[1::2]):
-        assert tol == grid.tol and half_tol == 0.5 * grid.tol
-        np.testing.assert_array_equal(nodes, grid.nodes)
-        np.testing.assert_array_equal(half_nodes, grid.bisected().nodes)
+        assert tol == scn.grid_tol and half_tol == 0.5 * scn.grid_tol
+        np.testing.assert_array_equal(half_nodes[0::2], nodes)
+        np.testing.assert_array_equal(half_nodes[1::2],
+                                      0.5 * (nodes[:-1] + nodes[1:]))
     assert np.all(table["rel_change_half_tol"] > 0.0)
 
 
@@ -206,7 +209,7 @@ def test_sliced_sweep_equals_the_unsliced_run_bitwise(monkeypatch, templates,
 
         def __init__(self, arr, omega):
             super().__init__(arr, omega)
-            builds.append((np.size(omega), self.alpha.shape[0]))
+            builds.append((np.size(omega), self.alpha.shape[-2]))
 
     def tables():
         return power_scan_table(scn), sensitivity_report(scn)
@@ -227,8 +230,9 @@ def test_sliced_sweep_equals_the_unsliced_run_bitwise(monkeypatch, templates,
 
 def _fixed_angle_scenario() -> dict:
     """One sensor squeezed at a fixed angle of pi/4, which crosses the
-    optimal angle just above the resonance: the squeezed integrand peaks
-    inside a wide seed panel, whose error estimate misses the peak."""
+    optimal angle just above the resonance: there the squeezed integrand has
+    a peak 7x narrower than the vacuum's, which seed panels at the sensor's
+    mechanical line leave inside one wide panel."""
     raw = preset_scenario("fig4")
     raw["array"]["sensors"][0].update(
         mass_kg=5.513896257234017e-6, resonance_hz=2329.059832713219,
@@ -239,10 +243,58 @@ def _fixed_angle_scenario() -> dict:
     return raw
 
 
-def test_sensitivity_warns_when_its_self_check_fails():
-    """The squeezed integral moves by ~7e-2 at half the tolerance, far above
-    the 1e-3 grid tolerance, so the report warns; the classical one passes."""
+def _mechanical_seeds(blocks):
+    """``noise_peaks`` with each array's seeds at its sensors' (omega0,
+    gamma) lines instead of its noise peaks."""
+    return [tuple(dict.fromkeys(zip(batch.cols.omega0.ravel().tolist(),
+                                    batch.cols.gamma.ravel().tolist())))
+            for batch, _ in blocks]
+
+
+def _table_rows(out, command):
+    with open(out / f"{command}.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_fixed_angle_integrals_meet_their_tolerance(tmp_path):
+    """Every integral of ``sensitivity`` and of a three-power ``power-scan``
+    on the fixed-angle scenario is within tol |I| of a recompute at a 100x
+    tighter tolerance.  Seeded at the mechanical line, the squeezed
+    integrals miss by 6.8e-2 while reporting convergence."""
+    raw = _fixed_angle_scenario()
+    power = raw["array"]["power_w"]
+    raw["scan"] = {"powers_w": [power / 10.0, power, power * 10.0],
+                   "fixed_angle_rad": math.pi / 4}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    tol = scenario_from_dict(raw).grid_tol
+    for command, columns in [
+            ("sensitivity", ["value"]),
+            ("power-scan", ["i_classical", "i_squeezed_optimal",
+                            "i_squeezed_fixed"])]:
+        out, tight = tmp_path / command, tmp_path / f"{command}-tight"
+        assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+        assert cli.main([command, "--scenario", str(path), "--out", str(tight),
+                         "--tolerance", repr(tol / 100.0)]) == 0
+        rows, tight_rows = _table_rows(out, command), _table_rows(tight, command)
+        assert len(rows) == len(tight_rows) > 0
+        for row, ref in zip(rows, tight_rows):
+            for col in columns:
+                value, reference = float(row[col]), float(ref[col])
+                assert abs(value - reference) <= tol * abs(value), (command, col)
+
+
+def test_sensitivity_warns_when_its_self_check_fails(monkeypatch):
+    """Seeded at the noise peaks, the fixed-angle report passes its
+    self-check and warns of nothing.  Seeded at the mechanical line, its
+    squeezed integral moves by ~7e-2 at half the tolerance, far above the
+    1e-3 grid tolerance, so the report warns; the classical one passes."""
     scn = scenario_from_dict(_fixed_angle_scenario())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = sensitivity_report(scn)
+    assert max(table["rel_change_half_tol"]) < scn.grid_tol
+    monkeypatch.setattr(scans, "noise_peaks", _mechanical_seeds)
     with pytest.warns(UserWarning) as record:
         table = sensitivity_report(scn)
     classical, squeezed = table["rel_change_half_tol"]
@@ -252,22 +304,25 @@ def test_sensitivity_warns_when_its_self_check_fails():
         f"the grid tolerance {scn.grid_tol:g}"]
 
 
-def test_sensitivity_self_check_failure_is_a_manifest_warning(tmp_path):
-    """A failed self-check still exits 0, and the manifest says so; the
-    presets' reports pass it and warn of nothing."""
-    for name, raw in [("fixed-angle", _fixed_angle_scenario()),
-                      *((name, preset_scenario(name)) for name in PRESET_NAMES)]:
+def test_sensitivity_self_check_failure_is_a_manifest_warning(tmp_path,
+                                                              monkeypatch):
+    """A failed self-check still exits 0, and the manifest says so: seeded
+    at the mechanical line, the fixed-angle report fails it.  Seeded at the
+    noise peaks, that report and the presets' pass it and warn of
+    nothing."""
+    def manifest_warnings(name, raw):
         path, out = tmp_path / f"{name}.json", tmp_path / name
         path.write_text(json.dumps(raw))
         assert cli.main(["sensitivity", "--scenario", str(path),
                          "--out", str(out)]) == 0
-        warnings = json.loads((out / "manifest.json").read_text())["warnings"]
-        if name == "fixed-angle":
-            [warning] = warnings
-            assert warning.startswith(
-                "the squeezed integral's rel_change_half_tol")
-        else:
-            assert warnings == []
+        return json.loads((out / "manifest.json").read_text())["warnings"]
+
+    for name, raw in [("fixed-angle", _fixed_angle_scenario()),
+                      *((name, preset_scenario(name)) for name in PRESET_NAMES)]:
+        assert manifest_warnings(name, raw) == []
+    monkeypatch.setattr(scans, "noise_peaks", _mechanical_seeds)
+    [warning] = manifest_warnings("mechanical", _fixed_angle_scenario())
+    assert warning.startswith("the squeezed integral's rel_change_half_tol")
 
 
 def _scalar_draw_array(rng, m):

@@ -137,8 +137,9 @@ def test_kronrod_rule_exact_to_degree_31():
 
 def test_preset_integrals_within_evaluation_budget(monkeypatch):
     """Deterministic cost guard: no integral of the fig2, fig5 and fig6
-    tables or of a preset's sensitivity report needs over 800 integrand
-    evaluations (fig3 and fig4 tabulate no integrals)."""
+    tables or of a preset's sensitivity report needs over 650 integrand
+    evaluations (fig3 and fig4 tabulate no integrals); fig5's lowest
+    powers take the most, 609."""
     evaluations = []
     for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
         table = scans.sensitivity_report(scenario_from_dict(preset_scenario(name)))
@@ -155,7 +156,7 @@ def test_preset_integrals_within_evaluation_budget(monkeypatch):
     scans.loss_scan_table(scenario_from_dict(preset_scenario("fig6")))
     # one integral per axis value: its components are the table's inputs
     assert len(evaluations) == 10 + 1 + 11 + 25 + 11
-    assert max(evaluations) <= 800
+    assert max(evaluations) <= 650
 
 
 def test_scaling_laws_coherent_and_incoherent(membrane_sensor, membrane_grid):
