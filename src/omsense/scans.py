@@ -18,8 +18,9 @@ import numpy as np
 
 from .constants import C_LIGHT, TWO_PI
 from .errors import ScenarioError
-from .spectra import (QuadraturePsds, SqueezedInput, acceleration_asd,
-                      displacement_asd, input_quadrature_psds)
+from .spectra import (QuadraturePsds, SqueezedInput, _check,
+                      acceleration_asd, displacement_asd,
+                      input_quadrature_psds)
 from .arrays import (ArrayBatch, ArrayNoise, SensorArray, array_signal_psd,
                      array_sql_psd, matched_weights, noise_peaks)
 from .oracle import oracle_noise_psd
@@ -98,17 +99,30 @@ def _single_reference(scn: Scenario) -> SensorArray:
 # the most kernel rows x frequencies in one ArrayNoise build of an integral
 _SWEEP_CELLS = 1 << 16
 
+# combining weights that cancel the signal leave nothing to integrate or
+# project; an overflowing gain is left to the quadrature's finiteness check
+_GAIN_RULE = (lambda gain: gain > 0.0, ("gain",),
+              "the combining weights cancel the signal: the gain "
+              "(sum_n W_0n M_n)^2 must be > 0")
+
+
+def _gain(arr: SensorArray) -> float:
+    """The array's signal gain, ``array_signal_psd``, under ``_GAIN_RULE``."""
+    gain = array_signal_psd(arr)
+    _check((_GAIN_RULE,), {"gain": gain})
+    return gain
+
 
 def _integrals(scn: Scenario, work, self_check=False):
-    """Yield, for each (array, inputs) pair of ``work``, the array's
-    ``IntegrationResult`` with one component per input, on the scenario's
-    grid seeded at the array's noise peaks (``arrays.noise_peaks``); with
-    ``self_check``, a pair: that one and the one on the same grid bisected
-    (``FrequencyGrid.bisected``)."""
-    work = [(arr, ArrayBatch.of([arr]), inputs) for arr, inputs in work]
-    peaks = noise_peaks([(batch, inputs) for _, batch, inputs in work])
+    """Yield, for each (array, inputs) pair of ``work``, one per distinct
+    array of a table, the array's ``IntegrationResult`` with one component
+    per input, on the scenario's grid seeded at the array's noise peaks
+    (``arrays.noise_peaks``); with ``self_check``, a pair: that one and the
+    one on the same grid bisected (``FrequencyGrid.bisected``)."""
+    work = [(ArrayBatch.of([arr]), _gain(arr), inputs) for arr, inputs in work]
+    peaks = noise_peaks([(batch, inputs) for batch, _, inputs in work])
     grids = {}  # arrays with the same peaks share a grid
-    for (arr, batch, inputs), seeds in zip(work, peaks):
+    for (batch, gain, inputs), seeds in zip(work, peaks):
         if seeds not in grids:
             grids[seeds] = scn.build_grid(seeds)
         grid = grids[seeds]
@@ -120,7 +134,6 @@ def _integrals(scn: Scenario, work, self_check=False):
                 [ArrayNoise(batch, w[None, i:i + step]).totals(inputs)[:, 0]
                  for i in range(0, w.size, step)], axis=1)
 
-        gain = array_signal_psd(arr)
         results = [integrated_sensitivity(gain, noise, g) for g in
                    ((grid, grid.bisected()) if self_check else (grid,))]
         yield results if self_check else results[0]
@@ -175,28 +188,26 @@ def noise_budget_table(scn: Scenario, n_points: int = 481) -> Table:
 # ---------------------------------------------------------------------------
 
 def sensitivity_report(scn: Scenario) -> Table:
-    """Integrated sensitivity with a self-convergence check: the relative
-    change when the integral is recomputed at half the tolerance on its
-    grid bisected, a different node set, warns above the tolerance."""
-    arr = scn.build_array()
-    quantities = [("classical", _VACUUM)]
+    """Integrated sensitivity of the array's one work item (its classical
+    and squeezed totals), with a self-convergence check: the relative change
+    on its grid bisected at half the tolerance warns above the tolerance."""
+    quantities = {"classical": _VACUUM}
     if scn.squeeze.r > 0:
-        quantities.append(("squeezed", scn.squeeze))
-    results, halves = zip(*_integrals(
-        scn, [(arr, [squeeze]) for _, squeeze in quantities], self_check=True))
-    value = np.array([res.value[0] for res in results])
-    change = np.abs([res.value[0] for res in halves] - value) / np.abs(value)
-    for (name, _), rel in zip(quantities, change.tolist()):
+        quantities["squeezed"] = scn.squeeze
+    [(res, half)] = _integrals(
+        scn, [(scn.build_array(), list(quantities.values()))], self_check=True)
+    change = np.abs(half.value - res.value) / np.abs(res.value)
+    for name, rel in zip(quantities, change.tolist()):
         if rel > scn.grid_tol:
             warnings.warn(f"the {name} integral's rel_change_half_tol {rel:.3g} "
                           f"exceeds the grid tolerance {scn.grid_tol:g}")
     return Table({
-        "quantity": [name for name, _ in quantities],
-        "value": value,
-        "rel_error_estimate": [res.rel_error[0] for res in results],
+        "quantity": list(quantities),
+        "value": res.value,
+        "rel_error_estimate": res.rel_error,
         "rel_change_half_tol": change,
-        "n_panels": [res.n_panels for res in results],
-        "n_evaluations": [res.n_evaluations for res in results],
+        "n_panels": [res.n_panels] * len(quantities),
+        "n_evaluations": [res.n_evaluations] * len(quantities),
     })
 
 
@@ -236,7 +247,7 @@ def dm_projection_table(scn: Scenario,
 
     arr1 = _single_reference(scn)
     arr_m = scn.build_array(m_count)
-    gain_m = array_signal_psd(arr_m)
+    gain_m = _gain(arr_m)
     r = scn.squeeze.r
     em2r = math.exp(-2.0 * r)
 

@@ -51,6 +51,22 @@ def _bisected_at_full_tolerance(monkeypatch):
         FrequencyGrid.bisected, "0.5 * self.tol", "self.tol"))
 
 
+def _sensitivity_per_quantity(monkeypatch):
+    # one work item per quantity: the array integrated once per quantity
+    monkeypatch.setattr(scans, "sensitivity_report", _mutant(
+        scans.sensitivity_report,
+        "[(res, half)] = _integrals(\n"
+        "        scn, [(scn.build_array(), list(quantities.values()))],",
+        "(res, half), *_ = _integrals(\n"
+        "        scn, [(scn.build_array(), [sq]) for sq in quantities.values()],"))
+
+
+def _gain_rule_admitting_zero(monkeypatch):
+    _, names, message = scans._GAIN_RULE
+    monkeypatch.setattr(scans, "_GAIN_RULE",
+                        (lambda gain: gain >= 0.0, names, message))
+
+
 def _integrals_ignoring_the_cell_cap(monkeypatch):
     # the slice width no longer follows _SWEEP_CELLS
     monkeypatch.setattr(scans, "_integrals", _mutant(
@@ -109,6 +125,15 @@ def _share_rule_as_a_negative_test(monkeypatch):
                  scans_tests
                  .test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance,
                  {}, id="bisected-at-full-tolerance"),
+    pytest.param(_sensitivity_per_quantity,
+                 scans_tests.test_each_array_is_integrated_once_per_pass,
+                 {"preset": "fig4", "table": "sensitivity_report",
+                  "integrals": 2, "blocks": 1},
+                 id="sensitivity-per-quantity"),
+    pytest.param(_gain_rule_admitting_zero,
+                 scenario_cli_tests
+                 .test_combining_weights_that_cancel_the_signal_exit_two,
+                 {"command": "power-scan"}, id="gain-rule-admitting-zero"),
     pytest.param(_integrals_ignoring_the_cell_cap,
                  scans_tests.test_sliced_sweep_equals_the_unsliced_run_bitwise,
                  # its three-templates case

@@ -118,9 +118,10 @@ def test_sensitivity_report_quantities():
 
 
 def test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance(monkeypatch):
-    """rel_change_half_tol compares two different node sets: the second pass
-    runs on the first pass's nodes with every panel split at its midpoint,
-    at half the tolerance, so it is not a number compared with itself."""
+    """rel_change_half_tol compares two different node sets: the report is
+    one pass over both quantities and one rerun on the first pass's nodes
+    with every panel split at its midpoint, at half the tolerance, so it is
+    not a number compared with itself."""
     scn = scenario_from_dict(preset_scenario("fig4"))
     calls = []
 
@@ -130,13 +131,41 @@ def test_sensitivity_check_reruns_on_bisected_grid_at_half_tolerance(monkeypatch
 
     monkeypatch.setattr(scans, "integrated_sensitivity", recording)
     table = scans.sensitivity_report(scn)
-    assert len(calls) == 2 * len(table)
-    for (nodes, tol), (half_nodes, half_tol) in zip(calls[0::2], calls[1::2]):
-        assert tol == scn.grid_tol and half_tol == 0.5 * scn.grid_tol
-        np.testing.assert_array_equal(half_nodes[0::2], nodes)
-        np.testing.assert_array_equal(half_nodes[1::2],
-                                      0.5 * (nodes[:-1] + nodes[1:]))
+    assert len(table) == 2
+    [(nodes, tol), (half_nodes, half_tol)] = calls
+    assert tol == scn.grid_tol and half_tol == 0.5 * scn.grid_tol
+    np.testing.assert_array_equal(half_nodes[0::2], nodes)
+    np.testing.assert_array_equal(half_nodes[1::2],
+                                  0.5 * (nodes[:-1] + nodes[1:]))
     assert np.all(table["rel_change_half_tol"] > 0.0)
+
+
+@pytest.mark.parametrize("preset,table,integrals,blocks", [
+    pytest.param("fig2", "array_scan_table", 12, 12, id="fig2-array-scan"),
+    pytest.param("fig5", "power_scan_table", 25, 25, id="fig5-power-scan"),
+    pytest.param("fig6", "loss_scan_table", 11, 11, id="fig6-loss-scan"),
+    pytest.param("fig4", "sensitivity_report", 2, 1, id="fig4-sensitivity")])
+def test_each_array_is_integrated_once_per_pass(monkeypatch, preset, table,
+                                                integrals, blocks):
+    """Deterministic cost guard: a table hands ``_integrals`` each distinct
+    array once with all of its inputs, so each array is seeded once and
+    integrated once per pass (fig2: the M = 1 reference and 11 counts; fig4:
+    the one array and its bisected self-check), not once per quantity."""
+    calls, peak_blocks = [], []
+
+    def counting(gain, noise, grid):
+        calls.append(grid)
+        return integrated_sensitivity(gain, noise, grid)
+
+    def seeding(work):
+        peak_blocks.extend(work)
+        return arrays.noise_peaks(work)
+
+    monkeypatch.setattr(scans, "integrated_sensitivity", counting)
+    monkeypatch.setattr(scans, "noise_peaks", seeding)
+    # looked up at run time, so a patched table is the one that runs
+    getattr(scans, table)(scenario_from_dict(preset_scenario(preset)))
+    assert (len(calls), len(peak_blocks)) == (integrals, blocks)
 
 
 def test_loss_scan_applies_loss_to_every_template():

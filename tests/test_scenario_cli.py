@@ -1282,6 +1282,41 @@ def test_counts_above_the_cap_rejected_at_load(path, value, largest):
     scenario_from_dict(raw)
 
 
+def _zero_gain_dict():
+    """fig4 as two copies whose combining weights cancel the signal, with
+    every command's scan keys and a dark-matter block: the gain
+    (sum_n W_0n M_n)^2 is exactly 0."""
+    raw = _fig4_dict(dark_matter=preset_scenario("fig3")["dark_matter"])
+    raw["array"].update(copies=2, weights_policy="explicit",
+                        dividing_weights=[0.6, 0.8],
+                        combining_weights=[math.sqrt(0.5), -math.sqrt(0.5)])
+    raw["scan"] = dict(preset_scenario("fig3")["scan"], dqs_sensors=2,
+                       sensor_counts=[2], powers_w=[1e-3, 2e-3],
+                       fixed_angle_rad=math.pi / 4, losses=[0.0, 0.5])
+    return raw
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "array-scan", "power-scan",
+                                     "loss-scan", "dm-projection", "noise"])
+def test_combining_weights_that_cancel_the_signal_exit_two(tmp_path, capsys,
+                                                           command):
+    """Every command that uses the gain refuses one that vanishes, with one
+    message, instead of a 0/0 in some column or a table of zeros; ``noise``
+    needs no gain and runs."""
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_zero_gain_dict()))
+    out = tmp_path / "out"
+    code = cli.main([command, "--scenario", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if command == "noise":
+        assert code == 0
+        return
+    assert code == 2
+    assert ("the combining weights cancel the signal: the gain "
+            "(sum_n W_0n M_n)^2 must be > 0, got 0.0") in err
+    assert not out.exists()
+
+
 def test_cli_non_finite_integral_exits_two_without_hanging(tmp_path):
     """A signal gain of 1e600 overflows, so every quadrature estimate is
     non-finite; the command must stop with exit 2, not refine forever."""
