@@ -304,17 +304,15 @@ def single_sensor_array(osc: Oscillator, cav: CavityOptics, power: float,
 # the array noise kernel
 # ---------------------------------------------------------------------------
 
-_VACUUM_PSDS = QuadraturePsds.vacuum()
-
-
 class ArrayNoise:
     """The noise of one array, or of a batch of arrays, from one kernel build.
 
     Holds the coherent amplitudes alpha and beta, one per kernel row, the
     weights ww = sum W_0k w_k0 and wabs2 = sum |W_0k|^2 that each row
     carries, and the coherent sums A = sum alpha ww and B = sum beta ww;
-    ``breakdown``, ``totals`` and ``optimal_angle`` all read them, so a table
-    that needs several noise quantities of one array builds it once.  The
+    ``floor``, ``breakdown`` and ``totals`` all read them, so a table that
+    needs several noise quantities of one array builds it once.  ``totals``
+    has one formula, the squeezed one, with vacuum its r = 0 case.  The
     kernel reads only the ``ArrayBatch`` block of its arrays, whose rows it
     forms once per block (``ArrayBatch.kernel_rows``).
 
@@ -355,26 +353,18 @@ class ArrayNoise:
         self.a = _row_sum(self.alpha * self.ww)
         self.b = _row_sum(self.beta * self.ww)
 
-    def thermal_psd(self):
-        flat = _row_sum(self.wabs2 * self.thermal)
-        return np.broadcast_to(flat, self.a.shape).copy()
-
-    def residual_expanded(self):
-        diag = _row_sum(self.wabs2 * (np.abs(self.alpha) ** 2
-                                        + np.abs(self.beta) ** 2))
-        return 0.5 * (diag - np.abs(self.a) ** 2 - np.abs(self.b) ** 2)
-
-    def detection_loss_psd(self):
-        return _row_sum(self.wabs2 * self.loss_weight * 0.5
-                          * np.abs(self.alpha) ** 2)
-
     def floor(self):
         """The input-independent parts: thermal, residual vacuum, detection loss."""
-        return self.thermal_psd(), self.residual_expanded(), self.detection_loss_psd()
+        alpha2 = np.abs(self.alpha) ** 2
+        thermal = _row_sum(self.wabs2 * self.thermal)
+        diag = _row_sum(self.wabs2 * (alpha2 + np.abs(self.beta) ** 2))
+        return (np.broadcast_to(thermal, self.a.shape).copy(),
+                0.5 * (diag - np.abs(self.a) ** 2 - np.abs(self.b) ** 2),
+                _row_sum(self.wabs2 * self.loss_weight * 0.5 * alpha2))
 
-    def _quadrature_parts(self, inp):
-        """Shot, back-action and correlation PSDs for mode-0 quadrature PSDs:
-        one QuadraturePsds, or for a batch one per array as (C, 1) columns."""
+    def breakdown(self, inp) -> NoiseBreakdown:
+        """Combined force-noise PSD for arbitrary mode-0 quadrature statistics:
+        one QuadraturePsds, or for a batch one shared or one per array."""
         if isinstance(inp, QuadraturePsds):
             syy, sxx, sxy = inp.syy, inp.sxx, inp.sxy
         else:
@@ -383,13 +373,8 @@ class ArrayNoise:
                 raise ConfigError("a batch needs one QuadraturePsds per array")
             syy, sxx, sxy = np.array([(p.syy, p.sxx, p.sxy)
                                       for p in inp]).T[:, :, None]
-        return (np.abs(self.a) ** 2 * syy, np.abs(self.b) ** 2 * sxx,
-                2.0 * np.real(np.conj(self.a) * self.b) * sxy)
-
-    def breakdown(self, inp) -> NoiseBreakdown:
-        """Combined force-noise PSD for arbitrary mode-0 quadrature statistics
-        (for a batch, one QuadraturePsds shared or one per array)."""
-        parts = self._quadrature_parts(inp) + self.floor()
+        parts = (np.abs(self.a) ** 2 * syy, np.abs(self.b) ** 2 * sxx,
+                 2.0 * np.real(np.conj(self.a) * self.b) * sxy) + self.floor()
         return NoiseBreakdown(*(_scalarize(p, self.omega)
                                 for p in (*parts, _total(parts))))
 
@@ -397,38 +382,24 @@ class ArrayNoise:
         """Total noise under each SqueezedInput of ``inputs``, (k, n), or
         (k, C, n) for a batch.
 
-        r = 0 gives the vacuum total, equal to ``breakdown(vacuum).total``.
-        A squeezed input at angle t (its own, or the optimal angle for the
-        "optimal" policy) adds |A cos t - B sin t|^2 e^{-2r} / 2 and
-        |A sin t + B cos t|^2 e^{+2r} / 2 to the floor, which equals the
-        breakdown under input_quadrature_psds(r, t).
+        An input of squeezing r at angle t adds |A cos t - B sin t|^2 e^{-2r}/2
+        and |A sin t + B cos t|^2 e^{+2r}/2 to the floor, which equals the
+        breakdown under input_quadrature_psds(r, t).  Vacuum is r = 0, taken
+        at t = 0 whatever the input's policy, where the sum keeps the bits of
+        ``breakdown(vacuum).total``; at r > 0, t is the optimal angle for the
+        "optimal" policy and the input's own angle otherwise.
         """
         floor = self.floor()
         a, b = self.a, self.b
         totals = []
         for sq in inputs:
-            if sq.r == 0.0:
-                parts = self._quadrature_parts(_VACUUM_PSDS)
-            else:
-                th = (_optimal_angle(a, b) if sq.angle_policy == "optimal"
-                      else sq.angle)
-                c, s = np.cos(th), np.sin(th)
-                parts = (0.5 * np.abs(a * c - b * s) ** 2 * math.exp(-2.0 * sq.r),
-                         0.5 * np.abs(a * s + b * c) ** 2 * math.exp(2.0 * sq.r))
+            th = (0.0 if sq.r == 0.0 else _optimal_angle(a, b)
+                  if sq.angle_policy == "optimal" else sq.angle)
+            c, s = np.cos(th), np.sin(th)
+            parts = (0.5 * np.abs(a * c - b * s) ** 2 * math.exp(-2.0 * sq.r),
+                     0.5 * np.abs(a * s + b * c) ** 2 * math.exp(2.0 * sq.r))
             totals.append(_total(parts + floor))
         return np.stack(totals)
-
-    def optimal_angle(self):
-        """Squeezing angle minimizing the anti-squeezed (e^{+2r}) coefficient.
-
-        The minimized quantity is |A sin t + B cos t|^2; the exact minimizer
-        is t* = atan2(-2 Re[A conj(B)], |A|^2 - |B|^2) / 2 in (-pi/2, pi/2],
-        which reduces to tan t* = -8 gamma |C| chi for a single high-Q sensor
-        below resonance.  On resonance (A perpendicular to B, |B| > |A|) this
-        returns -pi/2; far above resonance it tends to 0 through positive
-        angles.
-        """
-        return _scalarize(_optimal_angle(self.a, self.b), self.omega)
 
 
 def _kernel_rows(batch: ArrayBatch):
@@ -448,7 +419,8 @@ def _kernel_rows(batch: ArrayBatch):
     wabs2 = batch.combining ** 2
     if same.all():
         rows = first
-        ww, wabs2 = ww.cumsum(axis=1)[:, -1:], wabs2.cumsum(axis=1)[:, -1:]
+        # copies, so that the block's rows do not pin (C, M) cumsums
+        ww, wabs2 = (x.cumsum(axis=1)[:, -1:].copy() for x in (ww, wabs2))
     else:
         rows = np.where(on[..., None], rows, first)
         for x in (ww, wabs2):
@@ -685,9 +657,19 @@ def array_noise_psd(arr: SensorArray, inp: QuadraturePsds, omega) -> NoiseBreakd
     return ArrayNoise(arr, omega).breakdown(inp)
 
 
-def optimal_squeezing_angle(arr: SensorArray, omega):
-    """``ArrayNoise(arr, omega).optimal_angle()``."""
-    return ArrayNoise(arr, omega).optimal_angle()
+def optimal_squeezing_angle(arr, omega):
+    """Squeezing angle minimizing the anti-squeezed (e^{+2r}) coefficient,
+    of one array or of a batch (``ArrayNoise``'s ``arr`` and ``omega``).
+
+    The minimized quantity is |A sin t + B cos t|^2; the exact minimizer
+    is t* = atan2(-2 Re[A conj(B)], |A|^2 - |B|^2) / 2 in (-pi/2, pi/2],
+    which reduces to tan t* = -8 gamma |C| chi for a single high-Q sensor
+    below resonance.  On resonance (A perpendicular to B, |B| > |A|) this
+    returns -pi/2; far above resonance it tends to 0 through positive
+    angles.
+    """
+    noise = ArrayNoise(arr, omega)
+    return _scalarize(_optimal_angle(noise.a, noise.b), omega)
 
 
 def array_sql_psd(arr: SensorArray, omega):

@@ -10,6 +10,7 @@ slices, keeping memory flat and every bit; the scans stack its values
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -99,6 +100,11 @@ def _single_reference(scn: Scenario) -> SensorArray:
 # the most kernel rows x frequencies in one ArrayNoise build of an integral
 _SWEEP_CELLS = 1 << 16
 
+# a run of ``_integrals`` is the arrays that start within one stretch of this
+# many sensors; its blocks, ~100 bytes per sensor, are all held from its
+# seeding to its last integral
+_RUN_SENSORS = 1 << 12
+
 # combining weights that cancel the signal leave nothing to integrate or
 # project; an overflowing gain is left to the quadrature's finiteness check
 _GAIN_RULE = (lambda gain: gain > 0.0, ("gain",),
@@ -118,25 +124,33 @@ def _integrals(scn: Scenario, work, self_check=False):
     array of a table, the array's ``IntegrationResult`` with one component
     per input, on the scenario's grid seeded at the array's noise peaks
     (``arrays.noise_peaks``); with ``self_check``, a pair: that one and the
-    one on the same grid bisected (``FrequencyGrid.bisected``)."""
-    work = [(ArrayBatch.of([arr]), _gain(arr), inputs) for arr, inputs in work]
-    peaks = noise_peaks([(batch, inputs) for batch, _, inputs in work])
+    one on the same grid bisected (``FrequencyGrid.bisected``).
+
+    The arrays are seeded and integrated in runs, those that start within
+    one stretch of ``_RUN_SENSORS`` sensors, so a long scan holds one run's
+    blocks at a time; a run checks every gain before any kernel."""
     grids = {}  # arrays with the same peaks share a grid
-    for (batch, gain, inputs), seeds in zip(work, peaks):
-        if seeds not in grids:
-            grids[seeds] = scn.build_grid(seeds)
-        grid = grids[seeds]
-        _, _, ww, _ = batch.kernel_rows
-        step = max(1, _SWEEP_CELLS // ww.shape[1])
+    starts = itertools.accumulate([a.n_sensors for a, _ in work], initial=0)
+    for _, run in itertools.groupby(zip(starts, work),
+                                    lambda item: item[0] // _RUN_SENSORS):
+        run = [(ArrayBatch.of([arr]), _gain(arr), inputs)
+               for _, (arr, inputs) in run]
+        peaks = noise_peaks([(batch, inputs) for batch, _, inputs in run])
+        for (batch, gain, inputs), seeds in zip(run, peaks):
+            if seeds not in grids:
+                grids[seeds] = scn.build_grid(seeds)
+            grid = grids[seeds]
+            _, _, ww, _ = batch.kernel_rows
+            step = max(1, _SWEEP_CELLS // ww.shape[1])
 
-        def noise(w):
-            return np.concatenate(
-                [ArrayNoise(batch, w[None, i:i + step]).totals(inputs)[:, 0]
-                 for i in range(0, w.size, step)], axis=1)
+            def noise(w):
+                return np.concatenate(
+                    [ArrayNoise(batch, w[None, i:i + step]).totals(inputs)[:, 0]
+                     for i in range(0, w.size, step)], axis=1)
 
-        results = [integrated_sensitivity(gain, noise, g) for g in
-                   ((grid, grid.bisected()) if self_check else (grid,))]
-        yield results if self_check else results[0]
+            results = [integrated_sensitivity(gain, noise, g) for g in
+                       ((grid, grid.bisected()) if self_check else (grid,))]
+            yield results if self_check else results[0]
 
 
 def _sweep(scn: Scenario, arrays, inputs) -> np.ndarray:
@@ -257,7 +271,7 @@ def dm_projection_table(scn: Scenario,
     noise = ArrayNoise(ArrayBatch.of([arr1, arr_m]),
                        np.broadcast_to(omegas, (2, omegas.size)))
     (n1, nm), (_, ndqs) = noise.totals([_VACUUM, SqueezedInput(r, "optimal")])
-    thermal_m = float(noise.thermal_psd()[1, 0])  # frequency-independent
+    thermal_m = float(noise.floor()[0][1, 0])  # frequency-independent
     sql_m = array_sql_psd(arr_m, omegas)
     plan.check(dm.linewidth(omegas))
 

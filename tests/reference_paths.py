@@ -33,7 +33,8 @@ from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              mechanical_susceptibility, sensor_response)
 from omsense.sensitivity import ObservationPlan
 from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor, SensorArray,
-                            matched_weights, single_sensor_array)
+                            matched_weights, optimal_squeezing_angle,
+                            single_sensor_array)
 from omsense.oracle import TransferAssembly
 from omsense.scans import _DRAW_HIGH, _DRAW_LOW, _LASER_OMEGA, _sensor_fields
 
@@ -88,7 +89,7 @@ def residual_vacuum_forms(arr: SensorArray, omega):
     (delta_jk - w*_j0 w_k0) W*_0j W_0k explicitly instead of expanding it.
     """
     t = ArrayNoise(arr, omega)
-    expanded = t.residual_expanded()
+    expanded = t.floor()[1]
 
     # every slot: an idle one has W = 0, and an array of identical sensors
     # is one kernel row, which every slot shares
@@ -138,7 +139,7 @@ def dqs_vs_dcs_report(arr: SensorArray, n_photons: float, omega,
     squeeze = SqueezedInput.from_photon_number(n_photons)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     noise = ArrayNoise(arr, w)
-    theta = noise.optimal_angle()
+    theta = optimal_squeezing_angle(arr, w)
     [dqs] = noise.totals([SqueezedInput(squeeze.r, "optimal")])
 
     dcs = independent_squeezers_psd(arr, squeeze, theta, w)

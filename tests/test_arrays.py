@@ -1,13 +1,14 @@
 """Network algebra: weights, combined noise, residual vacuum, array squeezing."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from omsense.constants import HBAR, K_B, TWO_PI
-from omsense.errors import ConfigError
+from omsense.errors import ConfigError, ScenarioError
 from omsense.spectra import (CavityOptics, Oscillator, QuadraturePsds,
                              SqueezedInput, input_quadrature_psds,
                              mechanical_susceptibility, sensor_response)
@@ -20,6 +21,7 @@ from omsense.arrays import (ArrayBatch, ArrayNoise, ArraySensor,
 from omsense.oracle import (assemble_transfer, complete_unitary,
                             oracle_noise_psd)
 from omsense.scans import _sensor_fields
+from omsense.scenario import preset_scenario
 from conftest import MEMBRANE_POWER
 from reference_paths import (dqs_vs_dcs_report, oracle_breakdown,
                              random_array, residual_vacuum_forms, sensor_block,
@@ -256,8 +258,8 @@ def _squeezed_total(arr, r, theta, omega):
 def test_array_squeezed_reduces_to_vacuum_at_r_zero(membrane_sensor, rng):
     arr, _ = random_array(rng, 3)
     omegas = np.geomspace(1e3, 1e5, 15)
-    # r = 0 itself takes the vacuum path; at r = 1e-300 the e^{-+2r} factors
-    # round to 1 and the squeezed formula must give the vacuum total
+    # r = 0 is vacuum at angle 0; at r = 1e-300 and angle 0.7 the e^{-+2r}
+    # factors round to 1 and the squeezed formula must give the vacuum total
     sq = _squeezed_total(arr, 1e-300, 0.7, omegas)
     vac = array_noise_psd(arr, QuadraturePsds.vacuum(), omegas)
     np.testing.assert_allclose(sq, vac.total, rtol=1e-12)
@@ -327,7 +329,7 @@ def test_optimal_angle_beats_dense_scan(membrane_sensor, rng):
     r = SqueezedInput.from_db(10.0).r
     for omega in (TWO_PI * 433.0, TWO_PI * 2551.0, TWO_PI * 11000.0):
         noise = ArrayNoise(arr, omega)
-        theta_star = noise.optimal_angle()
+        theta_star = optimal_squeezing_angle(arr, omega)
         assert theta_star == optimal_squeezing_angle(arr, omega)
         # the e^{+2r} coefficient |A sin t + B cos t|^2 e^{2r} / 2 from the
         # coherent sums A, B
@@ -697,21 +699,23 @@ def test_noise_totals_match_each_input_bitwise(membrane_sensor, rng):
     r = SqueezedInput.from_db(9.0).r
     inputs = [SqueezedInput.vacuum(), SqueezedInput(r, "optimal"),
               SqueezedInput(r, "fixed", angle=0.7),
-              SqueezedInput(0.0, "optimal")]
+              SqueezedInput(0.0, "optimal"),
+              SqueezedInput(0.0, "fixed", angle=0.7)]
     omegas = np.geomspace(TWO_PI * 20.0, TWO_PI * 2e5, 50)
     vac = QuadraturePsds.vacuum()
     for arr in (random_array(rng, 3)[0],
                 _two_templates_three_copies(membrane_sensor)):
         noise = ArrayNoise(arr, omegas)
         totals = noise.totals(inputs)
-        assert totals.shape == (4, omegas.size)
+        assert totals.shape == (5, omegas.size)
         for row, inp in zip(totals, inputs):
             np.testing.assert_array_equal(
                 row, ArrayNoise(arr, omegas).totals([inp])[0])
         vac_total = array_noise_psd(arr, vac, omegas).total
         np.testing.assert_array_equal(totals[0], vac_total)
         np.testing.assert_array_equal(totals[3], vac_total)
-        for row, thetas in ((totals[1], noise.optimal_angle()),
+        np.testing.assert_array_equal(totals[4], vac_total)
+        for row, thetas in ((totals[1], optimal_squeezing_angle(arr, omegas)),
                             (totals[2], np.full(omegas.size, 0.7))):
             want = [array_noise_psd(arr, input_quadrature_psds(
                         SqueezedInput(r), theta), omega).total
@@ -810,7 +814,8 @@ def test_batch_equals_one_build_per_array_bitwise(membrane_sensor, rng, n):
     breakdown = noise.breakdown(inps)
     totals = noise.totals(inputs)
     assert totals.shape == (len(inputs), len(arrs), n)
-    angles, thermal = noise.optimal_angle(), noise.thermal_psd()
+    angles = optimal_squeezing_angle(ArrayBatch.of(arrs), omegas)
+    thermal = noise.floor()[0]
     n_rows = []
     for i, (arr, w, inp) in enumerate(zip(arrs, omegas, inps)):
         one = ArrayNoise(arr, w)
@@ -819,8 +824,9 @@ def test_batch_equals_one_build_per_array_bitwise(membrane_sensor, rng, n):
             np.testing.assert_array_equal(getattr(breakdown, field)[i],
                                           getattr(one_breakdown, field))
         np.testing.assert_array_equal(totals[:, i], one.totals(inputs))
-        np.testing.assert_array_equal(angles[i], one.optimal_angle())
-        np.testing.assert_array_equal(thermal[i], one.thermal_psd())
+        np.testing.assert_array_equal(angles[i],
+                                      optimal_squeezing_angle(arr, w))
+        np.testing.assert_array_equal(thermal[i], one.floor()[0])
         g = one.alpha.shape[0]
         np.testing.assert_array_equal(noise.alpha[i, :g], one.alpha)
         np.testing.assert_array_equal(noise.beta[i, :g], one.beta)
@@ -848,14 +854,15 @@ def test_scalar_frequency_equals_the_same_frequency_in_an_array(rng, m):
         omegas = arr.sensors[0].oscillator.omega0 * np.geomspace(0.01, 100, 7)
         noise = ArrayNoise(arr, omegas)
         breakdown = noise.breakdown(inp)
-        totals, angles = noise.totals(inputs), noise.optimal_angle()
+        totals = noise.totals(inputs)
+        angles = optimal_squeezing_angle(arr, omegas)
         for j, omega in enumerate(omegas.tolist()):
             one = ArrayNoise(arr, omega)
             one_breakdown = one.breakdown(inp)
             for field in _BREAKDOWN_FIELDS:
                 assert getattr(one_breakdown, field) == getattr(breakdown, field)[j]
             assert one.totals(inputs)[:, 0].tolist() == totals[:, j].tolist()
-            assert one.optimal_angle() == angles[j]
+            assert optimal_squeezing_angle(arr, omega) == angles[j]
 
 
 def test_batch_of_identical_arrays_is_one_row(membrane_sensor):
@@ -903,3 +910,43 @@ def test_batch_rejects_bad_shapes_and_dead_arrays(membrane_sensor):
     for noise in (pair, ArrayNoise(arr, w)):
         with pytest.raises(ConfigError, match="per array"):
             noise.breakdown([QuadraturePsds.vacuum()] * 3)
+
+
+def _two_arrays_one_squeeze(sensor):
+    arr = identical_array(sensor, 1, 2e-3)
+    return assemble_transfer(ArrayBatch.of([arr, arr]), np.full((2, 3), 1e4),
+                             [SqueezedInput.vacuum()])
+
+
+@pytest.mark.parametrize("build,error,message", [
+    pytest.param(lambda s: SensorArray((), np.ones(0), np.ones(0), 2e-3),
+                 ConfigError, "array needs at least one sensor",
+                 id="array-without-sensors"),
+    pytest.param(lambda s: SensorArray((s, s), np.ones(1), np.ones(2), 2e-3),
+                 ConfigError, "weight vectors must have one entry per sensor",
+                 id="weights-of-the-wrong-length"),
+    pytest.param(_two_arrays_one_squeeze, ConfigError,
+                 "a batch needs one squeeze per array",
+                 id="batch-with-one-squeeze-for-two-arrays"),
+    pytest.param(lambda s: Oscillator.from_quality(6e-6, 1e4, 1e9, 0.0,
+                                                   "quarter"),
+                 ConfigError, "unknown gamma convention 'quarter'",
+                 id="unknown-gamma-convention"),
+    pytest.param(lambda s: replace(s.cavity, length=None)
+                 .g0_from_geometry(s.oscillator),
+                 ConfigError, "cavity length is required to derive g0",
+                 id="g0-from-geometry-without-a-length"),
+    pytest.param(lambda s: SqueezedInput(0.5, "quarter"), ConfigError,
+                 "unknown angle policy 'quarter'", id="unknown-angle-policy"),
+    pytest.param(lambda s: SqueezedInput(0.5, "vacuum"), ConfigError,
+                 "vacuum policy requires r = 0", id="squeezed-vacuum-policy"),
+    pytest.param(lambda s: SqueezedInput.from_photon_number(-1), ConfigError,
+                 "photon number must be finite and >= 0, got -1",
+                 id="negative-photon-number"),
+    pytest.param(lambda s: preset_scenario("fig9"), ScenarioError,
+                 "unknown preset 'fig9'", id="unknown-preset")])
+def test_library_rejections_raise_their_message(membrane_sensor, build, error,
+                                                message):
+    """The rejections that only a library call can reach."""
+    with pytest.raises(error, match=re.escape(message)):
+        build(membrane_sensor)

